@@ -11,11 +11,14 @@ def format_table(rows: Sequence[dict], columns: Optional[Sequence[str]] = None,
                  floatfmt: str = ".4g", title: str = "") -> str:
     """Render dict rows as an aligned text table.
 
-    Column order follows ``columns`` (default: keys of the first row).
+    Column order follows ``columns`` (default: every key any row has,
+    in first-seen order — an ``error`` column appears even when the
+    first row succeeded).
     """
     if not rows:
         return f"{title}\n(no rows)" if title else "(no rows)"
-    cols = list(columns) if columns else list(rows[0].keys())
+    cols = list(columns) if columns \
+        else list(dict.fromkeys(k for row in rows for k in row))
 
     def fmt(value: Any) -> str:
         if isinstance(value, float):

@@ -13,9 +13,10 @@ metrics, foreign workload ids, rows predating the ``machine_config``
 meta — are skipped with a recorded reason, never silently.
 
 The audit is embarrassingly parallel (one row at a time) and
-deterministic: rows are processed in sorted-key order, results come
-back in item order (:func:`repro.parallel.run_sharded`), and every
-computed quantity is pure arithmetic — the JSON output is
+deterministic: rows are processed in sorted-key order,
+:func:`repro.parallel.run_sharded` maps them over the shared
+:class:`~repro.parallel.WorkerPool` and returns results in item order,
+and every computed quantity is pure arithmetic — the JSON output is
 byte-identical for any worker count.
 """
 
@@ -187,7 +188,7 @@ def audit_cache(cache_dir: str, workers: int = 1,
                 gap_threshold: Optional[float] = DEFAULT_GAP_THRESHOLD
                 ) -> AuditResult:
     """Cross-check every row of a :class:`ResultCache` directory."""
-    from ..parallel.runner import run_sharded
+    from ..parallel.pool import run_sharded
     root = Path(cache_dir).expanduser()
     if not root.is_dir():
         raise FileNotFoundError(f"no cache directory at {root}")

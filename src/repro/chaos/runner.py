@@ -1,15 +1,18 @@
 """Campaign execution — the fault-plan family as a sharded sweep.
 
 :func:`run_campaign` expands a :class:`~repro.chaos.spec.CampaignSpec`
-against the machine's topology, runs every rung through the existing
-parallel-sweep machinery (:class:`~repro.parallel.ParallelSweepRunner`
-for cache lookup and error capture, one single-point sweep per rung),
-and packs the rungs onto worker processes with
-:func:`~repro.parallel.run_sharded` — the same worker-packing scheme
-``repro verify`` uses for schedule shards.  Plan digests already key
-the result cache, so a re-run of an unchanged campaign is pure cache
-hits, and the severity-0 / baseline rungs (plan ``None``) share their
-key with ordinary fault-free sweep rows.
+against the machine's topology and runs every rung as its own
+single-point :class:`~repro.parallel.ParallelSweepRunner` sweep (cache
+lookup and error capture behave exactly like ordinary sweeps), packed
+onto the shared :class:`~repro.parallel.WorkerPool` by
+:func:`~repro.parallel.run_sharded` — the same scheme ``repro verify``
+uses for schedule shards.  A rung that kills its worker is retried on a
+fresh one; if it keeps doing so the campaign fails with a typed
+:class:`~repro.parallel.WorkerCrashed`, and the calling process
+survives.  Plan digests already key the result cache, so a re-run of
+an unchanged campaign is pure cache hits, and the severity-0 / baseline
+rungs (plan ``None``) share their key with ordinary fault-free sweep
+rows.
 
 The rows are folded by :mod:`repro.chaos.slo` into SLO verdicts plus
 the ladder-wide monotonicity invariant check, and returned as a

@@ -270,17 +270,23 @@ def _sweep_progress(done: int, total: int, row: dict) -> None:
     print(f"  [{done}/{total}] {status}{timing}", file=sys.stderr)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def plan_sweep(preset: str, overrides: Sequence[str], axes: Sequence[str],
+               *, workload: Optional[str], rounds: int, seed: int):
+    """``(sweep, runner, workload_id)`` of a ``repro sweep``-style study.
+
+    The one place ``PATH=v1,v2`` axis specs become a
+    :class:`~repro.core.experiment.Sweep`, the point runner is bound
+    and the cache workload id is spelled — ``repro sweep`` and the
+    service both run exactly this plan, so their rows and cache
+    entries are interchangeable.
+    """
     import functools
 
     from .core.experiment import Sweep
-    from .parallel import ResultCache
 
-    if args.workers < 1:
-        raise SystemExit(f"--workers must be >= 1, got {args.workers}")
-    machine = build_machine(args.preset, args.set or ())
-    sweep = Sweep(machine, label=args.preset)
-    for spec in args.axis:
+    machine = build_machine(preset, overrides)
+    sweep = Sweep(machine, label=preset)
+    for spec in axes:
         path, raw = _split_spec(spec)
         target, leaf = _resolve_path(machine, path)
         current = getattr(target, leaf)
@@ -289,12 +295,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise SystemExit(f"bad axis value in {spec!r}: {exc}")
         sweep.axis(path, _AxisSetter(path), values)
+    runner = functools.partial(_sweep_point_runner, workload=workload,
+                               rounds=rounds, seed=seed)
+    workload_id = (f"cli-stochastic:{workload or 'generic'}"
+                   f":rounds={rounds}:seed={seed}")
+    return sweep, runner, workload_id
 
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .parallel import ResultCache
+
+    if args.workers < 1:
+        raise SystemExit(f"--workers must be >= 1, got {args.workers}")
+    sweep, runner, workload_id = plan_sweep(
+        args.preset, args.set or (), args.axis, workload=args.workload,
+        rounds=args.rounds, seed=args.seed)
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    runner = functools.partial(_sweep_point_runner, workload=args.workload,
-                               rounds=args.rounds, seed=args.seed)
-    workload_id = (f"cli-stochastic:{args.workload or 'generic'}"
-                   f":rounds={args.rounds}:seed={args.seed}")
     rows = sweep.run(runner, workers=args.workers, cache=cache,
                      workload_id=workload_id,
                      progress=_sweep_progress if args.progress else None,
@@ -707,17 +723,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .parallel.executor import InProcessExecutor, LocalAsyncExecutor
+    from .parallel.executor import LocalAsyncExecutor
     from .service import JobManager, JobScheduler, ResultStore, run_server
 
     if args.workers is not None and args.workers < 1:
         raise SystemExit(f"--workers must be >= 1, got {args.workers}")
-    if args.executor == "inprocess":
-        executor = InProcessExecutor(workers=args.workers,
-                                     job_timeout_s=args.job_timeout)
-    else:
-        executor = LocalAsyncExecutor(workers=args.workers,
-                                      job_timeout_s=args.job_timeout)
+    executor = LocalAsyncExecutor(workers=args.workers,
+                                  job_timeout_s=args.job_timeout)
     store = ResultStore(args.store) if args.store else None
     try:
         scheduler = JobScheduler(tenant_quota=args.tenant_quota,
@@ -1078,11 +1090,6 @@ def _parser() -> argparse.ArgumentParser:
                         "chosen one is announced on stdout)")
     p.add_argument("--workers", type=int, default=None, metavar="N",
                    help="variant worker processes (default: CPU count)")
-    p.add_argument("--executor", choices=("local", "inprocess"),
-                   default="local",
-                   help="job backend: 'local' = persistent async worker "
-                        "supervisor with crash recovery, 'inprocess' = "
-                        "run jobs synchronously on the dispatch thread")
     p.add_argument("--store", default=None, metavar="DIR",
                    help="content-addressed result store (rows + job "
                         "records); shared with repro sweep --cache-dir")

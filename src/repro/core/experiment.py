@@ -94,10 +94,13 @@ class Sweep:
         runner's metric dict.  Rows always come back in point order.
 
         ``workers``
-            fan the points out over a process pool of that size
+            fan the points out over that many worker processes
             (``None``/1 = serial, in-process).  The Pearl kernel is
             deterministic, so parallel rows are identical to serial
-            ones (``tests/test_parallel_sweep.py`` asserts this).
+            ones (``tests/test_parallel_sweep.py`` asserts this).  A
+            variant that kills its worker process is retried on a fresh
+            one, then reported as a ``WorkerCrashed`` error row — the
+            sweep and the calling process survive it.
         ``cache``
             a :class:`repro.parallel.ResultCache` (or a directory
             path) keyed by ``(machine, workload id, code version)``;
@@ -141,18 +144,15 @@ class Sweep:
         ``executor``
             a :class:`repro.parallel.Executor` to run the (post-
             preflight) points as a job on — e.g. a shared
-            :class:`repro.parallel.LocalAsyncExecutor` with crash
-            recovery and job timeouts.  Mutually exclusive with
-            ``workers`` (the executor owns its worker pool); ``cache``
-            falls back to the executor's own cache when ``None``.
-            Rows are byte-identical to the pool path — every backend
-            funnels through the same
-            :func:`repro.parallel.run_cached_sweep` core.
+            :class:`repro.parallel.LocalAsyncExecutor` whose workers
+            outlive the call.  Mutually exclusive with ``workers`` (the
+            executor owns its worker pool, and ``workers=N`` is itself
+            sugar for an :class:`repro.parallel.InProcessExecutor` that
+            lives for the call); ``cache`` falls back to the executor's
+            own cache when ``None``.
         """
         from ..parallel import (FaultedRunner, ParallelSweepRunner,
                                 ResultCache, SweepVariantError)
-        if executor is not None and workers is not None:
-            raise ValueError("pass either workers= or executor=, not both")
         if faults is not None and isinstance(faults, (list, tuple)):
             from ..faults import as_fault_plan
             rows_all: list[dict] = []
@@ -208,44 +208,14 @@ class Sweep:
             def pool_progress(done: int, _pool_total: int, row: dict,
                               ) -> None:
                 progress(done + offset, total, row)
-        if executor is not None:
-            ran = self._run_on_executor(executor, runner,
-                                        [pt for _, pt in good],
-                                        cache=cache, workload_id=workload_id,
-                                        on_error=on_error,
-                                        progress=pool_progress,
-                                        timing=timing, faults=fault_plan)
-        else:
-            pool = ParallelSweepRunner(workers=workers or 1, cache=cache)
-            ran = pool.run(runner, [pt for _, pt in good],
-                           workload_id=workload_id, on_error=on_error,
-                           progress=pool_progress, timing=timing,
-                           faults=fault_plan)
+        if workers is None and executor is None:
+            workers = 1               # a bare Sweep.run is serial
+        pool = ParallelSweepRunner(workers=workers, cache=cache,
+                                   executor=executor)
+        ran = pool.run(runner, [pt for _, pt in good],
+                       workload_id=workload_id, on_error=on_error,
+                       progress=pool_progress, timing=timing,
+                       faults=fault_plan)
         for (idx, _), row in zip(good, ran):
             rows[idx] = row
         return rows  # type: ignore[return-value]
-
-    @staticmethod
-    def _run_on_executor(executor: Any, runner: Runner,
-                         points: Sequence[tuple[dict, MachineConfig]], *,
-                         cache: Any, workload_id: str | None,
-                         on_error: str, progress: Any, timing: bool,
-                         faults: Any) -> list[dict]:
-        """Run the surviving points as one executor job, blocking."""
-        from ..parallel.executor import JobSpec
-
-        on_event = None
-        if progress is not None:
-            def on_event(event: dict) -> None:
-                if event.get("event") == "progress":
-                    progress(event["done"], event["total"], event["row"])
-        job_id = executor.submit(
-            JobSpec(runner=runner, points=points, workload_id=workload_id,
-                    on_error=on_error, timing=timing, faults=faults,
-                    cache=cache),
-            on_event=on_event)
-        status = executor.wait(job_id)
-        if status.state != "done":
-            raise RuntimeError(
-                f"sweep job {job_id!r} {status.state}: {status.error}")
-        return executor.result(job_id)

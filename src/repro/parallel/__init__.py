@@ -5,8 +5,11 @@ thanks to the Pearl kernel's deterministic event ordering — bit-for-bit
 reproducible, so this package makes them fast without making them less
 trustworthy:
 
-* :class:`ParallelSweepRunner` — fan machine variants out over a
-  process pool; ordered results, per-variant error capture;
+* :class:`ParallelSweepRunner` — run a sweep's points as one blocking
+  job; ordered results, per-variant error capture;
+* :class:`WorkerPool` / :func:`run_sharded` — the one process pool
+  everything fans out over: ordered streaming, crashed workers
+  replaced and their task requeued, then a typed :class:`WorkerCrashed`;
 * :class:`ResultCache` — skip variants whose
   ``(machine, workload, code version)`` hash already has a row;
 * :func:`result_key` / :func:`code_version` — the cache key scheme;
@@ -31,10 +34,12 @@ from .executor import (
     ExecutorError,
     InProcessExecutor,
     JobSpec,
+    JobState,
     JobStatus,
     LocalAsyncExecutor,
     TERMINAL_STATES,
 )
+from .pool import WorkerCrashed, WorkerPool, run_sharded
 from .runner import (
     FaultedRunner,
     ParallelSweepRunner,
@@ -43,14 +48,13 @@ from .runner import (
     error_message,
     execute_variant,
     run_cached_sweep,
-    run_sharded,
 )
 
 __all__ = [
     "CacheStats", "Executor", "ExecutorError", "FaultedRunner",
-    "InProcessExecutor", "JobSpec", "JobStatus", "LocalAsyncExecutor",
-    "ParallelSweepRunner", "ResultCache", "SweepVariantError",
-    "TERMINAL_STATES",
+    "InProcessExecutor", "JobSpec", "JobState", "JobStatus",
+    "LocalAsyncExecutor", "ParallelSweepRunner", "ResultCache",
+    "SweepVariantError", "TERMINAL_STATES", "WorkerCrashed", "WorkerPool",
     "code_version", "default_workload_id", "error_message",
     "execute_variant", "result_key", "run_cached_sweep", "run_sharded",
     "sources_digest",

@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -94,6 +95,21 @@ def result_key(machine: MachineConfig, workload_id: str,
     return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
 
 
+def atomic_write_text(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` atomically (creating its
+    directory); last writer wins.
+
+    The temp name is per writer (process and thread), so concurrent
+    writers of one path — two sweeps storing the same row, two service
+    frontends finishing the same job key — never share a temp file, and
+    a reader sees either no file or a complete one.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
 @dataclass
 class CacheStats:
     """Hit/miss/store counters for one :class:`ResultCache` instance."""
@@ -147,14 +163,10 @@ class ResultCache:
     def put(self, key: str, metrics: dict,
             meta: Optional[dict] = None) -> None:
         """Store one metric row (atomically; last writer wins)."""
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         entry = {"key": key, "metrics": metrics,
                  "code_version": code_version(), **(meta or {})}
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w") as fp:
-            json.dump(entry, fp, indent=2, default=float)
-        os.replace(tmp, path)
+        atomic_write_text(self._path(key),
+                          json.dumps(entry, indent=2, default=float))
         self.stats.stores += 1
 
     def __len__(self) -> int:

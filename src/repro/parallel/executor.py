@@ -2,49 +2,49 @@
 
 The workbench's interactive loop runs sweeps synchronously; serving
 that loop to many users needs sweeps as *jobs* — submitted, watched,
-cancelled — without changing what a sweep computes.  This module lifts
-:class:`~repro.parallel.runner.ParallelSweepRunner` behind a small
-:class:`Executor` interface:
+cancelled — without changing what a sweep computes.  An
+:class:`Executor` is the only way a sweep runs (``Sweep.run`` and
+:class:`~repro.parallel.runner.ParallelSweepRunner` are blocking sugar
+over it).  Every backend owns one
+:class:`~repro.parallel.pool.WorkerPool` and runs jobs one at a time
+through the same job body; the backends differ only in *when*:
 
-* :class:`InProcessExecutor` — wraps the existing process-pool path;
-  ``submit`` runs the job to completion before returning (the caller
-  provides the concurrency, e.g. the service dispatch thread);
-* :class:`LocalAsyncExecutor` — a persistent worker supervisor:
-  ``submit`` enqueues and returns immediately, jobs run FIFO on
-  long-lived worker processes with job-level timeouts, crash-recovery
-  requeue and bounded retry.
+* :class:`InProcessExecutor` — ``submit`` runs the job to completion on
+  the calling thread before returning;
+* :class:`LocalAsyncExecutor` — ``submit`` enqueues and returns; a
+  supervisor thread runs the jobs FIFO.
 
-Every backend funnels through
+Both therefore share the pool's durability: a worker that dies
+mid-variant is replaced and the variant requeued, then reported as a
+``WorkerCrashed`` error row; a job past its wall-time budget or
+cancelled has its in-flight workers killed and the executor keeps
+serving.  Every job funnels through
 :func:`~repro.parallel.runner.run_cached_sweep`, so sweep rows are
 byte-identical across backends by construction — the conformance suite
 (``tests/test_executor_conformance.py``) pins exactly that.  Job state
-is one of ``queued → running → done | failed | cancelled``; progress
-events mirror the ``progress=`` hook (cache hits included, so a fully
-warm job still streams to 100%).
+is one of ``queued → running → done | failed | cancelled``, held in a
+:class:`JobState` that observers wait on; progress events mirror the
+``progress=`` hook (cache hits included, so a fully warm job still
+streams to 100%).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import multiprocessing
-import multiprocessing.connection
 import os
-import pickle
 import queue
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional, Sequence
 
-from ..pearl.kernel import kernel_mode
 from .cache import ResultCache
-from .runner import (Point, Runner, _execute_untimed, _mp_context,
-                     execute_batch_iter, execute_variant_timed,
-                     run_cached_sweep)
+from .pool import WorkerCrashed, WorkerPool
+from .runner import Point, Runner, run_cached_sweep
 
 __all__ = ["Executor", "ExecutorError", "InProcessExecutor", "JobSpec",
-           "JobStatus", "LocalAsyncExecutor", "TERMINAL_STATES"]
+           "JobState", "JobStatus", "LocalAsyncExecutor", "TERMINAL_STATES"]
 
 #: job states that no longer change
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
@@ -104,52 +104,118 @@ class JobStatus:
                 "error": self.error, "cache": dict(self.cache)}
 
 
-class _Job:
-    """Mutable job record shared between submitter and backend."""
+class JobState:
+    """One job's mutable state: the object submitter, backend and
+    observers share.
 
-    def __init__(self, job_id: str, spec: JobSpec,
-                 on_event: Optional[EventFn]) -> None:
+    The state machine every job runs — ``emit`` / ``set_state`` /
+    ``note_progress`` append to :attr:`events` under :attr:`cond`,
+    :meth:`wait` blocks on it, :meth:`run` is the job boundary.  The
+    executor creates one per ``submit``; the service's ``JobRecord``
+    *is* one (with ``submitted`` as its initial state), so a served job
+    reports straight into its record.
+    """
+
+    def __init__(self, job_id: str, *, state: str = "queued",
+                 on_event: Optional[EventFn] = None) -> None:
         self.job_id = job_id
-        self.spec = spec
         self.on_event = on_event
-        self.state = "queued"
+        self.state = state
         self.done = 0
-        self.total = len(spec.points)
+        self.total = 0
         self.rows: Optional[list[dict]] = None
         self.error: Optional[str] = None
-        self.cache_stats: dict = {"hits": 0, "misses": 0, "stores": 0}
+        #: what failed the job, kept so blocking callers can re-raise it
+        self.exc: Optional[Exception] = None
+        self.cache: dict = {"hits": 0, "misses": 0, "stores": 0}
         self.events: list[dict] = []
         self.cancel_requested = False
         self.cond = threading.Condition()
+        self._timeout_s: Optional[float] = None
+        self._deadline: Optional[float] = None
 
-    def emit(self, event: dict) -> None:
+    # -- mutation (backend side) ---------------------------------------
+
+    def emit(self, event: dict, **fields: Any) -> None:
+        """Append ``event`` and set the ``fields`` it reports in one
+        step, so an observer woken by either sees both."""
         with self.cond:
+            for name, value in fields.items():
+                setattr(self, name, value)
             self.events.append(event)
             self.cond.notify_all()
         if self.on_event is not None:
             self.on_event(event)
 
     def set_state(self, state: str, error: Optional[str] = None) -> None:
-        with self.cond:
-            self.state = state
-            self.error = error
-            self.cond.notify_all()
         event = {"event": "state", "state": state}
         if error is not None:
             event["error"] = error
-        self.emit(event)
+        self.emit(event, state=state, error=error)
 
     def note_progress(self, done: int, total: int, row: dict) -> None:
-        with self.cond:
-            self.done = done
-            self.total = total
         self.emit({"event": "progress", "done": done, "total": total,
-                   "row": row})
+                   "row": row}, done=done, total=total)
+
+    def check_abort(self) -> None:
+        """Raise if the running job was cancelled or is past its budget."""
+        if self.cancel_requested:
+            raise _JobCancelled(self.job_id)
+        if self._deadline is not None \
+                and time.monotonic() > self._deadline:  # repro: noqa[PY002]
+            raise _JobTimeout(
+                f"JobTimeout: job exceeded its {self._timeout_s}s budget")
+
+    def progress(self, done: int, total: int, row: dict) -> None:
+        """A ``progress=`` hook: the abort check, then the event."""
+        self.check_abort()
+        self.note_progress(done, total, row)
+
+    def run(self, body: Callable[[], None],
+            timeout_s: Optional[float] = None) -> None:
+        """The job boundary: ``running``, ``body()``, then the terminal
+        state its outcome maps to.
+
+        ``body`` reports through :meth:`progress` / :meth:`check_abort`
+        and stores its own result; ``timeout_s`` bounds its wall time.
+        A cancel request is ``cancelled``, a spent budget or any other
+        exception is ``failed`` — never a raise into the caller.
+        """
+        self._timeout_s = timeout_s
+        if timeout_s is not None:
+            # Job deadlines are host-side wall time by definition.
+            self._deadline = \
+                time.monotonic() + timeout_s  # repro: noqa[PY002]
+        self.set_state("running")
+        try:
+            body()
+        except _JobCancelled:
+            state, error = "cancelled", None
+        except _JobTimeout as exc:
+            state, error = "failed", str(exc)
+        except Exception as exc:  # noqa: BLE001 - job boundary
+            state, error = "failed", f"{type(exc).__name__}: {exc}"
+            self.exc = exc
+        else:
+            state, error = "done", None
+        self.set_state(state, error)
+
+    # -- observation ---------------------------------------------------
+
+    @property
+    def terminal(self) -> bool:
+        return self.state in TERMINAL_STATES
+
+    def wait(self, timeout: Optional[float] = None) -> str:
+        """Block until terminal (or timeout); returns the state."""
+        with self.cond:
+            self.cond.wait_for(lambda: self.terminal, timeout)
+            return self.state
 
     def status(self) -> JobStatus:
         with self.cond:
             return JobStatus(self.job_id, self.state, self.done, self.total,
-                             self.error, dict(self.cache_stats))
+                             self.error, dict(self.cache))
 
 
 def _as_cache(cache: Any) -> Optional[ResultCache]:
@@ -164,50 +230,70 @@ def _stats_snapshot(cache: Optional[ResultCache]) -> tuple[int, int, int]:
     return (cache.stats.hits, cache.stats.misses, cache.stats.stores)
 
 
+def _crash_outcome(crash: WorkerCrashed) -> tuple[str, dict, float]:
+    """The error outcome of a variant that exhausted its crash budget."""
+    return "error", {"error": f"WorkerCrashed: variant {crash}"}, 0.0
+
+
 class Executor:
     """Submit sweeps as jobs; poll, stream, cancel, fetch results.
 
-    Subclasses provide the backend (`_start` decides whether ``submit``
-    runs the job synchronously or enqueues it) and the per-batch
-    execute function; everything observable — job states, events, row
-    assembly, cache behavior — is shared here, which is what makes
-    backends conformant with each other.
+    ``workers`` sizes the executor's :class:`WorkerPool` (default: CPU
+    count; ``1`` runs variants in-process), ``cache`` serves jobs whose
+    spec names none, ``job_timeout_s`` is the default per-job wall-time
+    budget and ``max_task_retries`` the per-variant crash budget.
+    Subclasses only decide, in ``_start``, whether ``submit`` runs the
+    job synchronously or enqueues it (and with that how long the
+    pool's workers live); everything observable — job states, events,
+    row assembly, cache behavior, crash recovery — is shared here,
+    which is what makes backends conformant with each other.
     """
 
-    def __init__(self, cache: Any = None,
-                 job_timeout_s: Optional[float] = None) -> None:
+    def __init__(self, workers: Optional[int] = None, cache: Any = None,
+                 job_timeout_s: Optional[float] = None,
+                 max_task_retries: int = 2) -> None:
+        self.workers = workers if workers is not None \
+            else (os.cpu_count() or 1)
         self.cache = _as_cache(cache)
         self.job_timeout_s = job_timeout_s
-        self._jobs: dict[str, _Job] = {}
+        self._pool = WorkerPool(self.workers, max_task_retries)
+        #: jobs take turns on the pool (one supervisor thread, or this)
+        self._turn = threading.Lock()
+        self._jobs: dict[str, JobState] = {}
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
 
     # -- submission interface ------------------------------------------
 
     def submit(self, spec: JobSpec, *, job_id: Optional[str] = None,
-               on_event: Optional[EventFn] = None) -> str:
-        """Register a job and hand it to the backend; returns the job id.
+               on_event: Optional[EventFn] = None,
+               state: Optional[JobState] = None) -> str:
+        """Hand a job to the backend; returns the job id.
 
-        ``on_event`` observes every job event as it is emitted (the
-        service uses this to stream progress over HTTP).  Pass an
-        explicit ``job_id`` to make the executor's id match an external
-        record's.
+        ``on_event`` observes every job event as it is emitted.  Pass
+        ``state`` — a :class:`JobState` the caller owns and watches,
+        like the service's job record — to have the job report into it
+        instead of a new one; such a job is not registered for
+        :meth:`poll` / :meth:`result`, so the executor keeps nothing of
+        it once it ends.
         """
-        with self._lock:
-            jid = job_id if job_id is not None else f"job-{next(self._ids)}"
-            if jid in self._jobs:
-                raise ExecutorError(f"duplicate job id: {jid!r}")
-            job = _Job(jid, spec, on_event)
-            self._jobs[jid] = job
-        self._start(job)
-        return jid
+        if state is None:
+            with self._lock:
+                jid = job_id if job_id is not None \
+                    else f"job-{next(self._ids)}"
+                if jid in self._jobs:
+                    raise ExecutorError(f"duplicate job id: {jid!r}")
+                state = self._jobs[jid] = JobState(jid, on_event=on_event)
+        state.total = len(spec.points)
+        self._start(state, spec)
+        return state.job_id
 
-    def _start(self, job: _Job) -> None:
+    def _start(self, job: JobState, spec: JobSpec) -> None:
         raise NotImplementedError
 
     # -- observation interface -----------------------------------------
 
-    def _job(self, job_id: str) -> _Job:
+    def _job(self, job_id: str) -> JobState:
         with self._lock:
             try:
                 return self._jobs[job_id]
@@ -232,18 +318,7 @@ class Executor:
              timeout: Optional[float] = None) -> JobStatus:
         """Block until the job reaches a terminal state (or timeout)."""
         job = self._job(job_id)
-        # Host-side timeout bookkeeping, not simulated time.
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)  # repro: noqa[PY002]
-        with job.cond:
-            while job.state not in TERMINAL_STATES:
-                if deadline is None:
-                    job.cond.wait(0.5)
-                    continue
-                left = deadline - time.monotonic()  # repro: noqa[PY002]
-                if left <= 0:
-                    break
-                job.cond.wait(left)
+        job.wait(timeout)
         return job.status()
 
     def stream(self, job_id: str) -> Iterator[dict]:
@@ -251,36 +326,33 @@ class Executor:
         terminal state event — ``state`` events bracket ``progress``
         events, one per row, cache hits included."""
         job = self._job(job_id)
-        idx = 0
-        while True:
+        for idx in itertools.count():
             with job.cond:
-                while idx >= len(job.events) \
-                        and job.state not in TERMINAL_STATES:
-                    job.cond.wait(0.2)
+                job.cond.wait_for(
+                    lambda: idx < len(job.events) or job.terminal)
                 if idx >= len(job.events):
                     return
                 event = job.events[idx]
-            idx += 1
             yield event
 
     def cancel(self, job_id: str) -> bool:
         """Request cancellation; ``False`` if the job already ended.
 
         Cancellation is cooperative: a queued job is dropped before it
-        starts, a running job stops at the next row boundary (the
-        :class:`LocalAsyncExecutor` additionally terminates in-flight
-        variant workers).
+        starts; a running job stops at the next row boundary, or within
+        the pool's abort poll when its variants run on workers, which
+        are then killed.
         """
         job = self._job(job_id)
         with job.cond:
-            if job.state in TERMINAL_STATES:
+            if job.terminal:
                 return False
             job.cancel_requested = True
-            job.cond.notify_all()
         return True
 
     def close(self) -> None:
         """Release backend resources; idempotent."""
+        self._pool.close()
 
     def __enter__(self) -> "Executor":
         return self
@@ -290,306 +362,87 @@ class Executor:
 
     # -- shared job body -----------------------------------------------
 
-    def _execute_fn(self, job: _Job, deadline: Optional[float]) -> Callable:
-        raise NotImplementedError
-
-    def _run_job(self, job: _Job) -> None:
-        spec = job.spec
+    def _run_job(self, job: JobState, spec: JobSpec) -> None:
         # Explicit None check: an *empty* ResultCache is falsy (__len__).
         cache = _as_cache(spec.cache)
         if cache is None:
             cache = self.cache
-        timeout = (spec.timeout_s if spec.timeout_s is not None
-                   else self.job_timeout_s)
-        # Job deadlines are host-side wall time by definition.
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)  # repro: noqa[PY002]
-        job._timeout_s = timeout
-        job.set_state("running")
-        base = _stats_snapshot(cache)
+        imap = functools.partial(self._pool.imap,
+                                 check_abort=job.check_abort,
+                                 on_crash=_crash_outcome)
 
-        def progress(done: int, total: int, row: dict) -> None:
-            _check_abort(job, deadline)
-            job.note_progress(done, total, row)
+        def body() -> None:
+            base = _stats_snapshot(cache)
+            try:
+                job.rows = run_cached_sweep(
+                    imap, spec.runner, list(spec.points), cache=cache,
+                    workload_id=spec.workload_id, on_error=spec.on_error,
+                    progress=job.progress, timing=spec.timing,
+                    faults=spec.faults)
+            finally:
+                after = _stats_snapshot(cache)
+                with job.cond:
+                    job.cache = {"hits": after[0] - base[0],
+                                 "misses": after[1] - base[1],
+                                 "stores": after[2] - base[2]}
 
-        try:
-            rows = run_cached_sweep(
-                self._execute_fn(job, deadline), spec.runner,
-                list(spec.points), cache=cache,
-                workload_id=spec.workload_id, on_error=spec.on_error,
-                progress=progress, timing=spec.timing, faults=spec.faults)
-        except _JobCancelled:
-            state, error = "cancelled", None
-        except _JobTimeout as exc:
-            state, error = "failed", str(exc)
-        except Exception as exc:  # noqa: BLE001 - job boundary
-            state, error = "failed", f"{type(exc).__name__}: {exc}"
-        else:
-            state, error = "done", None
-            job.rows = rows
-        after = _stats_snapshot(cache)
-        with job.cond:
-            job.cache_stats = {"hits": after[0] - base[0],
-                               "misses": after[1] - base[1],
-                               "stores": after[2] - base[2]}
-        job.set_state(state, error)
-
-
-def _check_abort(job: _Job, deadline: Optional[float]) -> None:
-    if job.cancel_requested:
-        raise _JobCancelled(job.job_id)
-    if deadline is not None \
-            and time.monotonic() > deadline:  # repro: noqa[PY002]
-        raise _JobTimeout(
-            f"JobTimeout: job exceeded its {job._timeout_s}s budget")
+        job.run(body, spec.timeout_s if spec.timeout_s is not None
+                else self.job_timeout_s)
 
 
 class InProcessExecutor(Executor):
-    """The existing pool path behind the job interface.
+    """Synchronous jobs: ``submit`` returns when the job has ended.
 
-    ``submit`` runs the job to completion on the calling thread via
-    :func:`~repro.parallel.runner.execute_batch_iter` (events stream
-    incrementally to ``on_event`` while it runs); concurrency across
-    jobs is the caller's concern.  Cancellation from another thread
-    lands at the next row boundary.
+    The job runs on the calling thread (events stream incrementally to
+    ``on_event`` while it runs) and its workers live only as long as it
+    does; submitters on several threads take turns.  Cancellation comes
+    from another thread.
     """
 
-    def __init__(self, workers: Optional[int] = None, cache: Any = None,
-                 job_timeout_s: Optional[float] = None) -> None:
-        super().__init__(cache=cache, job_timeout_s=job_timeout_s)
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers if workers is not None \
-            else (os.cpu_count() or 1)
-
-    def _start(self, job: _Job) -> None:
-        self._run_job(job)
-
-    def _execute_fn(self, job: _Job, deadline: Optional[float]) -> Callable:
-        def execute(runner: Runner, machines: Sequence, *,
-                    timing: bool = False) -> Iterator:
-            return execute_batch_iter(runner, machines,
-                                      workers=self.workers, timing=timing)
-        return execute
-
-
-def _async_worker_main(inbox: Any, out_conn: Any,
-                       mode: str) -> None:  # pragma: no cover - child proc
-    """Long-lived variant worker: pull tasks, push outcomes, forever."""
-    os.environ["REPRO_KERNEL"] = mode
-    while True:
-        item = inbox.get()
-        if item is None:
-            return
-        seq, idx, runner, machine, timing = item
-        task = execute_variant_timed if timing else _execute_untimed
-        out_conn.send((seq, idx, task(runner, machine)))
-
-
-class _Worker:
-    """One persistent worker process, its inbox, and its result pipe.
-
-    Results travel over a *per-worker* pipe with the worker as sole
-    writer (a synchronous ``Connection.send`` from the worker's main
-    thread, not a shared ``multiprocessing.Queue``).  A shared result
-    queue writes through a feeder thread that holds a cross-process
-    write lock; a worker dying mid-write (``os._exit`` in a model, a
-    ``terminate()`` on job timeout) would leave that lock held and
-    silently deadlock *every* worker.  With one pipe per worker, a
-    crash can only corrupt the crashed worker's own pipe — which the
-    respawn discards along with the process.
-    """
-
-    def __init__(self, wid: int, ctx: Any) -> None:
-        self.wid = wid
-        self.ctx = ctx
-        #: parent's read end of the result pipe (None once broken)
-        self.conn: Optional[Any] = None
-        #: (variant index, attempts so far) of the in-flight task
-        self.busy: Optional[tuple[int, int]] = None
-        self.spawn()
-
-    def spawn(self) -> None:
-        if self.conn is not None:
-            self.conn.close()
-        self.inbox = self.ctx.Queue()
-        self.conn, out_conn = self.ctx.Pipe(duplex=False)
-        self.proc = self.ctx.Process(
-            target=_async_worker_main,
-            args=(self.inbox, out_conn, kernel_mode()),
-            daemon=True)
-        self.proc.start()
-        # The write end must live only in the child: EOF then reliably
-        # marks worker death even if it died mid-send.
-        out_conn.close()
-        self.busy = None
-
-    def send(self, task: tuple) -> None:
-        self.inbox.put(task)
-
-    def abort(self) -> None:
-        """Kill the in-flight task and come back clean."""
-        self.proc.terminate()
-        self.proc.join()
-        self.spawn()
-
-    def stop(self) -> None:
-        try:
-            self.inbox.put(None)
-            self.proc.join(1.0)
-        except (OSError, ValueError):  # pragma: no cover - teardown races
-            pass
-        if self.proc.is_alive():
-            self.proc.terminate()
-            self.proc.join()
-        if self.conn is not None:
-            self.conn.close()
-            self.conn = None
+    def _start(self, job: JobState, spec: JobSpec) -> None:
+        with self._turn:
+            try:
+                self._run_job(job, spec)
+            finally:
+                self._pool.close()
 
 
 class LocalAsyncExecutor(Executor):
-    """Async jobs on a persistent worker supervisor.
+    """Async jobs: ``submit`` enqueues and returns immediately; a
+    supervisor thread runs the jobs FIFO.
 
-    ``submit`` enqueues and returns immediately; a supervisor thread
-    runs jobs FIFO, packing each job's variants across ``workers``
-    long-lived processes.  Per-variant crash recovery: a worker that
-    dies mid-variant is respawned and the variant requeued, up to
-    ``max_task_retries`` extra attempts, after which the variant
-    becomes a ``WorkerCrashed`` error row (the job itself survives).
-    ``job_timeout_s`` bounds each job's wall time — on expiry the job
-    fails, in-flight workers are terminated and respawned, and the
-    executor keeps serving subsequent jobs.
+    The workers are forked here, at construction, and kept until
+    :meth:`close` — before a server that owns the executor has accepted
+    any socket a forked child would inherit and hold open.
     """
 
     def __init__(self, workers: Optional[int] = None, cache: Any = None,
                  job_timeout_s: Optional[float] = None,
-                 max_task_retries: int = 2,
-                 poll_interval_s: float = 0.02) -> None:
-        super().__init__(cache=cache, job_timeout_s=job_timeout_s)
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if max_task_retries < 0:
-            raise ValueError(f"max_task_retries must be >= 0, "
-                             f"got {max_task_retries}")
-        self.workers = workers if workers is not None \
-            else (os.cpu_count() or 1)
-        self.max_task_retries = max_task_retries
-        self.poll_interval_s = poll_interval_s
-        self._ctx = _mp_context() or multiprocessing.get_context()
-        self._workers = [_Worker(i, self._ctx)
-                         for i in range(self.workers)]
-        self._task_seq = itertools.count(1)
-        self._job_queue: "queue.Queue[Optional[_Job]]" = queue.Queue()
+                 max_task_retries: int = 2) -> None:
+        super().__init__(workers, cache, job_timeout_s, max_task_retries)
+        self._pool.start()
+        self._job_queue: "queue.Queue[Optional[tuple[JobState, JobSpec]]]" \
+            = queue.Queue()
         self._closed = False
         self._thread = threading.Thread(target=self._supervise,
                                         name="repro-executor", daemon=True)
         self._thread.start()
 
-    def _start(self, job: _Job) -> None:
+    def _start(self, job: JobState, spec: JobSpec) -> None:
         if self._closed:
             raise ExecutorError("executor is closed")
-        self._job_queue.put(job)
+        self._job_queue.put((job, spec))
 
     def _supervise(self) -> None:
         while True:
-            job = self._job_queue.get()
-            if job is None:
+            item = self._job_queue.get()
+            if item is None:
                 return
+            job, spec = item
             if job.cancel_requested:
                 job.set_state("cancelled")
                 continue
-            self._run_job(job)
-
-    def _execute_fn(self, job: _Job, deadline: Optional[float]) -> Callable:
-        def execute(runner: Runner, machines: Sequence, *,
-                    timing: bool = False) -> Iterator:
-            return self._pool_iter(job, runner, machines, timing, deadline)
-        return execute
-
-    def _pool_iter(self, job: _Job, runner: Runner, machines: Sequence,
-                   timing: bool, deadline: Optional[float]) -> Iterator:
-        try:
-            pickle.dumps(runner)
-        except Exception:  # noqa: BLE001 - parity with pool fallback
-            # Unpicklable runner: in-process fallback, same contract as
-            # ParallelSweepRunner's pool-failure path.
-            task = execute_variant_timed if timing else _execute_untimed
-            for machine in machines:
-                _check_abort(job, deadline)
-                yield task(runner, machine)
-            return
-        seq = next(self._task_seq)
-        pending: deque = deque((i, 0) for i in range(len(machines)))
-        ready: dict[int, tuple] = {}
-        next_out = 0
-        try:
-            while next_out < len(machines):
-                _check_abort(job, deadline)
-                for worker in self._workers:
-                    if worker.busy is None and pending:
-                        idx, tries = pending.popleft()
-                        # Queue put, not a Pearl event send.
-                        worker.send((seq, idx, runner,  # repro: noqa[PY011]
-                                     machines[idx], timing))
-                        worker.busy = (idx, tries)
-                self._drain(seq, ready, block=True)
-                self._reap(seq, ready, pending)
-                while next_out in ready:
-                    yield ready.pop(next_out)
-                    next_out += 1
-        except (_JobCancelled, _JobTimeout):
-            self._abort_outstanding()
-            raise
-
-    def _drain(self, seq: int, ready: dict, *, block: bool) -> None:
-        """Move finished outcomes from the worker pipes into ``ready``."""
-        timeout = self.poll_interval_s if block else 0
-        while True:
-            conns = {w.conn: w for w in self._workers if w.conn is not None}
-            readable = multiprocessing.connection.wait(list(conns), timeout)
-            if not readable:
-                return
-            timeout = 0
-            for conn in readable:
-                worker = conns[conn]
-                try:
-                    rseq, idx, outcome = conn.recv()
-                except (EOFError, OSError):
-                    # Worker died (possibly mid-send); drop the pipe.
-                    # ``_reap`` respawns it and requeues its variant.
-                    conn.close()
-                    worker.conn = None
-                    continue
-                worker.busy = None
-                if rseq == seq:   # stale results of aborted jobs are dropped
-                    ready[idx] = outcome
-
-    def _reap(self, seq: int, ready: dict, pending: deque) -> None:
-        """Detect dead workers; requeue or fail their in-flight variant."""
-        for worker in self._workers:
-            if worker.busy is None or worker.proc.is_alive():
-                continue
-            # The result may have raced the exit — drain once more
-            # before declaring the variant lost.
-            self._drain(seq, ready, block=False)
-            if worker.busy is None:
-                continue
-            idx, tries = worker.busy
-            code = worker.proc.exitcode
-            worker.spawn()
-            if tries >= self.max_task_retries:
-                ready[idx] = ("error", {
-                    "error": (f"WorkerCrashed: variant worker exited with "
-                              f"code {code} (after {tries + 1} attempts)")},
-                    0.0)
-            else:
-                pending.appendleft((idx, tries + 1))
-
-    def _abort_outstanding(self) -> None:
-        for worker in self._workers:
-            if worker.busy is not None:
-                worker.abort()
-        self._drain(-1, {}, block=False)   # flush stale results
+            self._run_job(job, spec)
 
     def close(self) -> None:
         if self._closed:
@@ -597,5 +450,4 @@ class LocalAsyncExecutor(Executor):
         self._closed = True
         self._job_queue.put(None)
         self._thread.join(timeout=60.0)
-        for worker in self._workers:
-            worker.stop()
+        super().close()

@@ -2,44 +2,46 @@
 
 "The evaluation of a wide range of architectural design tradeoffs"
 means running the same workload on many machine variants — trivially
-parallel work that :class:`ParallelSweepRunner` fans out over a
-:class:`concurrent.futures.ProcessPoolExecutor`:
+parallel work.  This module holds what every way of running a sweep
+shares; the processes themselves belong to
+:class:`~repro.parallel.pool.WorkerPool` and the job lifecycle to
+:class:`~repro.parallel.executor.Executor`:
 
-* every variant runs in its own interpreter, so the Pearl kernel's
-  deterministic schedule (global monotone sequence tie-breaking) makes
-  parallel results bit-identical to serial ones;
-* results are collected **in submission order**, never completion
-  order, so row order matches the serial path;
-* a variant whose runner raises is captured as an error row instead of
-  killing the sweep (``on_error="capture"``), so an overnight sweep
-  survives one sick configuration;
-* an optional :class:`~repro.parallel.cache.ResultCache` short-circuits
-  variants whose ``(machine, workload, code)`` key already has a row.
+* :func:`execute_variant` — run one variant, capturing a runner
+  exception as an error payload (``on_error="capture"``), so an
+  overnight sweep survives one sick configuration;
+* :func:`run_cached_sweep` — cache scan, row assembly and progress for
+  a batch of points: variants whose ``(machine, workload, code)`` key
+  already has a row in the :class:`~repro.parallel.cache.ResultCache`
+  are not simulated again, and rows are collected **in point order**,
+  never completion order;
+* :class:`ParallelSweepRunner` — the blocking front door behind
+  ``Sweep.run``: one :class:`~repro.parallel.executor.JobSpec`
+  submitted to an executor, waited for, returned as rows.
 
-The runner callable and the machine configs must be picklable (a
-module-level function, or a :func:`functools.partial` over one).  On
-platforms with ``fork`` the pool inherits the parent's modules, so
-runners defined in test or benchmark modules work unchanged.
+Every variant runs under the Pearl kernel's deterministic schedule
+(global monotone sequence tie-breaking), so rows computed on worker
+processes are bit-identical to serial ones.  The runner callable and
+the machine configs must be picklable to leave the process (a
+module-level function, or a :func:`functools.partial` over one);
+anything else runs in-process, with identical rows.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import contextlib
+import functools
 import os
-import pickle
 import time
 import traceback
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from ..core.config import MachineConfig
-from ..pearl.kernel import kernel_mode
 from .cache import ResultCache
 
 __all__ = ["FaultedRunner", "ParallelSweepRunner", "SweepVariantError",
-           "default_workload_id", "error_message", "execute_batch_iter",
-           "execute_variant", "execute_variant_timed", "run_cached_sweep",
-           "run_sharded"]
+           "default_workload_id", "error_message", "execute_variant",
+           "run_cached_sweep", "variant_outcome"]
 
 Runner = Callable[[MachineConfig], dict]
 #: one sweep point: (coordinates, machine variant)
@@ -131,161 +133,45 @@ def error_message(payload: Any) -> str:
     return payload
 
 
-def execute_variant_timed(runner: Runner, machine: MachineConfig
-                          ) -> tuple[str, Any, float]:
-    """:func:`execute_variant` plus the variant's wall time in seconds."""
+def variant_outcome(runner: Runner, timing: bool, machine: MachineConfig
+                    ) -> tuple[str, Any, float]:
+    """:func:`execute_variant` as a ``(status, payload, wall)`` outcome.
+
+    ``wall`` is the variant's wall time in seconds when ``timing`` is
+    set and pinned to ``0.0`` otherwise.  The picklable unit of sweep
+    work: backends map ``partial(variant_outcome, runner, timing)``
+    over the machines.
+    """
     # Host-side measurement: wall time here IS the measurand.
     t0 = time.perf_counter()               # repro: noqa[PY002]
     status, payload = execute_variant(runner, machine)
-    return status, payload, time.perf_counter() - t0  # repro: noqa[PY002]
+    wall = time.perf_counter() - t0        # repro: noqa[PY002]
+    return status, payload, wall if timing else 0.0
 
 
-def _execute_untimed(runner: Runner, machine: MachineConfig
-                     ) -> tuple[str, Any, float]:
-    """Uniform (status, payload, wall) shape with wall pinned to 0.0."""
-    status, payload = execute_variant(runner, machine)
-    return status, payload, 0.0
+#: ordered streaming map: ``imap(fn, items)`` yields ``fn(item)`` per
+#: item, in item order — :meth:`repro.parallel.pool.WorkerPool.imap`
+ImapFn = Callable[[Callable[[Any], Any], Sequence[Any]], Iterator[Any]]
 
 
-def _pin_kernel_mode(mode: str) -> None:
-    """Worker initializer: inherit the parent's kernel dispatcher.
-
-    Fork children share the parent's environment anyway; pinning it
-    explicitly keeps sweep rows identical under spawn-style pools and
-    when the parent mutates ``REPRO_KERNEL`` mid-run.
-    """
-    os.environ["REPRO_KERNEL"] = mode
-
-
-def _mp_context() -> Optional[multiprocessing.context.BaseContext]:
-    """Prefer ``fork``: children inherit imported modules, so runners
-    defined in non-importable modules (pytest files) still unpickle."""
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return None  # pragma: no cover - non-POSIX platforms
-
-
-def run_sharded(fn: Callable[[Any], Any], items: Sequence[Any],
-                workers: int,
-                progress: Optional[Callable[[int, int, Any], None]] = None
-                ) -> list[Any]:
-    """Map a picklable ``fn`` over ``items`` on a process pool.
-
-    The generic sibling of :meth:`ParallelSweepRunner._execute`, shared
-    with ``repro verify`` (independent schedule shards) and ``repro
-    chaos`` (campaign rungs): results come back in item order, workers
-    inherit the parent's kernel dispatcher, and pool *infrastructure*
-    failures (no fork support, unpicklable work) fall back to
-    in-process execution — ``fn`` itself is expected to capture its own
-    task-level errors, like :func:`execute_variant` does.
-    ``progress(done, total, result)`` fires once per item, in item
-    order, as each result resolves.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-    def _collect(results: Any) -> list[Any]:
-        out = []
-        for result in results:
-            out.append(result)
-            if progress is not None:
-                progress(len(out), len(items), result)
-        return out
-
-    if workers == 1 or len(items) <= 1:
-        return _collect(fn(item) for item in items)
-    try:
-        with ProcessPoolExecutor(max_workers=min(workers, len(items)),
-                                 mp_context=_mp_context(),
-                                 initializer=_pin_kernel_mode,
-                                 initargs=(kernel_mode(),)) as pool:
-            futures: list[Future] = [pool.submit(fn, item)
-                                     for item in items]
-            return _collect(f.result() for f in futures)
-    except (OSError, ImportError, BrokenExecutor,
-            pickle.PicklingError, AttributeError, TypeError):
-        # Same contract as ParallelSweepRunner._execute: simulations
-        # are pure, so in-process execution yields identical results.
-        return _collect(fn(item) for item in items)
-
-
-#: pool *infrastructure* failures that trigger the in-process fallback
-#: (no fork support, unpicklable work, dead workers) — task-level
-#: exceptions never surface through these, execute_variant captures them.
-_POOL_ERRORS = (OSError, ImportError, BrokenExecutor,
-                pickle.PicklingError, AttributeError, TypeError)
-
-
-def execute_batch_iter(runner: Runner, machines: Sequence[MachineConfig], *,
-                       workers: int, timing: bool = False
-                       ) -> Iterator[tuple[str, Any, float]]:
-    """Yield one ``(status, payload, wall)`` outcome per machine, in
-    machine order, incrementally as results resolve.
-
-    The streaming core behind :class:`ParallelSweepRunner` and the
-    in-process :class:`~repro.parallel.executor.InProcessExecutor`:
-    consumers observe outcome *i* as soon as variants ``0..i`` are done
-    rather than after the whole batch, which is what lets job progress
-    stream live over the service API.  Pool infrastructure failures
-    fall back to in-process execution for the variants that have not
-    yielded yet — simulations are pure, so the fallback rows are
-    identical to what the pool would have produced.
-    """
-    task = execute_variant_timed if timing else _execute_untimed
-    n_workers = min(workers, len(machines))
-    if n_workers <= 1:
-        for machine in machines:
-            yield task(runner, machine)
-        return
-    try:
-        pool = ProcessPoolExecutor(max_workers=n_workers,
-                                   mp_context=_mp_context(),
-                                   initializer=_pin_kernel_mode,
-                                   initargs=(kernel_mode(),))
-    except _POOL_ERRORS:  # pragma: no cover - platform-dependent
-        for machine in machines:
-            yield task(runner, machine)
-        return
-    with pool:
-        try:
-            futures: list[Future] = [pool.submit(task, runner, m)
-                                     for m in machines]
-        except _POOL_ERRORS:
-            for machine in machines:
-                yield task(runner, machine)
-            return
-        for idx, future in enumerate(futures):
-            try:
-                outcome = future.result()
-            except _POOL_ERRORS:
-                # The pool died mid-batch: recompute only the variants
-                # that have not been yielded yet.
-                for machine in machines[idx:]:
-                    yield task(runner, machine)
-                return
-            yield outcome
-
-
-ExecuteFn = Callable[..., Iterable[tuple[str, Any, float]]]
-
-
-def run_cached_sweep(execute: ExecuteFn, runner: Runner,
+def run_cached_sweep(imap: ImapFn, runner: Runner,
                      points: Sequence[Point], *,
                      cache: Optional[ResultCache] = None,
                      workload_id: Optional[str] = None,
                      on_error: str = "capture",
                      progress: Optional[ProgressFn] = None,
                      timing: bool = False, faults=None) -> list[dict]:
-    """The cache-scan / row-assembly / progress core of every backend.
+    """The cache-scan / row-assembly / progress core of every sweep.
 
-    ``execute(runner, machines, timing=...)`` supplies the outcomes for
-    the cache misses (any iterable, in machine order — a generator
-    streams progress live).  All executors funnel through this one
-    function, so sweep rows are byte-identical across backends by
-    construction: same cache keys, same row assembly, same progress
-    contract (cache hits first, during the scan, then executed variants
-    in point order — streamed progress reaches 100% even when every row
-    is served from cache).
+    ``imap`` maps :func:`variant_outcome` over the machines of the
+    cache misses, streaming outcomes in machine order; the generator it
+    returns is closed as soon as the sweep stops consuming it, so an
+    aborted sweep leaves no variant running.  Every sweep funnels
+    through this one function, so rows are byte-identical across
+    backends by construction: same cache keys, same row assembly, same
+    progress contract (cache hits first, during the scan, then executed
+    variants in point order — streamed progress reaches 100% even when
+    every row is served from cache).
     """
     if on_error not in ("capture", "raise"):
         raise ValueError(f"on_error must be 'capture' or 'raise', "
@@ -314,9 +200,9 @@ def run_cached_sweep(execute: ExecuteFn, runner: Runner,
                 continue
         pending.append((idx, key))
 
-    if pending:
-        outcomes = execute(runner, [points[i][1] for i, _ in pending],
-                           timing=timing)
+    with contextlib.closing(imap(
+            functools.partial(variant_outcome, runner, timing),
+            [points[i][1] for i, _ in pending])) as outcomes:
         for (idx, key), (status, payload, wall) in zip(pending, outcomes):
             coords, machine = points[idx]
             if status == "ok":
@@ -345,26 +231,34 @@ def run_cached_sweep(execute: ExecuteFn, runner: Runner,
 
 
 class ParallelSweepRunner:
-    """Fan a sweep's points out over worker processes, with caching.
+    """Run a sweep's points as one blocking executor job, with caching.
 
     ::
 
         runner = ParallelSweepRunner(workers=8, cache=ResultCache(dir))
         rows = runner.run(run_node, sweep.points())
 
-    ``workers=1`` executes in-process (no pool), which is also the
-    fallback when a pool cannot be created.  Rows come back in point
-    order; failed variants become ``{**coords, "error": ...}`` rows
-    unless ``on_error="raise"``.
+    Sugar over the :class:`~repro.parallel.executor.Executor` interface:
+    :meth:`run` submits one :class:`~repro.parallel.executor.JobSpec` to
+    ``executor`` — or, given ``workers`` instead, to an
+    :class:`~repro.parallel.executor.InProcessExecutor` of that size
+    that lives for the call (``workers=1`` starts no process) — waits,
+    and returns the rows.  Rows come back in point order; failed
+    variants become ``{**coords, "error": ...}`` rows unless
+    ``on_error="raise"``.
     """
 
     def __init__(self, workers: Optional[int] = None,
-                 cache: Optional[ResultCache] = None) -> None:
+                 cache: Optional[ResultCache] = None,
+                 executor: Any = None) -> None:
+        if executor is not None and workers is not None:
+            raise ValueError("pass either workers= or executor=, not both")
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers if workers is not None \
             else (os.cpu_count() or 1)
         self.cache = cache
+        self.executor = executor
 
     def run(self, runner: Runner, points: Sequence[Point], *,
             workload_id: Optional[str] = None,
@@ -380,26 +274,36 @@ class ParallelSweepRunner:
         because wall time is nondeterministic and would break row
         equality between runs.  Wall times never enter the cache.
 
-        Delegates to :func:`run_cached_sweep` over
-        :func:`execute_batch_iter`, the same core every
-        :class:`~repro.parallel.executor.Executor` backend uses — rows
-        are byte-identical across all of them by construction.
+        Whatever made the job fail — a variant under
+        ``on_error="raise"``, an exception from ``progress`` — is
+        re-raised here as itself; a job that timed out or was cancelled
+        on a shared executor raises ``RuntimeError``.
         """
-        return run_cached_sweep(self._execute_iter, runner, points,
-                                cache=self.cache, workload_id=workload_id,
-                                on_error=on_error, progress=progress,
-                                timing=timing, faults=faults)
+        from .executor import InProcessExecutor, JobSpec, JobState
 
-    def _execute_iter(self, runner: Runner,
-                      machines: Sequence[MachineConfig], *,
-                      timing: bool = False
-                      ) -> Iterator[tuple[str, Any, float]]:
-        return execute_batch_iter(runner, machines, workers=self.workers,
-                                  timing=timing)
+        spec = JobSpec(runner=runner, points=points, workload_id=workload_id,
+                       on_error=on_error, timing=timing, faults=faults,
+                       cache=self.cache)
+        on_event = None
+        if progress is not None:
+            def on_event(event: dict) -> None:
+                if event["event"] == "progress":
+                    progress(event["done"], event["total"], event["row"])
+        job = JobState("sweep", on_event=on_event)
+        with (contextlib.nullcontext(self.executor)
+              if self.executor is not None
+              else InProcessExecutor(workers=self.workers)) as executor:
+            executor.submit(spec, state=job)
+            job.wait()
+        if job.state != "done":
+            if job.exc is not None:
+                raise job.exc
+            raise RuntimeError(f"sweep job {job.state}: {job.error}")
+        return job.rows
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<ParallelSweepRunner workers={self.workers} "
-                f"cache={self.cache!r}>")
+                f"cache={self.cache!r} executor={self.executor!r}>")
 
 
 class SweepVariantError(RuntimeError):

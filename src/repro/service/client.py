@@ -15,12 +15,10 @@ import time
 from typing import Any, Iterator, Optional
 from urllib.parse import urlsplit
 
+from ..parallel.executor import TERMINAL_STATES
 from .jobs import ServiceError
 
 __all__ = ["ServiceClient"]
-
-#: job states that no longer change (mirrors the executor's)
-_TERMINAL = frozenset({"done", "failed", "cancelled"})
 
 
 class ServiceClient:
@@ -117,7 +115,7 @@ class ServiceClient:
                     else time.monotonic() + timeout)  # repro: noqa[PY002]
         while True:
             record = self.status(job_id)
-            if record["state"] in _TERMINAL:
+            if record["state"] in TERMINAL_STATES:
                 return record
             if deadline is not None \
                     and time.monotonic() > deadline:  # repro: noqa[PY002]

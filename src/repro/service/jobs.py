@@ -7,12 +7,13 @@ re-submitted against changed simulator code is a different job), and
 every serialized record excludes wall-clock fields — two runs of the
 same request produce byte-identical records modulo the run-scoped
 sequence suffix.  Sweep jobs run on a
-:class:`~repro.parallel.executor.Executor`; chaos jobs run through
-:func:`~repro.chaos.run_campaign`.  Both reuse the CLI's machine
-building and runner (same workload-id scheme), so rows fetched over
-HTTP are byte-identical to ``repro sweep`` / in-process ``Sweep.run``
-output and share the same :class:`~repro.parallel.ResultCache`
-entries.
+:class:`~repro.parallel.executor.Executor`, reporting straight into
+their :class:`JobRecord` (the record *is* the executor's job state);
+chaos jobs run through :func:`~repro.chaos.run_campaign` inside the
+same job boundary.  Both are planned by the CLI's own plan builders
+(same runner, same workload-id scheme), so rows fetched over HTTP are
+byte-identical to ``repro sweep`` / in-process ``Sweep.run`` output and
+share the same :class:`~repro.parallel.ResultCache` entries.
 """
 
 from __future__ import annotations
@@ -20,17 +21,15 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import os
 import threading
-import time
-from functools import partial
 from pathlib import Path
 from typing import Any, Optional
 
 from ..observe import MetricRegistry
 from ..parallel import FaultedRunner, ResultCache
-from ..parallel.executor import (TERMINAL_STATES, Executor, ExecutorError,
-                                 JobSpec, LocalAsyncExecutor)
+from ..parallel.cache import atomic_write_text
+from ..parallel.executor import (Executor, JobSpec, JobState,
+                                 LocalAsyncExecutor)
 from .scheduler import JobScheduler, QuotaExceeded
 
 __all__ = ["JobManager", "JobRecord", "ResultStore", "ServiceError",
@@ -44,14 +43,6 @@ class ServiceError(RuntimeError):
         super().__init__(message)
         self.status = status
         self.message = message
-
-
-class _Cancelled(Exception):
-    """Internal: a cancel request reached a running chaos job."""
-
-
-class _TimedOut(Exception):
-    """Internal: a running chaos job exceeded its time budget."""
 
 
 # -- request canonicalization ----------------------------------------------
@@ -119,41 +110,28 @@ def job_key(request: dict) -> str:
 def _plan_sweep(request: dict) -> dict:
     """Turn a canonical sweep request into runnable pieces.
 
-    Reuses the CLI's preset/override/axis machinery and its
-    ``_sweep_point_runner`` + workload-id scheme, so service rows are
-    byte-identical to ``repro sweep`` output and share cache entries
-    with it.
+    :func:`repro.cli.plan_sweep` is the plan ``repro sweep`` itself
+    runs, so service rows are byte-identical to its output and share
+    cache entries with it.
     """
-    from ..cli import (_AxisSetter, _parse_value, _resolve_path,
-                       _split_spec, _sweep_point_runner, build_machine)
-    from ..core.experiment import Sweep
+    from ..cli import plan_sweep
     from ..faults import as_fault_plan
 
+    axes = request["axes"]
+    if not isinstance(axes, (list, tuple)) or not axes:
+        raise ServiceError(400, "axes must be a non-empty list of "
+                                "'dotted.path=v1,v2' strings")
     try:
-        machine = build_machine(request["preset"], request["set"] or ())
-        sweep = Sweep(machine, label=request["preset"])
-        axes = request["axes"]
-        if not isinstance(axes, (list, tuple)) or not axes:
-            raise ServiceError(400, "axes must be a non-empty list of "
-                                    "'dotted.path=v1,v2' strings")
-        for spec in axes:
-            path, raw = _split_spec(spec)
-            target, leaf = _resolve_path(machine, path)
-            current = getattr(target, leaf)
-            values = [_parse_value(current, v) for v in raw.split(",")]
-            sweep.axis(path, _AxisSetter(path), values)
+        sweep, runner, workload_id = plan_sweep(
+            request["preset"], request["set"] or (), axes,
+            workload=request["workload"], rounds=request["rounds"],
+            seed=request["seed"])
         points = sweep.points()
         plan = as_fault_plan(request["faults"])
-    except ServiceError:
-        raise
     except (SystemExit, Exception) as exc:  # noqa: BLE001 - request boundary
         raise ServiceError(400, f"bad sweep request: {exc}") from None
-    runner: Any = partial(_sweep_point_runner, workload=request["workload"],
-                          rounds=request["rounds"], seed=request["seed"])
     if plan is not None:
         runner = FaultedRunner(runner, plan)
-    workload_id = (f"cli-stochastic:{request['workload'] or 'generic'}"
-                   f":rounds={request['rounds']}:seed={request['seed']}")
     return {"runner": runner, "points": points, "faults": plan,
             "workload_id": workload_id, "total": len(points)}
 
@@ -184,60 +162,22 @@ def _plan_chaos(request: dict) -> dict:
 # -- job record ------------------------------------------------------------
 
 
-class JobRecord:
+class JobRecord(JobState):
     """One job's deterministic, wall-clock-free state.
 
     States: ``submitted → running → done | failed | cancelled``.
-    ``to_dict()`` has fixed field order and no timestamps; progress
-    events mirror the executor's (``state`` events bracket one
-    ``progress`` event per row).
+    ``to_dict()`` has fixed field order and no timestamps; ``state``
+    events bracket one ``progress`` event per row.  The events,
+    condition and state machine are :class:`~repro.parallel.JobState`'s
+    — a sweep's record is handed to the executor as the job's state.
     """
 
     def __init__(self, job_id: str, key: str, request: dict) -> None:
-        self.job_id = job_id
+        super().__init__(job_id, state="submitted")
         self.key = key
         self.request = request
-        self.state = "submitted"
-        self.done = 0
-        self.total = 0
-        self.error: Optional[str] = None
-        self.cache = {"hits": 0, "misses": 0, "stores": 0}
-        self.rows: Optional[list[dict]] = None
         self.campaign: Optional[dict] = None
-        self.events: list[dict] = []
-        self.cancel_requested = False
-        self.cond = threading.Condition()
         self.plan: dict = {}
-
-    # -- mutation (manager-side) --------------------------------------
-
-    def emit(self, event: dict) -> None:
-        with self.cond:
-            self.events.append(event)
-            self.cond.notify_all()
-
-    def set_state(self, state: str, error: Optional[str] = None) -> None:
-        with self.cond:
-            self.state = state
-            self.error = error
-            self.cond.notify_all()
-        event = {"event": "state", "state": state}
-        if error is not None:
-            event["error"] = error
-        self.emit(event)
-
-    def note_progress(self, done: int, total: int, row: dict) -> None:
-        with self.cond:
-            self.done = done
-            self.total = total
-        self.emit({"event": "progress", "done": done, "total": total,
-                   "row": row})
-
-    # -- observation ---------------------------------------------------
-
-    @property
-    def terminal(self) -> bool:
-        return self.state in TERMINAL_STATES
 
     def to_dict(self) -> dict:
         """Deterministic record: fixed field order, no wall-clock."""
@@ -274,21 +214,6 @@ class JobRecord:
         with self.cond:
             return list(self.events[start:]), self.terminal
 
-    def wait(self, timeout: Optional[float] = None) -> str:
-        """Block until terminal (or timeout); returns the state."""
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)  # repro: noqa[PY002]
-        with self.cond:
-            while not self.terminal:
-                if deadline is None:
-                    self.cond.wait(0.5)
-                    continue
-                left = deadline - time.monotonic()  # repro: noqa[PY002]
-                if left <= 0:
-                    break
-                self.cond.wait(left)
-            return self.state
-
 
 # -- result store ----------------------------------------------------------
 
@@ -315,12 +240,9 @@ class ResultStore:
     def put_job(self, record: JobRecord) -> Path:
         """Persist a finished job's record + result atomically."""
         path = self._job_path(record.key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {"record": record.to_dict(),
                    "result": record.result_payload()}
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True, indent=1))
-        os.replace(tmp, path)
+        atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=1))
         return path
 
     def get_job(self, key: str) -> Optional[dict]:
@@ -346,11 +268,15 @@ class JobManager:
 
     One dispatch thread pulls job ids off the
     :class:`~repro.service.scheduler.JobScheduler` (quotas and lanes
-    enforced at submission) and runs them: sweep jobs on the
-    :class:`~repro.parallel.executor.Executor`, chaos campaigns via
-    :func:`~repro.chaos.run_campaign` — both report progress into the
-    job record, honor cooperative cancellation, and land in the
-    :class:`ResultStore` when done.  ``service.*`` metrics live in a
+    enforced at submission) and runs them one at a time: a sweep job is
+    submitted to the :class:`~repro.parallel.executor.Executor` with
+    its record as the job state, a chaos campaign runs
+    :func:`~repro.chaos.run_campaign` inside the record's own job
+    boundary — both report progress into the record, honor cooperative
+    cancellation and the job's time budget, and land in the
+    :class:`ResultStore` when done.  Because the dispatch thread waits
+    for each job, whether the executor's ``submit`` blocks or enqueues
+    is unobservable here.  ``service.*`` metrics live in a
     :class:`~repro.observe.MetricRegistry` for the ``/v1/metrics``
     endpoint.
     """
@@ -457,15 +383,9 @@ class JobManager:
         if self.scheduler.cancel(job_id):
             # Still queued: it will never be acquired — finalize here.
             record.set_state("cancelled")
-            self._counters["cancelled"].inc()
-            return True
-        try:
-            # Running sweep: forward to the executor (record ids double
-            # as executor job ids).  Chaos jobs and not-yet-submitted
-            # sweeps notice the record flag at the next row boundary.
-            self.executor.cancel(job_id)
-        except ExecutorError:
-            pass
+            self._finish(record)
+        # Otherwise it is running (or about to): its own abort check
+        # sees the flag at the next row boundary or pool poll.
         return True
 
     def metrics(self) -> dict:
@@ -485,27 +405,30 @@ class JobManager:
             finally:
                 self.scheduler.release(job_id)
 
-    def _finish(self, record: JobRecord, state: str,
-                error: Optional[str] = None) -> None:
-        record.set_state(state, error)
+    def _finish(self, record: JobRecord) -> None:
+        """Account for a record that just reached its terminal state."""
+        # Only blocking callers re-raise it; a record kept for the life
+        # of the server must not pin the failed job's frames.
+        record.exc = None
         counter = {"done": "completed", "failed": "failed",
-                   "cancelled": "cancelled"}[state]
+                   "cancelled": "cancelled"}[record.state]
         self._counters[counter].inc()
-        if state == "done" and self.store is not None:
+        if record.state == "done" and self.store is not None:
             self.store.put_job(record)
 
     def _run(self, record: JobRecord) -> None:
-        if record.cancel_requested:
-            self._finish(record, "cancelled")
-            return
-        record.set_state("running")
         try:
-            if record.request["kind"] == "sweep":
+            if record.cancel_requested:
+                record.set_state("cancelled")
+            elif record.request["kind"] == "sweep":
                 self._run_sweep(record)
             else:
-                self._run_chaos(record)
+                record.run(lambda: self._chaos_body(record),
+                           record.request["timeout_s"])
+            self._finish(record)
         except Exception as exc:  # noqa: BLE001 - dispatch must survive
-            self._finish(record, "failed", f"{type(exc).__name__}: {exc}")
+            record.set_state("failed", f"{type(exc).__name__}: {exc}")
+            self._counters["failed"].inc()
 
     def _run_sweep(self, record: JobRecord) -> None:
         plan = record.plan
@@ -516,68 +439,19 @@ class JobManager:
             timing=record.request["timing"], faults=plan["faults"],
             cache=self.store.cache if self.store is not None else None,
             timeout_s=record.request["timeout_s"])
+        self.executor.submit(spec, state=record)
+        record.wait()
 
-        def absorb(event: dict) -> None:
-            # The executor emits its own state events; the record owns
-            # job-level state, so only progress flows through.
-            if event.get("event") != "progress":
-                return
-            if record.cancel_requested:
-                try:
-                    self.executor.cancel(record.job_id)
-                except ExecutorError:  # pragma: no cover - tiny race
-                    pass
-            record.note_progress(event["done"], event["total"],
-                                 event["row"])
-
-        self.executor.submit(spec, job_id=record.job_id, on_event=absorb)
-        status = self.executor.wait(record.job_id)
-        with record.cond:
-            record.cache = dict(status.cache)
-        if status.state == "done":
-            record.rows = self.executor.result(record.job_id)
-            self._finish(record, "done")
-        elif status.state == "cancelled":
-            self._finish(record, "cancelled")
-        else:
-            self._finish(record, "failed", status.error)
-
-    def _run_chaos(self, record: JobRecord) -> None:
+    def _chaos_body(self, record: JobRecord) -> None:
         from ..chaos import run_campaign
-        from ..core.config import ConfigError
 
         plan = record.plan
-        timeout = record.request["timeout_s"]
-        # Job deadlines are host-side wall time by definition.
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)  # repro: noqa[PY002]
-        cache = self.store.cache if self.store is not None else None
-
-        def progress(done: int, total: int, row: dict) -> None:
-            if record.cancel_requested:
-                raise _Cancelled(record.job_id)
-            if deadline is not None \
-                    and time.monotonic() > deadline:  # repro: noqa[PY002]
-                raise _TimedOut(
-                    f"JobTimeout: job exceeded its {timeout}s budget")
-            record.note_progress(done, total, row)
-
-        try:
-            result = run_campaign(plan["spec"], plan["machine"],
-                                  plan["runner"], workers=plan["workers"],
-                                  cache=cache, progress=progress)
-        except _Cancelled:
-            self._finish(record, "cancelled")
-            return
-        except _TimedOut as exc:
-            self._finish(record, "failed", str(exc))
-            return
-        except ConfigError as exc:
-            self._finish(record, "failed", f"ConfigError: {exc}")
-            return
+        result = run_campaign(
+            plan["spec"], plan["machine"], plan["runner"],
+            workers=plan["workers"], progress=record.progress,
+            cache=self.store.cache if self.store is not None else None)
         record.campaign = result.to_dict()
         if result.cache_stats is not None:
             with record.cond:
                 record.cache = {k: result.cache_stats.get(k, 0)
                                 for k in ("hits", "misses", "stores")}
-        self._finish(record, "done")

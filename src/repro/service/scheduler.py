@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -107,18 +106,10 @@ class JobScheduler:
 
     def acquire(self, timeout: Optional[float] = None) -> Optional[str]:
         """Pop the next job to run; ``None`` if the timeout elapses."""
-        # Host-side wait bookkeeping, not simulated time.
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)  # repro: noqa[PY002]
         with self._cond:
-            while not any(self._queues.values()):
-                if deadline is None:
-                    self._cond.wait(0.5)
-                    continue
-                left = deadline - time.monotonic()  # repro: noqa[PY002]
-                if left <= 0:
-                    return None
-                self._cond.wait(left)
+            if not self._cond.wait_for(lambda: any(self._queues.values()),
+                                       timeout):
+                return None
             entry = self._pick()
             self._running[entry.job_id] = entry
             return entry.job_id

@@ -228,7 +228,7 @@ class ScheduleExplorer:
                                                     for p in perts]
         if workers <= 1 or len(jobs) <= 1:
             return [_run_job(job) for job in jobs]
-        from ..parallel.runner import run_sharded
+        from ..parallel.pool import run_sharded
         return run_sharded(_run_job, jobs, workers=workers)
 
     def explore(self, factory: Factory, workers: int = 1) -> VerifyResult:

@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro import Workbench, generic_multicomputer, t805_grid
-from repro.parallel.runner import _mp_context
+from repro.parallel.pool import _mp_context
 from repro.tracegen import StochasticAppDescription, StochasticGenerator
 
 GOLDEN_DIR = Path(__file__).parent / "golden"

@@ -1,14 +1,14 @@
 """Executor conformance (repro.parallel.executor).
 
-Both backends — :class:`InProcessExecutor` (pool path, synchronous
-submit) and :class:`LocalAsyncExecutor` (persistent worker supervisor,
-async submit) — must be *observably identical* for well-behaved jobs:
-same rows (byte-for-byte, matching a direct ``Sweep.run``), same row
-ordering, same error rows with the same remote tracebacks, same cache
-cold/warm behavior, same event sequences.  The suite parameterizes
-every shared contract over both backends, then pins the
-LocalAsync-only durability features (crash recovery, crash budget,
-job timeouts, mid-job cancel) separately.
+Both backends — :class:`InProcessExecutor` (synchronous submit) and
+:class:`LocalAsyncExecutor` (async submit, FIFO supervisor) — run the
+same job body on the same :class:`WorkerPool` and must be *observably
+identical*: same rows (byte-for-byte, matching a direct ``Sweep.run``),
+same row ordering, same error rows with the same remote tracebacks,
+same cache cold/warm behavior, same event sequences, same durability
+(crash recovery, crash budget, job timeouts).  The suite parameterizes
+every shared contract over both backends, then pins what only an async
+submit can show (cancel of a running and of a queued job) separately.
 
 Everything that crosses a process boundary lives at module level
 (picklable), matching ``tests/test_parallel_sweep.py``.
@@ -19,6 +19,8 @@ from __future__ import annotations
 import functools
 import json
 import os
+import sys
+import threading
 import time
 
 import pytest
@@ -241,45 +243,79 @@ class TestLifecycleConformance:
 
 
 # ---------------------------------------------------------------------------
-# LocalAsync-only durability features
+# Durability: the pool's, so every backend's; cancellation of a job that
+# is running or queued needs an async submit, so LocalAsync only
 # ---------------------------------------------------------------------------
 
 class TestLocalAsyncDurability:
     def test_crashed_worker_is_respawned_and_variant_requeued(
-            self, tmp_path):
+            self, make_executor, tmp_path):
         runner = functools.partial(crash_once_runner,
                                    flag_dir=str(tmp_path))
-        with LocalAsyncExecutor(workers=2) as executor:
-            job_id, status = run_job(executor, JobSpec(
-                runner=runner, points=bw_sweep([1.0, 2.0, 4.0]).points()))
-            assert status.state == "done"
-            rows = executor.result(job_id)
+        executor = make_executor()
+        job_id, status = run_job(executor, JobSpec(
+            runner=runner, points=bw_sweep([1.0, 2.0, 4.0]).points()))
+        assert status.state == "done"
+        rows = executor.result(job_id)
         assert [row["bw_out"] for row in rows] == [1.0, 2.0, 4.0]
         assert not any("error" in row for row in rows)
 
-    def test_crash_budget_exhausted_becomes_error_row(self):
-        with LocalAsyncExecutor(workers=2,
-                                max_task_retries=1) as executor:
-            job_id, status = run_job(executor, JobSpec(
-                runner=always_crash_runner,
-                points=bw_sweep([1.0, 2.0]).points()))
-            assert status.state == "done"
-            rows = executor.result(job_id)
-        for row in rows:
+    def test_crash_budget_exhausted_becomes_error_row(self, make_executor):
+        executor = make_executor(max_task_retries=1)
+        job_id, status = run_job(executor, JobSpec(
+            runner=always_crash_runner,
+            points=bw_sweep([1.0, 2.0]).points()))
+        assert status.state == "done"
+        for row in executor.result(job_id):
             assert row["error"] == ("WorkerCrashed: variant worker exited "
                                     "with code 43 (after 2 attempts)")
 
-    def test_job_timeout_fails_job_but_executor_keeps_serving(self):
-        with LocalAsyncExecutor(workers=1) as executor:
-            _, status = run_job(executor, JobSpec(
-                runner=slow_runner, points=bw_sweep([1.0, 2.0]).points(),
-                timeout_s=0.1))
-            assert status.state == "failed"
-            assert status.error == \
-                "JobTimeout: job exceeded its 0.1s budget"
-            _, ok = run_job(executor, JobSpec(
-                runner=echo_runner, points=bw_sweep([1.0]).points()))
-            assert ok.state == "done"
+    def test_job_timeout_fails_job_but_executor_keeps_serving(
+            self, make_executor):
+        executor = make_executor()
+        _, status = run_job(executor, JobSpec(
+            runner=slow_runner, points=bw_sweep([1.0, 2.0]).points(),
+            timeout_s=0.1))
+        assert status.state == "failed"
+        assert status.error == \
+            "JobTimeout: job exceeded its 0.1s budget"
+        _, ok = run_job(executor, JobSpec(
+            runner=echo_runner, points=bw_sweep([1.0]).points()))
+        assert ok.state == "done"
+
+    def test_submitters_on_many_threads_never_cross_rows(self):
+        """The pool is shared by an executor's jobs: under contention
+        every job must still get exactly its own rows."""
+        n_threads, jobs_each = 6, 4      # more threads than cores
+        failures, finished = [], []
+
+        def submitter(executor, lane):
+            for j in range(jobs_each):
+                values = [float(100 * lane + 10 * j + k + 1)
+                          for k in range(3)]
+                job_id, status = run_job(executor, JobSpec(
+                    runner=echo_runner, points=bw_sweep(values).points()))
+                got = [row["bw_out"] for row in executor.result(job_id)]
+                if status.state != "done" or got != values:
+                    failures.append((lane, j, status.state, got))
+            finished.append(lane)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with InProcessExecutor(workers=2) as executor:
+                threads = [threading.Thread(target=submitter,
+                                            args=(executor, lane))
+                           for lane in range(n_threads)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120.0)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        assert sorted(finished) == list(range(n_threads))
 
     def test_cancel_running_job(self):
         with LocalAsyncExecutor(workers=1) as executor:

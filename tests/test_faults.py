@@ -32,7 +32,7 @@ from repro.faults import (
     as_fault_plan,
 )
 from repro.machines.presets import generic_multicomputer
-from repro.parallel.runner import _mp_context
+from repro.parallel.pool import _mp_context
 from repro.pearl import Simulator
 from repro.topology import mesh
 

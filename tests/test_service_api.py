@@ -31,11 +31,13 @@ from pathlib import Path
 
 import pytest
 
-from repro import InProcessExecutor, Sweep
+from repro import InProcessExecutor, LocalAsyncExecutor, Sweep
 from repro.cli import _AxisSetter, _sweep_point_runner, build_machine
 from repro.faults import FaultPlan, LinkFault, TransportConfig
+from repro.parallel.pool import _mp_context
 from repro.service import (
     JobManager,
+    JobRecord,
     JobScheduler,
     ResultStore,
     ServiceClient,
@@ -240,6 +242,70 @@ class TestLifecycleGolden:
         assert stored["result"]["rows"] == expected_sweep_rows()
 
 
+    @pytest.mark.parametrize("backend", [InProcessExecutor,
+                                         LocalAsyncExecutor])
+    def test_executor_retains_nothing_of_served_jobs(self, manager,
+                                                     backend):
+        """Regression: every served job used to live twice for the life
+        of the server — in its record and in the executor's own job
+        table (rows and per-row events included).  The record now *is*
+        the executor's job state."""
+        mgr = manager(executor=backend(workers=2))
+        records = [mgr.submit(dict(SWEEP_REQUEST, seed=seed))
+                   for seed in range(3)]
+        assert [r.wait(timeout=120.0) for r in records] == ["done"] * 3
+        assert all(len(r.rows) == 2 for r in records)
+        assert mgr.executor._jobs == {}
+
+
+# ---------------------------------------------------------------------------
+# Result store: concurrent writers
+# ---------------------------------------------------------------------------
+
+def _put_job_repeatedly(root: str, writer: int, rounds: int) -> None:
+    """Child process body: finish the same job key over and over."""
+    canon = canonical_request(SWEEP_REQUEST)
+    record = JobRecord(f"writer-{writer}", "ab" * 32, canon)
+    record.rows = [{"writer": writer, "i": i, "pad": "x" * 64}
+                   for i in range(400)]
+    record.state = "done"
+    store = ResultStore(root)
+    for _ in range(rounds):
+        store.put_job(record)
+
+
+class TestResultStore:
+    def test_two_frontends_finishing_the_same_key(self, tmp_path):
+        """Regression: ``put_job`` wrote through one fixed ``<key>.tmp``,
+        so two writers of a key raced on it — one would publish the
+        other's half-written file, or fail renaming a temp file that
+        was already gone.  Whatever the interleaving, both writers must
+        succeed and a reader must always parse a whole record."""
+        root, rounds = tmp_path / "store", 150
+        ctx = _mp_context()
+        writers = [ctx.Process(target=_put_job_repeatedly,
+                               args=(str(root), n, rounds))
+                   for n in range(2)]
+        for proc in writers:
+            proc.start()
+        store, reads = ResultStore(root), 0
+        while any(proc.is_alive() for proc in writers):
+            stored = store.get_job("ab" * 32)      # raises if torn
+            if stored is not None:
+                reads += 1
+                rows = stored["result"]["rows"]
+                assert len(rows) == 400
+                assert len({row["writer"] for row in rows}) == 1
+        for proc in writers:
+            proc.join(timeout=120.0)
+        assert [proc.exitcode for proc in writers] == [0, 0]
+        assert store.get_job("ab" * 32)["record"]["state"] == "done"
+        assert store.job_count() == 1
+        leftovers = [p.name for p in (root / "jobs" / "ab").iterdir()
+                     if not p.name.endswith(".json")]
+        assert leftovers == []
+
+
 # ---------------------------------------------------------------------------
 # HTTP surface
 # ---------------------------------------------------------------------------
@@ -368,7 +434,7 @@ def cli_server(tmp_path_factory):
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--executor", "inprocess", "--store", str(store)],
+         "--store", str(store)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         env=env, text=True)
     try:
