@@ -2,10 +2,12 @@
 
 Measures the simulation hot path (Pearl kernel dispatch + batched
 computational model + site-cached annotation translation) against the
-seed per-op implementation, which stays selectable via
-``REPRO_KERNEL=seed``.  Both dispatchers are proven byte-identical by
-``tests/test_kernel_equivalence.py`` and ``tests/test_batch_equivalence``
-properties, so this file measures *only* host speed.
+seed per-op implementation, which lives on as the test oracle: the
+"seed" side runs under ``tests.reference_kernel.reference_stack()``
+(heap-only reference kernel, scalar cost loop).  The two are proven
+byte-identical by ``tests/test_kernel_equivalence.py`` and
+``tests/test_batch_equivalence`` properties, so this file measures
+*only* host speed.
 
 Event metric
 ------------
@@ -46,7 +48,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import platform
 import sys
 import tempfile
@@ -54,7 +55,7 @@ import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]  # repro, tests
 
 DEFAULT_JSON = REPO_ROOT / "BENCH_kernel.json"
 SCHEMA = "repro-bench-kernel/1"
@@ -128,11 +129,10 @@ def _count_events(result) -> tuple[int, int]:
     return 0, result.instructions              # NodeResult
 
 
-def _measure_mode(mode: str, tiny: bool, repeats: int) -> dict:
-    """Best-of-``repeats`` wall time + event counts under one kernel."""
+def _measure_mode(tiny: bool, repeats: int) -> dict:
+    """Best-of-``repeats`` wall time + event counts of the scenario."""
     from repro.analysis.slowdown import SlowdownMeasurement
 
-    os.environ["REPRO_KERNEL"] = mode
     rows: dict[str, dict] = {}
     for name, procs, thunk in _workloads(tiny):
         best = math.inf
@@ -166,8 +166,13 @@ def _measure_mode(mode: str, tiny: bool, repeats: int) -> dict:
 
 
 def _measure_scenario(tiny: bool, repeats: int) -> dict:
-    modes = {mode: _measure_mode(mode, tiny, repeats)
-             for mode in ("seed", "fast")}
+    from tests.reference_kernel import kernel_stack
+
+    modes = {}
+    for mode in ("seed", "fast"):
+        with kernel_stack(mode) as built:
+            modes[mode] = _measure_mode(tiny, repeats)
+        assert bool(built) == (mode == "seed"), "seed side not on the oracle"
     seed, fast = modes["seed"], modes["fast"]
     per_workload = {
         name: seed["workloads"][name]["wall_s"]
@@ -226,11 +231,10 @@ def _sweep_cache_stats() -> dict:
 # -- trio wall times ----------------------------------------------------
 
 def _trio_wall_times(repeats: int) -> dict:
-    """Fast-mode wall times of the pingpong/taskfarm/matmul trio."""
+    """Wall times of the pingpong/taskfarm/matmul trio."""
     from repro import Workbench, t805_grid
     from repro.apps import make_master_worker, make_matmul, make_pingpong
 
-    os.environ["REPRO_KERNEL"] = "fast"
     thunks = {
         "pingpong": lambda: Workbench(t805_grid(2, 2)).run_hybrid(
             make_pingpong(size=4096, repeats=8)),
@@ -364,27 +368,20 @@ def main(argv=None) -> int:
                              "BENCH_kernel.json)")
     args = parser.parse_args(argv)
 
-    saved_mode = os.environ.get("REPRO_KERNEL")
-    try:
-        if args.check:
-            return run_check(args.output, args.repeats)
-        if args.tiny:
-            tiny = _measure_scenario(tiny=True, repeats=args.repeats)
-            print(json.dumps(tiny, indent=2))
-            return 0
-        report = build_report(args.repeats)
-        args.output.write_text(json.dumps(report, indent=2) + "\n")
-        agg = report["speedup"]["aggregate"]
-        print(f"wrote {args.output} (aggregate fast/seed speedup "
-              f"{agg:.2f}x; events/sec fast "
-              f"{report['modes']['fast']['events_per_sec']:,.0f}, seed "
-              f"{report['modes']['seed']['events_per_sec']:,.0f})")
+    if args.check:
+        return run_check(args.output, args.repeats)
+    if args.tiny:
+        tiny = _measure_scenario(tiny=True, repeats=args.repeats)
+        print(json.dumps(tiny, indent=2))
         return 0
-    finally:
-        if saved_mode is None:
-            os.environ.pop("REPRO_KERNEL", None)
-        else:
-            os.environ["REPRO_KERNEL"] = saved_mode
+    report = build_report(args.repeats)
+    args.output.write_text(json.dumps(report, indent=2) + "\n")
+    agg = report["speedup"]["aggregate"]
+    print(f"wrote {args.output} (aggregate fast/seed speedup "
+          f"{agg:.2f}x; events/sec fast "
+          f"{report['modes']['fast']['events_per_sec']:,.0f}, seed "
+          f"{report['modes']['seed']['events_per_sec']:,.0f})")
+    return 0
 
 
 if __name__ == "__main__":

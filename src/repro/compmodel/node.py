@@ -19,7 +19,6 @@ import numpy as np
 
 from ..core.config import NodeConfig
 from ..operations.ops import COMPUTATIONAL_OPS, Operation
-from ..pearl.kernel import kernel_mode
 from .cpu import CPU
 from .hierarchy import CacheHierarchy
 
@@ -92,15 +91,13 @@ class SingleNodeModel:
         :func:`repro.compmodel.tasks.extract_tasks` first (that *is* the
         hybrid model of Fig 2).
 
-        Under ``REPRO_KERNEL=fast`` (the default) the plain node
-        template runs the batched cost loop of
+        The plain node template runs the batched cost loop of
         :mod:`repro.compmodel.batch`; results and statistics are
-        identical to the seed per-op loop.
+        identical to the per-op loop below, which anything else takes.
         """
-        if kernel_mode() == "fast":
-            from .batch import fast_eligible, run_trace_fast
-            if fast_eligible(self):
-                return run_trace_fast(self, ops)
+        from .batch import fast_eligible, run_trace_fast
+        if fast_eligible(self):
+            return run_trace_fast(self, ops)
         cpu = self.cpu
         start_cycles = cpu.stats.cycles
         start_instr = cpu.stats.instructions

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from ..operations.ops import COMPUTATIONAL_OPS, Operation, compute
-from ..pearl.kernel import kernel_mode
 from .node import SingleNodeModel
 
 __all__ = ["extract_tasks", "TaskExtractionStats"]
@@ -59,17 +58,15 @@ def extract_tasks(node_model: SingleNodeModel, ops: Iterable[Operation],
     charges for the run) interleaved with the original communication
     operations.  Zero-length runs emit nothing.
 
-    Under ``REPRO_KERNEL=fast`` (the default), plain analytic node
-    models are charged by the batched cost loop of
+    Plain analytic node models are charged by the batched cost loop of
     :mod:`repro.compmodel.batch` — same yielded stream, statistics and
     exceptions, less host time per operation.
     """
     if stats is None:
         stats = TaskExtractionStats()
-    if kernel_mode() == "fast":
-        from .batch import extract_tasks_fast, fast_eligible
-        if fast_eligible(node_model):
-            return extract_tasks_fast(node_model, ops, stats)
+    from .batch import extract_tasks_fast, fast_eligible
+    if fast_eligible(node_model):
+        return extract_tasks_fast(node_model, ops, stats)
     return _extract_tasks_scalar(node_model, ops, stats)
 
 

@@ -15,14 +15,14 @@ Two first-class instruments over a running simulation:
 Both are opt-in and zero-cost when detached (one ``None`` check per
 kernel operation, same as the PR-2 determinism sanitizer).
 
-Dispatcher independence (PR-6): both instruments observe identical
-records under the seed kernel and the fast ring dispatcher
-(``REPRO_KERNEL``), and a *detached* simulator takes each kernel's
-instrumentation-free bulk path — attaching a tracer never changes what
-a simulation computes, and not attaching one costs the fast path
-nothing.  ``tests/test_kernel_equivalence.py`` and the dispatcher
-parity suite in ``tests/test_pearl_kernel.py`` pin record-level
-equality across kernels.
+Dispatcher independence: the kernel has one dispatcher with two loops.
+A *detached* simulator takes the instrumentation-free bulk loop;
+attaching a tracer moves it to the instrumented loop, which executes
+the same schedule — attaching one never changes what a simulation
+computes, and not attaching one costs the hot path nothing.
+``tests/test_kernel_equivalence.py`` and the dispatcher parity suite
+in ``tests/test_pearl_kernel.py`` pin record-level equality with the
+heap-only reference dispatcher in ``tests/reference_kernel.py``.
 """
 
 from .registry import CounterMetric, MetricRegistry

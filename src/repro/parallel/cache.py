@@ -102,12 +102,17 @@ def atomic_write_text(path: Path, text: str) -> None:
     The temp name is per writer (process and thread), so concurrent
     writers of one path — two sweeps storing the same row, two service
     frontends finishing the same job key — never share a temp file, and
-    a reader sees either no file or a complete one.
+    a reader sees either no file or a complete one.  A write that fails
+    (full disk) removes its temp file and leaves ``path`` as it was.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass

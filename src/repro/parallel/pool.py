@@ -30,12 +30,9 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import multiprocessing.connection
-import os
 import pickle
 from collections import deque
 from typing import Any, Callable, Iterator, Optional, Sequence
-
-from ..pearl.kernel import kernel_mode
 
 __all__ = ["WorkerCrashed", "WorkerPool", "run_sharded"]
 
@@ -62,17 +59,13 @@ def _mp_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
-def _worker_main(conn: Any, parent_conn: Any,
-                 mode: str) -> None:  # pragma: no cover - child process
+def _worker_main(conn: Any, parent_conn: Any) -> None:  # pragma: no cover
     """Long-lived worker: receive ``(fn, item)``, send ``fn(item)``;
     leave on the stop sentinel or when the parent is gone."""
     # A forked child inherits the parent's end of its own pipe; holding
     # it would hide the EOF that says the parent died (however it
     # died), and the worker would block on `recv` forever.
     parent_conn.close()
-    # Inherit the parent's kernel dispatcher even under spawn-style
-    # contexts or when the parent changed REPRO_KERNEL after import.
-    os.environ["REPRO_KERNEL"] = mode
     while True:
         try:
             task = conn.recv()
@@ -90,7 +83,7 @@ class _Worker:
     def __init__(self, ctx: Any) -> None:
         self.conn, child_conn = ctx.Pipe()
         self.proc = ctx.Process(target=_worker_main,
-                                args=(child_conn, self.conn, kernel_mode()),
+                                args=(child_conn, self.conn),
                                 daemon=True)
         self.proc.start()
         # The child's end must live only in the child: EOF then

@@ -30,7 +30,6 @@ from .introspect import (
 )
 from .kernel import (
     Event,
-    FastSimulator,
     Process,
     Simulator,
     Timer,
@@ -46,7 +45,6 @@ __all__ = [
     "DeadlockError",
     "EVENT_RETURNING_METHODS",
     "Event",
-    "FastSimulator",
     "PearlError",
     "Process",
     "ProcessKilledError",

@@ -21,26 +21,33 @@ A process generator may ``yield``:
 Determinism: ties in simulated time are broken by a global monotone
 sequence number, so identical programs produce identical schedules.
 
-Two interchangeable dispatchers implement those semantics:
+One dispatcher, two loops
+-------------------------
+:class:`Simulator` is the only event engine.  Events scheduled *at the
+current time* while it runs go to a preallocated ring of slots instead
+of the heap (they can never overtake a pending heap entry: their
+sequence numbers are strictly larger), and :meth:`Simulator.run` picks
+one of two loops per call from what is attached to the simulator:
 
-* the **seed** dispatcher (:class:`Simulator` proper) — the reference
-  implementation: one binary heap, one generic dispatch loop;
-* the **fast** dispatcher (:class:`FastSimulator`) — the same schedule
-  byte for byte, executed through an inlined event loop with a
-  preallocated ring of same-time event slots, so the (very common)
-  events scheduled *at the current time* never touch the heap.
+* the **detached bulk loop** — nothing attached (``trace_hook``,
+  tracer, sanitizer and tie-break all ``None``) and no event bound:
+  resumes generators and interprets their yields inline (cached bound
+  ``gen.send``, type-switched fast lanes for numbers and ``None``),
+  with no instrumentation conditionals at all;
+* the **instrumented loop** — everything else (any attachment, or
+  ``step()``): the same ``(time, seq)`` order with ``trace_hook``,
+  ``current_process`` and tracer calls around each event, and with a
+  tie-break hook choosing among same-time entries when one is attached.
 
-``Simulator()`` builds whichever the ``REPRO_KERNEL`` environment
-variable selects (``fast`` is the default; ``seed`` keeps the reference
-dispatcher selectable for differential testing), and an explicit
-``Simulator(kernel="seed")`` overrides the environment.  Equivalence of
-the two is pinned by ``tests/test_kernel_equivalence.py``.
+The binary-heap dispatcher this kernel grew from is the specification,
+and lives with the tests (``tests/reference_kernel.py``): the
+equivalence suites run every scenario on both and require identical
+observables.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from .errors import (
@@ -50,26 +57,13 @@ from .errors import (
     SimulationError,
 )
 
-__all__ = ["Event", "FastSimulator", "Process", "Simulator", "Timer",
-           "kernel_mode"]
-
-#: Recognized values of ``REPRO_KERNEL`` / ``Simulator(kernel=...)``.
-KERNEL_MODES = ("fast", "seed")
+__all__ = ["Event", "Process", "Simulator", "Timer", "kernel_mode"]
 
 
 def kernel_mode() -> str:
-    """The dispatcher selected by the ``REPRO_KERNEL`` environment variable.
-
-    ``fast`` (the default) selects :class:`FastSimulator`; ``seed``
-    selects the reference dispatcher.  Anything else is a configuration
-    error, not a silent fallback.
-    """
-    mode = os.environ.get("REPRO_KERNEL", "fast")
-    if mode not in KERNEL_MODES:
-        raise SimulationError(
-            f"REPRO_KERNEL must be one of {'/'.join(KERNEL_MODES)}, "
-            f"got {mode!r}")
-    return mode
+    """Always ``"fast"``: there is one dispatcher and no selector."""
+    # Reads no environment; kept because benchmarks/layered records it.
+    return "fast"
 
 
 class Event:
@@ -157,7 +151,7 @@ class Timer:
         if self._fired or self._cancelled:
             return False
         self._cancelled = True
-        self.sim._drop_call(self._cb)
+        self.sim._drop_scheduled(self._cb)
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -291,40 +285,55 @@ class Process:
 
 
 class Simulator:
-    """The discrete-event engine: virtual clock plus an event heap.
+    """The discrete-event engine: virtual clock, event heap, ready ring.
 
     A Mermaid architecture model is a set of processes created with
     :meth:`process` plus the channels and resources that connect them;
     :meth:`run` executes the model until a time bound or until no events
     remain.
 
-    ``Simulator(...)`` transparently constructs the dispatcher selected
-    by ``REPRO_KERNEL`` (see :func:`kernel_mode`); pass ``kernel="seed"``
-    or ``kernel="fast"`` to pin one explicitly.  Instantiating
-    :class:`Simulator` or :class:`FastSimulator` through a subclass
-    bypasses the switch — a subclass *is* its author's choice.
+    Pending events live in two places with one ``(time, seq)`` order:
+
+    * the **heap** holds ``(time, seq, target, value)`` entries;
+    * the **same-time ready ring** — an event scheduled at the *current*
+      time while the simulator is running can never overtake a pending
+      heap entry at that time (its sequence number is strictly larger),
+      so it goes into a preallocated power-of-two ring of slots instead
+      of the heap.  Dispatch order is: heap entries at ``now`` (by
+      sequence), then the ring FIFO, then advance the clock via the
+      heap — without ``heappush``/``heappop`` for the 30-40% of events
+      that are same-time in communication-bound models.  Each slot
+      keeps its sequence number, and every dispatch spills what is left
+      in the ring back onto the heap on its way out (a bounded
+      ``step()``, an exception), so between calls the state is
+      heap-only.
+
+    Dispatch runs one of two loops (module docstring): the detached
+    bulk loop when nothing is attached and the run is unbounded, the
+    instrumented loop otherwise.  Everything observable — event order,
+    timestamps, ``trace_hook`` and tracer callbacks, error messages,
+    ``events_executed`` — is identical between them and to the
+    heap-only reference dispatcher in ``tests/reference_kernel.py``,
+    by construction and by the differential suites.
     """
 
-    def __new__(cls, *args: Any, **kwargs: Any) -> "Simulator":
-        if cls is Simulator:
-            mode = kwargs.get("kernel") or kernel_mode()
-            if mode == "fast":
-                cls = FastSimulator
-        return object.__new__(cls)
+    _RING_CAP = 1024               # initial slots; grows by doubling
 
-    def __init__(self, *, trace_hook: Optional[Callable] = None,
-                 kernel: Optional[str] = None) -> None:
-        if kernel is not None and kernel not in KERNEL_MODES:
-            raise SimulationError(
-                f"kernel must be one of {'/'.join(KERNEL_MODES)}, "
-                f"got {kernel!r}")
+    def __init__(self, *, trace_hook: Optional[Callable] = None) -> None:
         self.now: float = 0.0
         self._heap: list = []           # (time, seq, process, value)
         self._seq: int = 0
         self._live: int = 0             # unfinished processes
         self._procs: list[Process] = []  # registry (for deadlock reports)
         self._running = False
-        self._dropped: int = 0          # heap entries removed by kill()
+        self._dropped: int = 0          # pending entries removed by kill()
+        cap = self._RING_CAP
+        self._ring_t: list = [None] * cap    # targets (Process or callable)
+        self._ring_v: list = [None] * cap    # values
+        self._ring_s: list = [0] * cap       # sequence numbers
+        self._ring_mask = cap - 1
+        self._ring_head = 0
+        self._ring_tail = 0
         #: optional ``hook(time, process_or_callback)`` called before
         #: every executed event — the kernel-level run-time trace.
         self.trace_hook = trace_hook
@@ -338,13 +347,13 @@ class Simulator:
         #: detached, like ``sanitizer``.
         self.tracer = None
         #: optional tie-break controller (see :meth:`attach_tie_break`);
-        #: when set, dispatch routes through the instrumented
-        #: :meth:`_dispatch_hooked` loop on both kernels.
+        #: when set, the instrumented loop lets it choose among
+        #: same-time entries and the ring is bypassed.
         self.tie_break = None
         #: name of the event target currently being dispatched.
-        #: Maintained only by the instrumented dispatch paths (tracer,
+        #: Maintained only by the instrumented loop (trace hook, tracer,
         #: sanitizer or tie-break hook attached) — the detached bulk
-        #: loops skip it so the hot path stays store-free.
+        #: loop skips it so the hot path stays store-free.
         self.current_process: str = ""
 
     # -- construction ----------------------------------------------------
@@ -400,11 +409,11 @@ class Simulator:
         behind :mod:`repro.verify` — schedule-space exploration perturbs
         exactly the orderings the ``(time, seq)`` total order pins down.
 
-        Attach before :meth:`run`.  A hook routes dispatch through a
-        slower heap-only loop on **both** kernels (the fast ring is
-        bypassed so every same-time event is visible as a candidate):
-        verification runs pay for controllability, normal runs pay one
-        ``None`` check per :meth:`run`.
+        Attach before :meth:`run`.  A hook routes dispatch through the
+        instrumented loop with the ring bypassed (every same-time event
+        stays on the heap, visible as a candidate): verification runs
+        pay for controllability, normal runs pay one ``None`` check per
+        :meth:`run`.
         """
         self.tie_break = hook
 
@@ -440,157 +449,313 @@ class Simulator:
             )
         proc._scheduled = True
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, proc, value))
+        # With a tie-break hook attached the ring is bypassed: the
+        # hook must see every same-time event as a candidate.
+        if time == self.now and self._running and self.tie_break is None:
+            self._ring_append(proc, value, self._seq)
+        else:
+            heapq.heappush(self._heap, (time, self._seq, proc, value))
 
     def _schedule_call(self, time: float, fn: Callable, value: Any) -> None:
         """Schedule a bare callback (used by timeouts)."""
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, fn, value))
+        if time == self.now and self._running and self.tie_break is None:
+            self._ring_append(fn, value, self._seq)
+        else:
+            heapq.heappush(self._heap, (time, self._seq, fn, value))
 
-    def _drop_scheduled(self, proc: Process) -> None:
-        """Remove a killed process's pending resume from the event heap.
+    def _drop_scheduled(self, target: Any) -> None:
+        """Remove every pending entry for ``target`` — a killed
+        process's resume, a cancelled :class:`Timer`'s callback.
 
         Mutates the heap in place so aliases held by a running dispatch
-        loop stay valid; O(n), but only paid on :meth:`Process.kill`.
+        loop stay valid; O(n), but only paid on kill/cancel.
         """
         heap = self._heap
         before = len(heap)
-        heap[:] = [entry for entry in heap if entry[2] is not proc]
+        heap[:] = [entry for entry in heap if entry[2] is not target]
         heapq.heapify(heap)
-        self._dropped += before - len(heap)
+        self._dropped += before - len(heap) + self._filter_ring(target)
 
-    def _drop_call(self, fn: Callable) -> None:
-        """Remove a scheduled bare callback (a cancelled :class:`Timer`)
-        from the event heap; same in-place/O(n) contract as
-        :meth:`_drop_scheduled`."""
+    # -- ready-ring plumbing ----------------------------------------------
+
+    def _ring_append(self, target: Any, value: Any, seq: int) -> None:
+        tail = self._ring_tail
+        if tail - self._ring_head > self._ring_mask:
+            self._ring_grow()
+        i = tail & self._ring_mask
+        self._ring_t[i] = target
+        self._ring_v[i] = value
+        self._ring_s[i] = seq
+        self._ring_tail = tail + 1
+
+    def _ring_grow(self) -> None:
+        """Double the ring, re-linearizing live entries from the head."""
+        old_t, old_v, old_s = self._ring_t, self._ring_v, self._ring_s
+        mask = self._ring_mask
+        n = mask + 1
+        head = self._ring_head
+        self._ring_t = [old_t[(head + k) & mask] for k in range(n)] + [None] * n
+        self._ring_v = [old_v[(head + k) & mask] for k in range(n)] + [None] * n
+        self._ring_s = [old_s[(head + k) & mask] for k in range(n)] + [0] * n
+        self._ring_mask = 2 * n - 1
+        self._ring_head = 0
+        self._ring_tail = n
+
+    def _flush_ring(self) -> None:
+        """Spill ring entries back onto the heap (dispatch exit).
+
+        Entries keep their original sequence numbers, so a later
+        ``run()``/``step()`` pops them in exactly ``(time, seq)`` order.
+        """
+        head, tail = self._ring_head, self._ring_tail
+        if head == tail:
+            return
         heap = self._heap
-        before = len(heap)
-        heap[:] = [entry for entry in heap if entry[2] is not fn]
-        heapq.heapify(heap)
-        self._dropped += before - len(heap)
+        mask = self._ring_mask
+        now = self.now
+        push = heapq.heappush
+        for i in range(head, tail):
+            j = i & mask
+            push(heap, (now, self._ring_s[j], self._ring_t[j],
+                        self._ring_v[j]))
+            self._ring_t[j] = None
+            self._ring_v[j] = None
+        self._ring_head = 0
+        self._ring_tail = 0
+
+    def _filter_ring(self, target: Any) -> int:
+        """Remove every ring entry whose target is ``target``; returns
+        how many were removed (the caller accounts them as dropped)."""
+        head, tail = self._ring_head, self._ring_tail
+        if head == tail:
+            return 0
+        mask = self._ring_mask
+        live = [(self._ring_s[i & mask], self._ring_t[i & mask],
+                 self._ring_v[i & mask]) for i in range(head, tail)]
+        kept = [e for e in live if e[1] is not target]
+        removed = len(live) - len(kept)
+        if not removed:
+            return 0
+        for i, (s, t, v) in enumerate(kept):
+            self._ring_s[i] = s
+            self._ring_t[i] = t
+            self._ring_v[i] = v
+        for i in range(len(kept), min(tail - head, mask + 1)):
+            self._ring_t[i] = None
+            self._ring_v[i] = None
+        self._ring_head = 0
+        self._ring_tail = len(kept)
+        return removed
 
     # -- execution ---------------------------------------------------------
 
     def _dispatch(self, until: Optional[float], max_events: int) -> None:
-        """The single event-dispatch loop behind :meth:`run` and
-        :meth:`step` — both must fire ``trace_hook``/tracer and execute
-        targets identically, or single-stepping a model would produce a
-        different trace than running it.
-
-        ``max_events`` bounds how many events execute (``-1`` =
-        unbounded).
+        """The one entry to event dispatch behind :meth:`run` and
+        :meth:`step`; ``max_events`` bounds how many events execute
+        (``-1`` = unbounded).
         """
-        if self.tie_break is not None:
-            self._dispatch_hooked(until, max_events)
-            return
+        try:
+            if (self.trace_hook is None and self.tracer is None
+                    and self.sanitizer is None and self.tie_break is None
+                    and max_events == -1):
+                self._dispatch_bulk(until)
+            else:
+                self._dispatch_instrumented(until, max_events)
+        finally:
+            # Bounded dispatch (and exceptions) may leave ready entries;
+            # spill them so heap-only state is restored between calls.
+            self._flush_ring()
+
+    def _dispatch_bulk(self, until: Optional[float]) -> None:
+        """Detached unbounded dispatch — the inlined hot loop.
+
+        Semantically the instrumented loop with nothing attached, fused
+        with :meth:`Process._step`; every branch reproduces that
+        behaviour (including error messages) exactly.
+        """
+        heap = self._heap
+        pop = heapq.heappop
+        push = heapq.heappush
+        now = self.now
+        while True:
+            # Priority: heap entries at `now` precede the ring (their
+            # sequence numbers are strictly smaller — same-time events
+            # scheduled *while running* only ever enter the ring).
+            if heap and heap[0][0] == now:
+                entry = pop(heap)
+                target = entry[2]
+                value = entry[3]
+                time = now
+            elif self._ring_head != self._ring_tail:
+                head = self._ring_head
+                i = head & self._ring_mask
+                ring_t = self._ring_t
+                target = ring_t[i]
+                value = self._ring_v[i]
+                ring_t[i] = None
+                if value is not None:
+                    self._ring_v[i] = None
+                self._ring_head = head + 1
+                time = now
+            elif heap:
+                entry = heap[0]
+                time = entry[0]
+                if until is not None and time > until:
+                    self.now = until
+                    return
+                pop(heap)
+                target = entry[2]
+                value = entry[3]
+                now = self.now = time
+            else:
+                return
+            if target.__class__ is Process:
+                if not target.alive:
+                    continue
+                target._scheduled = False
+                target._blocked_on = None
+                try:
+                    item = target._send(value)
+                except StopIteration as stop:
+                    target.alive = False
+                    target.result = stop.value
+                    self._live -= 1
+                    target.terminated.trigger(stop.value)
+                    continue
+                except ProcessKilledError:
+                    target.alive = False
+                    self._live -= 1
+                    target.terminated.trigger(None)
+                    continue
+                cls = item.__class__
+                if cls is float or cls is int:
+                    if item > 0:
+                        seq = self._seq = self._seq + 1
+                        target._scheduled = True
+                        push(heap, (time + item, seq, target, None))
+                    elif item == 0:
+                        seq = self._seq = self._seq + 1
+                        target._scheduled = True
+                        self._ring_append(target, None, seq)
+                    else:
+                        raise SimTimeError(
+                            f"process {target.name!r} yielded negative "
+                            f"delay {float(item)}")
+                elif item is None:
+                    seq = self._seq = self._seq + 1
+                    target._scheduled = True
+                    self._ring_append(target, None, seq)
+                elif isinstance(item, Event):
+                    if item.triggered:
+                        self._schedule(time, target, item.value)
+                    else:
+                        item._waiters.append(target)
+                        target._blocked_on = item
+                else:
+                    try:
+                        delay = float(item)
+                    except (TypeError, ValueError):
+                        raise SimulationError(
+                            f"process {target.name!r} yielded unsupported "
+                            f"value {item!r}") from None
+                    if delay < 0:
+                        raise SimTimeError(
+                            f"process {target.name!r} yielded negative "
+                            f"delay {delay}")
+                    seq = self._seq = self._seq + 1
+                    target._scheduled = True
+                    push(heap, (time + delay, seq, target, None))
+            else:
+                target(value)
+
+    def _dispatch_instrumented(self, until: Optional[float],
+                               max_events: int) -> None:
+        """Traced / sanitized / tie-broken / bounded dispatch.
+
+        The same next-entry order as the bulk loop, then ``trace_hook``,
+        ``current_process``, the tracer and the target, in that order.
+        Under a tie-break hook the ring stays empty (``_schedule``
+        bypasses it) and the hook picks among the heap entries at
+        ``now``.
+        """
         heap = self._heap
         pop = heapq.heappop
         hook = self.trace_hook
         tracer = self.tracer
-        if tracer is None and self.sanitizer is None and max_events == -1:
-            # Detached bulk path: the same semantics with the
-            # instrumentation conditionals constant-folded away, so an
-            # untraced run() pays nothing for the tracing feature.
-            # Sanitized runs take the general loop below, which
-            # maintains ``current_process`` for contention diagnostics.
-            while heap:
-                time, _seq, target, value = heap[0]
+        tie_break = self.tie_break
+        now = self.now
+        executed = 0
+        while executed != max_events:
+            if heap and heap[0][0] == now:
+                entry = (pop(heap) if tie_break is None
+                         else self._pop_tie_broken(tie_break))
+                target = entry[2]
+                value = entry[3]
+            elif self._ring_head != self._ring_tail:
+                head = self._ring_head
+                i = head & self._ring_mask
+                target = self._ring_t[i]
+                value = self._ring_v[i]
+                self._ring_t[i] = None
+                self._ring_v[i] = None
+                self._ring_head = head + 1
+            elif heap:
+                time = heap[0][0]
                 if until is not None and time > until:
                     self.now = until
-                    break
-                pop(heap)
-                self.now = time
-                if hook is not None:
-                    hook(time, target)
-                if type(target) is Process:
-                    if target.alive:
-                        target._step(value)
-                else:
-                    target(value)
-            return
-        executed = 0
-        while heap and executed != max_events:
-            time, _seq, target, value = heap[0]
-            if until is not None and time > until:
-                self.now = until
-                break
-            pop(heap)
+                    return
+                now = self.now = time
+                continue
+            else:
+                return
             executed += 1
-            self.now = time
             if hook is not None:
-                hook(time, target)
-            if type(target) is Process:
+                hook(now, target)
+            if target.__class__ is Process:
                 self.current_process = target.name
                 if tracer is not None:
-                    tracer.process_step(time, target.name)
+                    tracer.process_step(now, target.name)
                 if target.alive:
                     target._step(value, tracer)
             else:
                 name = getattr(target, "__name__", "callback")
                 self.current_process = name
                 if tracer is not None:
-                    tracer.process_step(time, name)
+                    tracer.process_step(now, name)
                 target(value)
 
-    def _dispatch_hooked(self, until: Optional[float],
-                         max_events: int) -> None:
-        """Dispatch under a tie-break hook — shared by both kernels.
+    def _pop_tie_broken(self, tie_break) -> tuple:
+        """Pop the heap entry at ``now`` that ``tie_break`` selects.
 
-        Heap-only (the fast ring is bypassed while a hook is attached),
-        with full instrumentation: every iteration collects the entries
-        ready at the current instant in sequence order and, when there
-        is a genuine tie, lets the hook pick which executes next.  The
-        chosen entry is removed **by sequence number**, never by tuple
-        equality — values may be arrays whose ``==`` is elementwise.
+        The hook is asked only when there is a genuine tie, with the
+        candidates in sequence order.  The chosen entry is removed **by
+        sequence number**, never by tuple equality — values may be
+        arrays whose ``==`` is elementwise.
         """
         heap = self._heap
-        hook = self.trace_hook
-        tracer = self.tracer
-        select = self.tie_break.select
-        executed = 0
-        while heap and executed != max_events:
-            entry = heap[0]
-            time = entry[0]
-            if until is not None and time > until:
-                self.now = until
-                break
-            if len(heap) > 1:
-                candidates = sorted(
-                    (e for e in heap if e[0] == time), key=lambda e: e[1])
-                if len(candidates) > 1:
-                    chosen = select(time, candidates)
-                    if not 0 <= chosen < len(candidates):
-                        raise SimulationError(
-                            f"tie-break hook selected index {chosen} of "
-                            f"{len(candidates)} candidates at t={time:g}")
-                    entry = candidates[chosen]
-            if entry is heap[0]:
-                heapq.heappop(heap)
-            else:
-                seq = entry[1]
-                idx = next(i for i, e in enumerate(heap) if e[1] == seq)
-                last = heap.pop()
-                if idx < len(heap):
-                    heap[idx] = last
-                    heapq.heapify(heap)
-            executed += 1
-            self.now = time
-            target = entry[2]
-            value = entry[3]
-            if hook is not None:
-                hook(time, target)
-            if type(target) is Process:
-                self.current_process = target.name
-                if tracer is not None:
-                    tracer.process_step(time, target.name)
-                if target.alive:
-                    target._step(value, tracer)
-            else:
-                name = getattr(target, "__name__", "callback")
-                self.current_process = name
-                if tracer is not None:
-                    tracer.process_step(time, name)
-                target(value)
+        entry = heap[0]
+        time = entry[0]
+        if len(heap) > 1:
+            candidates = sorted(
+                (e for e in heap if e[0] == time), key=lambda e: e[1])
+            if len(candidates) > 1:
+                chosen = tie_break.select(time, candidates)
+                if not 0 <= chosen < len(candidates):
+                    raise SimulationError(
+                        f"tie-break hook selected index {chosen} of "
+                        f"{len(candidates)} candidates at t={time:g}")
+                entry = candidates[chosen]
+        if entry is heap[0]:
+            heapq.heappop(heap)
+        else:
+            seq = entry[1]
+            idx = next(i for i, e in enumerate(heap) if e[1] == seq)
+            last = heap.pop()
+            if idx < len(heap):
+                heap[idx] = last
+                heapq.heapify(heap)
+        return entry
 
     def run(self, until: Optional[float] = None,
             check_deadlock: bool = False) -> float:
@@ -601,6 +766,8 @@ class Simulator:
         until:
             Stop once the clock would pass this time (events exactly at
             ``until`` are executed).  ``None`` runs to event exhaustion.
+            A bound before :attr:`now` raises :class:`SimTimeError`:
+            simulated time never runs backwards.
         check_deadlock:
             If true and the event list drains while processes are still
             alive (i.e. blocked forever), raise :class:`DeadlockError`.
@@ -609,6 +776,9 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
+        if until is not None and until < self.now:
+            raise SimTimeError(
+                f"run(until={until}) is before the current time {self.now}")
         self._running = True
         try:
             self._dispatch(until, -1)
@@ -641,18 +811,19 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of scheduled (not yet executed) events."""
-        return len(self._heap)
+        return len(self._heap) + (self._ring_tail - self._ring_head)
 
     @property
     def events_executed(self) -> int:
         """Total events executed so far (over all run()/step() calls).
 
-        Derived, not counted: every ``_seq`` increment is one heap
-        push, and a pushed event is either still pending, was dropped
-        by :meth:`Process.kill`, or has executed — so the hot dispatch
+        Derived, not counted: every ``_seq`` increment is one scheduled
+        event, and a scheduled event is either still pending (heap or
+        ring), was dropped by :meth:`Process.kill` /
+        :meth:`Timer.cancel`, or has executed — so the hot dispatch
         loop carries no per-event bookkeeping for this.
         """
-        return self._seq - len(self._heap) - self._dropped
+        return self._seq - self.pending_events - self._dropped
 
     @property
     def live_processes(self) -> int:
@@ -717,346 +888,3 @@ class Simulator:
         for i, ev in enumerate(events):
             ev.add_callback(make_cb(i))
         return combined
-
-
-class FastSimulator(Simulator):
-    """The fast dispatcher: identical schedules, an optimized event loop.
-
-    Two structural changes over the seed dispatcher, neither visible in
-    results:
-
-    * **same-time ready ring** — an event scheduled at the *current*
-      time while the simulator is running can never overtake a pending
-      heap entry at that time (its sequence number is strictly larger),
-      so it goes into a preallocated power-of-two ring of slots instead
-      of the heap.  Dispatch order is: heap entries at ``now`` (by
-      sequence), then the ring FIFO, then advance the clock via the
-      heap — exactly the ``(time, seq)`` total order of the seed
-      dispatcher, without ``heappush``/``heappop`` for the 30-40% of
-      events that are same-time in communication-bound models.  Each
-      slot keeps its sequence number so a bounded dispatch (``step()``)
-      or an exception can spill the ring back onto the heap losslessly.
-    * **inlined dispatch** — the untraced bulk loop resumes generators
-      and interprets their yields inline (cached bound ``gen.send``,
-      type-switched fast lanes for numbers and ``None``) instead of
-      calling :meth:`Process._step` per event.
-
-    Everything observable — event order, timestamps, ``trace_hook`` and
-    tracer callbacks, error messages, ``events_executed`` — is
-    byte-identical to the seed dispatcher by construction and by the
-    differential suite in ``tests/test_kernel_equivalence.py``.
-    """
-
-    _RING_CAP = 1024               # initial slots; grows by doubling
-
-    def __init__(self, *, trace_hook: Optional[Callable] = None,
-                 kernel: Optional[str] = None) -> None:
-        super().__init__(trace_hook=trace_hook, kernel=kernel)
-        cap = self._RING_CAP
-        self._ring_t: list = [None] * cap    # targets (Process or callable)
-        self._ring_v: list = [None] * cap    # values
-        self._ring_s: list = [0] * cap       # sequence numbers
-        self._ring_mask = cap - 1
-        self._ring_head = 0
-        self._ring_tail = 0
-
-    # -- ready-ring plumbing ----------------------------------------------
-
-    def _ring_append(self, target: Any, value: Any, seq: int) -> None:
-        tail = self._ring_tail
-        if tail - self._ring_head > self._ring_mask:
-            self._ring_grow()
-        i = tail & self._ring_mask
-        self._ring_t[i] = target
-        self._ring_v[i] = value
-        self._ring_s[i] = seq
-        self._ring_tail = tail + 1
-
-    def _ring_grow(self) -> None:
-        """Double the ring, re-linearizing live entries from the head."""
-        old_t, old_v, old_s = self._ring_t, self._ring_v, self._ring_s
-        mask = self._ring_mask
-        n = mask + 1
-        head = self._ring_head
-        self._ring_t = [old_t[(head + k) & mask] for k in range(n)] + [None] * n
-        self._ring_v = [old_v[(head + k) & mask] for k in range(n)] + [None] * n
-        self._ring_s = [old_s[(head + k) & mask] for k in range(n)] + [0] * n
-        self._ring_mask = 2 * n - 1
-        self._ring_head = 0
-        self._ring_tail = n
-
-    def _flush_ring(self) -> None:
-        """Spill ring entries back onto the heap (bounded dispatch exit).
-
-        Entries keep their original sequence numbers, so a later
-        ``run()``/``step()`` pops them in exactly the order the seed
-        dispatcher would have.
-        """
-        head, tail = self._ring_head, self._ring_tail
-        if head == tail:
-            return
-        heap = self._heap
-        mask = self._ring_mask
-        now = self.now
-        push = heapq.heappush
-        for i in range(head, tail):
-            j = i & mask
-            push(heap, (now, self._ring_s[j], self._ring_t[j],
-                        self._ring_v[j]))
-            self._ring_t[j] = None
-            self._ring_v[j] = None
-        self._ring_head = 0
-        self._ring_tail = 0
-
-    def _filter_ring(self, target: Any) -> int:
-        """Remove every ring entry whose target is ``target``; returns
-        how many were removed (the caller accounts them as dropped)."""
-        head, tail = self._ring_head, self._ring_tail
-        if head == tail:
-            return 0
-        mask = self._ring_mask
-        live = [(self._ring_s[i & mask], self._ring_t[i & mask],
-                 self._ring_v[i & mask]) for i in range(head, tail)]
-        kept = [e for e in live if e[1] is not target]
-        removed = len(live) - len(kept)
-        if not removed:
-            return 0
-        for i, (s, t, v) in enumerate(kept):
-            self._ring_s[i] = s
-            self._ring_t[i] = t
-            self._ring_v[i] = v
-        for i in range(len(kept), min(tail - head, mask + 1)):
-            self._ring_t[i] = None
-            self._ring_v[i] = None
-        self._ring_head = 0
-        self._ring_tail = len(kept)
-        return removed
-
-    # -- scheduling overrides ------------------------------------------------
-
-    def _schedule(self, time: float, proc: Process, value: Any) -> None:
-        if proc._scheduled:
-            raise SimulationError(
-                f"process {proc.name!r} scheduled twice (woken while runnable)"
-            )
-        proc._scheduled = True
-        self._seq += 1
-        # With a tie-break hook attached the ring is bypassed: the
-        # hooked loop must see every same-time event as a candidate.
-        if time == self.now and self._running and self.tie_break is None:
-            self._ring_append(proc, value, self._seq)
-        else:
-            heapq.heappush(self._heap, (time, self._seq, proc, value))
-
-    def _schedule_call(self, time: float, fn: Callable, value: Any) -> None:
-        self._seq += 1
-        if time == self.now and self._running and self.tie_break is None:
-            self._ring_append(fn, value, self._seq)
-        else:
-            heapq.heappush(self._heap, (time, self._seq, fn, value))
-
-    def _drop_scheduled(self, proc: Process) -> None:
-        super()._drop_scheduled(proc)
-        self._dropped += self._filter_ring(proc)
-
-    def _drop_call(self, fn: Callable) -> None:
-        super()._drop_call(fn)
-        self._dropped += self._filter_ring(fn)
-
-    # -- accounting overrides ----------------------------------------------
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._heap) + (self._ring_tail - self._ring_head)
-
-    @property
-    def events_executed(self) -> int:
-        return (self._seq - len(self._heap)
-                - (self._ring_tail - self._ring_head) - self._dropped)
-
-    # -- dispatch ------------------------------------------------------------
-
-    def _dispatch(self, until: Optional[float], max_events: int) -> None:
-        try:
-            if self.tie_break is not None:
-                # Entries parked in the ring before the hook was
-                # attached must become heap candidates first.
-                self._flush_ring()
-                self._dispatch_hooked(until, max_events)
-            elif (self.tracer is None and self.sanitizer is None
-                    and max_events == -1):
-                self._dispatch_bulk(until)
-            else:
-                self._dispatch_general(until, max_events)
-        finally:
-            # Bounded dispatch (and exceptions) may leave ready entries;
-            # spill them so heap-only state is restored between calls.
-            self._flush_ring()
-
-    def _dispatch_bulk(self, until: Optional[float]) -> None:
-        """Untraced unbounded dispatch — the inlined hot loop.
-
-        Semantically a fusion of the seed ``_dispatch`` detached path
-        with :meth:`Process._step`; every branch reproduces the seed
-        behaviour (including error messages) exactly.
-        """
-        heap = self._heap
-        pop = heapq.heappop
-        push = heapq.heappush
-        hook = self.trace_hook
-        now = self.now
-        if until is not None and until < now:
-            # A bound in the past executes nothing (seed parity: the
-            # clock still moves back to the bound if anything is pending).
-            if heap:
-                self.now = until
-            return
-        while True:
-            # Priority: heap entries at `now` precede the ring (their
-            # sequence numbers are strictly smaller — same-time events
-            # scheduled *while running* only ever enter the ring).
-            if heap and heap[0][0] == now:
-                entry = pop(heap)
-                target = entry[2]
-                value = entry[3]
-                time = now
-            elif self._ring_head != self._ring_tail:
-                head = self._ring_head
-                i = head & self._ring_mask
-                ring_t = self._ring_t
-                target = ring_t[i]
-                value = self._ring_v[i]
-                ring_t[i] = None
-                if value is not None:
-                    self._ring_v[i] = None
-                self._ring_head = head + 1
-                time = now
-            elif heap:
-                entry = heap[0]
-                time = entry[0]
-                if until is not None and time > until:
-                    self.now = until
-                    return
-                pop(heap)
-                target = entry[2]
-                value = entry[3]
-                now = self.now = time
-            else:
-                return
-            if hook is not None:
-                hook(time, target)
-            if target.__class__ is Process:
-                if not target.alive:
-                    continue
-                target._scheduled = False
-                target._blocked_on = None
-                try:
-                    item = target._send(value)
-                except StopIteration as stop:
-                    target.alive = False
-                    target.result = stop.value
-                    self._live -= 1
-                    target.terminated.trigger(stop.value)
-                    continue
-                except ProcessKilledError:
-                    target.alive = False
-                    self._live -= 1
-                    target.terminated.trigger(None)
-                    continue
-                cls = item.__class__
-                if cls is float or cls is int:
-                    if item > 0:
-                        seq = self._seq = self._seq + 1
-                        target._scheduled = True
-                        push(heap, (time + item, seq, target, None))
-                    elif item == 0:
-                        seq = self._seq = self._seq + 1
-                        target._scheduled = True
-                        self._ring_append(target, None, seq)
-                    else:
-                        raise SimTimeError(
-                            f"process {target.name!r} yielded negative "
-                            f"delay {float(item)}")
-                elif item is None:
-                    seq = self._seq = self._seq + 1
-                    target._scheduled = True
-                    self._ring_append(target, None, seq)
-                elif isinstance(item, Event):
-                    if item.triggered:
-                        self._schedule(time, target, item.value)
-                    else:
-                        item._waiters.append(target)
-                        target._blocked_on = item
-                else:
-                    try:
-                        delay = float(item)
-                    except (TypeError, ValueError):
-                        raise SimulationError(
-                            f"process {target.name!r} yielded unsupported "
-                            f"value {item!r}") from None
-                    if delay < 0:
-                        raise SimTimeError(
-                            f"process {target.name!r} yielded negative "
-                            f"delay {delay}")
-                    seq = self._seq = self._seq + 1
-                    target._scheduled = True
-                    push(heap, (time + delay, seq, target, None))
-            else:
-                target(value)
-
-    def _dispatch_general(self, until: Optional[float],
-                          max_events: int) -> None:
-        """Traced / bounded dispatch: seed instrumentation, ring order."""
-        heap = self._heap
-        pop = heapq.heappop
-        hook = self.trace_hook
-        tracer = self.tracer
-        now = self.now
-        if until is not None and until < now:
-            if heap:
-                self.now = until
-            return
-        executed = 0
-        while executed != max_events:
-            if heap and heap[0][0] == now:
-                entry = pop(heap)
-                target = entry[2]
-                value = entry[3]
-                time = now
-            elif self._ring_head != self._ring_tail:
-                head = self._ring_head
-                i = head & self._ring_mask
-                target = self._ring_t[i]
-                value = self._ring_v[i]
-                self._ring_t[i] = None
-                if value is not None:
-                    self._ring_v[i] = None
-                self._ring_head = head + 1
-                time = now
-            elif heap:
-                entry = heap[0]
-                time = entry[0]
-                if until is not None and time > until:
-                    self.now = until
-                    return
-                pop(heap)
-                target = entry[2]
-                value = entry[3]
-                now = self.now = time
-            else:
-                return
-            executed += 1
-            if hook is not None:
-                hook(time, target)
-            if target.__class__ is Process:
-                self.current_process = target.name
-                if tracer is not None:
-                    tracer.process_step(time, target.name)
-                if target.alive:
-                    target._step(value, tracer)
-            else:
-                name = getattr(target, "__name__", "callback")
-                self.current_process = name
-                if tracer is not None:
-                    tracer.process_step(time, name)
-                target(value)

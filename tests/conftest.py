@@ -16,13 +16,17 @@ from repro.core.config import (
     TopologyConfig,
 )
 from repro.pearl import Simulator
+from tests.reference_kernel import ReferenceSimulator
 
 
-@pytest.fixture(params=["seed", "fast"], ids=["seed-kernel", "fast-kernel"])
+# The ids predate the move of the seed dispatcher into tests/ and are
+# kept so test names stay stable.
+@pytest.fixture(params=[ReferenceSimulator, Simulator],
+                ids=["seed-kernel", "fast-kernel"])
 def sim(request) -> Simulator:
     """A simulator under each dispatcher — every kernel-level test runs
-    against both the seed reference and the fast ring dispatcher."""
-    return Simulator(kernel=request.param)
+    against both the reference oracle and the product ring dispatcher."""
+    return request.param()
 
 
 @pytest.fixture

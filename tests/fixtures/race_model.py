@@ -28,9 +28,13 @@ __all__ = ["benign_factory", "deadlock_factory", "race_factory",
            "wide_race_factory"]
 
 
-def race_factory():
-    """Two contenders; the summary records who acquired first."""
-    sim = Simulator()
+def race_factory(sim_cls=Simulator):
+    """Two contenders; the summary records who acquired first.
+
+    ``sim_cls`` lets the certificate golden be explored on the test
+    oracle (``functools.partial(race_factory, ReferenceSimulator)``).
+    """
+    sim = sim_cls()
     result: dict[str, str] = {}
     res = Resource(sim, 1, name="lock")
 

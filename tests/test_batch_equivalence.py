@@ -136,24 +136,16 @@ def test_extraction_identical_exceptions(ops):
           suppress_health_check=[HealthCheck.too_slow])
 @given(ops=_mixed_trace)
 def test_eligible_model_dispatch(ops):
-    """The public extract_tasks under REPRO_KERNEL=fast equals scalar."""
-    import os
-
+    """The public extract_tasks equals itself under reference_stack(),
+    where no model is eligible and the scalar loop runs."""
     from repro.compmodel.tasks import extract_tasks
+    from tests.reference_kernel import reference_stack
 
-    saved = os.environ.get("REPRO_KERNEL")
-    try:
-        os.environ["REPRO_KERNEL"] = "fast"
-        fast = _run_extraction(
-            lambda m, o, s: extract_tasks(m, o, s), ops, list)
-        os.environ["REPRO_KERNEL"] = "seed"
+    fast = _run_extraction(
+        lambda m, o, s: extract_tasks(m, o, s), ops, list)
+    with reference_stack():
         seed = _run_extraction(
             lambda m, o, s: extract_tasks(m, o, s), ops, list)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_KERNEL", None)
-        else:
-            os.environ["REPRO_KERNEL"] = saved
     assert fast == seed
 
 

@@ -31,6 +31,7 @@ from repro.core.workbench import Workbench
 from repro.operations.ops import arecv, asend, compute, recv, send
 from repro.operations.trace import Trace, TraceSet
 from repro.pearl import Simulator
+from tests.reference_kernel import KERNELS
 
 APPS = ("pingpong", "alltoall", "pipeline")
 
@@ -103,12 +104,12 @@ class TestBoundOracle:
     """bound <= simulated, with exact ties where contention is absent."""
 
     @pytest.mark.parametrize("app", APPS)
-    @pytest.mark.parametrize("kernel", ["seed", "fast"])
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_bound_below_simulated(self, app, kernel):
         machine = build_machine("t805-grid-2x2")
         traces = _app_traces(app, machine.n_nodes)
         bound = compute_bounds(machine, traces)
-        model = MultiNodeModel(machine, sim=Simulator(kernel=kernel))
+        model = MultiNodeModel(machine, sim=KERNELS[kernel]())
         result = model.run(list(traces))
         assert bound.cycle_lower_bound <= result.total_cycles * (1 + 1e-9)
         assert not cross_check(bound, result.total_cycles,
@@ -134,14 +135,14 @@ class TestBoundOracle:
             total = MultiNodeModel(machine).run(list(traces)).total_cycles
             assert bound.cycle_lower_bound <= total * (1 + 1e-9), preset
 
-    @pytest.mark.parametrize("kernel", ["seed", "fast"])
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_static_link_bytes_match_simulation(self, kernel):
         """Deterministic routing: static per-link wire bytes equal the
         engine's Link.bytes_moved accounting exactly."""
         machine = build_machine("t805-grid-2x2")
         traces = _app_traces("alltoall", machine.n_nodes)
         bound = compute_bounds(machine, traces)
-        model = MultiNodeModel(machine, sim=Simulator(kernel=kernel))
+        model = MultiNodeModel(machine, sim=KERNELS[kernel]())
         model.run(list(traces))
         simulated = {key: link.bytes_moved
                      for key, link in model.engine.links.items()

@@ -23,11 +23,9 @@ from repro.cli import build_machine
 from repro.commmodel.network import MultiNodeModel
 from repro.operations.ops import compute, recv, send
 from repro.operations.trace import Trace, TraceSet
-from repro.pearl import Simulator
 from repro.tracegen import WORKLOAD_CLASSES, StochasticGenerator
 from repro.tracegen.descriptions import StochasticAppDescription
-
-KERNELS = ("seed", "fast")
+from tests.reference_kernel import KERNELS
 
 workload_names = st.sampled_from((None,) + tuple(sorted(WORKLOAD_CLASSES)))
 
@@ -48,7 +46,7 @@ def test_bound_never_exceeds_simulated(kernel, workload, rounds, seed):
     machine = build_machine("t805-grid-2x2")
     traces = _stochastic_traces(workload, rounds, seed, machine.n_nodes)
     bound = compute_bounds(machine, traces)
-    model = MultiNodeModel(machine, sim=Simulator(kernel=kernel))
+    model = MultiNodeModel(machine, sim=KERNELS[kernel]())
     result = model.run(list(traces))
     assert bound.cycle_lower_bound <= result.total_cycles * (1 + 1e-9)
     simulated = {key: link.bytes_moved
@@ -80,6 +78,6 @@ def test_exact_tie_on_contention_free_pingpong(kernel, size, work, seed):
     ]
     traces = TraceSet([Trace(i, ops) for i, ops in enumerate(lists)])
     bound = compute_bounds(machine, traces)
-    model = MultiNodeModel(machine, sim=Simulator(kernel=kernel))
+    model = MultiNodeModel(machine, sim=KERNELS[kernel]())
     total = model.run(list(traces)).total_cycles
     assert math.isclose(bound.cycle_lower_bound, total, rel_tol=1e-9)

@@ -27,6 +27,7 @@ import pytest
 from repro import Workbench, generic_multicomputer, t805_grid
 from repro.parallel.pool import _mp_context
 from repro.tracegen import StochasticAppDescription, StochasticGenerator
+from tests.reference_kernel import reference_stack
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -97,6 +98,17 @@ def compute_workload(name: str) -> dict:
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_golden_snapshot(name):
     check_golden(name, compute_workload(name))
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_golden_snapshot_on_reference_stack(name):
+    """The specification (heap-only kernel, scalar cost loop) produces
+    the same committed values as the product."""
+    with reference_stack() as built:
+        check_golden(name, compute_workload(name))
+    # The single-node workload has no event kernel under it; there the
+    # specification is the scalar cost loop alone.
+    assert built or name == "single_node_generic"
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ higher drop probability ⇒ never fewer retransmissions).
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -35,6 +34,7 @@ from repro.machines.presets import generic_multicomputer
 from repro.parallel.pool import _mp_context
 from repro.pearl import Simulator
 from repro.topology import mesh
+from tests.reference_kernel import KERNELS, kernel_stack
 
 
 # ---------------------------------------------------------------------------
@@ -497,12 +497,11 @@ class TestMetamorphic:
         rungs = [base.scaled(f) for f in ladder]
         assert rungs[-1].link_faults[0].drop_prob == 1.0
         assert rungs[-1].link_faults[0].corrupt_prob == 0.0
-        saved = os.environ.get("REPRO_KERNEL")
         rows = []
-        try:
-            os.environ["REPRO_KERNEL"] = kernel
+        with kernel_stack(kernel):
             for rung in rungs:
-                _model, result = run_pingpong(as_fault_plan(rung))
+                model, result = run_pingpong(as_fault_plan(rung))
+                assert type(model.sim) is KERNELS[kernel]
                 summary = result.fault_summary or {}
                 transport = summary.get("transport", {})
                 rows.append({
@@ -512,11 +511,6 @@ class TestMetamorphic:
                         "delivered", result.messages_delivered),
                     "failed": result.delivery_failures,
                 })
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_KERNEL", None)
-            else:
-                os.environ["REPRO_KERNEL"] = saved
         for lo, hi in zip(rows, rows[1:]):
             assert hi["dropped"] >= lo["dropped"]
             assert hi["retransmissions"] >= lo["retransmissions"]

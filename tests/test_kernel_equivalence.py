@@ -1,14 +1,18 @@
-"""Cross-dispatcher equivalence: the fast kernel vs the seed kernel.
+"""Kernel equivalence: the product dispatcher vs the reference oracle.
 
-``REPRO_KERNEL=fast`` selects the ring-dispatch :class:`FastSimulator`
-and the batched computational-model loop; this file is the PR-6 safety
-net proving both dispatchers produce *identical* observables — event
-order, timestamps, ``events_executed``, channel/resource accounting,
-monitor snapshots and sweep rows — on golden scenarios and on
-hypothesis-generated random process/channel/resource workloads.
+:class:`repro.pearl.Simulator` (ready ring, inlined bulk loop) and the
+batched computational-model loop are held to the specification in
+``tests/reference_kernel.py``: both must produce *identical*
+observables — event order, timestamps, ``events_executed``,
+channel/resource accounting, monitor snapshots and sweep rows — on
+golden scenarios and on hypothesis-generated random
+process/channel/resource workloads.
 """
 
 from __future__ import annotations
+
+import pathlib
+import re
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -16,12 +20,14 @@ from hypothesis import strategies as st
 from repro.pearl import (
     Channel,
     Resource,
-    Simulator,
     TallyMonitor,
     TimeWeightedMonitor,
 )
-
-KERNELS = ("seed", "fast")
+from tests.reference_kernel import (
+    CONSTRUCTION_SITES,
+    KERNELS,
+    reference_stack,
+)
 
 
 def run_under(kernel: str, scenario) -> tuple:
@@ -30,7 +36,7 @@ def run_under(kernel: str, scenario) -> tuple:
     ``scenario(sim)`` returns a zero-argument observables callable that
     is invoked after the run completes.
     """
-    sim = Simulator(kernel=kernel)
+    sim = KERNELS[kernel]()
     observe = scenario(sim)
     end = sim.run()
     return observe(), end, sim.now, sim.events_executed
@@ -205,13 +211,27 @@ def _sweep_rows() -> list:
     return ParallelSweepRunner(workers=1).run(runner, points)
 
 
-def test_sweep_rows_identical_across_kernels(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", "seed")
-    seed_rows = _sweep_rows()
-    monkeypatch.setenv("REPRO_KERNEL", "fast")
+def test_sweep_rows_identical_across_kernels():
+    with reference_stack() as built:
+        seed_rows = _sweep_rows()
+    assert len(built) == len(seed_rows)     # one oracle per variant
     fast_rows = _sweep_rows()
     assert seed_rows == fast_rows
     assert all("error" not in row for row in seed_rows)
+
+
+def test_reference_stack_covers_every_construction_site():
+    """``reference_stack`` swaps the kernel by patching the modules that
+    build one; a new ``Simulator(`` call under ``src/`` must be added to
+    ``CONSTRUCTION_SITES`` or it would stay on the product silently."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    found = {
+        ".".join(path.relative_to(src).with_suffix("").parts)
+        for path in src.rglob("*.py")
+        if re.search(r"(?<!\w)Simulator\(", path.read_text())
+        and path.name != "kernel.py"          # the class statement itself
+    }
+    assert found == set(CONSTRUCTION_SITES)
 
 
 # -- hypothesis-generated workloads -------------------------------------

@@ -298,6 +298,37 @@ class TestResultCache:
         cache.put(key, {"cycles": 123.5})
         assert cache.get(key) == {"cycles": 123.5}
 
+    @pytest.mark.parametrize("failing", ["write_text", "replace"])
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch,
+                                              failing):
+        """Regression: a full disk under ``write_text``/``os.replace``
+        left ``<name>.tmp.<pid>.<tid>`` behind for good."""
+        import os
+        from pathlib import Path
+
+        from repro.parallel.cache import atomic_write_text
+
+        target = tmp_path / "row.json"
+        atomic_write_text(target, "old")
+
+        def no_space(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        if failing == "write_text":
+            real_write = Path.write_text
+
+            def partial_then_fail(self, text):
+                real_write(self, text[:1])      # the temp file exists
+                no_space()
+            monkeypatch.setattr(Path, "write_text", partial_then_fail)
+        else:
+            monkeypatch.setattr(os, "replace", no_space)
+        with pytest.raises(OSError, match="No space left"):
+            atomic_write_text(target, "new")
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["row.json"]
+        assert target.read_text() == "old"
+
 
 class TestCacheKeys:
     def test_key_is_stable_across_equal_configs(self):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.pearl import (DeadlockError, ProcessKilledError, SimTimeError,
                          SimulationError, Simulator)
+from tests.reference_kernel import KERNELS
 
 
 class TestHold:
@@ -359,6 +360,19 @@ class TestRun:
         sim.run(until=10.0)
         assert hits == [10.0]
 
+    def test_until_in_the_past_rejected(self, sim):
+        """Regression: ``run(until=3)`` after ``run(until=7)`` with an
+        event pending set ``now`` back to 3."""
+        def proc():
+            yield 10.0
+        sim.process(proc())
+        assert sim.run(until=7.0) == 7.0
+        with pytest.raises(SimTimeError, match="before the current time"):
+            sim.run(until=3.0)
+        assert sim.now == 7.0 and sim.pending_events == 1
+        assert sim.run(until=7.0) == 7.0        # the present is allowed
+        assert sim.run() == 10.0
+
     def test_deadlock_detection(self, sim):
         def proc():
             yield sim.event("never")
@@ -532,14 +546,17 @@ class TestTraceHook:
 
 
 class TestDispatcherParity:
-    """Seed and fast kernels execute identical schedules (PR-6).
+    """The reference oracle ("seed") and the product dispatcher
+    ("fast") execute identical schedules.
 
     The ``sim`` fixture already runs every test in this file under both
     dispatchers; this class adds the *cross*-kernel assertions for the
-    scenarios that construct their own Simulator.
+    scenarios that construct their own simulator.
     """
 
-    KERNELS = ("seed", "fast")
+    def test_oracle_shares_no_dispatch_code_with_the_product(self):
+        assert not issubclass(KERNELS["seed"], Simulator)
+        assert KERNELS["fast"] is Simulator
 
     @staticmethod
     def _mixed_workload(sim, log):
@@ -561,7 +578,7 @@ class TestDispatcherParity:
 
     def test_identical_schedules_across_kernels(self):
         def run(kernel):
-            sim = Simulator(kernel=kernel)
+            sim = KERNELS[kernel]()
             log = []
             self._mixed_workload(sim, log)
             end = sim.run()
@@ -575,7 +592,7 @@ class TestDispatcherParity:
         from repro.observe import Tracer
 
         def trace(n_steps):
-            sim = Simulator(kernel=kernel)
+            sim = KERNELS[kernel]()
             tracer = Tracer()
             sim.attach_tracer(tracer)
             log = []
@@ -595,7 +612,7 @@ class TestDispatcherParity:
         from repro.observe import Tracer
 
         def records(kernel):
-            sim = Simulator(kernel=kernel)
+            sim = KERNELS[kernel]()
             tracer = Tracer()
             sim.attach_tracer(tracer)
             log = []
@@ -611,33 +628,14 @@ class TestDispatcherParity:
     def test_trace_hook_parity(self):
         def hook_times(kernel):
             times = []
-            sim = Simulator(kernel=kernel,
-                            trace_hook=lambda t, target: times.append(t))
+            sim = KERNELS[kernel](
+                trace_hook=lambda t, target: times.append(t))
             log = []
             self._mixed_workload(sim, log)
             sim.run()
             return times
 
         assert hook_times("seed") == hook_times("fast")
-
-    def test_env_selects_dispatcher(self, monkeypatch):
-        from repro.pearl import FastSimulator
-
-        monkeypatch.setenv("REPRO_KERNEL", "fast")
-        assert isinstance(Simulator(), FastSimulator)
-        monkeypatch.setenv("REPRO_KERNEL", "seed")
-        assert type(Simulator()) is Simulator
-        monkeypatch.setenv("REPRO_KERNEL", "bogus")
-        with pytest.raises(SimulationError, match="REPRO_KERNEL"):
-            Simulator()
-
-    def test_explicit_kernel_overrides_env(self, monkeypatch):
-        from repro.pearl import FastSimulator
-
-        monkeypatch.setenv("REPRO_KERNEL", "seed")
-        assert isinstance(Simulator(kernel="fast"), FastSimulator)
-        monkeypatch.setenv("REPRO_KERNEL", "fast")
-        assert type(Simulator(kernel="seed")) is Simulator
 
 
 class TestTimer:

@@ -25,6 +25,7 @@ from repro.verify import (
     run_schedule,
     summary_diff,
 )
+from tests import reference_kernel
 from tests.fixtures.race_model import (
     benign_factory,
     deadlock_factory,
@@ -33,12 +34,12 @@ from tests.fixtures.race_model import (
 )
 from tests.test_determinism import check_golden
 
-KERNELS = pytest.mark.parametrize("kernel", ["seed", "fast"])
+KERNELS = pytest.mark.parametrize("kernel", reference_kernel.KERNELS)
 
 
 def _log_model(kernel: str, hook=None) -> list[tuple[str, float]]:
     """Three same-time processes logging (name, now) at each step."""
-    sim = Simulator(kernel=kernel)
+    sim = reference_kernel.KERNELS[kernel]()
     log: list[tuple[str, float]] = []
 
     def proc(tag: str):
@@ -247,9 +248,17 @@ class TestPartialOrderReduction:
 
 class TestCertificate:
     @KERNELS
-    def test_certificate_pinned_across_kernels(self, kernel, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", kernel)
-        result = ScheduleExplorer(budget=16).explore(race_factory)
+    def test_certificate_pinned_across_kernels(self, kernel):
+        sim_cls = reference_kernel.KERNELS[kernel]
+        explored = []
+
+        def factory():
+            sim, run = race_factory(sim_cls)
+            explored.append(type(sim))
+            return sim, run
+
+        result = ScheduleExplorer(budget=16).explore(factory)
+        assert explored and set(explored) == {sim_cls}
         check_golden("verify_race_certificate", {
             "certificate": result.certificate,
             "baseline_fingerprint": result.baseline_fingerprint,
