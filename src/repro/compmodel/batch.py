@@ -2,154 +2,72 @@
 
 The hybrid model spends almost all of its host time charging
 computational operations between two communication operations (the
-paper's "computational task" boundary).  The seed path walks
+paper's "computational task" boundary).  The scalar loop
+(:func:`~repro.compmodel.tasks._extract_tasks_scalar`) walks
 ``CPU.op_cycles`` per operation: a dispatch chain, two enum
-constructions and five statistics updates per op.  This module charges
-whole inter-communication stretches at once:
+constructions and five statistics updates per op.
+:func:`extract_tasks_fast` is the one batched loop that charges whole
+inter-communication stretches at once; ``SingleNodeModel.run_trace`` is
+the same loop with no boundaries.
 
-* **chunked trace pulls** — materialized traces and
-  :class:`~repro.tracegen.threads.InterleavedStream` sources are
+* **chunked trace pulls** — materialized traces and sources that offer
+  ``chunks()`` (:class:`~repro.tracegen.threads.InterleavedStream`) are
   consumed a whole buffered stretch at a time (the stream's thread is
   suspended, so the operations already exist; bulk draining cannot run
   generation ahead of a global event), replacing one Python iterator
   call per operation with a plain list walk;
 * **table-driven fixed costs** — every operation whose cost does not
   touch the memory hierarchy (``loadc``/``add``/``sub``/``mul``/
-  ``div``/``branch``/``call``/``ret``) is priced from one numpy
-  ``(code, dtype)`` cost table built per CPU config
-  (:func:`fixed_cost_table`); the streaming loop indexes the same
-  table row-wise, and :func:`batched_fixed_cycles` evaluates a whole
-  stretch as a vectorized gather + ``cumsum``;
+  ``div``/``branch``/``call``/``ret``) is priced from the CPU's own
+  ``fixed_rows``, the table ``CPU.op_cycles`` reads too;
 * **an inlined L1 lane** — the overwhelmingly common L1 hit
   (read, or write on a write-back cache, within one line) is served
   with the line state dict alone: same probe, same LRU touch, same
   state upgrade, same counters as ``Cache.lookup``, without the
   call chain.  Consecutive instruction fetches from one line skip even
   the probe (the line is resident and already most-recently-used, so
-  the seed path's LRU touch would be a no-op).  Everything else
+  the scalar loop's LRU touch would be a no-op).  Everything else
   (misses, write-through stores, line-spanning accesses) falls back to
   the untouched
   :meth:`~repro.compmodel.hierarchy.CacheHierarchy.access_cycles`;
 * **batch-flushed statistics** — per-op counters accumulate in locals
   and flush at every task boundary (the only points where control can
   leave the loop), so every kernel-visible snapshot is identical to
-  the seed path's.
+  the scalar loop's.
 
 Exactness, not approximation: cost values are the *same* Python floats
-the seed tables hold, accumulated in the *same* order (``numpy.cumsum``
-is sequential, so even the vectorized total is bit-identical to the
-scalar chain — pinned by the batch property tests), and cache state
-transitions happen in the same relative order.  The PR-1 determinism
-goldens therefore hold byte for byte under this path.
+the scalar loop charges, accumulated one by one in the *same* order
+(costs are never batch-summed), and cache state transitions happen in
+the same relative order — pinned by ``tests/test_batch_equivalence.py``.
+The PR-1 determinism goldens therefore hold byte for byte under this
+path.  An operation the rows cannot price (an invalid dtype) is handed
+to ``CPU.op_cycles`` for the identical exception.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-import numpy as np
-
-from ..core.config import CPUConfig
 from ..operations.ops import OpCode, Operation, compute
 from ..operations.optypes import MEM_TYPE_BYTES, MemType
 from ..operations.trace import Trace
 from .cache import Cache, LineState
-from .cpu import CPU
+from .cpu import CPU, N_DTYPES
 from .hierarchy import CacheHierarchy
-from .node import NodeResult, SingleNodeModel
+from .node import SingleNodeModel
 
-__all__ = [
-    "batched_fixed_cycles",
-    "extract_tasks_fast",
-    "fast_eligible",
-    "fixed_cost_table",
-    "run_trace_fast",
-]
+__all__ = ["extract_tasks_fast", "fast_eligible"]
 
 _LOAD = int(OpCode.LOAD)
 _STORE = int(OpCode.STORE)
 _IFETCH = int(OpCode.IFETCH)
 _N_CODES = 16
-_N_DTYPES = 8          # dtype is a small raw int; valid MemTypes are < 6
 
-#: datum size per raw ``dtype`` int (None = invalid, seed path raises).
+#: datum size per raw ``dtype`` int (None = invalid, ``op_cycles`` raises).
 _BYTES_BY_DTYPE = [
     MEM_TYPE_BYTES[MemType(d)] if d < len(MemType) else None
-    for d in range(_N_DTYPES)
+    for d in range(N_DTYPES)
 ]
-
-#: fixed-cost op codes (no memory-hierarchy interaction).
-_FIXED_CODES = (OpCode.LOADC, OpCode.ADD, OpCode.SUB, OpCode.MUL,
-                OpCode.DIV, OpCode.BRANCH, OpCode.CALL, OpCode.RET)
-
-
-def fixed_cost_table(cfg: CPUConfig) -> np.ndarray:
-    """The ``(16, 8)`` float64 cost table of one CPU config.
-
-    ``table[code, dtype]`` is the cycle cost of a fixed-cost operation;
-    cells that the seed path would reject (memory/communication codes,
-    arithmetic dtypes outside the config table) hold NaN so a batched
-    evaluation can detect them and divert to the seed path for the
-    identical exception.
-    """
-    cfg.validate()
-    table = np.full((_N_CODES, _N_DTYPES), np.nan, dtype=np.float64)
-    table[int(OpCode.LOADC), :] = cfg.loadc_cycles
-    table[int(OpCode.BRANCH), :] = cfg.branch_cycles
-    table[int(OpCode.CALL), :] = cfg.call_cycles
-    table[int(OpCode.RET), :] = cfg.ret_cycles
-    for code, costs in ((OpCode.ADD, cfg.add_cycles),
-                        (OpCode.SUB, cfg.sub_cycles),
-                        (OpCode.MUL, cfg.mul_cycles),
-                        (OpCode.DIV, cfg.div_cycles)):
-        for at, v in costs.items():
-            table[int(code), int(at)] = v
-    return table
-
-
-def _fixed_rows(cfg: CPUConfig) -> dict:
-    """Fixed-cost rows keyed by int op code (row cells: float or None).
-
-    A dict so that ``rows.get(code)`` answers None for any code outside
-    the fixed-cost set — including negative or non-OpCode ints, which a
-    Python list would silently index-wrap — exactly like the seed
-    path's frozenset membership tests.
-    """
-    table = fixed_cost_table(cfg)
-    rows: dict = {}
-    for code in _FIXED_CODES:
-        row = table[int(code)]
-        rows[int(code)] = [None if np.isnan(v) else float(v) for v in row]
-    return rows
-
-
-def batched_fixed_cycles(cfg: CPUConfig, ops: Iterable[Operation],
-                         start: float = 0.0) -> float:
-    """Vectorized cycle total of a pure fixed-cost stretch.
-
-    Gathers every cost from :func:`fixed_cost_table` at once and chains
-    them with ``numpy.cumsum`` starting from ``start`` — *bit-identical*
-    to ``acc = start; for op: acc += cost`` because cumsum accumulates
-    sequentially.  Raises ``ValueError`` for any op the table cannot
-    price (memory, communication, or invalid-dtype operations).
-    """
-    ops = list(ops)
-    if not ops:
-        return start
-    table = fixed_cost_table(cfg)
-    codes = np.fromiter((op.code for op in ops), dtype=np.intp,
-                        count=len(ops))
-    dtypes = np.fromiter((op.dtype for op in ops), dtype=np.intp,
-                         count=len(ops))
-    if ((codes < 0).any() or (codes >= _N_CODES).any()
-            or (dtypes < 0).any() or (dtypes >= _N_DTYPES).any()):
-        raise ValueError("operation outside the fixed-cost table")
-    costs = table[codes, dtypes]
-    if np.isnan(costs).any():
-        bad = ops[int(np.isnan(costs).argmax())]
-        raise ValueError(f"operation {bad!r} is not priced by the "
-                         f"fixed-cost table of {cfg.name!r}")
-    return float(np.concatenate(([start], costs)).cumsum()[-1])
 
 
 def fast_eligible(node_model) -> bool:
@@ -157,7 +75,7 @@ def fast_eligible(node_model) -> bool:
     template the batched lane mirrors instruction-for-instruction.
 
     Subclassed CPUs, coherent (contended) hierarchies and subclassed
-    caches take the seed path — correctness over speed for anything the
+    caches take the scalar loop — correctness over speed for anything the
     lane was not proven against.
     """
     return (type(node_model) is SingleNodeModel
@@ -180,20 +98,19 @@ def _lane(path: list):
 def _chunk_iter(ops: Iterable[Operation]):
     """``ops`` as an iterable of sequences to walk with a plain loop.
 
-    Materialized sources become one big chunk; interleaved streams are
-    bulk-drained stretch by stretch; anything else stays a single lazy
-    "chunk" (the inner per-op loop then pulls exactly like the seed
-    path — important for execution-driven sources we cannot detect).
+    Materialized sources become one big chunk; a source that offers
+    ``chunks()`` (interleaved streams) is bulk-drained stretch by
+    stretch; anything else stays a single lazy "chunk" (the inner
+    per-op loop then pulls exactly like the scalar loop — important for
+    execution-driven sources we cannot detect).
     """
     t = type(ops)
     if t is list or t is tuple:
         return (ops,)
     if t is Trace:
         return (ops._ops,)
-    if getattr(t, "__name__", "") == "InterleavedStream" and \
-            hasattr(ops, "chunks"):
-        return ops.chunks()
-    return (ops,)
+    chunks = getattr(ops, "chunks", None)
+    return (ops,) if chunks is None else chunks()
 
 
 def extract_tasks_fast(node_model: SingleNodeModel,
@@ -213,7 +130,7 @@ def extract_tasks_fast(node_model: SingleNodeModel,
     cstats = cpu.stats
     cfg = cpu.cfg
     hier = cpu.memsys
-    rows = _fixed_rows(cfg)
+    rows = cpu.fixed_rows
     load_issue = cfg.load_issue_cycles
     store_issue = cfg.store_issue_cycles
     access = hier.access_cycles
@@ -257,7 +174,6 @@ def extract_tasks_fast(node_model: SingleNodeModel,
 
     def flush() -> None:
         nonlocal n_if, n_mem, i_hits, d_rhits, d_whits
-        cstats.cycles = cyc
         n = n_if
         if n_if:
             op_counts[7] += n_if
@@ -273,6 +189,10 @@ def extract_tasks_fast(node_model: SingleNodeModel,
             cstats.memory_accesses += n_mem
             n_mem = 0
         if n:
+            # Only with something charged: an extractor abandoned at a
+            # boundary and collected later must not write a stale
+            # cycle count back into a model that has moved on.
+            cstats.cycles = cyc
             cstats.instructions += n
             stats.computational_ops += n
         if i_hits:
@@ -319,11 +239,11 @@ def extract_tasks_fast(node_model: SingleNodeModel,
                 row = rows.get(code)
                 if row is not None:
                     d = op.dtype
-                    cost = row[d] if 0 <= d < _N_DTYPES else None
+                    cost = row[d] if 0 <= d < N_DTYPES else None
                     if cost is None:
-                        # Invalid dtype: divert to the seed path for
+                        # Invalid dtype: divert to CPU.op_cycles for
                         # the identical exception (and identical stats
-                        # if it returns — fixed-cost ops ignore dtype).
+                        # if it returns — loadc/control ignore dtype).
                         flush()
                         cost = cpu.op_cycles(op)
                         cyc = cstats.cycles
@@ -336,10 +256,10 @@ def extract_tasks_fast(node_model: SingleNodeModel,
                     continue
                 if code == _LOAD or code == _STORE:
                     d = op.dtype
-                    nb = _BYTES_BY_DTYPE[d] if 0 <= d < _N_DTYPES else None
+                    nb = _BYTES_BY_DTYPE[d] if 0 <= d < N_DTYPES else None
                     if nb is None:
                         flush()
-                        cost = cpu.op_cycles(op)  # raises like the seed
+                        cost = cpu.op_cycles(op)  # raises, like the scalar
                         cyc = cstats.cycles
                         stats.computational_ops += 1
                         acc += cost
@@ -394,170 +314,3 @@ def extract_tasks_fast(node_model: SingleNodeModel,
         stats.tasks_emitted += 1
         stats.total_task_cycles += acc
         yield compute(acc)
-
-
-def run_trace_fast(model: SingleNodeModel,
-                   ops: Iterable[Operation]) -> NodeResult:
-    """Batched twin of :meth:`SingleNodeModel.run_trace` (same loop
-    structure as :func:`extract_tasks_fast` without task extraction)."""
-    cpu = model.cpu
-    cstats = cpu.stats
-    cfg = cpu.cfg
-    hier = cpu.memsys
-    rows = _fixed_rows(cfg)
-    load_issue = cfg.load_issue_cycles
-    store_issue = cfg.store_issue_cycles
-    access = hier.access_cycles
-    op_counts = cstats.op_counts
-    modified = LineState.MODIFIED
-
-    dl = _lane(hier.data_path)
-    il = _lane(hier.instr_path)
-    unified = (dl is not None and il is not None
-               and hier.instr_path[0] is hier.data_path[0])
-    if il is not None:
-        isets, imask, ishift, ihit, ilru, _, iline, istats = il
-    else:
-        isets = istats = None
-        imask = ishift = iline = 0
-        ihit = 0.0
-        ilru = False
-    if dl is not None:
-        dsets, dmask, dshift, dhit, dlru, dwb, dline, dstats = dl
-        load_hit = load_issue + dhit
-        store_hit = store_issue + dhit
-    else:
-        dsets = dstats = None
-        dmask = dshift = dline = 0
-        load_hit = store_hit = 0.0
-        dlru = dwb = False
-
-    start_cycles = cstats.cycles
-    start_instr = cstats.instructions
-    cyc = start_cycles
-    counts = [0] * _N_CODES
-    n_if = 0
-    n_mem = 0
-    i_hits = 0
-    d_rhits = 0
-    d_whits = 0
-    memo_lo, memo_hi = 1, 0
-
-    def flush() -> None:
-        nonlocal n_if, n_mem, i_hits, d_rhits, d_whits
-        cstats.cycles = cyc
-        n = n_if
-        if n_if:
-            op_counts[7] += n_if
-            cstats.ifetches += n_if
-            n_if = 0
-        for i in range(_N_CODES):
-            c = counts[i]
-            if c:
-                op_counts[i] += c
-                counts[i] = 0
-                n += c
-        if n_mem:
-            cstats.memory_accesses += n_mem
-            n_mem = 0
-        if n:
-            cstats.instructions += n
-        if i_hits:
-            istats.read_hits += i_hits
-            i_hits = 0
-        if d_rhits:
-            dstats.read_hits += d_rhits
-            d_rhits = 0
-        if d_whits:
-            dstats.write_hits += d_whits
-            d_whits = 0
-
-    try:
-        for chunk in _chunk_iter(ops):
-            for op in chunk:
-                code = op.code
-                if code == _IFETCH:
-                    n_if += 1
-                    addr = op.arg
-                    if memo_lo <= addr <= memo_hi:
-                        i_hits += 1
-                        cyc += ihit
-                        continue
-                    if isets is not None:
-                        line = (addr >> ishift) << ishift
-                        if addr - line + 4 <= iline:
-                            cset = isets[(line >> ishift) & imask]
-                            state = cset.get(line)
-                            if state is not None and state:
-                                if ilru:
-                                    cset.move_to_end(line)
-                                i_hits += 1
-                                memo_lo = line
-                                memo_hi = line + iline - 4
-                                cyc += ihit
-                                continue
-                    memo_lo, memo_hi = 1, 0
-                    cyc += access(2, addr, 4)
-                    continue
-                row = rows.get(code)
-                if row is not None:
-                    d = op.dtype
-                    cost = row[d] if 0 <= d < _N_DTYPES else None
-                    if cost is None:
-                        flush()
-                        cpu.op_cycles(op)         # raises like the seed
-                        cyc = cstats.cycles
-                        continue
-                    counts[code] += 1
-                    cyc += cost
-                    continue
-                if code == _LOAD or code == _STORE:
-                    d = op.dtype
-                    nb = _BYTES_BY_DTYPE[d] if 0 <= d < _N_DTYPES else None
-                    if nb is None:
-                        flush()
-                        cpu.op_cycles(op)
-                        cyc = cstats.cycles
-                        continue
-                    counts[code] += 1
-                    n_mem += 1
-                    if unified:
-                        memo_lo, memo_hi = 1, 0
-                    if dsets is not None:
-                        addr = op.arg
-                        line = (addr >> dshift) << dshift
-                        if addr - line + nb <= dline:
-                            cset = dsets[(line >> dshift) & dmask]
-                            state = cset.get(line)
-                            if state is not None and state:
-                                if code == _LOAD:
-                                    if dlru:
-                                        cset.move_to_end(line)
-                                    d_rhits += 1
-                                    cyc += load_hit
-                                    continue
-                                if dwb:
-                                    if dlru:
-                                        cset.move_to_end(line)
-                                    cset[line] = modified
-                                    d_whits += 1
-                                    cyc += store_hit
-                                    continue
-                    if code == _LOAD:
-                        cyc += load_issue + access(0, op.arg, nb)
-                    else:
-                        cyc += store_issue + access(1, op.arg, nb)
-                    continue
-                raise ValueError(
-                    f"node {model.node_id}: communication operation "
-                    f"{op!r} in a computational trace; use "
-                    "extract_tasks() for mixed traces")
-    finally:
-        flush()
-    return NodeResult(
-        cycles=cstats.cycles - start_cycles,
-        instructions=cstats.instructions - start_instr,
-        cpu_summary=cstats.summary(),
-        memory_summary=model.hierarchy.summary(),
-        clock_hz=model.cfg.cpu.clock_hz,
-    )

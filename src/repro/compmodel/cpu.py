@@ -22,6 +22,10 @@ from .hierarchy import AccessKind, CacheHierarchy
 
 __all__ = ["CPU", "CPUStats"]
 
+#: raw ``dtype`` ints a fixed-cost row prices by index (valid MemTypes
+#: and ArithTypes are < 6); cell ``N_DTYPES`` prices every other dtype.
+N_DTYPES = 8
+
 
 class CPUStats:
     """Executed-operation counters for one CPU."""
@@ -60,7 +64,7 @@ class CPU:
     by this model, but are directly forwarded", Section 3.2).
     """
 
-    __slots__ = ("cfg", "memsys", "cpu_id", "stats", "_arith")
+    __slots__ = ("cfg", "memsys", "cpu_id", "stats", "fixed_rows")
 
     def __init__(self, cfg: CPUConfig, memsys: Optional[CacheHierarchy],
                  cpu_id: int = 0) -> None:
@@ -69,13 +73,24 @@ class CPU:
         self.memsys = memsys
         self.cpu_id = cpu_id
         self.stats = CPUStats()
-        # Arithmetic cost tables indexed [opcode][arith_type].
-        self._arith = {
-            int(OpCode.ADD): cfg.add_cycles,
-            int(OpCode.SUB): cfg.sub_cycles,
-            int(OpCode.MUL): cfg.mul_cycles,
-            int(OpCode.DIV): cfg.div_cycles,
-        }
+        # The one cost table of every operation that never touches the
+        # memory hierarchy: ``fixed_rows[code][dtype]``, None where the
+        # config has no price.  loadc and control flow ignore their
+        # dtype; arithmetic prices exactly its ArithType table.  A dict,
+        # so ``.get(code)`` answers None for memory, communication and
+        # non-OpCode ints alike (a list would index-wrap negatives).
+        self.fixed_rows: dict[int, list] = {}
+        for code, cost in ((OpCode.LOADC, cfg.loadc_cycles),
+                           (OpCode.BRANCH, cfg.branch_cycles),
+                           (OpCode.CALL, cfg.call_cycles),
+                           (OpCode.RET, cfg.ret_cycles)):
+            self.fixed_rows[int(code)] = [cost] * (N_DTYPES + 1)
+        for code, table in ((OpCode.ADD, cfg.add_cycles),
+                            (OpCode.SUB, cfg.sub_cycles),
+                            (OpCode.MUL, cfg.mul_cycles),
+                            (OpCode.DIV, cfg.div_cycles)):
+            self.fixed_rows[int(code)] = [
+                table.get(d) for d in range(N_DTYPES)] + [None]
 
     def op_cycles(self, op: Operation) -> float:
         """Cycle cost of one computational operation (updates stats)."""
@@ -97,20 +112,16 @@ class CPU:
                                                  op.arg, 4)
             else:
                 cost = 1.0
-        elif code in self._arith:
-            cost = self._arith[code][op.dtype]
-        elif code == OpCode.LOADC:
-            cost = cfg.loadc_cycles
-        elif code == OpCode.BRANCH:
-            cost = cfg.branch_cycles
-        elif code == OpCode.CALL:
-            cost = cfg.call_cycles
-        elif code == OpCode.RET:
-            cost = cfg.ret_cycles
         else:
-            raise ValueError(
-                f"CPU cannot execute communication operation {op!r}; "
-                "forward it to the communication model")
+            row = self.fixed_rows.get(code)
+            if row is None:
+                raise ValueError(
+                    f"CPU cannot execute communication operation {op!r}; "
+                    "forward it to the communication model")
+            dtype = op.dtype
+            cost = row[dtype if 0 <= dtype < N_DTYPES else N_DTYPES]
+            if cost is None:
+                raise KeyError(dtype)
         stats.cycles += cost
         return cost
 

@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from ..core.config import NodeConfig
-from ..operations.ops import COMPUTATIONAL_OPS, Operation
+from ..operations.ops import Operation
 from .cpu import CPU
 from .hierarchy import CacheHierarchy
 
@@ -70,10 +70,7 @@ class SingleNodeModel:
         self.cfg = cfg
         self.node_id = node_id
         self._rng = rng if rng is not None else np.random.default_rng(node_id)
-        self.hierarchy = CacheHierarchy(
-            cfg.cache_levels, cfg.bus, cfg.memory, self._rng,
-            name=f"node{node_id}")
-        self.cpu = CPU(cfg.cpu, self.hierarchy, cpu_id=0)
+        self.reset()
 
     def reset(self) -> None:
         """Cold caches and zeroed statistics."""
@@ -87,27 +84,24 @@ class SingleNodeModel:
     def run_trace(self, ops: Iterable[Operation]) -> NodeResult:
         """Execute a purely computational trace; returns timing + stats.
 
-        Communication operations are rejected — split them out with
-        :func:`repro.compmodel.tasks.extract_tasks` first (that *is* the
-        hybrid model of Fig 2).
-
-        The plain node template runs the batched cost loop of
-        :mod:`repro.compmodel.batch`; results and statistics are
-        identical to the per-op loop below, which anything else takes.
+        This is task extraction with no boundaries: the trace is charged
+        by :func:`repro.compmodel.tasks.extract_tasks`, and the first
+        operation the extractor would forward — anything that is not
+        computational, a literal ``compute`` included — is rejected with
+        everything before it charged.  Mixed traces go through
+        ``extract_tasks`` itself (that *is* the hybrid model of Fig 2).
         """
-        from .batch import fast_eligible, run_trace_fast
-        if fast_eligible(self):
-            return run_trace_fast(self, ops)
+        from .tasks import TaskExtractionStats, extract_tasks
         cpu = self.cpu
         start_cycles = cpu.stats.cycles
         start_instr = cpu.stats.instructions
-        for op in ops:
-            if op.code not in COMPUTATIONAL_OPS:
+        stats = TaskExtractionStats()
+        for op in extract_tasks(self, ops, stats):
+            if stats.communication_ops:
                 raise ValueError(
                     f"node {self.node_id}: communication operation {op!r} in "
                     "a computational trace; use extract_tasks() for mixed "
                     "traces")
-            cpu.op_cycles(op)
         return NodeResult(
             cycles=cpu.stats.cycles - start_cycles,
             instructions=cpu.stats.instructions - start_instr,

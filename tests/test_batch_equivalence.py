@@ -5,25 +5,27 @@ per-op loop — same yielded stream, same floating-point cycle totals
 (sequential accumulation order preserved), same statistics, same
 exceptions.  Hypothesis drives random mixed traces (valid and invalid
 operations, all container types) and random cost tables (including
-zero-cost operations) through both implementations and requires exact
-equality, not approximate.
+zero-cost operations) through both loops — ``extract_tasks`` and
+``run_trace``, which is the extractor with no boundaries — and requires
+exact equality, not approximate.  The spy tests pin which loop ran.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import gc
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.compmodel.batch import (
-    batched_fixed_cycles,
-    extract_tasks_fast,
-    fast_eligible,
-    fixed_cost_table,
-)
+from repro.compmodel.batch import extract_tasks_fast, fast_eligible
+from repro.compmodel.cpu import CPU
 from repro.compmodel.node import SingleNodeModel
-from repro.compmodel.tasks import TaskExtractionStats, _extract_tasks_scalar
+from repro.compmodel.tasks import (
+    TaskExtractionStats,
+    _extract_tasks_scalar,
+    extract_tasks,
+)
 from repro.core.config import (
     BusConfig,
     CacheConfig,
@@ -32,8 +34,11 @@ from repro.core.config import (
     MemoryConfig,
     NodeConfig,
 )
-from repro.operations.ops import OpCode, Operation, recv, send
-from repro.operations.optypes import ArithType
+from repro.operations.ops import OpCode, Operation, add, load, recv, send
+from repro.operations.optypes import ArithType, MemType
+from repro.operations.trace import Trace
+from repro.tracegen import InterleavedStream, NodeThread
+from tests.reference_kernel import reference_stack
 
 
 def _node_cfg(cpu: CPUConfig | None = None) -> NodeConfig:
@@ -108,8 +113,16 @@ def _run_extraction(extractor, ops, wrap):
             model.hierarchy.summary())
 
 
-@pytest.mark.parametrize("wrap", [list, tuple, iter],
-                         ids=["list", "tuple", "generator"])
+def _as_trace(ops) -> Trace:
+    return Trace(0, ops)
+
+
+_containers = pytest.mark.parametrize(
+    "wrap", [list, tuple, iter, _as_trace],
+    ids=["list", "tuple", "generator", "trace"])
+
+
+@_containers
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(ops=_mixed_trace)
@@ -138,15 +151,161 @@ def test_extraction_identical_exceptions(ops):
 def test_eligible_model_dispatch(ops):
     """The public extract_tasks equals itself under reference_stack(),
     where no model is eligible and the scalar loop runs."""
-    from repro.compmodel.tasks import extract_tasks
-    from tests.reference_kernel import reference_stack
-
-    fast = _run_extraction(
-        lambda m, o, s: extract_tasks(m, o, s), ops, list)
+    fast = _run_extraction(extract_tasks, ops, list)
     with reference_stack():
-        seed = _run_extraction(
-            lambda m, o, s: extract_tasks(m, o, s), ops, list)
+        seed = _run_extraction(extract_tasks, ops, list)
     assert fast == seed
+
+
+# -- run_trace: the extractor with no boundaries ------------------------
+
+def _run_trace(ops, wrap):
+    """One ``run_trace`` call; every observable plus any exception."""
+    model = SingleNodeModel(_node_cfg())
+    result = error = None
+    try:
+        r = model.run_trace(wrap(ops))
+        result = (r.cycles, r.instructions, r.cpu_summary, r.memory_summary,
+                  r.clock_hz)
+    except (KeyError, ValueError) as exc:
+        error = (type(exc).__name__, str(exc))
+    return (result, error, _cpu_stats_tuple(model),
+            model.hierarchy.summary())
+
+
+@_containers
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ops=st.one_of(st.lists(_valid_op, max_size=60), _trace_with_invalid,
+                     _mixed_trace))
+def test_run_trace_identical_to_scalar_loop(ops, wrap):
+    """Valid traces return the same result; an invalid dtype or a
+    communication operation (a literal ``compute`` included) raises the
+    same exception with the same statistics charged before it."""
+    fast = _run_trace(ops, wrap)
+    with reference_stack():
+        seed = _run_trace(ops, wrap)
+    assert fast == seed
+    assert (fast[0] is None) != (fast[1] is None)
+
+
+# -- which loop ran ------------------------------------------------------
+
+@pytest.fixture
+def op_cycles_calls(monkeypatch):
+    """Every operation handed to ``CPU.op_cycles`` (the scalar price)."""
+    calls = []
+    real = CPU.op_cycles
+
+    def spy(self, op):
+        calls.append(op)
+        return real(self, op)
+
+    monkeypatch.setattr(CPU, "op_cycles", spy)
+    return calls
+
+
+_SPY_TRACE = ([load(MemType.INT32, 64 * i) for i in range(6)]
+              + [add(ArithType.INT)] * 5)
+
+
+def _drive_run_trace(model, ops):
+    model.run_trace(ops)
+
+
+def _drive_extract_tasks(model, ops):
+    list(extract_tasks(model, ops + [send(8, 1)]))
+
+
+@pytest.mark.parametrize("drive", [_drive_run_trace, _drive_extract_tasks],
+                         ids=["run_trace", "extract_tasks"])
+def test_product_is_batched_and_oracle_is_scalar(op_cycles_calls, drive):
+    drive(SingleNodeModel(_node_cfg()), _SPY_TRACE)
+    assert op_cycles_calls == []
+    with reference_stack():
+        drive(SingleNodeModel(_node_cfg()), _SPY_TRACE)
+    assert op_cycles_calls == _SPY_TRACE
+
+
+def test_invalid_dtype_is_the_only_divert(op_cycles_calls):
+    bad = Operation(OpCode.ADD, 7)
+    with pytest.raises(KeyError):
+        SingleNodeModel(_node_cfg()).run_trace(_SPY_TRACE + [bad])
+    assert op_cycles_calls == [bad]
+
+
+def test_abandoned_extractor_writes_nothing_back():
+    """The traceback of a rejected trace keeps run_trace's frame, and
+    the extractor suspended in it, alive; collecting that extractor
+    later must not touch a model that has moved on."""
+    model = SingleNodeModel(_node_cfg())
+    with pytest.raises(ValueError) as caught:
+        model.run_trace([add(ArithType.INT), send(8, 1)])
+    model.run_trace(_SPY_TRACE)
+    charged = _cpu_stats_tuple(model)
+    del caught
+    gc.collect()
+    assert _cpu_stats_tuple(model) == charged
+
+
+# -- bulk-drained sources -------------------------------------------------
+
+class _PerOp:
+    """``iter``-only view of a stream: the extractor pulls op by op."""
+
+    def __init__(self, stream):
+        self._stream = stream
+        self.post_result = stream.post_result
+
+    def __iter__(self):
+        return iter(self._stream)
+
+
+class _Drained:
+    """A source that is not an ``InterleavedStream`` but offers its
+    ``chunks()`` protocol, and refuses to be walked op by op."""
+
+    def __init__(self, stream):
+        self.chunks = stream.chunks
+        self.post_result = stream.post_result
+
+    def __iter__(self):
+        raise AssertionError("a source with chunks() must be bulk-drained")
+
+
+def _extract_live(view):
+    """Extraction over a running program whose control flow depends on
+    the values handed back at its global events."""
+    handed_back = []
+
+    def program(th):
+        for i in range(40):
+            th.emit(load(MemType.INT32, 8 * i))
+        n = th.global_event(recv(1))
+        handed_back.append(n)
+        for _ in range(n):
+            th.emit(add(ArithType.DOUBLE))
+        handed_back.append(th.global_event(send(64, 1), payload="x"))
+        th.emit(add(ArithType.INT))
+
+    source = view(InterleavedStream(NodeThread(0, program)))
+    model = SingleNodeModel(_node_cfg())
+    stats = TaskExtractionStats()
+    yielded = []
+    for op in extract_tasks(model, source, stats):
+        yielded.append((op.code, op.dtype, op.arg, op.arg2))
+        if op.code == OpCode.RECV:
+            source.post_result(7)
+    return (yielded, handed_back, stats.summary(), _cpu_stats_tuple(model),
+            model.hierarchy.summary())
+
+
+@pytest.mark.parametrize("view", [lambda stream: stream, _Drained],
+                         ids=["InterleavedStream", "duck-typed"])
+def test_chunked_source_equals_per_op_pull(view):
+    per_op = _extract_live(_PerOp)
+    assert per_op[1] == [7, None] and per_op[2]["computational_ops"] == 48
+    assert _extract_live(view) == per_op
 
 
 def test_fast_eligible_guards_subclasses():
@@ -157,7 +316,7 @@ def test_fast_eligible_guards_subclasses():
     assert not fast_eligible(CustomNode(_node_cfg()))
 
 
-# -- the fixed-cost batcher ---------------------------------------------
+# -- the one cost table --------------------------------------------------
 
 _cost = st.floats(min_value=0.0, max_value=64.0, allow_nan=False,
                   allow_infinity=False).map(lambda x: round(x, 2))
@@ -176,54 +335,24 @@ def _cpu_config(draw):
     )
 
 
+# loadc and control flow are priced whatever their dtype says.
 _fixed_op = st.one_of(
-    st.builds(Operation, st.just(OpCode.LOADC), _mem_dtype),
+    st.builds(Operation, st.just(OpCode.LOADC), st.integers(-2, 12)),
     st.builds(Operation, _arith_code, st.integers(0, 2)),
-    st.builds(Operation, _flow_code, st.just(0), _addr),
+    st.builds(Operation, _flow_code, st.integers(-2, 12), _addr),
 )
 
 
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(cfg=_cpu_config(), ops=st.lists(_fixed_op, max_size=80),
-       start=_cost)
-def test_batched_fixed_cycles_exact(cfg, ops, start):
-    """The vectorized total equals the scalar sequential sum EXACTLY —
-    same accumulation order, so bit-equal floats, not approximately."""
-    table = fixed_cost_table(cfg)
-    scalar = start
+@given(cfg=_cpu_config(), ops=st.lists(_fixed_op, max_size=80))
+def test_fixed_costs_read_one_table(cfg, ops):
+    """Every fixed-cost operation has one price: what ``CPU.op_cycles``
+    charges is what the batched loop hands on as that op's task."""
+    scalar = SingleNodeModel(_node_cfg(cpu=cfg))
+    batched = SingleNodeModel(_node_cfg(cpu=cfg))
     for op in ops:
-        scalar += table[int(op.code), op.dtype]
-    batched = batched_fixed_cycles(cfg, ops, start=start)
-    assert batched == scalar
-
-
-@settings(max_examples=30, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(cfg=_cpu_config(), ops=st.lists(_fixed_op, max_size=40))
-def test_batched_fixed_cycles_matches_cpu(cfg, ops):
-    """And both equal what the seed CPU charges for the same ops."""
-    model = SingleNodeModel(_node_cfg(cpu=cfg))
-    before = model.cpu.stats.cycles
-    for op in ops:
-        model.cpu.op_cycles(op)
-    charged = model.cpu.stats.cycles - before
-    assert batched_fixed_cycles(cfg, ops) == charged
-
-
-def test_batched_fixed_cycles_rejects_bad_ops():
-    cfg = CPUConfig()
-    with pytest.raises(ValueError):
-        batched_fixed_cycles(cfg, [Operation(OpCode.ADD, 5)])
-    with pytest.raises(ValueError):
-        batched_fixed_cycles(cfg, [Operation(OpCode.LOAD, 0, 4)])
-    with pytest.raises(ValueError):
-        batched_fixed_cycles(cfg, [Operation(OpCode.ADD, -1)])
-
-
-def test_fixed_cost_table_shape():
-    table = fixed_cost_table(CPUConfig())
-    assert table.shape == (16, 8)
-    assert table[int(OpCode.LOADC), 0] == 1.0
-    assert np.isnan(table[int(OpCode.LOAD), 0])
-    assert np.isnan(table[int(OpCode.ADD), 3])
+        price = scalar.cpu.op_cycles(op)
+        tasks = list(extract_tasks_fast(batched, [op]))
+        assert [t.duration for t in tasks] == ([price] if price > 0 else [])
+    assert _cpu_stats_tuple(batched) == _cpu_stats_tuple(scalar)
