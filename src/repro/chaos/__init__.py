@@ -3,10 +3,11 @@
 The campaign layer over :mod:`repro.faults`: a declarative
 :class:`CampaignSpec` expands into a family of fault plans (severity
 ladders, exhaustive single-link-down packs, correlated link groups,
-rolling outage windows), :func:`run_campaign` executes the family as a
-sharded sweep over the existing parallel-sweep/result-cache machinery,
-and the SLO layer folds the rows into pass/fail verdicts plus a
-ladder-wide drop-monotonicity invariant check.
+rolling outage windows), :func:`run_campaign` executes the family as
+one sweep job — the plan a coordinate of each point — over the existing
+parallel-sweep/result-cache machinery, and the SLO layer folds the rows
+into pass/fail verdicts plus a ladder-wide drop-monotonicity invariant
+check.
 
 Entry points: ``Workbench.chaos(campaign, runner)`` and
 ``repro chaos <app> --campaign spec.json``.

@@ -1,47 +1,41 @@
-"""Campaign execution — the fault-plan family as a sharded sweep.
+"""Campaign execution — the fault-plan family as one sweep job.
 
-:func:`run_campaign` expands a :class:`~repro.chaos.spec.CampaignSpec`
-against the machine's topology and runs every rung as its own
-single-point :class:`~repro.parallel.ParallelSweepRunner` sweep (cache
-lookup and error capture behave exactly like ordinary sweeps), packed
-onto the shared :class:`~repro.parallel.WorkerPool` by
-:func:`~repro.parallel.run_sharded` — the same scheme ``repro verify``
-uses for schedule shards.  A rung that kills its worker is retried on a
-fresh one; if it keeps doing so the campaign fails with a typed
-:class:`~repro.parallel.WorkerCrashed`, and the calling process
-survives.  Plan digests already key the result cache, so a re-run of
-an unchanged campaign is pure cache hits, and the severity-0 / baseline
-rungs (plan ``None``) share their key with ordinary fault-free sweep
-rows.
+A chaos campaign is a design-space sweep with the fault plan as the
+axis: :func:`campaign_points` expands a
+:class:`~repro.chaos.spec.CampaignSpec` against the machine's topology
+into one sweep point per rung — ``(coords, machine, plan)``, the plan a
+coordinate of the point — and :func:`run_campaign` runs them as a
+single :class:`~repro.parallel.ParallelSweepRunner` job.  Cache lookup,
+error capture, progress, crash recovery, cancellation and time budgets
+are therefore exactly an ordinary sweep's: plan digests key the result
+cache, so a re-run of an unchanged campaign is pure cache hits; the
+severity-0 / baseline rungs (plan ``None``) share their key with
+ordinary fault-free sweep rows and are simulated once; and a rung that
+keeps killing its worker becomes a ``WorkerCrashed: variant ...`` error
+row the SLO reduction sees, like any sweep variant.
 
-The rows are folded by :mod:`repro.chaos.slo` into SLO verdicts plus
-the ladder-wide monotonicity invariant check, and returned as a
-:class:`ChaosResult` with deterministic text and JSON reports (wall
-times and cache statistics are kept out of the JSON payload so two
-runs of the same campaign are byte-identical).
+:meth:`ChaosResult.from_rows` is the pure reduction of the rung rows:
+:mod:`repro.chaos.slo` folds them into SLO verdicts plus the
+ladder-wide monotonicity invariant check.  The result has deterministic
+text and JSON reports (wall times and cache statistics are kept out of
+the JSON payload so two runs of the same campaign are byte-identical).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Optional
 
 from ..analysis import format_table
 from ..core.config import ConfigError, MachineConfig
 from ..observe import MetricRegistry, Tracer
-from ..parallel import (
-    FaultedRunner,
-    ParallelSweepRunner,
-    ResultCache,
-    default_workload_id,
-    run_sharded,
-)
+from ..parallel import ParallelSweepRunner, ResultCache
 from ..topology import build_topology
 from .slo import SLOVerdict, check_ladder_monotonicity, evaluate_slos
-from .spec import Rung, as_campaign_spec
+from .spec import CampaignSpec, as_campaign_spec
 
-__all__ = ["AppCampaignRunner", "ChaosResult", "campaign_row",
-           "run_campaign"]
+__all__ = ["AppCampaignRunner", "ChaosResult", "campaign_points",
+           "campaign_row", "run_campaign"]
 
 #: report column order — explicit so captured-error rows (which lack
 #: the simulation metrics) render against the same header.
@@ -128,48 +122,13 @@ class AppCampaignRunner:
                 f"repeats={self.repeats})")
 
 
-class _RungTask:
-    """One picklable unit of campaign work: one rung on one machine.
-
-    Runs as a single-point :class:`ParallelSweepRunner` sweep so cache
-    lookup (plan digest in the key), error capture (structured
-    ``partial_row`` payloads) and timing behave exactly like ordinary
-    sweeps.  Each task opens its own :class:`ResultCache` handle on the
-    shared directory — cache statistics come back with the row and are
-    aggregated by :func:`run_campaign`.
-    """
-
-    def __init__(self, rung: Rung, machine: MachineConfig,
-                 runner: Callable, workload_id: str,
-                 cache_root: Optional[str], timing: bool) -> None:
-        self.rung = rung
-        self.machine = machine
-        self.runner = runner
-        self.workload_id = workload_id
-        self.cache_root = cache_root
-        self.timing = timing
-
-    def __call__(self) -> tuple[dict, dict]:
-        cache = (ResultCache(self.cache_root)
-                 if self.cache_root is not None else None)
-        sweep = ParallelSweepRunner(workers=1, cache=cache)
-        plan = self.rung.plan
-        runner = (FaultedRunner(self.runner, plan)
-                  if plan is not None else self.runner)
-        coords = {"rung": self.rung.label, **self.rung.coords}
-        rows = sweep.run(runner, [(coords, self.machine)],
-                         workload_id=self.workload_id,
-                         on_error="capture", timing=self.timing,
-                         faults=plan)
-        stats = (dict(hits=cache.stats.hits, misses=cache.stats.misses,
-                      stores=cache.stats.stores)
-                 if cache is not None else dict(hits=0, misses=0, stores=0))
-        return rows[0], stats
-
-
-def _run_rung(task: _RungTask) -> tuple[dict, dict]:
-    """Module-level trampoline so rung tasks pickle to pool workers."""
-    return task()
+def campaign_points(spec: CampaignSpec, machine: MachineConfig
+                    ) -> list[tuple[dict, MachineConfig, Any]]:
+    """The campaign's rungs as sweep points, in rung order: the rung
+    label and generator coordinates, the machine, the rung's plan."""
+    topo = build_topology(machine.network.topology)
+    return [({"rung": rung.label, **rung.coords}, machine, rung.plan)
+            for rung in spec.rungs(topo)]
 
 
 @dataclass
@@ -186,6 +145,17 @@ class ChaosResult:
     verdicts: list[SLOVerdict]
     violations: list[dict]
     cache_stats: Optional[dict] = field(default=None)
+
+    @classmethod
+    def from_rows(cls, spec: CampaignSpec, rows: list[dict],
+                  cache_stats: Optional[dict] = None) -> "ChaosResult":
+        """Reduce a campaign's rung rows (in rung order) to its
+        verdicts and invariant violations.  Pure: the served job
+        derives its result document from stored rows with it."""
+        return cls(campaign=spec.name or "campaign", rows=rows,
+                   verdicts=evaluate_slos(spec.slos, rows),
+                   violations=check_ladder_monotonicity(rows),
+                   cache_stats=cache_stats)
 
     @property
     def ok(self) -> bool:
@@ -302,44 +272,24 @@ def run_campaign(campaign: Any, machine: MachineConfig, runner: Callable,
     ``campaign`` is anything :func:`~repro.chaos.spec.as_campaign_spec`
     accepts (spec object, dict, or JSON path); ``runner`` must be
     picklable and accept ``runner(machine, faults=plan)`` (e.g. an
-    :class:`AppCampaignRunner`).  ``cache`` is a
-    :class:`~repro.parallel.ResultCache` or a cache directory path;
-    rung workers share the directory, and the aggregated hit/miss/store
-    counts come back as ``result.cache_stats``.  ``progress(done,
-    total, row)`` fires once per finished rung, in rung order.
+    :class:`AppCampaignRunner`).  ``workers`` sizes the pool of the one
+    sweep job the rungs run as; ``cache`` is a
+    :class:`~repro.parallel.ResultCache` or a cache directory path, and
+    the job's hit/miss/store counts come back as
+    ``result.cache_stats`` — the same at every worker count.
+    ``progress(done, total, row)`` follows the sweep contract: cached
+    rungs first, during the scan, then executed rungs in rung order.
     """
     spec = as_campaign_spec(campaign)
-    topo = build_topology(machine.network.topology)
-    rungs = spec.rungs(topo)
-    wid = workload_id or default_workload_id(runner)
-    cache_root: Optional[str] = None
     if cache is not None:
-        cache_root = str(cache.root if isinstance(cache, ResultCache)
-                         else cache)
-    tasks = [_RungTask(rung, machine, runner, wid, cache_root, timing)
-             for rung in rungs]
-
-    rung_progress = None
-    if progress is not None:
-        def rung_progress(done: int, total: int,
-                          outcome: tuple[dict, dict]) -> None:
-            progress(done, total, outcome[0])
-
-    outcomes = run_sharded(_run_rung, tasks, workers,
-                           progress=rung_progress)
-    rows = [row for row, _stats in outcomes]
-    stats = None
-    if cache_root is not None:
-        stats = {key: sum(s[key] for _row, s in outcomes)
-                 for key in ("hits", "misses", "stores")}
-
-    result = ChaosResult(
-        campaign=spec.name or "campaign",
-        rows=rows,
-        verdicts=evaluate_slos(spec.slos, rows),
-        violations=check_ladder_monotonicity(rows),
-        cache_stats=stats,
-    )
+        # A handle of the campaign's own: its counters are this job's.
+        cache = ResultCache(cache.root if isinstance(cache, ResultCache)
+                            else cache)
+    rows = ParallelSweepRunner(workers=workers, cache=cache).run(
+        runner, campaign_points(spec, machine), workload_id=workload_id,
+        progress=progress, timing=timing)
+    result = ChaosResult.from_rows(
+        spec, rows, asdict(cache.stats) if cache is not None else None)
     if tracer is not None:
         result.emit_trace(tracer)
     if registry is not None:

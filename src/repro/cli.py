@@ -775,7 +775,7 @@ def _submit_request(args: argparse.Namespace) -> dict:
             raise SystemExit(f"cannot read campaign spec "
                              f"{args.campaign!r}: {exc}")
         request.update({"app": args.app, "size": args.size,
-                        "repeats": args.repeats, "workers": args.workers})
+                        "repeats": args.repeats})
     return request
 
 
@@ -994,7 +994,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", metavar="PATH=VALUE",
                    help="config override, e.g. network.switching=wormhole")
     p.add_argument("--workers", type=int, default=1, metavar="N",
-                   help="pack campaign rungs onto N processes "
+                   help="run the campaign's rungs on N worker processes "
                         "(default 1 = serial; results are identical)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="content-addressed result cache shared across "
@@ -1007,7 +1007,8 @@ def _parser() -> argparse.ArgumentParser:
                    help="add a per-rung wall_time_s column "
                         "(nondeterministic; excluded from --json)")
     p.add_argument("--progress", action="store_true",
-                   help="print per-rung progress on stderr")
+                   help="print per-rung progress on stderr (cached "
+                        "rungs first, then executed rungs in order)")
     p.add_argument("--trace-out", default=None, metavar="FILE",
                    help="also export the campaign as Chrome "
                         "trace_event JSON")
@@ -1136,8 +1137,6 @@ def _parser() -> argparse.ArgumentParser:
                            default="t805-grid-2x2")
             k.add_argument("--size", type=int, default=256)
             k.add_argument("--repeats", type=int, default=1)
-            k.add_argument("--workers", type=int, default=1,
-                           help="rung workers on the server side")
         k.add_argument("--set", action="append", metavar="PATH=VALUE",
                        help="config override")
         k.add_argument("--server", default="http://127.0.0.1:8421")

@@ -134,13 +134,15 @@ class Sweep:
             a :class:`repro.faults.FaultPlan` (or plan dict / path to a
             plan JSON file) applied to every variant, **or a sequence
             of plans** — fault severity then becomes the outermost
-            sweep axis: each plan runs the whole cross product and rows
-            gain a ``faults`` coordinate (the plan's name, or
-            ``planN``).  The runner must accept a ``faults=`` keyword
-            (forward it to ``Workbench``/``MultiNodeModel``); cache
-            keys incorporate the plan digest, so faulty rows never
-            collide with fault-free ones.  Empty plans are normalized
-            away and behave exactly like ``faults=None``.
+            sweep axis: the plan x point product runs as one job
+            (``progress`` counts over all of it, preflight runs once
+            per point) and rows gain a leading ``faults`` coordinate
+            (the plan's name, or ``planN``).  The runner must accept a
+            ``faults=`` keyword (forward it to ``Workbench``/
+            ``MultiNodeModel``); cache keys incorporate the plan
+            digest, so faulty rows never collide with fault-free ones.
+            Empty plans are normalized away and behave exactly like
+            ``faults=None``.
         ``executor``
             a :class:`repro.parallel.Executor` to run the (post-
             preflight) points as a job on — e.g. a shared
@@ -151,59 +153,50 @@ class Sweep:
             lives for the call); ``cache`` falls back to the executor's
             own cache when ``None``.
         """
-        from ..parallel import (FaultedRunner, ParallelSweepRunner,
-                                ResultCache, SweepVariantError)
-        if faults is not None and isinstance(faults, (list, tuple)):
-            from ..faults import as_fault_plan
-            rows_all: list[dict] = []
-            for i, item in enumerate(faults):
-                plan = as_fault_plan(item)
-                label = plan.name if (plan is not None and plan.name) \
-                    else f"plan{i}"
-                sub = self.run(runner, workers=workers, cache=cache,
-                               workload_id=workload_id, on_error=on_error,
-                               preflight=preflight, progress=progress,
-                               timing=timing, faults=plan,
-                               executor=executor)
-                rows_all.extend({"faults": label, **row} for row in sub)
-            return rows_all
-        fault_plan = None
-        if faults is not None:
-            from ..faults import as_fault_plan
-            fault_plan = as_fault_plan(faults)
-            if fault_plan is not None:
-                runner = FaultedRunner(runner, fault_plan)
+        from ..faults import as_fault_plan
+        from ..parallel import (ParallelSweepRunner, ResultCache,
+                                SweepVariantError)
         if on_error not in ("capture", "raise"):
             raise ValueError(f"on_error must be 'capture' or 'raise', "
                              f"got {on_error!r}")
+        if isinstance(faults, (list, tuple)):
+            plans = [as_fault_plan(item) for item in faults]
+            labels = [{"faults": plan.name if plan is not None and plan.name
+                       else f"plan{i}"} for i, plan in enumerate(plans)]
+        else:
+            plans, labels = [as_fault_plan(faults)], [{}]
         if cache is not None and not isinstance(cache, ResultCache):
             cache = ResultCache(cache)
         points = self.points(validate=not preflight)
-        total = len(points)
-        rows: list[dict | None] = [None] * len(points)
-        good: list[tuple[int, tuple[dict, MachineConfig]]] = []
-        failed = 0
+        #: per point, the preflight failure that keeps it from running
+        errors: list[str | None] = [None] * len(points)
         if preflight:
             from ..check import check_machine
             for idx, (coords, machine) in enumerate(points):
                 report = check_machine(machine)
-                if report.ok:
-                    good.append((idx, (coords, machine)))
+                if not report.ok:
+                    errors[idx] = f"CheckError: {report.summary_message()}"
+                    if on_error == "raise":
+                        raise SweepVariantError(coords, errors[idx])
+        # The plan x point product, plan-major: one job, whatever the
+        # number of plans.  Preflight failures are rows already.
+        total = len(plans) * len(points)
+        rows: list[dict | None] = []
+        good: list[tuple[dict, MachineConfig, Any]] = []
+        for label, plan in zip(labels, plans):
+            for (coords, machine), error in zip(points, errors):
+                if error is None:
+                    good.append(({**label, **coords}, machine, plan))
+                    rows.append(None)
                     continue
-                message = f"CheckError: {report.summary_message()}"
-                if on_error == "raise":
-                    raise SweepVariantError(coords, message)
-                rows[idx] = {**coords, "error": message}
-                failed += 1
+                rows.append({**label, **coords, "error": error})
                 if progress is not None:
-                    progress(failed, total, rows[idx])
-        else:
-            good = list(enumerate(points))
+                    progress(len(rows) - len(good), total, rows[-1])
         pool_progress = None
         if progress is not None:
             # The pool counts only its own rows; shift past the
             # preflight failures already reported.
-            offset = failed
+            offset = total - len(good)
 
             def pool_progress(done: int, _pool_total: int, row: dict,
                               ) -> None:
@@ -212,10 +205,7 @@ class Sweep:
             workers = 1               # a bare Sweep.run is serial
         pool = ParallelSweepRunner(workers=workers, cache=cache,
                                    executor=executor)
-        ran = pool.run(runner, [pt for _, pt in good],
-                       workload_id=workload_id, on_error=on_error,
-                       progress=pool_progress, timing=timing,
-                       faults=fault_plan)
-        for (idx, _), row in zip(good, ran):
-            rows[idx] = row
-        return rows  # type: ignore[return-value]
+        ran = iter(pool.run(runner, good, workload_id=workload_id,
+                            on_error=on_error, progress=pool_progress,
+                            timing=timing))
+        return [next(ran) if row is None else row for row in rows]

@@ -7,11 +7,13 @@ trustworthy:
 
 * :class:`ParallelSweepRunner` — run a sweep's points as one blocking
   job; ordered results, per-variant error capture;
-* :class:`WorkerPool` / :func:`run_sharded` — the one process pool
-  everything fans out over: ordered streaming, crashed workers
-  replaced and their task requeued, then a typed :class:`WorkerCrashed`;
-* :class:`ResultCache` — skip variants whose
-  ``(machine, workload, code version)`` hash already has a row;
+* :class:`WorkerPool` — the one process pool everything fans out
+  over: ordered streaming, crashed workers replaced and their task
+  requeued, then a typed :class:`WorkerCrashed`; :func:`run_sharded`
+  maps the two non-sweep fan-outs (``repro verify`` shards, the
+  ``repro bound --audit`` rows) over an ephemeral one;
+* :class:`ResultCache` — skip variants whose ``(machine, workload,
+  code version, fault plan)`` hash already has a row;
 * :func:`result_key` / :func:`code_version` — the cache key scheme;
 * :class:`Executor` / :class:`InProcessExecutor` /
   :class:`LocalAsyncExecutor` — sweeps as submit/poll/cancel/stream
@@ -41,7 +43,6 @@ from .executor import (
 )
 from .pool import WorkerCrashed, WorkerPool, run_sharded
 from .runner import (
-    FaultedRunner,
     ParallelSweepRunner,
     SweepVariantError,
     default_workload_id,
@@ -51,10 +52,10 @@ from .runner import (
 )
 
 __all__ = [
-    "CacheStats", "Executor", "ExecutorError", "FaultedRunner",
-    "InProcessExecutor", "JobSpec", "JobState", "JobStatus",
-    "LocalAsyncExecutor", "ParallelSweepRunner", "ResultCache",
-    "SweepVariantError", "TERMINAL_STATES", "WorkerCrashed", "WorkerPool",
+    "CacheStats", "Executor", "ExecutorError", "InProcessExecutor",
+    "JobSpec", "JobState", "JobStatus", "LocalAsyncExecutor",
+    "ParallelSweepRunner", "ResultCache", "SweepVariantError",
+    "TERMINAL_STATES", "WorkerCrashed", "WorkerPool",
     "code_version", "default_workload_id", "error_message",
     "execute_variant", "result_key", "run_cached_sweep", "run_sharded",
     "sources_digest",

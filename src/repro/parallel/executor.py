@@ -69,8 +69,12 @@ class _JobTimeout(Exception):
 class JobSpec:
     """Everything needed to run one sweep as a job.
 
-    Mirrors the keyword surface of
-    :meth:`repro.core.experiment.Sweep.run`; ``cache`` may be a
+    A point is ``(coords, machine)`` or ``(coords, machine, plan)``:
+    the fault plan (a normalized :class:`repro.faults.FaultPlan`, or
+    ``None``) is a coordinate of the point, so one job may mix plans —
+    a chaos campaign's rungs, a multi-plan ``Sweep.run(faults=[...])``.
+    The runner is called as ``runner(machine)``, or ``runner(machine,
+    faults=plan)`` where the plan is not ``None``.  ``cache`` may be a
     :class:`ResultCache`, a directory path, or ``None`` (falls back to
     the executor's cache).  ``timeout_s`` bounds the whole job's wall
     time (``None`` defers to the executor default).
@@ -81,7 +85,6 @@ class JobSpec:
     workload_id: Optional[str] = None
     on_error: str = "capture"
     timing: bool = False
-    faults: Any = None
     cache: Any = None
     timeout_s: Optional[float] = None
 
@@ -377,8 +380,7 @@ class Executor:
                 job.rows = run_cached_sweep(
                     imap, spec.runner, list(spec.points), cache=cache,
                     workload_id=spec.workload_id, on_error=spec.on_error,
-                    progress=job.progress, timing=spec.timing,
-                    faults=spec.faults)
+                    progress=job.progress, timing=spec.timing)
             finally:
                 after = _stats_snapshot(cache)
                 with job.cond:

@@ -1,9 +1,10 @@
 """The one worker pool: ordered, crash-tolerant process map.
 
 Every place the workbench fans work out over processes — sweep variants
-behind any :class:`~repro.parallel.executor.Executor`, ``repro verify``
-schedule shards, ``repro chaos`` rungs, ``repro bound --audit`` rows —
-maps a picklable ``fn`` over items on a :class:`WorkerPool`.  This
+and chaos-campaign rungs behind any
+:class:`~repro.parallel.executor.Executor`, ``repro verify`` schedule
+shards, ``repro bound --audit`` rows — maps a picklable ``fn`` over
+items on a :class:`WorkerPool`.  This
 module is the only spawn site under ``src/``:
 
 * results stream back **in item order**, never completion order, so a
@@ -246,9 +247,9 @@ def run_sharded(fn: Callable[[Any], Any], items: Sequence[Any],
                 ) -> list[Any]:
     """Map a picklable ``fn`` over ``items`` on an ephemeral pool.
 
-    Shared by ``repro verify`` (independent schedule shards), ``repro
-    chaos`` (campaign rungs) and ``repro bound --audit`` (cache rows):
-    results come back in item order and ``progress(done, total,
+    The two fan-outs that are not sweeps: ``repro verify`` (independent
+    schedule shards) and ``repro bound --audit`` (cache rows).  Results
+    come back in item order and ``progress(done, total,
     result)`` fires once per item, in item order, as each resolves.
     ``fn`` is expected to capture its own task-level errors, like
     :func:`~repro.parallel.runner.execute_variant` does; an item that
@@ -256,8 +257,7 @@ def run_sharded(fn: Callable[[Any], Any], items: Sequence[Any],
     """
     out: list[Any] = []
     # Closing the map first kills in-flight work at once when `progress`
-    # raises (a cancelled campaign); the pool then has only idle
-    # workers to stop.
+    # raises; the pool then has only idle workers to stop.
     with WorkerPool(workers) as pool, \
             contextlib.closing(pool.imap(fn, items)) as results:
         for result in results:

@@ -11,10 +11,10 @@ shares; the processes themselves belong to
   exception as an error payload (``on_error="capture"``), so an
   overnight sweep survives one sick configuration;
 * :func:`run_cached_sweep` — cache scan, row assembly and progress for
-  a batch of points: variants whose ``(machine, workload, code)`` key
-  already has a row in the :class:`~repro.parallel.cache.ResultCache`
-  are not simulated again, and rows are collected **in point order**,
-  never completion order;
+  a batch of points: variants whose ``(machine, workload, code, fault
+  plan)`` key already has a row in the
+  :class:`~repro.parallel.cache.ResultCache` are not simulated again,
+  and rows are collected **in point order**, never completion order;
 * :class:`ParallelSweepRunner` — the blocking front door behind
   ``Sweep.run``: one :class:`~repro.parallel.executor.JobSpec`
   submitted to an executor, waited for, returned as rows.
@@ -39,13 +39,16 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 from ..core.config import MachineConfig
 from .cache import ResultCache
 
-__all__ = ["FaultedRunner", "ParallelSweepRunner", "SweepVariantError",
+__all__ = ["ParallelSweepRunner", "SweepVariantError",
            "default_workload_id", "error_message", "execute_variant",
            "run_cached_sweep", "variant_outcome"]
 
 Runner = Callable[[MachineConfig], dict]
-#: one sweep point: (coordinates, machine variant)
-Point = tuple[dict, MachineConfig]
+#: one sweep point: ``(coordinates, machine variant)``, or ``(coordinates,
+#: machine variant, fault plan)`` — the plan a normalized
+#: :class:`~repro.faults.FaultPlan` or ``None``, and the runner then
+#: called as ``runner(machine, faults=plan)``
+Point = tuple[Any, ...]
 #: progress callback: (rows completed so far, total rows, the new row)
 ProgressFn = Callable[[int, int, dict], None]
 
@@ -64,27 +67,6 @@ def default_workload_id(runner: Runner) -> str:
     module = getattr(func, "__module__", "?")
     name = getattr(func, "__qualname__", repr(func))
     return f"{module}.{name}"
-
-
-class FaultedRunner:
-    """Picklable wrapper binding a fault plan to a sweep runner.
-
-    Calls ``func(machine, faults=plan)`` — the wrapped runner must
-    accept a ``faults`` keyword (pass it to ``Workbench``/
-    ``MultiNodeModel``).  Exposes ``func`` so
-    :func:`default_workload_id` unwraps to the inner runner's name;
-    the plan itself reaches the cache key separately, as a digest.
-    """
-
-    def __init__(self, func: Callable, plan) -> None:
-        self.func = func
-        self.plan = plan
-
-    def __call__(self, machine: MachineConfig) -> dict:
-        return self.func(machine, faults=self.plan)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<FaultedRunner {self.func!r} plan={self.plan!r}>"
 
 
 def execute_variant(runner: Runner, machine: MachineConfig
@@ -133,15 +115,21 @@ def error_message(payload: Any) -> str:
     return payload
 
 
-def variant_outcome(runner: Runner, timing: bool, machine: MachineConfig
+def variant_outcome(runner: Runner, timing: bool,
+                    variant: tuple[MachineConfig, Any]
                     ) -> tuple[str, Any, float]:
     """:func:`execute_variant` as a ``(status, payload, wall)`` outcome.
 
-    ``wall`` is the variant's wall time in seconds when ``timing`` is
-    set and pinned to ``0.0`` otherwise.  The picklable unit of sweep
-    work: backends map ``partial(variant_outcome, runner, timing)``
-    over the machines.
+    ``variant`` is ``(machine, plan)``: the runner is called as
+    ``runner(machine)`` for a ``None`` plan and ``runner(machine,
+    faults=plan)`` otherwise.  ``wall`` is the variant's wall time in
+    seconds when ``timing`` is set and pinned to ``0.0`` otherwise.
+    The picklable unit of sweep work: backends map
+    ``partial(variant_outcome, runner, timing)`` over the variants.
     """
+    machine, plan = variant
+    if plan is not None:
+        runner = functools.partial(runner, faults=plan)
     # Host-side measurement: wall time here IS the measurand.
     t0 = time.perf_counter()               # repro: noqa[PY002]
     status, payload = execute_variant(runner, machine)
@@ -160,18 +148,25 @@ def run_cached_sweep(imap: ImapFn, runner: Runner,
                      workload_id: Optional[str] = None,
                      on_error: str = "capture",
                      progress: Optional[ProgressFn] = None,
-                     timing: bool = False, faults=None) -> list[dict]:
+                     timing: bool = False) -> list[dict]:
     """The cache-scan / row-assembly / progress core of every sweep.
 
-    ``imap`` maps :func:`variant_outcome` over the machines of the
-    cache misses, streaming outcomes in machine order; the generator it
-    returns is closed as soon as the sweep stops consuming it, so an
-    aborted sweep leaves no variant running.  Every sweep funnels
-    through this one function, so rows are byte-identical across
-    backends by construction: same cache keys, same row assembly, same
-    progress contract (cache hits first, during the scan, then executed
-    variants in point order — streamed progress reaches 100% even when
-    every row is served from cache).
+    ``imap`` maps :func:`variant_outcome` over the ``(machine, plan)``
+    variants of the cache misses, streaming outcomes in variant order;
+    the generator it returns is closed as soon as the sweep stops
+    consuming it, so an aborted sweep leaves no variant running.  Every
+    sweep funnels through this one function, so rows are byte-identical
+    across backends by construction: same cache keys, same row
+    assembly, same progress contract (cache hits first, during the
+    scan, then executed variants in point order — streamed progress
+    reaches 100% even when every row is served from cache).
+
+    A point's fault plan (its optional third element) extends its cache
+    key with the plan digest, so faulty and fault-free rows of the same
+    machine never collide.  With a cache, each distinct key is
+    simulated and stored once per job: a miss whose key equals an
+    earlier miss's (a campaign's baseline and severity-0 rungs) takes
+    that point's outcome, with ``wall_time_s`` ``0.0`` like a hit.
     """
     if on_error not in ("capture", "raise"):
         raise ValueError(f"on_error must be 'capture' or 'raise', "
@@ -180,39 +175,55 @@ def run_cached_sweep(imap: ImapFn, runner: Runner,
     rows: list[Optional[dict]] = [None] * len(points)
     done = 0
 
+    def resolve(idx: int, row: dict, wall: float) -> None:
+        nonlocal done
+        if timing:
+            row["wall_time_s"] = wall
+        rows[idx] = row
+        done += 1
+        if progress is not None:
+            progress(done, len(points), row)
+
     pending: list[tuple[int, str]] = []   # (point index, cache key)
-    for idx, (coords, machine) in enumerate(points):
+    variants: list[tuple[MachineConfig, Any]] = []   # one per simulation
+    #: with a cache, the outcome of each missed key once it has run
+    outcome_of: dict[str, Optional[tuple[str, Any]]] = {}
+    for idx, point in enumerate(points):
+        coords, machine = point[:2]
+        plan = point[2] if len(point) > 2 else None
         key = ""
         if cache is not None:
-            # `faults` (a normalized FaultPlan or None) extends the
-            # key with the plan digest, so faulty and fault-free
-            # rows of the same variant never collide.
-            key = cache.key_for(machine, wid, faults=faults)
+            key = cache.key_for(machine, wid, faults=plan)
+            if key in outcome_of:
+                pending.append((idx, key))
+                continue
             cached = cache.get(key)
             if cached is not None:
-                row = {**coords, **cached}
-                if timing:
-                    row["wall_time_s"] = 0.0
-                rows[idx] = row
-                done += 1
-                if progress is not None:
-                    progress(done, len(points), row)
+                resolve(idx, {**coords, **cached}, 0.0)
                 continue
+            outcome_of[key] = None
         pending.append((idx, key))
+        variants.append((machine, plan))
 
     with contextlib.closing(imap(
             functools.partial(variant_outcome, runner, timing),
-            [points[i][1] for i, _ in pending])) as outcomes:
-        for (idx, key), (status, payload, wall) in zip(pending, outcomes):
-            coords, machine = points[idx]
-            if status == "ok":
+            variants)) as outcomes:
+        for idx, key in pending:
+            coords, machine = points[idx][:2]
+            if outcome_of.get(key) is not None:
+                (status, payload), wall = outcome_of[key], 0.0
+            else:
+                status, payload, wall = next(outcomes)
                 if cache is not None:
-                    # The full config (not just the name) rides along
-                    # so `repro bound --audit` can rebuild the exact
-                    # machine behind any historical row.
-                    cache.put(key, payload, meta={
-                        "machine": machine.name, "workload_id": wid,
-                        "machine_config": machine.to_dict()})
+                    outcome_of[key] = (status, payload)
+                    if status == "ok":
+                        # The full config (not just the name) rides
+                        # along so `repro bound --audit` can rebuild the
+                        # exact machine behind any historical row.
+                        cache.put(key, payload, meta={
+                            "machine": machine.name, "workload_id": wid,
+                            "machine_config": machine.to_dict()})
+            if status == "ok":
                 row = {**coords, **payload}
             elif on_error == "raise":
                 raise SweepVariantError(coords, error_message(payload))
@@ -221,12 +232,7 @@ def run_cached_sweep(imap: ImapFn, runner: Runner,
                 # remote traceback, plus any partial metric columns.
                 row = ({**coords, **payload} if isinstance(payload, dict)
                        else {**coords, "error": payload})
-            if timing:
-                row["wall_time_s"] = wall
-            rows[idx] = row
-            done += 1
-            if progress is not None:
-                progress(done, len(points), row)
+            resolve(idx, row, wall)
     return rows  # type: ignore[return-value]
 
 
@@ -264,7 +270,7 @@ class ParallelSweepRunner:
             workload_id: Optional[str] = None,
             on_error: str = "capture",
             progress: Optional[ProgressFn] = None,
-            timing: bool = False, faults=None) -> list[dict]:
+            timing: bool = False) -> list[dict]:
         """One metric row per point, in point order.
 
         ``progress(done, total, row)`` is called once per resolved row —
@@ -282,8 +288,7 @@ class ParallelSweepRunner:
         from .executor import InProcessExecutor, JobSpec, JobState
 
         spec = JobSpec(runner=runner, points=points, workload_id=workload_id,
-                       on_error=on_error, timing=timing, faults=faults,
-                       cache=self.cache)
+                       on_error=on_error, timing=timing, cache=self.cache)
         on_event = None
         if progress is not None:
             def on_event(event: dict) -> None:

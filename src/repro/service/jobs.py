@@ -6,14 +6,18 @@ plus the :func:`~repro.parallel.cache.code_version` (so the same study
 re-submitted against changed simulator code is a different job), and
 every serialized record excludes wall-clock fields — two runs of the
 same request produce byte-identical records modulo the run-scoped
-sequence suffix.  Sweep jobs run on a
+sequence suffix.  There is one job body: a sweep and a chaos campaign
+are both planned into ``runner / points / workload_id`` (a campaign's
+rungs are points carrying their fault plan) and run as one
+:class:`~repro.parallel.executor.JobSpec` on the
 :class:`~repro.parallel.executor.Executor`, reporting straight into
-their :class:`JobRecord` (the record *is* the executor's job state);
-chaos jobs run through :func:`~repro.chaos.run_campaign` inside the
-same job boundary.  Both are planned by the CLI's own plan builders
-(same runner, same workload-id scheme), so rows fetched over HTTP are
-byte-identical to ``repro sweep`` / in-process ``Sweep.run`` output and
-share the same :class:`~repro.parallel.ResultCache` entries.
+their :class:`JobRecord` (the record *is* the executor's job state); a
+campaign's result document is the pure
+:meth:`~repro.chaos.ChaosResult.from_rows` reduction of the record's
+rows.  Both are planned by the CLI's own plan builders (same runner,
+same workload-id scheme), so rows fetched over HTTP are byte-identical
+to ``repro sweep`` / in-process ``Sweep.run`` output and share the same
+:class:`~repro.parallel.ResultCache` entries.
 """
 
 from __future__ import annotations
@@ -25,8 +29,10 @@ import threading
 from pathlib import Path
 from typing import Any, Optional
 
+from ..chaos.runner import AppCampaignRunner, ChaosResult, campaign_points
+from ..chaos.spec import as_campaign_spec
 from ..observe import MetricRegistry
-from ..parallel import FaultedRunner, ResultCache
+from ..parallel import ResultCache
 from ..parallel.cache import atomic_write_text
 from ..parallel.executor import (Executor, JobSpec, JobState,
                                  LocalAsyncExecutor)
@@ -56,7 +62,7 @@ _SWEEP_FIELDS: dict[str, Any] = {
 }
 _CHAOS_FIELDS: dict[str, Any] = {
     "kind": "chaos", "preset": ..., "app": ..., "campaign": ...,
-    "set": [], "size": 256, "repeats": 1, "workers": 1,
+    "set": [], "size": 256, "repeats": 1,
     "timeout_s": None, "tenant": "default", "lane": "normal",
 }
 
@@ -126,37 +132,29 @@ def _plan_sweep(request: dict) -> dict:
             request["preset"], request["set"] or (), axes,
             workload=request["workload"], rounds=request["rounds"],
             seed=request["seed"])
-        points = sweep.points()
         plan = as_fault_plan(request["faults"])
+        points = [(*point, plan) for point in sweep.points()]
     except (SystemExit, Exception) as exc:  # noqa: BLE001 - request boundary
         raise ServiceError(400, f"bad sweep request: {exc}") from None
-    if plan is not None:
-        runner = FaultedRunner(runner, plan)
-    return {"runner": runner, "points": points, "faults": plan,
+    return {"runner": runner, "points": points,
             "workload_id": workload_id, "total": len(points)}
 
 
 def _plan_chaos(request: dict) -> dict:
-    """Turn a canonical chaos request into runnable pieces."""
-    from ..chaos import AppCampaignRunner
-    from ..chaos.spec import as_campaign_spec
+    """Turn a canonical chaos request into runnable pieces: the shape
+    of :func:`_plan_sweep`, plus the spec the result is reduced with."""
     from ..cli import build_machine
-    from ..topology import build_topology
 
     try:
         machine = build_machine(request["preset"], request["set"] or ())
         spec = as_campaign_spec(request["campaign"])
         runner = AppCampaignRunner(request["app"], size=request["size"],
                                    repeats=request["repeats"])
-        if not isinstance(request["workers"], int) or request["workers"] < 1:
-            raise ServiceError(400, "workers must be an int >= 1")
-        total = len(spec.rungs(build_topology(machine.network.topology)))
-    except ServiceError:
-        raise
+        points = campaign_points(spec, machine)
     except (SystemExit, Exception) as exc:  # noqa: BLE001 - request boundary
         raise ServiceError(400, f"bad chaos request: {exc}") from None
-    return {"machine": machine, "spec": spec, "runner": runner,
-            "workers": request["workers"], "total": total}
+    return {"runner": runner, "points": points, "workload_id": None,
+            "total": len(points), "campaign": spec}
 
 
 # -- job record ------------------------------------------------------------
@@ -169,14 +167,13 @@ class JobRecord(JobState):
     ``to_dict()`` has fixed field order and no timestamps; ``state``
     events bracket one ``progress`` event per row.  The events,
     condition and state machine are :class:`~repro.parallel.JobState`'s
-    — a sweep's record is handed to the executor as the job's state.
+    — the record is handed to the executor as the job's state.
     """
 
     def __init__(self, job_id: str, key: str, request: dict) -> None:
         super().__init__(job_id, state="submitted")
         self.key = key
         self.request = request
-        self.campaign: Optional[dict] = None
         self.plan: dict = {}
 
     def to_dict(self) -> dict:
@@ -202,10 +199,16 @@ class JobRecord(JobState):
         with self.cond:
             payload = {"id": self.job_id, "kind": self.request["kind"],
                        "state": self.state}
-            if self.rows is not None:
+            spec = self.plan.get("campaign")
+            if self.rows is None:
+                pass
+            elif spec is None:
                 payload["rows"] = self.rows
-            if self.campaign is not None:
-                payload["campaign"] = self.campaign
+            else:
+                # A campaign's document is a pure function of its rung
+                # rows; only the rows are job state.
+                payload["campaign"] = ChaosResult.from_rows(
+                    spec, self.rows).to_dict()
             return payload
 
     def events_since(self, start: int) -> tuple[list[dict], bool]:
@@ -268,12 +271,13 @@ class JobManager:
 
     One dispatch thread pulls job ids off the
     :class:`~repro.service.scheduler.JobScheduler` (quotas and lanes
-    enforced at submission) and runs them one at a time: a sweep job is
-    submitted to the :class:`~repro.parallel.executor.Executor` with
-    its record as the job state, a chaos campaign runs
-    :func:`~repro.chaos.run_campaign` inside the record's own job
-    boundary — both report progress into the record, honor cooperative
-    cancellation and the job's time budget, and land in the
+    enforced at submission) and runs them one at a time.  There is one
+    job body: whatever its kind, a job's planned points are submitted
+    to the :class:`~repro.parallel.executor.Executor` as one
+    :class:`~repro.parallel.executor.JobSpec` with the record as the
+    job state, so every job runs on the executor's own pool, reports
+    progress into its record, honors cancellation and its time budget
+    within the pool's abort poll, and lands in the
     :class:`ResultStore` when done.  Because the dispatch thread waits
     for each job, whether the executor's ``submit`` blocks or enqueues
     is unobservable here.  ``service.*`` metrics live in a
@@ -420,38 +424,18 @@ class JobManager:
         try:
             if record.cancel_requested:
                 record.set_state("cancelled")
-            elif record.request["kind"] == "sweep":
-                self._run_sweep(record)
             else:
-                record.run(lambda: self._chaos_body(record),
-                           record.request["timeout_s"])
+                plan, request = record.plan, record.request
+                self.executor.submit(JobSpec(
+                    runner=plan["runner"], points=plan["points"],
+                    workload_id=plan["workload_id"],
+                    on_error=request.get("on_error", "capture"),
+                    timing=request.get("timing", False),
+                    cache=self.store.cache if self.store is not None
+                    else None,
+                    timeout_s=request["timeout_s"]), state=record)
+                record.wait()
             self._finish(record)
         except Exception as exc:  # noqa: BLE001 - dispatch must survive
             record.set_state("failed", f"{type(exc).__name__}: {exc}")
             self._counters["failed"].inc()
-
-    def _run_sweep(self, record: JobRecord) -> None:
-        plan = record.plan
-        spec = JobSpec(
-            runner=plan["runner"], points=plan["points"],
-            workload_id=plan["workload_id"],
-            on_error=record.request["on_error"],
-            timing=record.request["timing"], faults=plan["faults"],
-            cache=self.store.cache if self.store is not None else None,
-            timeout_s=record.request["timeout_s"])
-        self.executor.submit(spec, state=record)
-        record.wait()
-
-    def _chaos_body(self, record: JobRecord) -> None:
-        from ..chaos import run_campaign
-
-        plan = record.plan
-        result = run_campaign(
-            plan["spec"], plan["machine"], plan["runner"],
-            workers=plan["workers"], progress=record.progress,
-            cache=self.store.cache if self.store is not None else None)
-        record.campaign = result.to_dict()
-        if result.cache_stats is not None:
-            with record.cond:
-                record.cache = {k: result.cache_stats.get(k, 0)
-                                for k in ("hits", "misses", "stores")}

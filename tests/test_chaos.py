@@ -2,7 +2,7 @@
 
 Covers the three layers of :mod:`repro.chaos` — declarative campaign
 specs expanding into fault-plan families, the SLO/invariant reduction
-over campaign rows, and the end-to-end sharded campaign runner — plus
+over campaign rows, and the end-to-end campaign runner — plus
 the determinism contract the CI smoke job relies on: byte-identical
 JSON verdicts across reruns and worker counts, and a severity-0 rung
 bit-identical to the fault-free baseline row.
@@ -11,6 +11,7 @@ bit-identical to the fault-free baseline row.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -63,6 +64,13 @@ def demo_spec() -> CampaignSpec:
 
 def demo_runner() -> AppCampaignRunner:
     return AppCampaignRunner("pingpong", size=256, repeats=2)
+
+
+def crashing_rung_runner(machine, faults=None) -> dict:
+    """Kills its worker on every faulted rung."""
+    if faults is not None:
+        os._exit(44)
+    return demo_runner()(machine)
 
 
 def run_demo(**kwargs) -> ChaosResult:
@@ -397,14 +405,19 @@ class TestRunCampaign:
         assert run_demo(workers=3).to_json() == serial
 
     def test_cache_cold_then_warm(self, tmp_path):
-        cold = run_demo(cache=str(tmp_path))
-        # The sevx0 rung shares the baseline's key: one in-run hit, and
-        # only 7 distinct simulations stored for 8 rungs.
-        assert cold.cache_stats == {"hits": 1, "misses": 7, "stores": 7}
         from repro.parallel import ResultCache
-        warm = run_demo(cache=ResultCache(tmp_path), workers=2)
+        cold = run_demo(cache=str(tmp_path / "w1"))
+        # The sevx0 rung shares the baseline's key, and the job probes,
+        # simulates and stores each distinct key once — 7 for 8 rungs —
+        # at every worker count.  (The rung fan-out this replaced
+        # counted the shared key as an in-run hit when serial, and
+        # simulated it twice in parallel unless it won a race.)
+        assert cold.cache_stats == {"hits": 0, "misses": 7, "stores": 7}
+        cold3 = run_demo(cache=str(tmp_path / "w3"), workers=3)
+        assert cold3.cache_stats == cold.cache_stats
+        warm = run_demo(cache=ResultCache(tmp_path / "w1"), workers=2)
         assert warm.cache_stats == {"hits": 8, "misses": 0, "stores": 0}
-        assert warm.to_json() == cold.to_json()
+        assert warm.to_json() == cold.to_json() == cold3.to_json()
 
     def test_progress_fires_per_rung_in_order(self):
         seen = []
@@ -446,6 +459,24 @@ class TestRunCampaign:
         assert dead["rung"] == "roll0.t0"
         assert dead["delivery_failed"] >= 1
         assert "retransmissions" in dead and "dropped" in dead
+
+    def test_rung_that_keeps_killing_its_worker_is_an_error_row(self):
+        """A campaign is a sweep job: the crash budget ends in a
+        ``WorkerCrashed`` row the SLO reduction sees, not in a raise
+        that loses the other rungs."""
+        spec = CampaignSpec(
+            name="crashy", base=lossy_base(),
+            generators=[{"kind": "severity_ladder", "name": "sev",
+                         "factors": [0, 1]}],
+            slos=[{"kind": "availability", "min_fraction": 1.0}])
+        result = run_campaign(spec, t805_grid(2, 2), crashing_rung_runner,
+                              workers=2)
+        assert [("error" in row) for row in result.rows] == \
+            [False, False, True]
+        assert result.rows[2]["rung"] == "sevx1"
+        assert result.rows[2]["error"].startswith(
+            "WorkerCrashed: variant worker exited with code 44")
+        assert not result.ok and not result.verdicts[0].passed
 
     def test_seeded_monotonicity_violation_is_caught(self, monkeypatch):
         """End-to-end invariant check: sabotage ``scaled`` so severity

@@ -33,6 +33,7 @@ from repro import (
 )
 from repro.parallel import TERMINAL_STATES
 from repro.parallel.executor import ExecutorError
+from tests.test_faults_differential import lossy_plan, stochastic_row
 from tests.test_parallel_sweep import (
     bw_sweep,
     echo_runner,
@@ -139,6 +140,59 @@ class TestRowConformance:
         bad = rows[1]
         assert bad["error"].startswith("ValueError: bandwidth 2.0 is cursed")
         assert "failing_runner" in bad["traceback"]
+
+
+class TestPlanIsACoordinateOfThePoint:
+    def test_mixed_plan_job_equals_the_single_plan_sweeps(
+            self, make_executor, tmp_path):
+        """One job whose points carry different plans (and both point
+        shapes) returns the rows of the separate single-plan sweeps,
+        under the same cache keys."""
+        plan = lossy_plan()
+        sweep = bw_sweep([1.0, 2.0])
+        cache = ResultCache(tmp_path)
+        clean = sweep.run(stochastic_row, cache=cache, workload_id="w")
+        faulty = sweep.run(stochastic_row, cache=cache, workload_id="w",
+                           faults=plan)
+        assert clean != faulty
+        (c0, m0), (c1, m1) = sweep.points()
+        points = [(c0, m0), (c0, m0, plan), (c1, m1, None), (c1, m1, plan)]
+        expected = json.dumps([clean[0], faulty[0], clean[1], faulty[1]])
+        executor = make_executor()
+        cold_id, cold = run_job(executor, JobSpec(
+            runner=stochastic_row, points=points))
+        assert cold.state == "done"
+        assert json.dumps(executor.result(cold_id)) == expected
+        # The cache the separate sweeps warmed serves the whole job.
+        warm_id, warm = run_job(executor, JobSpec(
+            runner=stochastic_row, points=points, workload_id="w",
+            cache=cache))
+        assert warm.cache == {"hits": 4, "misses": 0, "stores": 0}
+        assert json.dumps(executor.result(warm_id)) == expected
+
+    def test_equal_keys_in_one_job_simulate_and_store_once(
+            self, make_executor, tmp_path):
+        ((coords, machine),) = bw_sweep([1.0]).points()
+        points = [({"rung": label, **coords}, machine, plan)
+                  for label, plan in (("a", None), ("b", lossy_plan()),
+                                      ("c", None), ("d", lossy_plan()))]
+        executor = make_executor()
+        seen = []
+        job_id, status = run_job(
+            executor,
+            JobSpec(runner=stochastic_row, points=points, timing=True,
+                    cache=ResultCache(tmp_path)),
+            on_event=lambda e: seen.append(e.get("done")))
+        assert status.cache == {"hits": 0, "misses": 2, "stores": 2}
+        rows = executor.result(job_id)
+        assert [row["rung"] for row in rows] == ["a", "b", "c", "d"]
+        assert [row["wall_time_s"] > 0.0 for row in rows] == \
+            [True, True, False, False]
+        for first, again in ((0, 2), (1, 3)):
+            strip = ("rung", "wall_time_s")
+            assert {k: v for k, v in rows[first].items() if k not in strip} \
+                == {k: v for k, v in rows[again].items() if k not in strip}
+        assert [d for d in seen if d is not None] == [1, 2, 3, 4]
 
 
 class TestCacheConformance:

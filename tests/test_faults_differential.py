@@ -163,16 +163,13 @@ class TestCacheKeySeparation:
     def test_cached_fault_free_row_never_served_for_faulty_run(self, tmp_path):
         """Regression: before the key carried the plan digest, a faulty
         re-run of a cached sweep silently returned fault-free rows."""
-        from repro.parallel import FaultedRunner
         cache = ResultCache(tmp_path)
         machine = t805_grid(2, 2)
-        points = [({}, machine)]
         pool = ParallelSweepRunner(workers=1, cache=cache)
-        clean = pool.run(stochastic_row, points, workload_id="w")
+        clean = pool.run(stochastic_row, [({}, machine)], workload_id="w")
         assert cache.stats.stores == 1
-        plan = lossy_plan()
-        faulty = pool.run(FaultedRunner(stochastic_row, plan), points,
-                          workload_id="w", faults=plan)
+        faulty = pool.run(stochastic_row, [({}, machine, lossy_plan())],
+                          workload_id="w")
         # Second run was a cache MISS and simulated for real...
         assert cache.stats.hits == 0 and cache.stats.stores == 2
         # ...and its row shows the faults the cached row cannot have.
@@ -201,3 +198,47 @@ class TestCacheKeySeparation:
                          faults=[base.scaled(0.0), base])
         assert [row["faults"] for row in rows] == ["plan0", "lossy"]
         assert rows[1]["total_cycles"] > rows[0]["total_cycles"]
+
+    def test_plan_sequence_is_one_job_with_one_progress_count(
+            self, monkeypatch):
+        """Regression: each plan used to be its own sub-run, so progress
+        restarted at ``1/N`` per plan (N one plan's points) and every
+        point was pre-flighted once per plan."""
+        import repro.check
+        import repro.parallel
+        base = lossy_plan()
+        base.name = "lossy"
+        sweep = Sweep(t805_grid(2, 2))
+        sweep.axis("flit", _set_flit, [8, -4, 16])    # -4 fails preflight
+        checked, jobs, seen = [], [], []
+        check_machine = repro.check.check_machine
+        run = repro.parallel.ParallelSweepRunner.run
+        monkeypatch.setattr(repro.check, "check_machine", lambda machine: (
+            checked.append(machine.network.flit_bytes),
+            check_machine(machine))[1])
+        monkeypatch.setattr(
+            repro.parallel.ParallelSweepRunner, "run",
+            lambda self, runner, points, **kw: (
+                jobs.append(len(points)), run(self, runner, points, **kw))[1])
+        rows = sweep.run(
+            stochastic_row, faults=[None, base],
+            progress=lambda done, total, row: seen.append(
+                (done, total, row["faults"], row["flit"], "error" in row)))
+        assert checked == [8, -4, 16]              # once per point
+        assert jobs == [4]                         # one job: 2 plans x 2 good
+        # Preflight failures first, then the job's rows; one 1..6 count.
+        assert seen == [
+            (1, 6, "plan0", -4, True), (2, 6, "lossy", -4, True),
+            (3, 6, "plan0", 8, False), (4, 6, "plan0", 16, False),
+            (5, 6, "lossy", 8, False), (6, 6, "lossy", 16, False)]
+        # Rows stay plan-major, in point order, `faults` leading.
+        assert [(r["faults"], r["flit"]) for r in rows] == [
+            ("plan0", 8), ("plan0", -4), ("plan0", 16),
+            ("lossy", 8), ("lossy", -4), ("lossy", 16)]
+        assert all(list(r)[0] == "faults" for r in rows)
+        assert rows[1]["error"].startswith("CheckError")
+        assert rows[1]["error"] == rows[4]["error"]
+
+
+def _set_flit(machine, value):
+    machine.network.flit_bytes = value

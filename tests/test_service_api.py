@@ -26,6 +26,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from functools import partial
 from pathlib import Path
 
@@ -117,7 +118,8 @@ def manager():
     managers = []
 
     def make(**kwargs):
-        kwargs.setdefault("executor", InProcessExecutor(workers=2))
+        if "executor" not in kwargs:
+            kwargs["executor"] = InProcessExecutor(workers=2)
         mgr = JobManager(**kwargs)
         managers.append(mgr)
         return mgr
@@ -145,6 +147,8 @@ class TestRequests:
         ({"kind": "sweep", "preset": PRESET, "axes": ["x=1"],
           "frobnicate": True}, "unknown request fields"),
         ({"kind": "sweep", "preset": PRESET}, "missing required"),
+        # The server sizes its one pool; a tenant cannot ask for processes.
+        (dict(CHAOS_REQUEST, workers=2), "unknown request fields: workers"),
         ("not a dict", "JSON object"),
     ])
     def test_malformed_requests_are_400(self, bad, match):
@@ -256,6 +260,86 @@ class TestLifecycleGolden:
         assert [r.wait(timeout=120.0) for r in records] == ["done"] * 3
         assert all(len(r.rows) == 2 for r in records)
         assert mgr.executor._jobs == {}
+
+
+# ---------------------------------------------------------------------------
+# Chaos campaigns are ordinary jobs on the executor's pool
+# ---------------------------------------------------------------------------
+
+#: where `_stuck_rung` leaves its pid (set before the workers fork)
+_PID_DIR: list[Path] = []
+
+
+def _stuck_rung(self, machine, faults=None):
+    """An ``AppCampaignRunner.__call__`` that never finishes a rung."""
+    (_PID_DIR[0] / str(os.getpid())).touch()
+    time.sleep(600.0)
+
+
+def _gone(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("backend", [InProcessExecutor, LocalAsyncExecutor])
+class TestChaosOnTheExecutorPool:
+    """Regression: a served campaign used to fan its rungs out over a
+    second, ephemeral ``WorkerPool`` forked from the dispatch thread,
+    and saw cancel / ``timeout_s`` only between rungs."""
+
+    def test_no_pool_beyond_the_executors(self, manager, backend,
+                                          monkeypatch):
+        from repro.parallel import WorkerPool
+        built = []
+        init = WorkerPool.__init__
+        monkeypatch.setattr(
+            WorkerPool, "__init__",
+            lambda self, *a, **kw: (built.append(self), init(self, *a, **kw))
+            and None)
+        mgr = manager(executor=backend(workers=2))
+        record = mgr.submit(CHAOS_REQUEST)
+        assert record.wait(timeout=300.0) == "done"
+        assert built == [mgr.executor._pool]
+        assert record.result_payload()["campaign"]["rungs"] == 3
+
+    @pytest.fixture
+    def stuck(self, manager, backend, monkeypatch, tmp_path):
+        """A manager whose campaign rungs hang in their worker."""
+        from repro.chaos import AppCampaignRunner
+        monkeypatch.setattr(AppCampaignRunner, "__call__", _stuck_rung)
+        monkeypatch.setattr(sys.modules[__name__], "_PID_DIR", [tmp_path])
+        return manager(executor=backend(workers=2))      # forks after
+
+    def _rung_pids(self, tmp_path, count: int) -> list[int]:
+        deadline = time.monotonic() + 60.0
+        while len(list(tmp_path.iterdir())) < count:
+            assert time.monotonic() < deadline, "rungs never started"
+            time.sleep(0.01)
+        return [int(path.name) for path in tmp_path.iterdir()]
+
+    def test_timeout_lands_mid_rung(self, stuck, tmp_path):
+        record = stuck.submit(dict(CHAOS_REQUEST, timeout_s=0.5))
+        # Within the pool's abort poll of the budget, not after the
+        # 600 s rung: the bound only has to tell those two apart.
+        assert record.wait(timeout=60.0) == "failed"
+        assert record.error.startswith("JobTimeout")
+        assert all(_gone(pid) for pid in self._rung_pids(tmp_path, 1))
+
+    def test_cancel_lands_mid_rung_and_the_manager_serves_on(
+            self, stuck, tmp_path):
+        record = stuck.submit(CHAOS_REQUEST)
+        pids = self._rung_pids(tmp_path, 2)      # two workers, mid-rung
+        assert os.getpid() not in pids
+        assert stuck.cancel(record.job_id) is True
+        assert record.wait(timeout=60.0) == "cancelled"
+        assert record.rows is None
+        assert all(_gone(pid) for pid in pids)
+        follow_up = stuck.submit(SWEEP_REQUEST)
+        assert follow_up.wait(timeout=120.0) == "done"
+        assert follow_up.rows == expected_sweep_rows()
 
 
 # ---------------------------------------------------------------------------

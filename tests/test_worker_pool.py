@@ -1,8 +1,8 @@
 """The one worker pool (repro.parallel.pool) and what runs on it.
 
 ``WorkerPool`` is the only place under ``src/`` that starts worker
-processes; sweeps (through every ``Executor``), ``repro verify``
-shards, ``repro chaos`` rungs and the bounds audit all map over it.
+processes; sweeps and chaos campaigns (through every ``Executor``),
+``repro verify`` shards and the bounds audit all map over it.
 Pinned here: ordered streaming, the in-process fallbacks, and the
 robustness contract — a task that kills its worker is retried on a
 fresh one, then resolves to a typed ``WorkerCrashed``, and the calling
