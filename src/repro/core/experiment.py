@@ -64,9 +64,9 @@ class Sweep:
         """All (coordinates, machine-variant) pairs of the cross product.
 
         ``validate=True`` (the default) raises on the first invalid
-        variant; :meth:`run` passes ``False`` and instead pre-flights
-        every variant through the static analyzer so one sick config
-        becomes an error row, not an aborted sweep.
+        variant; :meth:`run` passes ``False`` because the job it
+        submits pre-flights every variant it has to simulate, so one
+        sick config becomes an error row, not an aborted sweep.
         """
         points: list[tuple[dict, MachineConfig]] = [({},
                                                      copy.deepcopy(self.base))]
@@ -85,13 +85,17 @@ class Sweep:
 
     def run(self, runner: Runner, *, workers: int | None = None,
             cache: Any = None, workload_id: str | None = None,
-            on_error: str = "capture", preflight: bool = True,
-            progress: Any = None, timing: bool = False,
-            faults: Any = None, executor: Any = None) -> list[dict]:
+            on_error: str = "capture", progress: Any = None,
+            timing: bool = False, faults: Any = None,
+            executor: Any = None) -> list[dict]:
         """Run ``runner(machine) -> metrics`` at every point.
 
         Returns one row per point: sweep coordinates merged with the
         runner's metric dict.  Rows always come back in point order.
+        They run as one job (:func:`repro.parallel.run_cached_sweep`),
+        which statically analyzes every variant it has no cached row
+        for before the pool sees it: a failing one is a ``CheckError:
+        ...`` row in milliseconds, not a crash mid-simulation.
 
         ``workers``
             fan the points out over that many worker processes
@@ -109,23 +113,15 @@ class Sweep:
             cache-key component naming the workload; defaults to the
             runner's qualified name.
         ``on_error``
-            ``"capture"`` (default) turns a variant failure into a
-            ``{**coords, "error": "Type: msg"}`` row so one sick
-            config cannot lose the rest of an overnight sweep;
-            ``"raise"`` aborts with
+            ``"capture"`` (default) turns a variant failure (at
+            pre-flight or at run time) into a ``{**coords, "error":
+            "Type: msg"}`` row so one sick config cannot lose the rest
+            of an overnight sweep; ``"raise"`` aborts with
             :class:`repro.parallel.SweepVariantError`.
-        ``preflight``
-            statically analyze every variant with
-            :func:`repro.check.check_machine` before it reaches the
-            pool; failing variants become ``CheckError: ...`` rows (or
-            raise, per ``on_error``) in milliseconds instead of
-            crashing mid-simulation.  ``preflight=False`` restores the
-            pre-analyzer behaviour: :meth:`points` validates eagerly
-            and the first invalid variant raises ``ConfigError``.
         ``progress``
             ``progress(done, total, row)`` callback fired as each row
-            resolves (cache hits included).  Variants that fail
-            preflight are reported before the pool starts.
+            resolves: hits and pre-flight failures in point order
+            during the scan, then executed variants.
         ``timing``
             add a nondeterministic ``wall_time_s`` column to executed
             rows (opt-in; see
@@ -135,7 +131,7 @@ class Sweep:
             plan JSON file) applied to every variant, **or a sequence
             of plans** — fault severity then becomes the outermost
             sweep axis: the plan x point product runs as one job
-            (``progress`` counts over all of it, preflight runs once
+            (``progress`` counts over all of it, pre-flight runs once
             per point) and rows gain a leading ``faults`` coordinate
             (the plan's name, or ``planN``).  The runner must accept a
             ``faults=`` keyword (forward it to ``Workbench``/
@@ -144,8 +140,8 @@ class Sweep:
             Empty plans are normalized away and behave exactly like
             ``faults=None``.
         ``executor``
-            a :class:`repro.parallel.Executor` to run the (post-
-            preflight) points as a job on — e.g. a shared
+            a :class:`repro.parallel.Executor` to run the points as
+            a job on — e.g. a shared
             :class:`repro.parallel.LocalAsyncExecutor` whose workers
             outlive the call.  Mutually exclusive with ``workers`` (the
             executor owns its worker pool, and ``workers=N`` is itself
@@ -154,58 +150,22 @@ class Sweep:
             own cache when ``None``.
         """
         from ..faults import as_fault_plan
-        from ..parallel import (ParallelSweepRunner, ResultCache,
-                                SweepVariantError)
-        if on_error not in ("capture", "raise"):
-            raise ValueError(f"on_error must be 'capture' or 'raise', "
-                             f"got {on_error!r}")
+        from ..parallel import ParallelSweepRunner
         if isinstance(faults, (list, tuple)):
             plans = [as_fault_plan(item) for item in faults]
             labels = [{"faults": plan.name if plan is not None and plan.name
                        else f"plan{i}"} for i, plan in enumerate(plans)]
         else:
             plans, labels = [as_fault_plan(faults)], [{}]
-        if cache is not None and not isinstance(cache, ResultCache):
-            cache = ResultCache(cache)
-        points = self.points(validate=not preflight)
-        #: per point, the preflight failure that keeps it from running
-        errors: list[str | None] = [None] * len(points)
-        if preflight:
-            from ..check import check_machine
-            for idx, (coords, machine) in enumerate(points):
-                report = check_machine(machine)
-                if not report.ok:
-                    errors[idx] = f"CheckError: {report.summary_message()}"
-                    if on_error == "raise":
-                        raise SweepVariantError(coords, errors[idx])
         # The plan x point product, plan-major: one job, whatever the
-        # number of plans.  Preflight failures are rows already.
-        total = len(plans) * len(points)
-        rows: list[dict | None] = []
-        good: list[tuple[dict, MachineConfig, Any]] = []
-        for label, plan in zip(labels, plans):
-            for (coords, machine), error in zip(points, errors):
-                if error is None:
-                    good.append(({**label, **coords}, machine, plan))
-                    rows.append(None)
-                    continue
-                rows.append({**label, **coords, "error": error})
-                if progress is not None:
-                    progress(len(rows) - len(good), total, rows[-1])
-        pool_progress = None
-        if progress is not None:
-            # The pool counts only its own rows; shift past the
-            # preflight failures already reported.
-            offset = total - len(good)
-
-            def pool_progress(done: int, _pool_total: int, row: dict,
-                              ) -> None:
-                progress(done + offset, total, row)
+        # number of plans; the plans share each point's machine.
+        points = self.points(validate=False)
+        product = [({**label, **coords}, machine, plan)
+                   for label, plan in zip(labels, plans)
+                   for coords, machine in points]
         if workers is None and executor is None:
             workers = 1               # a bare Sweep.run is serial
         pool = ParallelSweepRunner(workers=workers, cache=cache,
                                    executor=executor)
-        ran = iter(pool.run(runner, good, workload_id=workload_id,
-                            on_error=on_error, progress=pool_progress,
-                            timing=timing))
-        return [next(ran) if row is None else row for row in rows]
+        return pool.run(runner, product, workload_id=workload_id,
+                        on_error=on_error, progress=progress, timing=timing)

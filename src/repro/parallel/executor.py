@@ -74,10 +74,13 @@ class JobSpec:
     ``None``) is a coordinate of the point, so one job may mix plans —
     a chaos campaign's rungs, a multi-plan ``Sweep.run(faults=[...])``.
     The runner is called as ``runner(machine)``, or ``runner(machine,
-    faults=plan)`` where the plan is not ``None``.  ``cache`` may be a
-    :class:`ResultCache`, a directory path, or ``None`` (falls back to
-    the executor's cache).  ``timeout_s`` bounds the whole job's wall
-    time (``None`` defers to the executor default).
+    faults=plan)`` where the plan is not ``None``.  The job body
+    (:func:`~repro.parallel.runner.run_cached_sweep`) pre-flights every
+    point it has no cached row for; progress reports hits and pre-flight
+    failures in point order during the scan, then executed variants.
+    ``cache`` may be a :class:`ResultCache`, a directory path, or
+    ``None`` (falls back to the executor's cache).  ``timeout_s`` bounds
+    the whole job's wall time (``None`` defers to the executor default).
     """
 
     runner: Runner

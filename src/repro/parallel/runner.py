@@ -10,9 +10,9 @@ shares; the processes themselves belong to
 * :func:`execute_variant` — run one variant, capturing a runner
   exception as an error payload (``on_error="capture"``), so an
   overnight sweep survives one sick configuration;
-* :func:`run_cached_sweep` — cache scan, row assembly and progress for
-  a batch of points: variants whose ``(machine, workload, code, fault
-  plan)`` key already has a row in the
+* :func:`run_cached_sweep` — cache scan, pre-flight, row assembly and
+  progress for a batch of points: variants whose ``(machine, workload,
+  code, fault plan)`` key already has a row in the
   :class:`~repro.parallel.cache.ResultCache` are not simulated again,
   and rows are collected **in point order**, never completion order;
 * :class:`ParallelSweepRunner` — the blocking front door behind
@@ -36,6 +36,9 @@ import time
 import traceback
 from typing import Any, Callable, Iterator, Optional, Sequence
 
+# `check.check_machine` is looked up per call: tests and the layered
+# benchmark's `check` span patch the attribute on the module.
+from .. import check
 from ..core.config import MachineConfig
 from .cache import ResultCache
 
@@ -156,10 +159,19 @@ def run_cached_sweep(imap: ImapFn, runner: Runner,
     the generator it returns is closed as soon as the sweep stops
     consuming it, so an aborted sweep leaves no variant running.  Every
     sweep funnels through this one function, so rows are byte-identical
-    across backends by construction: same cache keys, same row
-    assembly, same progress contract (cache hits first, during the
-    scan, then executed variants in point order — streamed progress
-    reaches 100% even when every row is served from cache).
+    across backends and front doors by construction: same cache keys,
+    same pre-flight, same row assembly, same progress contract (hits
+    and pre-flight failures in point order during the scan, then
+    executed variants in point order — streamed progress reaches 100%
+    even when every row is served from cache).
+
+    A miss is pre-flighted by :func:`repro.check.check_machine` (once
+    per machine object) before it may reach ``imap``: a failing one
+    resolves during the scan as a ``CheckError: ...`` row — looked up
+    and not found, so one ``miss``, no ``store``, ``wall_time_s``
+    ``0.0`` — or raises, per ``on_error``.  A row is only ``put`` for a
+    machine that passed, under a key hashing the ``repro`` sources, so
+    a hit needs no second verdict.
 
     A point's fault plan (its optional third element) extends its cache
     key with the plan digest, so faulty and fault-free rows of the same
@@ -188,6 +200,8 @@ def run_cached_sweep(imap: ImapFn, runner: Runner,
     variants: list[tuple[MachineConfig, Any]] = []   # one per simulation
     #: with a cache, the outcome of each missed key once it has run
     outcome_of: dict[str, Optional[tuple[str, Any]]] = {}
+    #: per machine object pre-flighted, its failure message (or None)
+    verdict_of: dict[int, Optional[str]] = {}
     for idx, point in enumerate(points):
         coords, machine = point[:2]
         plan = point[2] if len(point) > 2 else None
@@ -201,6 +215,17 @@ def run_cached_sweep(imap: ImapFn, runner: Runner,
             if cached is not None:
                 resolve(idx, {**coords, **cached}, 0.0)
                 continue
+        if id(machine) not in verdict_of:
+            report = check.check_machine(machine)
+            verdict_of[id(machine)] = None if report.ok \
+                else f"CheckError: {report.summary_message()}"
+        error = verdict_of[id(machine)]
+        if error is not None:
+            if on_error == "raise":
+                raise SweepVariantError(coords, error)
+            resolve(idx, {**coords, "error": error}, 0.0)
+            continue
+        if cache is not None:
             outcome_of[key] = None
         pending.append((idx, key))
         variants.append((machine, plan))
@@ -274,9 +299,10 @@ class ParallelSweepRunner:
         """One metric row per point, in point order.
 
         ``progress(done, total, row)`` is called once per resolved row —
-        cache hits first (during the scan), then executed variants in
-        point order.  ``timing=True`` adds a ``wall_time_s`` column to
-        every executed row (cache hits report ``0.0``); it is opt-in
+        hits and pre-flight failures in point order during the scan,
+        then executed variants in point order.  ``timing=True`` adds a
+        ``wall_time_s`` column to every executed row (rows resolved
+        during the scan report ``0.0``); it is opt-in
         because wall time is nondeterministic and would break row
         equality between runs.  Wall times never enter the cache.
 

@@ -15,9 +15,11 @@ their :class:`JobRecord` (the record *is* the executor's job state); a
 campaign's result document is the pure
 :meth:`~repro.chaos.ChaosResult.from_rows` reduction of the record's
 rows.  Both are planned by the CLI's own plan builders (same runner,
-same workload-id scheme), so rows fetched over HTTP are byte-identical
-to ``repro sweep`` / in-process ``Sweep.run`` output and share the same
-:class:`~repro.parallel.ResultCache` entries.
+same workload-id scheme) and pre-flighted by the job body, so rows
+fetched over HTTP, ``CheckError`` rows included, are byte-identical to
+``repro sweep`` / in-process ``Sweep.run`` output (progress too: hits
+and pre-flight failures in point order during the scan, then executed
+variants) and share the same :class:`~repro.parallel.ResultCache` entries.
 """
 
 from __future__ import annotations
@@ -117,8 +119,9 @@ def _plan_sweep(request: dict) -> dict:
     """Turn a canonical sweep request into runnable pieces.
 
     :func:`repro.cli.plan_sweep` is the plan ``repro sweep`` itself
-    runs, so service rows are byte-identical to its output and share
-    cache entries with it.
+    runs, points unvalidated (a sick variant is the job's ``CheckError``
+    row, not a 400), so service rows are byte-identical to its output
+    and share cache entries with it.
     """
     from ..cli import plan_sweep
     from ..faults import as_fault_plan
@@ -133,11 +136,10 @@ def _plan_sweep(request: dict) -> dict:
             workload=request["workload"], rounds=request["rounds"],
             seed=request["seed"])
         plan = as_fault_plan(request["faults"])
-        points = [(*point, plan) for point in sweep.points()]
+        points = [(*p, plan) for p in sweep.points(validate=False)]
     except (SystemExit, Exception) as exc:  # noqa: BLE001 - request boundary
         raise ServiceError(400, f"bad sweep request: {exc}") from None
-    return {"runner": runner, "points": points,
-            "workload_id": workload_id, "total": len(points)}
+    return {"runner": runner, "points": points, "workload_id": workload_id}
 
 
 def _plan_chaos(request: dict) -> dict:
@@ -154,7 +156,7 @@ def _plan_chaos(request: dict) -> dict:
     except (SystemExit, Exception) as exc:  # noqa: BLE001 - request boundary
         raise ServiceError(400, f"bad chaos request: {exc}") from None
     return {"runner": runner, "points": points, "workload_id": None,
-            "total": len(points), "campaign": spec}
+            "campaign": spec}
 
 
 # -- job record ------------------------------------------------------------
@@ -348,7 +350,7 @@ class JobManager:
             job_id = f"{key[:12]}-{next(self._seq)}"
             record = JobRecord(job_id, key, canon)
             record.plan = plan
-            record.total = plan["total"]
+            record.total = len(plan["points"])
             # Emit "submitted" before the scheduler can hand the job to
             # the dispatcher, so event order is stable.
             record.set_state("submitted")
@@ -412,8 +414,10 @@ class JobManager:
     def _finish(self, record: JobRecord) -> None:
         """Account for a record that just reached its terminal state."""
         # Only blocking callers re-raise it; a record kept for the life
-        # of the server must not pin the failed job's frames.
+        # of the server must not pin the failed job's frames, nor the
+        # plan's runner and machines (the result reads only the spec).
         record.exc = None
+        record.plan = {"campaign": record.plan.get("campaign")}
         counter = {"done": "completed", "failed": "failed",
                    "cancelled": "cancelled"}[record.state]
         self._counters[counter].inc()

@@ -19,9 +19,9 @@ POST       ``/v1/jobs/<id>/cancel``               ``{"cancelled": bool}``
 
 Errors come back as ``{"error": message}`` with the status carried by
 :class:`~repro.service.jobs.ServiceError` (400 malformed, 404 unknown
-job, 409 result-not-ready, 429 quota).  The events endpoint streams
-each job event as one JSON line, live, and closes after the terminal
-state event — the HTTP analogue of ``Executor.stream``.
+job, 409 result-not-ready, 429 quota), or 408 for a stalled request.  The
+events endpoint streams each job event as one JSON line, live, and closes
+after the terminal state event — the HTTP analogue of ``Executor.stream``.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ from .jobs import JobManager, ServiceError
 __all__ = ["ServiceServer", "run_server"]
 
 _MAX_BODY = 8 * 1024 * 1024
+#: how long a client may take to send its whole request
+_READ_TIMEOUT_S = 30.0
 #: how often the event stream re-checks a quiet job for new events
 _STREAM_POLL_S = 0.05
 
@@ -84,7 +86,11 @@ class ServiceServer:
                       writer: asyncio.StreamWriter) -> None:
         try:
             try:
-                method, path, body = await self._read_request(reader)
+                method, path, body = await asyncio.wait_for(
+                    self._read_request(reader), _READ_TIMEOUT_S)
+            except asyncio.TimeoutError:
+                await self._respond(writer, 408, {"error": "request timeout"})
+                return
             except (asyncio.IncompleteReadError, ValueError) as exc:
                 await self._respond(writer, 400, {"error": f"bad request: "
                                                            f"{exc}"})
@@ -136,8 +142,8 @@ class ServiceServer:
                        payload: Any) -> None:
         body = _json_bytes(payload)
         reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  405: "Method Not Allowed", 409: "Conflict",
-                  429: "Too Many Requests",
+                  405: "Method Not Allowed", 408: "Request Timeout",
+                  409: "Conflict", 429: "Too Many Requests",
                   500: "Internal Server Error"}.get(status, "Error")
         head = (f"HTTP/1.1 {status} {reason}\r\n"
                 f"Content-Type: application/json\r\n"

@@ -2,7 +2,7 @@
 
 Covers the diagnostic vocabulary, the pass manager, all four analyzer
 families (trace / machine / description / determinism-sanitizer), the
-three integration layers (CLI, ``Sweep.run`` pre-flight, lint-clean
+three integration layers (CLI, the sweep job's pre-flight, lint-clean
 bundled artifacts), the golden broken-trio snapshot, and the hypothesis
 property that the static deadlock verdict agrees with the synchronous
 communication model.
@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Sweep, Workbench, generic_multicomputer, t805_grid
+from repro import (ResultCache, Sweep, Workbench, generic_multicomputer,
+                   t805_grid)
 from repro.check import (
     CheckContext,
     CheckError,
@@ -564,17 +565,71 @@ class TestSweepPreflight:
             sweep.run(_flit_runner, on_error="raise")
 
     def test_preflight_false_restores_old_behaviour(self):
+        """There is no ``preflight=`` knob any more; what is left of the
+        old behaviour is that a bare ``points()`` validates eagerly."""
         from repro.core.config import ConfigError
         sweep = Sweep(t805_grid(2, 2)).axis("flit", _set_flit, [-4])
-        with pytest.raises(ConfigError):      # eager validation, no analyzer
-            sweep.run(_flit_runner, preflight=False)
         with pytest.raises(ConfigError):
             sweep.points()                    # default points() still strict
+        with pytest.raises(TypeError):
+            sweep.run(_flit_runner, preflight=False)
 
     def test_workbench_check_facade(self):
         wb = Workbench(t805_grid(2, 2))
         report = wb.check(description=StochasticAppDescription())
         assert report.ok
+
+
+class TestLookUpFirstPreflightOnlyTheMisses:
+    """Pre-flight is a stage of the job body: a point is looked up in
+    the cache first and only a miss is analyzed.  A row is only stored
+    for a machine that passed, under a key hashing the ``repro``
+    sources, so a hit needs no second verdict.  A point that fails was
+    looked up and not found: one ``miss``, no ``store``, and under
+    ``timing=True`` a ``wall_time_s`` of ``0.0``, like a hit."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        import repro.check
+        checked = []
+        monkeypatch.setattr(repro.check, "check_machine", lambda machine: (
+            checked.append(machine.network.flit_bytes),
+            check_machine(machine))[1])
+        return checked
+
+    @staticmethod
+    def flit_sweep(values):
+        return Sweep(t805_grid(2, 2)).axis("flit", _set_flit, values)
+
+    def test_cold_checks_every_point_warm_checks_none(self, checked,
+                                                      tmp_path):
+        cache = ResultCache(tmp_path)
+        cold = self.flit_sweep([8, 16, 32]).run(_flit_runner, cache=cache)
+        assert checked == [8, 16, 32]
+        del checked[:]
+        warm = self.flit_sweep([8, 16, 32]).run(_flit_runner, cache=cache)
+        assert checked == []
+        assert warm == cold
+
+    def test_warm_run_with_one_new_sick_point(self, checked, tmp_path):
+        cache = ResultCache(tmp_path)
+        self.flit_sweep([8, 16]).run(_flit_runner, cache=cache)
+        del checked[:]
+        cache.stats.hits = cache.stats.misses = cache.stats.stores = 0
+        seen = []
+        rows = self.flit_sweep([8, -4, 16]).run(
+            _flit_runner, cache=cache, timing=True,
+            progress=lambda done, total, row: seen.append(
+                (done, total, row["flit"], "error" in row)))
+        assert checked == [-4]
+        # Hits and the failure in point order, during the scan; nothing
+        # was left to execute.
+        assert seen == [(1, 3, 8, False), (2, 3, -4, True),
+                        (3, 3, 16, False)]
+        assert rows[1]["error"].startswith("CheckError: MC001")
+        assert [row["wall_time_s"] for row in rows] == [0.0, 0.0, 0.0]
+        assert (cache.stats.hits, cache.stats.misses,
+                cache.stats.stores) == (2, 1, 0)
 
 
 # ---------------------------------------------------------------------------

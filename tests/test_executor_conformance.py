@@ -141,6 +141,23 @@ class TestRowConformance:
         assert bad["error"].startswith("ValueError: bandwidth 2.0 is cursed")
         assert "failing_runner" in bad["traceback"]
 
+    def test_raw_job_spec_is_preflighted(self, make_executor):
+        """No ``Sweep.run`` in front: the job body itself vets a miss."""
+        points = bw_sweep([1.0, -2.0, 4.0]).points(validate=False)
+        executor = make_executor()
+        job_id, status = run_job(executor, JobSpec(
+            runner=echo_runner, points=points))
+        assert status.state == "done"
+        rows = executor.result(job_id)
+        assert [row.get("bw_out") for row in rows] == [1.0, None, 4.0]
+        assert rows[1]["bw"] == -2.0
+        assert rows[1]["error"].startswith("CheckError: MC001")
+        _, status = run_job(executor, JobSpec(
+            runner=echo_runner, points=points, on_error="raise"))
+        assert status.state == "failed"
+        assert status.error.startswith("SweepVariantError")
+        assert "CheckError: MC001" in status.error
+
 
 class TestPlanIsACoordinateOfThePoint:
     def test_mixed_plan_job_equals_the_single_plan_sweeps(

@@ -225,8 +225,9 @@ class TestCacheKeySeparation:
             progress=lambda done, total, row: seen.append(
                 (done, total, row["faults"], row["flit"], "error" in row)))
         assert checked == [8, -4, 16]              # once per point
-        assert jobs == [4]                         # one job: 2 plans x 2 good
-        # Preflight failures first, then the job's rows; one 1..6 count.
+        assert jobs == [6]                         # one job: 2 plans x 3
+        # Pre-flight failures during the scan, then the executed rows;
+        # one 1..6 count.
         assert seen == [
             (1, 6, "plan0", -4, True), (2, 6, "lossy", -4, True),
             (3, 6, "plan0", 8, False), (4, 6, "plan0", 16, False),

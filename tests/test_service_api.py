@@ -261,6 +261,54 @@ class TestLifecycleGolden:
         assert all(len(r.rows) == 2 for r in records)
         assert mgr.executor._jobs == {}
 
+    def test_finished_record_drops_its_planned_points(self, manager):
+        """Regression: a record kept its plan — the runner and one
+        deep-copied machine per point — for the life of the server."""
+        from repro.chaos import ChaosResult
+        from repro.chaos.spec import as_campaign_spec
+        mgr = manager(autostart=False)
+        sweep = mgr.submit(SWEEP_REQUEST)
+        chaos = mgr.submit(CHAOS_REQUEST)
+        assert len(sweep.plan["points"]) == 2
+        assert len(chaos.plan["points"]) == 3
+        mgr.start()
+        assert sweep.wait(timeout=120.0) == "done"
+        assert chaos.wait(timeout=300.0) == "done"
+        mgr.close()           # joins the dispatcher: both are accounted for
+        for record in (sweep, chaos):
+            assert "points" not in record.plan
+            assert "runner" not in record.plan
+        assert sweep.result_payload()["rows"] == expected_sweep_rows()
+        assert chaos.result_payload()["campaign"] == ChaosResult.from_rows(
+            as_campaign_spec(CHAOS_SPEC), chaos.rows).to_dict()
+
+
+# ---------------------------------------------------------------------------
+# One pre-flight, in the job body: the service's rows are the CLI's
+# ---------------------------------------------------------------------------
+
+SICK_AXES = ["network.flit_bytes=4,-4,8"]     # -4 fails check_machine
+
+
+@pytest.mark.parametrize("backend", [InProcessExecutor, LocalAsyncExecutor])
+def test_one_sick_point_is_a_row_not_a_400(manager, backend):
+    """Regression: the service planned with validating ``points()`` and
+    never ran the analyzer, so the request ``repro sweep`` answers with
+    one ``CheckError`` row and two good ones was rejected whole."""
+    from repro.cli import plan_sweep
+    mgr = manager(executor=backend(workers=2))
+    record = mgr.submit({"kind": "sweep", "preset": PRESET, "rounds": 1,
+                         "axes": SICK_AXES})
+    assert record.wait(timeout=120.0) == "done"
+    sweep, runner, workload_id = plan_sweep(
+        PRESET, (), SICK_AXES, workload=None, rounds=1, seed=0)
+    direct = sweep.run(runner, workload_id=workload_id)
+    assert [("error" in row) for row in direct] == [False, True, False]
+    assert json.dumps(record.result_payload()["rows"]) == json.dumps(direct)
+    first = next(e for e in record.events if e["event"] == "progress")
+    assert first["done"] == 1
+    assert first["row"]["error"].startswith("CheckError: MC001")
+
 
 # ---------------------------------------------------------------------------
 # Chaos campaigns are ordinary jobs on the executor's pool
@@ -495,6 +543,25 @@ class TestHTTP:
         with pytest.raises(ServiceError) as info:
             client._request("GET", "/v2/jobs")
         assert info.value.status == 404
+
+    def test_stalled_client_gets_408_and_the_server_serves_on(
+            self, http_service, monkeypatch):
+        """Regression: the request was read with no deadline, so a
+        client that stopped sending pinned its handler forever."""
+        import socket
+
+        import repro.service.server
+        monkeypatch.setattr(repro.service.server, "_READ_TIMEOUT_S", 0.2)
+        mgr, client = http_service()
+        with socket.create_connection((client.host, client.port),
+                                      timeout=30) as sock:
+            sock.sendall(b"POST /v1/jobs HTTP/1.1\r\n"
+                         b"Content-Length: 10\r\n\r\n{\"k")
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
+        assert client.health() == {"ok": True}
 
     def test_metrics_endpoint(self, http_service):
         mgr, client = http_service()
