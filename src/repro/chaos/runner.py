@@ -87,29 +87,19 @@ class AppCampaignRunner:
 
     def __init__(self, app: str, *, size: int = 1024,
                  repeats: int = 4) -> None:
-        from ..apps import (alltoall_task_traces, pingpong_task_traces,
-                            pipeline_task_traces)
-        apps = {"pingpong": pingpong_task_traces,
-                "alltoall": alltoall_task_traces,
-                "pipeline": pipeline_task_traces}
-        if app not in apps:
+        from ..apps import TASK_APPS
+        if app not in TASK_APPS:
             raise ConfigError(f"unknown app {app!r}; choose from: "
-                              + ", ".join(sorted(apps)))
+                              + ", ".join(sorted(TASK_APPS)))
         self.app = app
         self.size = size
         self.repeats = repeats
 
     def _traces(self, n_nodes: int) -> list:
-        from ..apps import (alltoall_task_traces, pingpong_task_traces,
-                            pipeline_task_traces)
-        if self.app == "pingpong":
-            return pingpong_task_traces(n_nodes, size=self.size,
-                                        repeats=self.repeats)
-        if self.app == "alltoall":
-            return alltoall_task_traces(n_nodes, block_bytes=self.size,
-                                        rounds=self.repeats)
-        return pipeline_task_traces(n_nodes, items=self.repeats,
-                                    item_bytes=self.size)
+        from ..apps import TASK_APP_SIZING, TASK_APPS
+        size_kw, repeats_kw = TASK_APP_SIZING[self.app]
+        return TASK_APPS[self.app](n_nodes, **{size_kw: self.size,
+                                                repeats_kw: self.repeats})
 
     def __call__(self, machine: MachineConfig, faults=None) -> dict:
         from ..commmodel import MultiNodeModel

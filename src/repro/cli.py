@@ -10,6 +10,9 @@ no-code-needed tasks:
 * ``sweep``       — parameter sweep over a preset, optionally fanned
   out over worker processes (``--workers``) with content-addressed
   result caching (``--cache-dir``);
+* ``reproduce``   — regenerate the paper's evaluation: the experiments
+  of :mod:`repro.experiments` (all, or by id) run as sweeps, printed as
+  tables, optionally saved (``--out``); exit 1 if a shape claim fails;
 * ``chaos``       — fault-sweep campaign over a bundled app: expand a
   campaign spec into a fault-plan family (severity ladders, exhaustive
   single-link-down packs, correlated failures, rolling outages), run
@@ -55,6 +58,7 @@ from .analysis import (
     trace_set_profile,
 )
 from .core.config import MachineConfig
+from .core.experiment import Sweep, _AxisSetter
 from .core.workbench import Workbench
 from .machines import calibrate as run_calibration
 from .machines import generic_multicomputer, powerpc601_node, smp_node, t805_grid
@@ -76,13 +80,8 @@ PRESETS: dict[str, Callable[[], MachineConfig]] = {
 
 def _app_traces() -> dict[str, Callable]:
     """Bundled task-level apps runnable by name (trace/stats commands)."""
-    from .apps import (alltoall_task_traces, pingpong_task_traces,
-                       pipeline_task_traces)
-    return {
-        "pingpong": pingpong_task_traces,
-        "alltoall": alltoall_task_traces,
-        "pipeline": pipeline_task_traces,
-    }
+    from .apps import TASK_APPS
+    return TASK_APPS
 
 
 def _resolve_app(name: str) -> Optional[str]:
@@ -144,17 +143,6 @@ def _apply_override(machine: MachineConfig, spec: str) -> None:
     path, raw = _split_spec(spec)
     target, leaf = _resolve_path(machine, path)
     setattr(target, leaf, _parse_value(getattr(target, leaf), raw))
-
-
-class _AxisSetter:
-    """Picklable sweep mutator: set one dotted config path per variant."""
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-
-    def __call__(self, machine: MachineConfig, value: object) -> None:
-        target, leaf = _resolve_path(machine, self.path)
-        setattr(target, leaf, value)
 
 
 def build_machine(preset: str, overrides: Sequence[str] = ()) -> MachineConfig:
@@ -282,8 +270,6 @@ def plan_sweep(preset: str, overrides: Sequence[str], axes: Sequence[str],
     """
     import functools
 
-    from .core.experiment import Sweep
-
     machine = build_machine(preset, overrides)
     sweep = Sweep(machine, label=preset)
     for spec in axes:
@@ -325,6 +311,38 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if cache is not None:
         print(f"cache: {cache.stats.format()} (dir={args.cache_dir})")
     return 0
+
+
+def _cmd_reproduce(args: argparse.Namespace) -> int:
+    # Imported here: the experiment table pulls in every model package.
+    from .experiments import (EXPERIMENTS, ShapeError, format_experiment,
+                              run_experiment, save_experiment)
+    from .parallel import ResultCache
+
+    if args.workers < 1:
+        raise SystemExit(f"--workers must be >= 1, got {args.workers}")
+    for exp_id in args.ids:
+        if exp_id not in EXPERIMENTS:
+            raise SystemExit(f"unknown experiment {exp_id!r}; choose from: "
+                             + ", ".join(EXPERIMENTS))
+    cache = ResultCache(args.cache_dir) if args.cache_dir else None
+    failed = 0
+    for exp_id in args.ids or EXPERIMENTS:
+        exp = EXPERIMENTS[exp_id]
+        rows = run_experiment(exp, workers=args.workers, cache=cache)
+        print(format_experiment(exp, rows) + "\n")
+        if args.out:
+            save_experiment(exp, rows, args.out)
+        try:
+            exp.shape(rows)
+        except ShapeError as exc:
+            print(f"{exp.id}: shape claim failed: {exc}", file=sys.stderr)
+            failed = 1
+    # Bookkeeping goes to stderr so stdout is byte-identical cold and warm.
+    if cache is not None:
+        print(f"cache: {cache.stats.format()} (dir={args.cache_dir})",
+              file=sys.stderr)
+    return failed
 
 
 def _chaos_progress(done: int, total: int, row: dict) -> None:
@@ -411,22 +429,16 @@ def _check_targets(args: argparse.Namespace) -> list:
                         gen.generate_task_level(5)))
 
     if not explicit:
-        from .apps import (alltoall_task_traces, pingpong_task_traces,
-                           pipeline_task_traces)
-        targets.append(("traces", "app:pingpong", pingpong_task_traces(2)))
-        targets.append(("traces", "app:alltoall",
-                        alltoall_task_traces(args.nodes)))
-        targets.append(("traces", "app:pipeline",
-                        pipeline_task_traces(args.nodes)))
+        for app, build in _app_traces().items():
+            targets.append(("traces", f"app:{app}",
+                            build(2 if app == "pingpong" else args.nodes)))
         # Static performance bounds (PB rules) of each bundled app on a
         # reference machine: catches statically link-limited workloads.
         bound_machine = PRESETS["t805-grid-2x2"]()
         n = bound_machine.n_nodes
-        for app, traces in (("pingpong", pingpong_task_traces(n)),
-                            ("alltoall", alltoall_task_traces(n)),
-                            ("pipeline", pipeline_task_traces(n))):
+        for app, build in _app_traces().items():
             targets.append(("bounds", f"{app}:t805-grid-2x2",
-                            (bound_machine, traces)))
+                            (bound_machine, build(n))))
     return targets
 
 
@@ -904,6 +916,20 @@ def _parser() -> argparse.ArgumentParser:
                         "the plan digest)")
 
     p = sub.add_parser(
+        "reproduce", help="regenerate the paper's evaluation "
+                          "(EXPERIMENTS.md) through the sweep engine")
+    p.add_argument("ids", nargs="*", metavar="ID",
+                   help="experiment ids, e.g. T1 F3a-size V1 "
+                        "(default: all of repro.experiments.EXPERIMENTS)")
+    p.add_argument("--workers", type=int, default=1, metavar="N",
+                   help="process-pool size per sweep (default 1 = serial)")
+    p.add_argument("--cache-dir", default=None, metavar="DIR",
+                   help="content-addressed result cache (experiments with "
+                        "host-time columns always run)")
+    p.add_argument("--out", default=None, metavar="DIR",
+                   help="also write <id>.json and <id>.txt records there")
+
+    p = sub.add_parser(
         "check", help="static analysis of machine configs, traces and "
                       "stochastic descriptions")
     p.add_argument("--preset", action="append", choices=sorted(PRESETS),
@@ -930,9 +956,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--code", action="append", metavar="PATH",
                    help="also lint Python model source at PATH "
                         "(file or directory, repeatable; PY rules)")
-    p.add_argument("--fix-none", action="store_true", dest="fix_none",
-                   help="never rewrite artifacts (reserved; checking is "
-                        "already read-only)")
 
     p = sub.add_parser(
         "lint", help="source-level lint of model/app Python code "
@@ -1168,6 +1191,7 @@ _COMMANDS = {
     "slowdown": _cmd_slowdown,
     "stochastic": _cmd_stochastic,
     "sweep": _cmd_sweep,
+    "reproduce": _cmd_reproduce,
     "check": _cmd_check,
     "lint": _cmd_lint,
     "verify": _cmd_verify,

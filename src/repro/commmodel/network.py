@@ -174,11 +174,14 @@ class MultiNodeModel:
             self.transport = ReliableTransport(
                 self.sim, self.engine, self.injector, self.fault_plan,
                 self.topology, self._deliver_app, self._fail_delivery)
-        inject = (self.transport.inject if self.transport is not None
-                  else self.engine.inject)
+        #: where a layer that builds its own messages (NICs, the VSM
+        #: protocol) hands them over: reliable transport when a plan
+        #: enables one, else the switching engine
+        self.inject = (self.transport.inject if self.transport is not None
+                       else self.engine.inject)
         # Only endpoints (compute nodes) get NICs and drivers; switch
         # nodes of multistage interconnects are routing-only.
-        self.nics = [NIC(self.sim, i, machine.network, inject,
+        self.nics = [NIC(self.sim, i, machine.network, self.inject,
                          injector=self.injector)
                      for i in range(self.topology.n_endpoints)]
         self.message_latency = TallyMonitor("message_latency")
@@ -248,9 +251,13 @@ class MultiNodeModel:
             self.nics[msg.src].sender_completion(msg)
 
     def _fail_delivery(self, msg: Message, err: Exception) -> None:
-        """Reliable-transport failure path: surface ``err`` to a blocked
-        synchronous sender; asynchronous failures are counter-only."""
-        if msg.synchronous:
+        """Reliable-transport failure path: surface ``err`` to whoever is
+        blocked on ``msg`` — the protocol layer that owns it (through
+        its ``on_deliver`` hook) or a synchronous sender; other
+        asynchronous failures are counter-only."""
+        if msg.on_deliver is not None:
+            msg.on_deliver(err)
+        elif msg.synchronous:
             self.nics[msg.src].sender_failure(msg, err)
 
     # -- node driver -------------------------------------------------------------

@@ -9,6 +9,7 @@ variant, and collects metric rows for the report/benchmark layer.
 from __future__ import annotations
 
 import copy
+import functools
 from typing import Any, Callable, Iterable, Sequence
 
 from .config import MachineConfig
@@ -33,6 +34,19 @@ def vary_machine(base: MachineConfig, mutator: Mutator,
         machine.validate()
         variants.append(machine)
     return variants
+
+
+class _AxisSetter:
+    """Picklable axis mutator: set one ``dotted.path`` of the config."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def __call__(self, machine: MachineConfig, value: Any) -> None:
+        *parents, leaf = self.path.split(".")
+        target = functools.reduce(getattr, parents, machine)
+        getattr(target, leaf)          # a typo must not grow a new field
+        setattr(target, leaf, value)
 
 
 class Sweep:

@@ -125,7 +125,7 @@ class Workbench:
                         per_node_per_cpu_ops: Sequence[Sequence[Iterable[Operation]]]
                         ) -> HybridArchResult:
         """Hybrid architecture: SMP nodes over the message network."""
-        model = HybridArchitectureModel(self.machine)
+        model = HybridArchitectureModel(self.machine, faults=self.faults)
         return model.run_traces(per_node_per_cpu_ops)
 
     # -- virtual shared memory (Sec 5.1 future work) ------------------------
@@ -141,7 +141,7 @@ class Workbench:
         if callable(application) and not isinstance(application,
                                                     ThreadedApplication):
             application = ThreadedApplication(application, self.n_nodes)
-        model = VSMModel(self.machine, vsm_config)
+        model = VSMModel(self.machine, vsm_config, faults=self.faults)
         return model.run_application(application)
 
     # -- static analysis ----------------------------------------------------
@@ -183,15 +183,12 @@ class Workbench:
         if (traces is None) == (application is None):
             raise ValueError("pass exactly one of traces= or application=")
         if traces is None:
-            from ..apps import (alltoall_task_traces, pingpong_task_traces,
-                                pipeline_task_traces)
-            apps = {"pingpong": pingpong_task_traces,
-                    "alltoall": alltoall_task_traces,
-                    "pipeline": pipeline_task_traces}
-            if application not in apps:
+            from ..apps import TASK_APPS
+            if application not in TASK_APPS:
                 raise ValueError(f"unknown application {application!r}; "
-                                 f"choose from: {', '.join(sorted(apps))}")
-            traces = apps[application](self.n_nodes)
+                                 f"choose from: "
+                                 f"{', '.join(sorted(TASK_APPS))}")
+            traces = TASK_APPS[application](self.n_nodes)
             subject = subject or f"bounds:{application}:{self.machine.name}"
         return compute_bounds(self.machine, traces,
                               subject=subject or f"bounds:{self.machine.name}")

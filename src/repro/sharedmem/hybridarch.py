@@ -15,11 +15,12 @@ communication operations through the node's NIC.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Optional, Sequence
 
 from ..commmodel.network import CommResult, MultiNodeModel
 from ..core.config import MachineConfig
-from ..operations.ops import OpCode, Operation
+from ..operations.ops import Operation
 from ..pearl import Simulator
 from .smp import SMPNodeModel, SMPResult
 
@@ -59,10 +60,10 @@ class HybridArchitectureModel:
     """Clusters of shared-memory nodes over the interconnect."""
 
     def __init__(self, machine: MachineConfig,
-                 sim: Optional[Simulator] = None) -> None:
+                 sim: Optional[Simulator] = None, faults=None) -> None:
         machine.validate()
         self.machine = machine
-        self.network = MultiNodeModel(machine, sim)
+        self.network = MultiNodeModel(machine, sim, faults=faults)
         self.smp_nodes = [
             SMPNodeModel(machine.node, sim=self.network.sim, node_id=i)
             for i in range(self.network.n_nodes)]
@@ -78,39 +79,6 @@ class HybridArchitectureModel:
     @property
     def n_cpus_per_node(self) -> int:
         return self.machine.node.n_cpus
-
-    # -- communication plumbing -------------------------------------------
-
-    def _comm_handler(self, node_id: int):
-        """Generator factory handling a CPU's communication operations."""
-        nic = self.network.nics[node_id]
-        act = self.network.activity[node_id]
-
-        def handler(op: Operation):
-            act.ops_processed += 1
-            code = op.code
-            if code is OpCode.COMPUTE:
-                act.compute_cycles += op.arg2
-                yield op.arg2
-            elif code is OpCode.SEND:
-                t0 = self.sim.now
-                yield from nic.send(op.peer, op.size)
-                act.send_wait_cycles += self.sim.now - t0
-            elif code is OpCode.ASEND:
-                t0 = self.sim.now
-                yield from nic.asend(op.peer, op.size)
-                act.overhead_cycles += self.sim.now - t0
-            elif code is OpCode.RECV:
-                t0 = self.sim.now
-                yield from nic.recv(op.peer)
-                act.recv_wait_cycles += self.sim.now - t0
-            elif code is OpCode.ARECV:
-                t0 = self.sim.now
-                yield from nic.arecv(op.peer)
-                act.overhead_cycles += self.sim.now - t0
-            else:
-                raise ValueError(f"unexpected operation {op!r}")
-        return handler
 
     # -- top-level run ---------------------------------------------------------
 
@@ -133,7 +101,7 @@ class HybridArchitectureModel:
                     f"node {node_id}: expected {self.n_cpus_per_node} CPU "
                     f"streams, got {len(cpu_streams)}")
             smp = self.smp_nodes[node_id]
-            handler = self._comm_handler(node_id)
+            handler = functools.partial(self.network.handle_op, node_id)
             for cpu_id, ops in enumerate(cpu_streams):
                 self.sim.process(
                     smp.cpu_process(cpu_id, iter(ops), comm_handler=handler),

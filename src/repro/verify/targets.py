@@ -78,14 +78,8 @@ def app_verify_target(machine: MachineConfig, app: str) -> Any:
     """A verify factory for a bundled app name (see :data:`VERIFY_APPS`)."""
     if app == "masterworker":
         return MasterWorkerVerifyTarget(machine)
-    from ..apps import (alltoall_task_traces, pingpong_task_traces,
-                        pipeline_task_traces)
-    builders: dict[str, Callable[[int], Any]] = {
-        "pingpong": pingpong_task_traces,
-        "alltoall": alltoall_task_traces,
-        "pipeline": pipeline_task_traces,
-    }
-    if app not in builders:
+    from ..apps import TASK_APPS
+    if app not in TASK_APPS:
         raise ValueError(f"unknown verify app {app!r}; expected one of "
                          f"{', '.join(VERIFY_APPS)}")
-    return TraceVerifyTarget(machine, builders[app](machine.n_nodes))
+    return TraceVerifyTarget(machine, TASK_APPS[app](machine.n_nodes))

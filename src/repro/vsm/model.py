@@ -67,12 +67,12 @@ class VSMModel:
 
     def __init__(self, machine: MachineConfig,
                  vsm_config: Optional[VSMConfig] = None,
-                 sim: Optional[Simulator] = None) -> None:
+                 sim: Optional[Simulator] = None, faults=None) -> None:
         machine.validate()
         if machine.node.n_cpus != 1:
             raise ValueError("VSMModel runs on single-CPU node templates")
         self.machine = machine
-        self.network = MultiNodeModel(machine, sim)
+        self.network = MultiNodeModel(machine, sim, faults=faults)
         self.protocol = VSMProtocol(self.network, vsm_config)
         self.node_models = [SingleNodeModel(machine.node, node_id=i)
                             for i in range(self.network.n_nodes)]

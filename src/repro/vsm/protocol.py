@@ -141,8 +141,10 @@ class VSMProtocol:
         msg = Message(src, dst, nbytes, synchronous=False)
         done = Event(sim, f"vsm-msg{msg.id}")
         msg.on_deliver = done.trigger
-        self.network.engine.inject(msg)
-        yield done
+        self.network.inject(msg)
+        delivered = yield done
+        if isinstance(delivered, Exception):     # reliable transport gave up
+            raise delivered
         if self.cfg.handler_cycles:
             yield self.cfg.handler_cycles
 

@@ -693,7 +693,7 @@ class TestCheckCLI:
             assert rule in out
 
     def test_fix_none_smoke_of_full_bundle(self, capsys):
-        assert main(["check", "--fix-none", "--nodes", "4"]) == 0
+        assert main(["check", "--nodes", "4"]) == 0
         out = capsys.readouterr().out
         assert "0 error(s)" in out
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import FaultPlan, Workbench
 from repro.core.config import (
     CacheConfig,
     CacheLevelConfig,
@@ -24,6 +25,8 @@ from repro.operations import (
     store,
 )
 from repro.sharedmem import HybridArchitectureModel
+
+from tests.test_faults import drop_plan
 
 
 def machine(n_nodes=2, n_cpus=2) -> MachineConfig:
@@ -103,3 +106,29 @@ class TestCluster:
         ])
         assert res.comm.messages_delivered == 1
         assert res.total_cycles > 100
+
+
+class TestFaults:
+    """``Workbench(machine, faults=plan).run_smp_cluster`` applies the plan."""
+
+    def streams(self):
+        return [[comp_trace(10) + [send(1024, 1)] * 8, comp_trace(10)],
+                [[recv(0)] * 8, comp_trace(10)]]
+
+    def test_empty_plan_is_identical_to_none(self):
+        plain = Workbench(machine()).run_smp_cluster(self.streams())
+        empty = Workbench(machine(), faults=FaultPlan()) \
+            .run_smp_cluster(self.streams())
+        assert empty.summary() == plain.summary()
+        assert plain.comm.fault_summary is None
+
+    def test_drop_plan_drops_yet_delivers_every_message(self):
+        plain = Workbench(machine()).run_smp_cluster(self.streams())
+        lossy = Workbench(machine(), faults=drop_plan(0.3)) \
+            .run_smp_cluster(self.streams())
+        faults = lossy.comm.fault_summary
+        assert faults["dropped"] > 0
+        assert faults["transport"]["delivered"] \
+            == plain.comm.messages_delivered == 8
+        assert faults["transport"]["delivery_failed"] == 0
+        assert lossy.total_cycles > plain.total_cycles

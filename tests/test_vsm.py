@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro import generic_multicomputer
+from repro import DeliveryFailed, FaultPlan, Workbench, generic_multicomputer
+from repro.faults import LinkFault, TransportConfig
 from repro.operations import MemType
 from repro.vsm import SharedRegion, VSMConfig, VSMModel
+
+from tests.test_faults import drop_plan
 
 
 def machine(n=4):
@@ -234,3 +237,43 @@ class TestSharingPatterns:
         _, b = run(program, n=2)
         assert a.total_cycles == b.total_cycles
         assert a.vsm["faults"] == b.vsm["faults"]
+
+
+class TestFaults:
+    """``Workbench(machine, faults=plan).run_vsm`` applies the plan, and
+    protocol messages ride the reliable transport like NIC traffic."""
+
+    @staticmethod
+    def program(ctx):
+        region = SharedRegion(ctx, "a", 256, page_bytes=512)
+        if ctx.node_id == 0:
+            for i in range(256):
+                region.write(i)
+        ctx.barrier()
+        region.read(255 if ctx.node_id else 0)
+
+    def test_empty_plan_is_identical_to_none(self):
+        plain = Workbench(machine()).run_vsm(self.program)
+        empty = Workbench(machine(), faults=FaultPlan()).run_vsm(self.program)
+        assert empty.summary() == plain.summary()
+        assert plain.comm.fault_summary is None
+
+    def test_drop_plan_drops_yet_delivers_every_message(self):
+        plain = Workbench(machine()).run_vsm(self.program)
+        lossy = Workbench(machine(), faults=drop_plan(0.3)) \
+            .run_vsm(self.program)
+        faults = lossy.comm.fault_summary
+        assert faults["dropped"] > 0
+        assert faults["transport"]["delivered"] \
+            == plain.comm.messages_delivered
+        assert faults["transport"]["delivery_failed"] == 0
+        assert lossy.faults == plain.faults
+        assert lossy.total_cycles > plain.total_cycles
+
+    def test_dead_links_fail_the_waiting_protocol_with_the_message(self):
+        plan = FaultPlan(
+            seed=1, link_faults=[LinkFault(drop_prob=1.0)],
+            transport=TransportConfig(timeout_cycles=1_000.0,
+                                      backoff_factor=1.0, max_retries=1))
+        with pytest.raises(DeliveryFailed, match="undeliverable after 2"):
+            Workbench(machine(), faults=plan).run_vsm(self.program)
