@@ -127,7 +127,7 @@ class ChaosResult:
 
     ``to_dict()``/``to_json()`` are deterministic — wall times and
     cache statistics are excluded so two runs of the same campaign
-    serialize byte-identically (the CI smoke job diffs them).
+    serialize byte-identically (``tests/test_chaos.py`` compares them).
     """
 
     campaign: str

@@ -1,7 +1,7 @@
 """Trace analyzer passes (``TR`` rules).
 
-Upgrades the count-only matching check of
-:mod:`repro.operations.validate` with a *positional* analysis: an
+Beyond per-operation structure (``TR001``–``TR003``) and per-pair
+send/recv counts (``TR004``), the traces get a *positional* analysis: an
 abstract execution of the communication operations that mirrors the
 blocking semantics of the multi-node model (synchronous ``send`` blocks
 until delivery, ``recv`` blocks until a matching message exists,
@@ -20,7 +20,7 @@ such traces are demoted to warnings.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..operations.ops import OpCode
 from .diagnostics import Diagnostic, Severity
@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..operations.trace import Trace
 
 __all__ = ["TraceStructuralPass", "MatchedCountsPass", "DeadlockPass",
-           "TRACE_PASSES", "structural_diagnostics"]
+           "TRACE_PASSES", "communication_matrix", "structural_diagnostics"]
 
 _SENDS = (OpCode.SEND, OpCode.ASEND)
 _RECVS = (OpCode.RECV, OpCode.ARECV)
@@ -50,9 +50,7 @@ def structural_diagnostics(trace: "Trace", n_nodes: Optional[int],
                            subject: str = "") -> list[Diagnostic]:
     """TR001/TR002/TR003 findings for a single node's trace.
 
-    This is the per-trace structural contract — shared with the
-    backward-compatible :func:`repro.operations.validate.validate_trace`
-    so both speak the same diagnostic vocabulary.
+    Peers are range-checked only when ``n_nodes`` is given.
     """
     out: list[Diagnostic] = []
     node = trace.node
@@ -115,8 +113,30 @@ class TraceStructuralPass:
         return out
 
 
+def communication_matrix(traces: Iterable["Trace"]
+                         ) -> tuple[list[list[int]], list[list[int]]]:
+    """Return ``(sends, recvs)`` matrices.
+
+    ``sends[src][dst]`` counts messages src sends to dst;
+    ``recvs[src][dst]`` counts receives posted at dst naming src.
+    """
+    ts = list(traces)
+    n = len(ts)
+    sends = [[0] * n for _ in range(n)]
+    recvs = [[0] * n for _ in range(n)]
+    for t in ts:
+        for op in t:
+            if op.code in _SENDS:
+                if 0 <= op.peer < n:
+                    sends[t.node][op.peer] += 1
+            elif op.code in _RECVS:
+                if 0 <= op.peer < n:
+                    recvs[op.peer][t.node] += 1
+    return sends, recvs
+
+
 class MatchedCountsPass:
-    """Count-level matching per ordered node pair (the legacy check)."""
+    """Count-level matching per ordered node pair."""
 
     name = "trace-matched-counts"
     rules = ("TR004",)
@@ -126,7 +146,6 @@ class MatchedCountsPass:
         traces = ctx.traces
         if traces is None:
             return []
-        from ..operations.validate import communication_matrix
         sends, recvs = communication_matrix(traces)
         n = len(sends)
         out: list[Diagnostic] = []

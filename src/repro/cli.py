@@ -379,7 +379,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         raise SystemExit(f"bad campaign spec: {exc}")
     # Reports go to stdout; run bookkeeping (cache stats, trace path)
     # goes to stderr, so stdout stays byte-identical between cold and
-    # warm cache runs (the CI smoke job diffs it).
+    # warm cache runs (tests/test_chaos.py compares it).
     if args.json:
         print(result.to_json())
     else:
@@ -846,7 +846,8 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise SystemExit(f"cannot reach {args.server}: {exc}")
     # Sweep rows / chaos verdicts only, dumped exactly like an
-    # in-process run would dump them — the CI smoke job `cmp`s this.
+    # in-process run would dump them — tests/test_service_api.py
+    # compares the bytes.
     payload = (result.get("rows") if result["kind"] == "sweep"
                else result.get("campaign"))
     print(json.dumps(payload, indent=2, sort_keys=True))

@@ -32,7 +32,6 @@ from ..compmodel.node import NodeResult, SingleNodeModel
 from ..hybrid.model import HybridModel, HybridResult
 from ..operations.ops import Operation
 from ..operations.trace import TraceSet
-from ..operations.validate import validate_trace_set
 from ..sharedmem.hybridarch import HybridArchitectureModel, HybridArchResult
 from ..sharedmem.smp import SMPNodeModel, SMPResult
 from ..tracegen.descriptions import StochasticAppDescription
@@ -77,11 +76,10 @@ class Workbench:
         model = HybridModel(self.machine, faults=self.faults)
         return model.run_application(application)
 
-    def run_mixed_traces(self, traces: Union[TraceSet, Sequence[Iterable[Operation]]],
-                         validate: bool = False) -> HybridResult:
+    def run_mixed_traces(self, traces: Union[TraceSet,
+                                             Sequence[Iterable[Operation]]]
+                         ) -> HybridResult:
         """Hybrid simulation from pre-recorded mixed traces."""
-        if validate and isinstance(traces, TraceSet):
-            validate_trace_set(traces)
         model = HybridModel(self.machine, faults=self.faults)
         return model.run_traces(traces)
 

@@ -3,8 +3,8 @@
 The traces that drive Mermaid's architecture models are sequences of
 *operations*: abstract, register-less machine instructions covering
 memory access, arithmetic, instruction fetching and message passing.
-This package defines the operation vocabulary, trace containers, and
-structural validation.
+This package defines the operation vocabulary and trace containers;
+traces are validated by :func:`repro.check.check_traces`.
 """
 
 from .ops import (
@@ -35,19 +35,12 @@ from .ops import (
 )
 from .optypes import MEM_TYPE_BYTES, ArithType, MemType
 from .trace import Trace, TraceSet, TraceStream, trace_mix
-from .validate import (
-    ValidationError,
-    communication_matrix,
-    validate_trace,
-    validate_trace_set,
-)
 
 __all__ = [
     "ARITHMETIC_OPS", "ArithType", "COMMUNICATION_OPS", "COMPUTATIONAL_OPS",
     "CONTROL_OPS", "GLOBAL_EVENT_OPS", "MEMORY_OPS", "MEM_TYPE_BYTES",
     "MemType", "OpCode", "Operation", "Trace", "TraceSet", "TraceStream",
-    "ValidationError", "add", "arecv", "asend", "branch", "call",
-    "communication_matrix", "compute", "div", "ifetch", "load",
-    "load_const", "mul", "recv", "ret", "send", "store", "sub",
-    "trace_mix", "validate_trace", "validate_trace_set",
+    "add", "arecv", "asend", "branch", "call", "compute", "div", "ifetch",
+    "load", "load_const", "mul", "recv", "ret", "send", "store", "sub",
+    "trace_mix",
 ]

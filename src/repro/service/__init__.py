@@ -19,8 +19,8 @@ the sweep :class:`~repro.parallel.ResultCache`:
 
 CLI: ``repro serve`` runs the server; ``repro submit`` / ``repro
 status`` / ``repro fetch`` talk to it.  Rows fetched over HTTP are
-byte-identical to in-process ``Sweep.run`` output — pinned by the CI
-``service-smoke`` job and ``tests/test_service_api.py``.
+byte-identical to in-process ``Sweep.run`` output — pinned by
+``tests/test_service_api.py``.
 """
 
 from .client import ServiceClient

@@ -49,8 +49,8 @@ class ServiceServer:
     """One job manager behind ``asyncio.start_server``.
 
     ``port=0`` binds an ephemeral port (the resolved one is in
-    :attr:`port` / :attr:`url` after :meth:`start`) — tests and the CI
-    smoke job rely on that.
+    :attr:`port` / :attr:`url` after :meth:`start`) — tests rely on
+    that.
     """
 
     def __init__(self, manager: JobManager, host: str = "127.0.0.1",

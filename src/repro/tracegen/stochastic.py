@@ -17,7 +17,7 @@ The generator produces both abstraction levels of Fig 4:
 Communication is generated as matched, deadlock-free exchange rounds
 (see :class:`~repro.tracegen.descriptions.CommunicationBehaviour`), so
 every synthetic trace set passes
-:func:`repro.operations.validate_trace_set` by construction.
+:func:`repro.check.check_traces` by construction.
 """
 
 from __future__ import annotations

@@ -13,10 +13,6 @@ each build a fresh two-process Pearl model with a known verdict:
 * :func:`wide_race_factory` — the race plus two independent same-time
   compute processes: naive burst permutation plans many orderings,
   DPOR plans only the contention cluster's.
-
-``python -m tests.fixtures.race_model`` is the CI smoke entry: it
-explores :func:`race_factory` and exits 0 only if the explorer
-*catches* the seeded race with a counterexample.
 """
 
 from __future__ import annotations
@@ -117,19 +113,3 @@ def wide_race_factory():
     sim.process(bystander(), name="D")
     return sim, run
 
-
-def main() -> int:
-    """CI smoke: exit 0 iff the seeded race is caught with evidence."""
-    from repro.verify import ScheduleExplorer
-
-    result = ScheduleExplorer(budget=16).explore(race_factory)
-    print(result.report("fixture:race_model").format())
-    caught = (not result.ok and len(result.races) == 1
-              and result.races[0].counterexample)
-    print(f"seeded race {'caught' if caught else 'MISSED'}; "
-          f"certificate {result.certificate}")
-    return 0 if caught else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

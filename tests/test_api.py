@@ -9,7 +9,6 @@ from repro.operations import (
     ArithType,
     MemType,
     OpCode,
-    validate_trace_set,
 )
 
 
@@ -69,14 +68,14 @@ class TestAnnotationsThroughContext:
 
 class TestCollectives:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
-    def test_barrier_matches(self, n):
+    def test_barrier_matches(self, n, assert_lint_clean):
         def program(ctx):
             ctx.barrier()
-        validate_trace_set(record(program, n))
+        assert_lint_clean(traces=record(program, n))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("root", [0, 1])
-    def test_broadcast_delivers_payload(self, n, root):
+    def test_broadcast_delivers_payload(self, n, root, assert_lint_clean):
         if root >= n:
             pytest.skip("root outside machine")
         seen = {}
@@ -85,18 +84,18 @@ class TestCollectives:
             value = ctx.broadcast(root, 8,
                                   "tok" if ctx.node_id == root else None)
             seen[ctx.node_id] = value
-        validate_trace_set(record(program, n))
+        assert_lint_clean(traces=record(program, n))
         assert all(v == "tok" for v in seen.values())
         assert len(seen) == n
 
     @pytest.mark.parametrize("n", [1, 2, 4, 6])
-    def test_reduce_to_root(self, n):
+    def test_reduce_to_root(self, n, assert_lint_clean):
         results = {}
 
         def program(ctx):
             results[ctx.node_id] = ctx.reduce_to_root(
                 0, 8, float(ctx.node_id + 1))
-        validate_trace_set(record(program, n))
+        assert_lint_clean(traces=record(program, n))
         assert results[0] == sum(range(1, n + 1))
         assert all(results[i] is None for i in range(1, n))
 

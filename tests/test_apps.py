@@ -18,7 +18,7 @@ from repro.apps import (
     pingpong_task_traces,
     pipeline_task_traces,
 )
-from repro.operations import OpCode, validate_trace_set
+from repro.operations import OpCode
 
 
 @pytest.fixture(scope="module")
@@ -37,9 +37,9 @@ class TestRecordedValidity:
     ], ids=["matmul", "jacobi", "pingpong", "alltoall", "pipeline",
             "reduction"])
     @pytest.mark.parametrize("n_nodes", [2, 4])
-    def test_traces_matched(self, program_factory, n_nodes):
+    def test_traces_matched(self, program_factory, n_nodes, assert_lint_clean):
         ts = ThreadedApplication(program_factory(), n_nodes).record()
-        validate_trace_set(ts)
+        assert_lint_clean(traces=ts)
 
 
 class TestMatmul:
@@ -51,9 +51,9 @@ class TestMatmul:
         muls = sum(t.op_histogram().get(OpCode.MUL, 0) for t in ts)
         assert muls == 8 ** 3
 
-    def test_more_nodes_than_rows(self):
+    def test_more_nodes_than_rows(self, assert_lint_clean):
         ts = ThreadedApplication(make_matmul(n=2), 4).record()
-        validate_trace_set(ts)
+        assert_lint_clean(traces=ts)
 
     def test_runs_hybrid(self, wb):
         res = wb.run_hybrid(make_matmul(n=8))
@@ -89,10 +89,10 @@ class TestPingpong:
         res = wb.run_hybrid(make_pingpong(size=256, repeats=3))
         assert res.comm.messages_delivered == 6
 
-    def test_task_traces(self):
+    def test_task_traces(self, assert_lint_clean):
         ts = pingpong_task_traces(4, size=128, repeats=2,
                                   think_cycles=100.0)
-        validate_trace_set(ts)
+        assert_lint_clean(traces=ts)
         assert ts[0].op_histogram()[OpCode.COMPUTE] == 2
 
     def test_same_node_rejected(self):
@@ -101,10 +101,10 @@ class TestPingpong:
 
 
 class TestAlltoall:
-    def test_every_pair_communicates(self):
+    def test_every_pair_communicates(self, assert_lint_clean):
         n = 4
         ts = alltoall_task_traces(n, block_bytes=64)
-        validate_trace_set(ts)
+        assert_lint_clean(traces=ts)
         for t in ts:
             dests = {op.peer for op in t if op.code is OpCode.SEND}
             assert dests == set(range(n)) - {t.node}
@@ -136,10 +136,10 @@ class TestPipeline:
 
 class TestReduction:
     @pytest.mark.parametrize("n", [2, 4])
-    def test_allreduce_correct_payloads(self, n):
+    def test_allreduce_correct_payloads(self, n, assert_lint_clean):
         # The program itself asserts the reduced value on every node.
         ts = ThreadedApplication(make_reduction(local_elems=8), n).record()
-        validate_trace_set(ts)
+        assert_lint_clean(traces=ts)
 
     def test_runs_hybrid(self, wb):
         res = wb.run_hybrid(make_reduction(local_elems=16))

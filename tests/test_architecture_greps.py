@@ -2,7 +2,9 @@
 
 Each case names a pattern that may not appear in the Python sources
 under ``src/`` (optionally only in some files, optionally allowed in
-some), because one place now does that job.
+some), because one place now does that job.  The CI workflow gets the
+same treatment: what must hold is a test, so the workflow only
+installs, runs pytest and the two benchmark gates, and lints.
 """
 
 from __future__ import annotations
@@ -35,8 +37,16 @@ CASES = [
      r"check_machine|preflight=", "src/repro/service/*.py", ()),
     ("one paper runner: the benches take no environment knobs",
      r"REPRO_SWEEP_", "benchmarks/*.py", ()),
+    ("one trace validator: repro.check.check_traces",
+     r"validate_trace_set|ValidationError|operations\.validate",
+     "src/**/*.py", ()),
+    ("one trace validator: repro.check.check_traces",
+     r"validate_trace_set|ValidationError|operations\.validate",
+     "tests/**/*.py", ("tests/test_architecture_greps.py",)),
+    ("one description of the checks: CI runs tests, not heredocs or the "
+     "CLI",
+     r"<<|python3? -m repro", ".github/workflows/*.yml", ()),
 ]
-
 
 @pytest.mark.parametrize("why, pattern, glob, allowed", CASES,
                          ids=[f"{c[1]} in {c[2]}" for c in CASES])
@@ -50,3 +60,39 @@ def test_pattern_stays_out(why, pattern, glob, allowed):
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if regex.search(line)]
     assert not hits, f"{why}\n" + "\n".join(hits)
+
+
+#: The only commands a CI ``run:`` step may execute.
+CI_COMMAND = re.compile(
+    r"(PYTHONPATH=src )?(python3? -m (pip install|pytest)"
+    r"|python3? benchmarks/(layered/run|bench_perf_kernel)\.py"
+    r"|ruff|mypy)( |$)")
+
+
+def ci_commands(text: str) -> list[str]:
+    """Every command line of every ``run:`` step of a workflow."""
+    lines = text.splitlines()
+    commands: list[str] = []
+    for i, line in enumerate(lines):
+        match = re.match(r"(\s*)(- )?run: (.*)$", line)
+        if not match:
+            continue
+        indent, value = len(match.group(1)), match.group(3).strip()
+        if value == "|":
+            value = ""
+            for nxt in lines[i + 1:]:
+                if nxt.strip() and len(nxt) - len(nxt.lstrip()) <= indent:
+                    break
+                value += nxt.strip() + "\n"
+            value = value.replace("\\\n", " ")
+        commands += [c.strip() for c in value.splitlines() if c.strip()]
+    return commands
+
+
+def test_ci_runs_only_tests_gates_and_linters():
+    workflow = ROOT / ".github" / "workflows" / "ci.yml"
+    commands = ci_commands(workflow.read_text())
+    assert commands, f"{workflow} has no run: step"
+    odd = [c for c in commands if not CI_COMMAND.match(c)]
+    assert not odd, ("what must hold is a tier-1 test, not a CI step:\n"
+                     + "\n".join(odd))

@@ -3,7 +3,7 @@
 Covers the three layers of :mod:`repro.chaos` — declarative campaign
 specs expanding into fault-plan families, the SLO/invariant reduction
 over campaign rows, and the end-to-end campaign runner — plus
-the determinism contract the CI smoke job relies on: byte-identical
+the determinism contract of ``repro chaos --json``: byte-identical
 JSON verdicts across reruns and worker counts, and a severity-0 rung
 bit-identical to the fault-free baseline row.
 """

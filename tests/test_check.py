@@ -40,12 +40,10 @@ from repro.operations import (
     OpCode,
     Operation,
     TraceSet,
-    ValidationError,
     arecv,
     asend,
     recv,
     send,
-    validate_trace_set,
 )
 from repro.pearl import DeadlockError, Resource
 from repro.pearl.channel import Channel
@@ -481,7 +479,7 @@ class TestSanitizer:
 
 
 # ---------------------------------------------------------------------------
-# Runtime deadlock diagnostics (RT001) and validate.py delegation
+# Runtime deadlock diagnostics (RT001)
 # ---------------------------------------------------------------------------
 
 class TestRuntimeDeadlock:
@@ -495,24 +493,6 @@ class TestRuntimeDeadlock:
         text = " ".join(d.message for d in diags)
         assert "node0" in text and "receive posted" in text
         assert "node0" in str(err.value)      # detail reaches the message
-
-
-class TestValidateDelegation:
-    def test_legacy_messages_preserved(self):
-        with pytest.raises(ValidationError, match="self-communication"):
-            validate_trace_set(TraceSet.from_lists([[send(64, 0)], []]))
-        with pytest.raises(ValidationError, match="unmatched"):
-            validate_trace_set(TraceSet.from_lists([[send(64, 1)], []]))
-
-    def test_order_deadlock_now_rejected(self):
-        with pytest.raises(ValidationError, match="static deadlock"):
-            validate_trace_set(cyclic_traces(3))
-
-    def test_clean_set_passes(self):
-        validate_trace_set(TraceSet.from_lists([
-            [send(64, 1), arecv(1)],
-            [recv(0), asend(32, 0)],
-        ]))
 
 
 # ---------------------------------------------------------------------------

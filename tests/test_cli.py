@@ -2,10 +2,26 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.apps import TASK_APPS
 from repro.cli import PRESETS, build_machine, main
 from repro.tracegen import StochasticAppDescription, StochasticGenerator
+
+
+@pytest.fixture
+def lossy_plan(tmp_path) -> str:
+    """A lossy but survivable fault plan: packets drop, the transport
+    delivers everything anyway."""
+    path = tmp_path / "faults.json"
+    path.write_text(json.dumps({
+        "seed": 7,
+        "link_faults": [{"drop_prob": 0.05, "corrupt_prob": 0.02}],
+        "transport": {"timeout_cycles": 200000, "backoff_factor": 2.0,
+                      "max_retries": 12}}))
+    return str(path)
 
 
 class TestBuildMachine:
@@ -95,8 +111,6 @@ class TestCommands:
 
 class TestTraceAppCommand:
     def test_trace_app_exports_valid_chrome_json(self, capsys, tmp_path):
-        import json
-
         from repro.observe import validate_chrome_trace
 
         out_path = str(tmp_path / "trace.json")
@@ -135,6 +149,7 @@ class TestStatsCommand:
         out = capsys.readouterr().out
         assert "metric sources" in out
         assert "network.message_latency.count" in out
+        assert "network.message_latency.mean" in out
         assert "node0.nic.messages_sent" in out
 
     def test_stats_default_app(self, capsys):
@@ -142,10 +157,17 @@ class TestStatsCommand:
         assert "pingpong" in capsys.readouterr().out
 
     def test_stats_json(self, capsys):
-        import json
         assert main(["stats", "pipeline", "--json"]) == 0
         snap = json.loads(capsys.readouterr().out)
         assert snap["network.traffic.messages_delivered"] > 0
+
+    def test_faulted_stats_drop_yet_deliver(self, capsys, lossy_plan):
+        assert main(["stats", "pingpong", "--faults", lossy_plan,
+                     "--json"]) == 0
+        snap = json.loads(capsys.readouterr().out)
+        assert snap["faults.dropped"] > 0
+        assert snap["faults.transport.retransmissions"] > 0
+        assert snap["faults.transport.delivery_failed"] == 0
 
     def test_stats_unknown_app(self):
         with pytest.raises(SystemExit, match="unknown app"):
@@ -203,6 +225,16 @@ class TestSweepCommand:
                      "--axis", "network.link_bandwidth=2,4"]) == 0
         assert "events" in capsys.readouterr().out
 
+    def test_faulted_sweep_grows_fault_columns(self, capsys, lossy_plan):
+        argv = ["sweep", "t805-grid-2x2", "--rounds", "3",
+                "--axis", "network.link_bandwidth=2,4"]
+        assert main(argv) == 0
+        header = capsys.readouterr().out.splitlines()[1].split()
+        assert "dropped" not in header
+        assert main(argv + ["--faults", lossy_plan]) == 0
+        header = capsys.readouterr().out.splitlines()[1].split()
+        assert {"dropped", "retransmissions"} <= set(header)
+
     def test_timing_and_progress(self, capsys):
         assert main(["sweep", "t805-grid-2x2", "--rounds", "2",
                      "--axis", "network.link_bandwidth=2,4",
@@ -220,7 +252,6 @@ class TestCheckExitCodes:
         assert "0 error(s)" in capsys.readouterr().out
 
     def test_clean_json_schema(self, capsys):
-        import json
         assert main(["check", "--preset", "t805-grid-2x2", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
@@ -269,7 +300,6 @@ class TestLintExitCodes:
         assert "0 error(s) (0 new)" in capsys.readouterr().out
 
     def test_warning_only_exits_zero(self, capsys, tmp_path):
-        import json
         path = tmp_path / "warn.py"
         path.write_text(self.WARN_ONLY)
         assert main(["lint", str(path), "--json"]) == 0
@@ -284,7 +314,6 @@ class TestLintExitCodes:
         assert "PY020" in rules
 
     def test_errors_exit_one_with_schema(self, capsys):
-        import json
         assert main(["lint", "tests/fixtures/broken_model.py",
                      "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
@@ -308,7 +337,6 @@ class TestLintExitCodes:
         assert "stale" not in out
 
     def test_stale_baseline_warns(self, capsys, tmp_path):
-        import json
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps({
             "format": "repro-lint-baseline/v1",
@@ -328,13 +356,15 @@ class TestLintExitCodes:
 
 class TestVerifyCommand:
     def test_verify_pingpong_schedule_independent(self, capsys):
-        assert main(["verify", "pingpong", "--budget", "16"]) == 0
-        out = capsys.readouterr().out
-        assert "schedule-independent" in out
-        assert "certificate" in out
+        # masterworker on two workers is the sharded exploration.
+        for app in (["pingpong"], ["masterworker", "--workers", "2"]):
+            assert main(["verify", *app, "--budget", "16"]) == 0
+            out = capsys.readouterr().out
+            assert ": schedule-independent" in out
+            assert "frontier 0" in out
+            assert "certificate" in out
 
     def test_verify_json_schema(self, capsys):
-        import json
         assert main(["verify", "masterworker", "--budget", "8",
                      "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -362,14 +392,14 @@ class TestBoundCommand:
     """Exit codes and JSON schema of `repro bound` (app/npz/audit)."""
 
     def test_bundled_app_text_output(self, capsys):
-        assert main(["bound", "pingpong"]) == 0
-        out = capsys.readouterr().out
-        assert "critical path" in out
-        assert "cycle lower bound" in out
-        assert "hot links" in out
+        for app in TASK_APPS:
+            assert main(["bound", app]) == 0
+            out = capsys.readouterr().out
+            assert "critical path" in out
+            assert "cycle lower bound" in out
+            assert "hot links" in out
 
     def test_json_schema(self, capsys):
-        import json
         assert main(["bound", "alltoall", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
@@ -385,7 +415,6 @@ class TestBoundCommand:
         assert bound["message_classes"]
 
     def test_overloaded_npz_exits_one(self, capsys, tmp_path):
-        import json
         from repro.operations.ops import arecv, asend
         from repro.operations.trace import Trace, TraceSet
         lists = [[arecv(s) for s in (1, 2, 3) for _ in range(4)],
@@ -405,7 +434,6 @@ class TestBoundCommand:
         assert payload["rule_families"]["PB"]["errors"] >= 1
 
     def test_audit_warm_cache(self, capsys, tmp_path):
-        import json
         cache_dir = str(tmp_path)
         assert main(["sweep", "t805-grid-2x2", "--rounds", "2",
                      "--axis", "network.link_bandwidth=2,4",
@@ -446,7 +474,6 @@ class TestBoundCommand:
             assert rule in out
 
     def test_check_bundle_covers_bounds(self, capsys):
-        import json
         assert main(["check", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         subjects = [r["subject"] for r in payload["reports"]]

@@ -22,13 +22,12 @@ from repro.operations import (
     ifetch,
     load,
     send,
-    validate_trace_set,
 )
 
 
 class TestCollectives:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
-    def test_scatter(self, n):
+    def test_scatter(self, n, assert_lint_clean):
         got = {}
 
         def program(ctx):
@@ -37,30 +36,30 @@ class TestCollectives:
             got[ctx.node_id] = ctx.scatter(0, 64, values)
 
         ts = ThreadedApplication(program, n).record()
-        validate_trace_set(ts)
+        assert_lint_clean(traces=ts)
         assert got == {i: f"v{i}" for i in range(n)}
 
     @pytest.mark.parametrize("n", [1, 2, 4, 5])
-    def test_gather(self, n):
+    def test_gather(self, n, assert_lint_clean):
         got = {}
 
         def program(ctx):
             got[ctx.node_id] = ctx.gather(0, 32, ctx.node_id * 10)
 
         ts = ThreadedApplication(program, n).record()
-        validate_trace_set(ts)
+        assert_lint_clean(traces=ts)
         assert got[0] == [i * 10 for i in range(n)]
         assert all(got[i] is None for i in range(1, n))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
-    def test_allgather(self, n):
+    def test_allgather(self, n, assert_lint_clean):
         got = {}
 
         def program(ctx):
             got[ctx.node_id] = ctx.allgather(16, ctx.node_id + 100)
 
         ts = ThreadedApplication(program, n).record()
-        validate_trace_set(ts)
+        assert_lint_clean(traces=ts)
         expected = [i + 100 for i in range(n)]
         assert all(got[i] == expected for i in range(n))
 

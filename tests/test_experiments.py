@@ -70,13 +70,14 @@ def reproduce(capsys, *argv):
 class TestReproduceCommand:
     def test_cold_and_warm_stdout_identical_warm_is_all_hits(
             self, tmp_path, capsys):
-        cache = ["--cache-dir", str(tmp_path / "cache")]
-        code, cold, err = reproduce(capsys, "F3a-size", *cache)
+        args = ["F3a-size", "V1", "--workers", "2",
+                "--cache-dir", str(tmp_path / "cache")]
+        code, cold, err = reproduce(capsys, *args)
         assert code == 0
-        assert "cache: 0 hits, 6 misses, 6 stored" in err
-        code, warm, err = reproduce(capsys, "F3a-size", *cache)
+        assert "cache: 0 hits, 12 misses, 12 stored" in err
+        code, warm, err = reproduce(capsys, *args)
         assert code == 0
-        assert "cache: 6 hits, 0 misses, 0 stored" in err
+        assert "cache: 12 hits, 0 misses, 0 stored" in err
         assert warm == cold
 
     def test_worker_count_does_not_change_the_record(self, tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from repro import Workbench, generic_multicomputer
 from repro.apps import ThreadedApplication, make_fft
-from repro.operations import OpCode, validate_trace_set
+from repro.operations import OpCode
 from repro.tracegen import (
     WORKLOAD_CLASSES,
     StochasticGenerator,
@@ -19,9 +19,9 @@ from repro.tracegen import (
 
 class TestFFT:
     @pytest.mark.parametrize("n", [2, 4, 8])
-    def test_traces_valid(self, n):
+    def test_traces_valid(self, n, assert_lint_clean):
         ts = ThreadedApplication(make_fft(points_per_node=8), n).record()
-        validate_trace_set(ts)
+        assert_lint_clean(traces=ts)
 
     def test_exchange_count(self):
         """log2(P) stages, one exchange (send+recv) per node per stage."""
@@ -57,11 +57,11 @@ class TestFFT:
 
 class TestWorkloadClasses:
     @pytest.mark.parametrize("name", sorted(WORKLOAD_CLASSES))
-    def test_presets_generate_valid_traces(self, name):
+    def test_presets_generate_valid_traces(self, name, assert_lint_clean):
         desc = WORKLOAD_CLASSES[name]()
         gen = StochasticGenerator(desc, 4, seed=5)
-        validate_trace_set(gen.generate_task_level(10))
-        validate_trace_set(gen.generate_instruction_level(3000))
+        assert_lint_clean(traces=gen.generate_task_level(10))
+        assert_lint_clean(traces=gen.generate_instruction_level(3000))
 
     def test_classes_differ_in_character(self):
         """The presets must actually distinguish the classes they name."""

@@ -600,27 +600,47 @@ def cli_server(tmp_path_factory):
 
 SUBMIT_ARGS = ["submit", "sweep", PRESET,
                "--axis", f"{AXIS}=2000000,4000000", "--rounds", "1"]
+SICK_SUBMIT_ARGS = ["submit", "sweep", PRESET,
+                    "--axis", SICK_AXES[0], "--rounds", "1"]
 
 
 @pytest.mark.usefixtures("cli_server")
 class TestCLI:
-    def test_submit_status_fetch_roundtrip(self, cli_server, capsys):
-        from repro.cli import main
-        rc = main(SUBMIT_ARGS + ["--server", cli_server, "--wait",
-                                 "--poll", "0.05"])
-        record = json.loads(capsys.readouterr().out)
-        assert rc == 0 and record["state"] == "done"
+    def test_submit_status_fetch_roundtrip(self, cli_server, capsys,
+                                           tmp_path):
+        """``repro fetch`` prints, byte for byte, what the same study
+        dumps in-process: a sweep, a sweep whose sick value is a
+        ``CheckError`` row, and a chaos campaign (``repro chaos --json``)."""
+        from repro.cli import main, plan_sweep
 
-        assert main(["status", record["id"], "--server", cli_server]) == 0
-        status = json.loads(capsys.readouterr().out)
-        assert status["state"] == "done"
-        assert status["cache"]["misses"] + status["cache"]["hits"] == 2
+        def dump(rows):
+            return json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
-        assert main(["fetch", record["id"], "--server", cli_server]) == 0
-        fetched = capsys.readouterr().out
-        expected = json.dumps(expected_sweep_rows(), indent=2,
-                              sort_keys=True) + "\n"
-        assert fetched == expected   # byte-identical: the CI smoke cmp
+        sick, runner, workload_id = plan_sweep(
+            PRESET, (), SICK_AXES, workload=None, rounds=1, seed=0)
+        campaign = tmp_path / "campaign.json"
+        campaign.write_text(json.dumps(CHAOS_SPEC))
+        chaos_args = ["pingpong", "--campaign", str(campaign),
+                      "--size", "64", "--repeats", "1"]
+        assert main(["chaos", *chaos_args, "--json"]) == 0   # every SLO holds
+        cases = [
+            (SUBMIT_ARGS, dump(expected_sweep_rows())),
+            (SICK_SUBMIT_ARGS, dump(sick.run(runner,
+                                             workload_id=workload_id))),
+            (["submit", "chaos", *chaos_args], capsys.readouterr().out),
+        ]
+        for argv, expected in cases:
+            rc = main(argv + ["--server", cli_server, "--wait",
+                              "--poll", "0.05"])
+            record = json.loads(capsys.readouterr().out)
+            assert rc == 0 and record["state"] == "done"
+
+            assert main(["status", record["id"],
+                         "--server", cli_server]) == 0
+            assert json.loads(capsys.readouterr().out) == record
+
+            assert main(["fetch", record["id"], "--server", cli_server]) == 0
+            assert capsys.readouterr().out == expected
 
     def test_failed_job_exit_codes(self, cli_server, capsys):
         from repro.cli import main

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.operations import OpCode, trace_mix, validate_trace_set
+from repro.operations import OpCode, trace_mix
 from repro.tracegen import (
     CommunicationBehaviour,
     InstructionMix,
@@ -40,23 +40,23 @@ class TestDeterminism:
 
 class TestValidity:
     @pytest.mark.parametrize("n_nodes", [1, 2, 3, 4, 7])
-    def test_instruction_level_matched(self, n_nodes):
+    def test_instruction_level_matched(self, n_nodes, assert_lint_clean):
         ts = make_gen(n_nodes=n_nodes).generate_instruction_level(2000)
-        validate_trace_set(ts)
+        assert_lint_clean(traces=ts)
 
     @pytest.mark.parametrize("n_nodes", [1, 2, 5, 8])
-    def test_task_level_matched(self, n_nodes):
+    def test_task_level_matched(self, n_nodes, assert_lint_clean):
         ts = make_gen(n_nodes=n_nodes).generate_task_level(20)
-        validate_trace_set(ts)
+        assert_lint_clean(traces=ts)
 
-    def test_async_rounds_matched(self):
+    def test_async_rounds_matched(self, assert_lint_clean):
         gen = make_gen(comm=CommunicationBehaviour(async_fraction=1.0))
-        validate_trace_set(gen.generate_task_level(20))
+        assert_lint_clean(traces=gen.generate_task_level(20))
 
-    def test_neighbour_pattern(self):
+    def test_neighbour_pattern(self, assert_lint_clean):
         gen = make_gen(comm=CommunicationBehaviour(pattern="neighbour"))
         ts = gen.generate_task_level(10)
-        validate_trace_set(ts)
+        assert_lint_clean(traces=ts)
         for t in ts:
             for op in t:
                 if op.code in (OpCode.SEND, OpCode.RECV):

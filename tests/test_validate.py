@@ -1,49 +1,61 @@
-"""Trace validation: structural checks and communication matching."""
+"""Trace validation: structural checks and communication matching.
+
+The per-trace structure (``TR001``–``TR003``) and the per-pair
+send/recv counts (``TR004``) of :func:`repro.check.check_traces`; the
+deadlock rules and the rest of the analyzer are in ``test_check.py``.
+"""
 
 from __future__ import annotations
 
-import pytest
-
+from repro.check import check_traces
+from repro.check.trace_passes import (communication_matrix,
+                                     structural_diagnostics)
 from repro.operations import (MemType,
                               Operation,
                               OpCode,
                               Trace,
                               TraceSet,
-                              ValidationError,
                               arecv,
                               asend,
-                              communication_matrix,
                               compute,
                               recv,
-                              send,
-                              validate_trace,
-                              validate_trace_set)
+                              send)
+
+
+def rules(trace: Trace, n_nodes=None) -> list[str]:
+    return [d.rule for d in structural_diagnostics(trace, n_nodes)]
+
+
+def error_rules(ts: TraceSet) -> list[str]:
+    return [d.rule for d in check_traces(ts).errors]
 
 
 class TestValidateTrace:
     def test_valid_trace_passes(self):
-        validate_trace(Trace(0, [send(64, 1), recv(1), compute(10)]),
-                       n_nodes=2)
+        assert rules(Trace(0, [send(64, 1), recv(1), compute(10)]),
+                     n_nodes=2) == []
 
     def test_self_communication_rejected(self):
-        with pytest.raises(ValidationError, match="self-communication"):
-            validate_trace(Trace(0, [send(64, 0)]), n_nodes=2)
+        (diag,) = structural_diagnostics(Trace(0, [send(64, 0)]), 2)
+        assert diag.rule == "TR002"
+        assert "self-communication" in diag.message
 
     def test_peer_out_of_range(self):
-        with pytest.raises(ValidationError, match="out of range"):
-            validate_trace(Trace(0, [recv(5)]), n_nodes=2)
+        (diag,) = structural_diagnostics(Trace(0, [recv(5)]), 2)
+        assert diag.rule == "TR003"
+        assert "out of range" in diag.message
 
     def test_negative_peer(self):
-        with pytest.raises(ValidationError, match="out of range"):
-            validate_trace(Trace(0, [recv(-1)]))
+        assert rules(Trace(0, [recv(-1)])) == ["TR003"]
 
     def test_negative_address(self):
         bad = Operation(OpCode.LOAD, int(MemType.INT32), -8)
-        with pytest.raises(ValidationError, match="negative address"):
-            validate_trace(Trace(0, [bad]))
+        (diag,) = structural_diagnostics(Trace(0, [bad]), None)
+        assert diag.rule == "TR001"
+        assert "negative address" in diag.message
 
     def test_no_n_nodes_skips_range_check(self):
-        validate_trace(Trace(0, [send(64, 99)]))   # range unknown: OK
+        assert rules(Trace(0, [send(64, 99)])) == []   # range unknown: OK
 
 
 class TestValidateTraceSet:
@@ -53,27 +65,27 @@ class TestValidateTraceSet:
             [recv(0), asend(32, 0)],
         ])
         # node 0 must also receive node 1's asend for matching:
-        with pytest.raises(ValidationError):
-            validate_trace_set(ts)
+        assert error_rules(ts) == ["TR004"]
         ts = TraceSet.from_lists([
             [send(64, 1), arecv(1)],
             [recv(0), asend(32, 0)],
         ])
-        validate_trace_set(ts)
+        assert check_traces(ts).ok
 
     def test_unmatched_send_detected(self):
         ts = TraceSet.from_lists([[send(64, 1)], []])
-        with pytest.raises(ValidationError, match="unmatched"):
-            validate_trace_set(ts)
+        assert error_rules(ts) == ["TR004"]
+        assert "unmatched" in check_traces(ts).errors[0].message
 
     def test_unmatched_recv_detected(self):
         ts = TraceSet.from_lists([[], [recv(0)]])
-        with pytest.raises(ValidationError, match="unmatched"):
-            validate_trace_set(ts)
+        assert error_rules(ts) == ["TR004"]
+        assert "unmatched" in check_traces(ts).errors[0].message
 
     def test_check_matched_false_skips(self):
+        # The structural contract alone does not look at matching.
         ts = TraceSet.from_lists([[send(64, 1)], []])
-        validate_trace_set(ts, check_matched=False)
+        assert [rules(t, len(ts)) for t in ts] == [[], []]
 
 
 class TestCommunicationMatrix:

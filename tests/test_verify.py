@@ -1,8 +1,7 @@
 """Schedule-space verification: tie-break hook, explorer, certificates.
 
 The seeded fixtures live in ``tests/fixtures/race_model.py`` (module
-level, so sharded exploration can pickle them); CI runs the race one
-as a smoke test via ``python -m tests.fixtures.race_model``.
+level, so sharded exploration can pickle them).
 """
 
 from __future__ import annotations

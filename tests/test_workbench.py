@@ -17,7 +17,6 @@ from repro.operations import (
     load,
     recv,
     send,
-    validate_trace_set,
 )
 from repro.sharedmem import SMPResult
 from repro.tracegen import StochasticAppDescription
@@ -36,7 +35,7 @@ class TestModes:
 
     def test_run_mixed_traces(self, wb):
         traces = wb.record_traces(make_matmul(n=8))
-        res = wb.run_mixed_traces(traces, validate=True)
+        res = wb.run_mixed_traces(traces)
         assert isinstance(res, HybridResult)
         assert res.total_instructions > 0
 
@@ -87,9 +86,9 @@ class TestModes:
         ])
         assert res.comm.messages_delivered == 1
 
-    def test_record_traces_valid(self, wb):
+    def test_record_traces_valid(self, wb, assert_lint_clean):
         ts = wb.record_traces(make_matmul(n=8))
-        validate_trace_set(ts)
+        assert_lint_clean(traces=ts)
 
     def test_determinism_across_runs(self, wb):
         a = wb.run_hybrid(make_matmul(n=8)).total_cycles
