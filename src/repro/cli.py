@@ -280,7 +280,10 @@ def plan_sweep(preset: str, overrides: Sequence[str], axes: Sequence[str],
             values = [_parse_value(current, v) for v in raw.split(",")]
         except ValueError as exc:
             raise SystemExit(f"bad axis value in {spec!r}: {exc}")
-        sweep.axis(path, _AxisSetter(path), values)
+        try:
+            sweep.axis(path, _AxisSetter(path), values)
+        except ValueError as exc:
+            raise SystemExit(f"bad axis {spec!r}: {exc}")
     runner = functools.partial(_sweep_point_runner, workload=workload,
                                rounds=rounds, seed=seed)
     workload_id = (f"cli-stochastic:{workload or 'generic'}"

@@ -12,8 +12,11 @@ converts simulated cycles to seconds for reporting.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import functools
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Any, Optional
 
 from ..operations.optypes import ArithType
@@ -31,6 +34,79 @@ class ConfigError(ValueError):
 
 def _is_pow2(x: int) -> bool:
     return x > 0 and (x & (x - 1)) == 0
+
+
+# -- the config walkers -------------------------------------------------------
+#
+# ``to_dict`` (whose output is the cache key's machine half) and
+# ``__deepcopy__`` (one per sweep point) visit every node of a config.
+# Both look each node's class up in one table of dataclass field names,
+# filled on first use (one entry per class ever seen), instead of
+# asking ``dataclasses`` about every node of every config.
+
+#: leaf types ``copy.deepcopy`` shares rather than copies (exact types)
+_ATOMIC = frozenset({str, int, float, bool, complex, bytes, type(None)})
+
+
+@functools.cache
+def _field_names(cls: type) -> Optional[tuple[str, ...]]:
+    """The field names of dataclass ``cls`` in declaration order, or
+    ``None`` when ``cls`` is not a dataclass."""
+    try:
+        return tuple(f.name for f in dataclasses.fields(cls))
+    except TypeError:
+        return None
+
+
+def _encode(obj: Any) -> Any:
+    """Dataclasses become field-ordered dicts, sequences lists and
+    :class:`ArithType` keys their names; anything else is kept."""
+    if type(obj) in _ATOMIC:
+        return obj
+    names = _field_names(type(obj))
+    if names is not None:
+        return {name: _encode(getattr(obj, name)) for name in names}
+    if isinstance(obj, dict):
+        return {(k.name if isinstance(k, ArithType) else k): _encode(v)
+                for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_encode(v) for v in obj]
+    return obj
+
+
+def _deepcopy(obj: Any, memo: dict[int, Any]) -> Any:
+    """``copy.deepcopy(obj, memo)``, walking dataclasses, dicts and lists
+    itself.  Immutable leaves (tuples of them included) are shared, as
+    ``copy.deepcopy`` shares them; ``memo`` keeps aliasing; every other
+    object is handed to ``copy.deepcopy``."""
+    cls = type(obj)
+    if cls in _ATOMIC or isinstance(obj, Enum):
+        return obj
+    if cls is tuple and all(type(v) in _ATOMIC for v in obj):
+        return obj
+    if id(obj) in memo:
+        return memo[id(obj)]
+    if _field_names(cls) is not None and hasattr(obj, "__dict__"):
+        # What copy.deepcopy does with a plain instance, minus the
+        # reduce protocol: a blank instance, then its attributes.
+        new = cls.__new__(cls)
+        memo[id(obj)] = new
+        attrs = new.__dict__
+        for name, value in obj.__dict__.items():
+            attrs[name] = _deepcopy(value, memo)
+        return new
+    if cls is dict:
+        new_dict: dict = {}
+        memo[id(obj)] = new_dict
+        for key, value in obj.items():
+            new_dict[_deepcopy(key, memo)] = _deepcopy(value, memo)
+        return new_dict
+    if cls is list:
+        new_list: list = []
+        memo[id(obj)] = new_list
+        new_list.extend(_deepcopy(value, memo) for value in obj)
+        return new_list
+    return copy.deepcopy(obj, memo)
 
 
 @dataclass
@@ -324,20 +400,17 @@ class MachineConfig:
         from ..topology import node_count
         return node_count(self.network.topology)
 
+    def __deepcopy__(self, memo: dict[int, Any]) -> "MachineConfig":
+        # A MachineConfig has a __dict__, so the walker copies it itself
+        # and never hands it back to copy.deepcopy.
+        return _deepcopy(self, memo)
+
     # -- serialization (experiment records) ------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        def encode(obj: Any) -> Any:
-            if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-                return {f.name: encode(getattr(obj, f.name))
-                        for f in dataclasses.fields(obj)}
-            if isinstance(obj, dict):
-                return {(k.name if isinstance(k, ArithType) else k): encode(v)
-                        for k, v in obj.items()}
-            if isinstance(obj, (list, tuple)):
-                return [encode(v) for v in obj]
-            return obj
-        return encode(self)
+        # Key order and values are the cache key's: keep them
+        # byte-identical (tests/golden/result_keys.json).
+        return _encode(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "MachineConfig":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 from typing import Any, Callable, Iterable, Sequence
 
 from .config import MachineConfig
@@ -67,9 +68,15 @@ class Sweep:
 
     def axis(self, name: str, mutator: Mutator,
              values: Sequence[Any]) -> "Sweep":
-        """Add a sweep axis (axes combine as a cross product)."""
+        """Add a sweep axis (axes combine as a cross product).
+
+        A name may appear once: a second axis on it would overwrite
+        the first one's values at every point.
+        """
         if not values:
             raise ValueError(f"axis {name!r} has no values")
+        if any(name == axis_name for axis_name, _, _ in self._axes):
+            raise ValueError(f"axis {name!r} is already in the sweep")
         self._axes.append((name, mutator, list(values)))
         return self
 
@@ -77,21 +84,21 @@ class Sweep:
                                                           MachineConfig]]:
         """All (coordinates, machine-variant) pairs of the cross product.
 
+        The first axis varies slowest.  Each variant is one deep copy of
+        the base with every axis's mutator applied in axis order.
         ``validate=True`` (the default) raises on the first invalid
         variant; :meth:`run` passes ``False`` because the job it
         submits pre-flights every variant it has to simulate, so one
         sick config becomes an error row, not an aborted sweep.
         """
-        points: list[tuple[dict, MachineConfig]] = [({},
-                                                     copy.deepcopy(self.base))]
-        for name, mutator, values in self._axes:
-            nxt = []
-            for coords, machine in points:
-                for value in values:
-                    variant = copy.deepcopy(machine)
-                    mutator(variant, value)
-                    nxt.append(({**coords, name: value}, variant))
-            points = nxt
+        names = [name for name, _, _ in self._axes]
+        points = []
+        for combo in itertools.product(*(values
+                                         for _, _, values in self._axes)):
+            machine = copy.deepcopy(self.base)
+            for (_, mutator, _), value in zip(self._axes, combo):
+                mutator(machine, value)
+            points.append((dict(zip(names, combo)), machine))
         if validate:
             for _, machine in points:
                 machine.validate()

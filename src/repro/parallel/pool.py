@@ -28,7 +28,6 @@ break its own pipe, which is discarded with it.
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing
 import multiprocessing.connection
 import pickle
@@ -242,26 +241,15 @@ class WorkerPool:
 
 
 def run_sharded(fn: Callable[[Any], Any], items: Sequence[Any],
-                workers: int,
-                progress: Optional[Callable[[int, int, Any], None]] = None
-                ) -> list[Any]:
+                workers: int) -> list[Any]:
     """Map a picklable ``fn`` over ``items`` on an ephemeral pool.
 
     The two fan-outs that are not sweeps: ``repro verify`` (independent
     schedule shards) and ``repro bound --audit`` (cache rows).  Results
-    come back in item order and ``progress(done, total,
-    result)`` fires once per item, in item order, as each resolves.
-    ``fn`` is expected to capture its own task-level errors, like
-    :func:`~repro.parallel.runner.execute_variant` does; an item that
-    keeps killing its worker raises :class:`WorkerCrashed`.
+    come back in item order.  ``fn`` is expected to capture its own
+    task-level errors, like :func:`~repro.parallel.runner.execute_variant`
+    does; an item that keeps killing its worker raises
+    :class:`WorkerCrashed`.
     """
-    out: list[Any] = []
-    # Closing the map first kills in-flight work at once when `progress`
-    # raises; the pool then has only idle workers to stop.
-    with WorkerPool(workers) as pool, \
-            contextlib.closing(pool.imap(fn, items)) as results:
-        for result in results:
-            out.append(result)
-            if progress is not None:
-                progress(len(out), len(items), result)
-    return out
+    with WorkerPool(workers) as pool:
+        return list(pool.imap(fn, items))

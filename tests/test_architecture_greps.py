@@ -43,6 +43,8 @@ CASES = [
     ("one trace validator: repro.check.check_traces",
      r"validate_trace_set|ValidationError|operations\.validate",
      "tests/**/*.py", ("tests/test_architecture_greps.py",)),
+    ("one field table: the config walkers read the cached field names",
+     r"dataclasses\.is_dataclass", "src/repro/core/config.py", ()),
     ("one description of the checks: CI runs tests, not heredocs or the "
      "CLI",
      r"<<|python3? -m repro", ".github/workflows/*.yml", ()),

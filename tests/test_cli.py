@@ -212,9 +212,17 @@ class TestSweepCommand:
         assert "4 variants" in out
 
     def test_bad_axis_path(self):
-        with pytest.raises(SystemExit, match="unknown config path"):
-            main(["sweep", "t805-grid-2x2",
-                  "--axis", "network.warp_factor=1,2"])
+        for axes, match in [
+                (["network.warp_factor=1,2"], "unknown config path"),
+                # Regression: the second axis silently replaced the first,
+                # so bandwidths 1 and 2 never ran.
+                (["network.link_bandwidth=1,2", "network.link_bandwidth=8"],
+                 "'network.link_bandwidth' is already in the sweep")]:
+            argv = ["sweep", "t805-grid-2x2", "--rounds", "2"]
+            for axis in axes:
+                argv += ["--axis", axis]
+            with pytest.raises(SystemExit, match=match):
+                main(argv)
 
     def test_axis_requires_values(self):
         with pytest.raises(SystemExit):

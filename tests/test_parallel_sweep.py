@@ -14,7 +14,10 @@ Runner callables cross the process boundary, so everything passed to
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +29,7 @@ from repro import (
     generic_multicomputer,
 )
 from repro.apps import pingpong_task_traces
+from repro.core.experiment import _AxisSetter
 from repro.parallel import (
     SweepVariantError,
     code_version,
@@ -303,9 +307,6 @@ class TestResultCache:
                                               failing):
         """Regression: a full disk under ``write_text``/``os.replace``
         left ``<name>.tmp.<pid>.<tid>`` behind for good."""
-        import os
-        from pathlib import Path
-
         from repro.parallel.cache import atomic_write_text
 
         target = tmp_path / "row.json"
@@ -330,7 +331,45 @@ class TestResultCache:
         assert target.read_text() == "old"
 
 
+GOLDEN_KEYS = Path(__file__).parent / "golden" / "result_keys.json"
+
+#: the three-axis sweep whose every point has its cache key pinned
+KEY_AXES = [("network.link_bandwidth", [1.0, 4.0, 16.0]),
+            ("network.switching", ["store_and_forward", "virtual_cut_through",
+                                   "wormhole"]),
+            ("node.memory.access_cycles", [10.0, 40.0])]
+
+
+def key_records() -> list[dict]:
+    """The cache key and the field-ordered encoding digest of every
+    preset and of every point of a three-axis sweep, in point order."""
+    from repro.cli import PRESETS
+    machines = [(f"preset {name}", factory())
+                for name, factory in sorted(PRESETS.items())]
+    sweep = Sweep(PRESETS["generic-mesh"](), label="golden")
+    for path, values in KEY_AXES:
+        sweep.axis(path, _AxisSetter(path), values)
+    machines += [(f"sweep {json.dumps(coords)}", machine)
+                 for coords, machine in sweep.points()]
+    return [{"id": label,
+             "key": result_key(machine, "golden", version="golden"),
+             "encoding": hashlib.sha256(
+                 json.dumps(machine.to_dict()).encode()).hexdigest()}
+            for label, machine in machines]
+
+
 class TestCacheKeys:
+    def test_keys_match_committed_values(self):
+        """The key function is pinned: at a fixed ``version`` every
+        preset and sweep point keys as it did when this file was
+        written, and the encoding keeps its field order, so only the
+        code version ever invalidates a cache.  Regenerate only with
+        ``REPRO_REGEN_GOLDEN=1``, and only to change the key on purpose."""
+        records = key_records()
+        if os.environ.get("REPRO_REGEN_GOLDEN"):
+            GOLDEN_KEYS.write_text(json.dumps(records, indent=1) + "\n")
+        assert records == json.loads(GOLDEN_KEYS.read_text())
+
     def test_key_is_stable_across_equal_configs(self):
         a = generic_multicomputer("mesh", (2, 2))
         b = generic_multicomputer("mesh", (2, 2))

@@ -7,6 +7,11 @@ and trace-generation determinism, each over randomized inputs.
 
 from __future__ import annotations
 
+import collections
+import copy
+import dataclasses
+from dataclasses import dataclass, field
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +23,7 @@ from repro.core.config import (
 )
 from repro.commmodel import MultiNodeModel
 from repro.compmodel import Cache, LineState
-from repro.operations import compute, recv, send
+from repro.operations import ArithType, compute, recv, send
 from repro.pearl import Channel, Simulator
 
 
@@ -252,3 +257,152 @@ def test_vary_machine_structural_mutations_validate(kib_sizes):
     assert base.node.cache_levels[0].data.size_bytes == original
     assert [m.node.cache_levels[0].data.size_bytes
             for m in variants] == [k * 1024 for k in kib_sizes]
+
+
+# ---------------------------------------------------------------------------
+# Copy semantics of a machine (MachineConfig.__deepcopy__, Sweep.points)
+# ---------------------------------------------------------------------------
+
+def _mutables(obj, found=None) -> dict:
+    """id -> object of every dataclass, dict and list reachable from obj."""
+    found = {} if found is None else found
+    if id(obj) in found:
+        return found
+    if dataclasses.is_dataclass(obj):
+        found[id(obj)] = obj
+        children = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif isinstance(obj, dict):
+        found[id(obj)] = obj
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        if isinstance(obj, list):
+            found[id(obj)] = obj
+        children = list(obj)
+    else:
+        return found
+    for child in children:
+        _mutables(child, found)
+    return found
+
+
+@dataclass
+class TaggedMachine(MachineConfig):
+    """A subclass with a field of its own (a mutable one)."""
+
+    tags: dict = field(default_factory=lambda: {"owner": ["lab"]})
+
+
+def test_deepcopy_equals_its_source_and_shares_nothing_mutable():
+    from repro.cli import PRESETS
+    for name, factory in sorted(PRESETS.items()):
+        machine = factory()
+        clone = copy.deepcopy(machine)
+        # to_dict spells ArithType keys by name, so it also holds the
+        # key types (an IntEnum key compares equal to its int).
+        assert clone == machine and clone.to_dict() == machine.to_dict(), name
+        assert not set(_mutables(clone)) & set(_mutables(machine)), name
+
+
+def test_deepcopy_keeps_aliasing_like_generic_deepcopy():
+    """A level whose ``instr`` is its ``data`` object stays aliased, as
+    the generic ``copy.deepcopy`` of the level alone keeps it."""
+    from repro import generic_multicomputer, vary_machine
+    base = generic_multicomputer("mesh", (2, 2))
+    level = base.node.cache_levels[0]
+    level.instr = level.data
+    generic = copy.deepcopy(level)       # not a MachineConfig: generic path
+    assert generic.instr is generic.data
+    for clone in (copy.deepcopy(base),
+                  vary_machine(base, lambda m, v: None, [0])[0]):
+        copied = clone.node.cache_levels[0]
+        assert copied.instr is copied.data
+        assert copied.data is not level.data
+
+
+def test_deepcopy_of_a_subclass_copies_its_own_fields():
+    machine = TaggedMachine(name="tagged")
+    clone = copy.deepcopy(machine)
+    assert type(clone) is TaggedMachine and clone == machine
+    assert list(clone.to_dict()) == ["name", "node", "network", "tags"]
+    assert clone.tags is not machine.tags
+    assert clone.tags["owner"] is not machine.tags["owner"]
+    clone.tags["owner"].append("other")
+    assert machine.tags == {"owner": ["lab"]}
+
+
+def test_to_dict_encodes_every_sequence_as_a_list():
+    """Tuples and dict/list/tuple subclasses encode as plain dicts and
+    lists, as they always have (the cache key cannot tell them apart)."""
+    class Tags(dict):
+        pass
+
+    pair = collections.namedtuple("pair", "a b")
+    machine = TaggedMachine(tags=Tags(owner=pair(1, [2]), seen=(ArithType.INT,)))
+    encoded = machine.to_dict()
+    assert type(encoded["network"]["topology"]["dims"]) is list
+    assert type(encoded["tags"]) is dict
+    assert encoded["tags"] == {"owner": [1, [2]], "seen": [ArithType.INT]}
+    clone = copy.deepcopy(machine)
+    assert type(clone.tags) is Tags and clone.tags == machine.tags
+    assert clone.tags["owner"].b is not machine.tags["owner"].b
+
+
+#: axis path -> values it may take (every combination validates)
+_AXIS_VALUES = {
+    "network.link_bandwidth": st.floats(0.5, 64.0),
+    "network.packet_bytes": st.sampled_from([64, 128, 256, 512]),
+    "network.switching": st.sampled_from(
+        ["store_and_forward", "virtual_cut_through", "wormhole"]),
+    "node.memory.access_cycles": st.floats(0.0, 100.0),
+}
+
+
+@st.composite
+def _sweep_axes(draw):
+    paths = draw(st.lists(st.sampled_from(sorted(_AXIS_VALUES)),
+                          min_size=1, max_size=3, unique=True))
+    return [(path, draw(st.lists(_AXIS_VALUES[path], min_size=1,
+                                 max_size=3)))
+            for path in paths]
+
+
+def _nested_points(base, axes):
+    """The construction ``Sweep.points`` replaced: one deep copy per
+    point per axis level."""
+    def mutated(machine, mutator, value):
+        variant = copy.deepcopy(machine)
+        mutator(variant, value)
+        return variant
+
+    points = [({}, copy.deepcopy(base))]
+    for name, mutator, values in axes:
+        points = [({**coords, name: value}, mutated(machine, mutator, value))
+                  for coords, machine in points for value in values]
+    return points
+
+
+@settings(max_examples=30, deadline=None)
+@given(_sweep_axes())
+def test_sweep_points_match_the_nested_construction(axes):
+    """Same point order, same coordinate dicts (key order included),
+    same machines; and a variant's nested dict is its own."""
+    from repro import Sweep, generic_multicomputer
+    from repro.core.experiment import _AxisSetter
+    base = generic_multicomputer("mesh", (2, 2))
+    snapshot = base.to_dict()
+    axes = [(path, _AxisSetter(path), values) for path, values in axes]
+    sweep = Sweep(base)
+    for axis in axes:
+        sweep.axis(*axis)
+    points = sweep.points()
+    expected = _nested_points(base, axes)
+    assert [list(coords.items()) for coords, _ in points] == \
+        [list(coords.items()) for coords, _ in expected]
+    assert [machine for _, machine in points] == \
+        [machine for _, machine in expected]
+
+    points[0][1].node.cpu.add_cycles[ArithType.INT] = -1.0
+    assert base.to_dict() == snapshot
+    assert all(machine.node.cpu.add_cycles[ArithType.INT] ==
+               base.node.cpu.add_cycles[ArithType.INT]
+               for _, machine in points[1:])

@@ -164,10 +164,12 @@ class TestRequests:
 
     def test_deep_validation_happens_at_submit(self, manager):
         mgr = manager(autostart=False)
-        with pytest.raises(ServiceError, match="bad sweep request") as info:
-            mgr.submit({"kind": "sweep", "preset": PRESET,
-                        "axes": ["network.warp_speed=1,2"]})
-        assert info.value.status == 400
+        for axes in (["network.warp_speed=1,2"],
+                     ["network.link_bandwidth=1,2", "network.link_bandwidth=8"]):
+            with pytest.raises(ServiceError,
+                               match="bad sweep request") as info:
+                mgr.submit({"kind": "sweep", "preset": PRESET, "axes": axes})
+            assert info.value.status == 400
 
 
 # ---------------------------------------------------------------------------
