@@ -35,10 +35,32 @@ from ..tracegen.vdt import TargetABI, VarDescriptor
 __all__ = ["NodeContext", "ThreadedApplication"]
 
 
-def _caller_site(depth: int = 2):
-    """Static code site (filename, lineno) of the annotation call."""
-    frame = sys._getframe(depth)
+#: (id(code), f_lasti) -> (code, (filename, lineno)): one entry per
+#: static call instruction, process-wide, because the line of an
+#: instruction is a pure function of its code.  The entry holds the code
+#: object, so its id is never reused while the key exists.
+_SITES: dict = {}
+
+
+def _resolve_site(frame) -> tuple:
+    """The memo-miss path: a frame's line number is computed by walking
+    its code's line table, too slow to pay per annotation."""
     return (frame.f_code.co_filename, frame.f_lineno)
+
+
+def _caller_site(depth: int = 2):
+    """Static code site (filename, lineno) of the annotation call.
+
+    Memoised per call instruction: annotations on one source line share
+    one site, as they always have, and each line is resolved once.
+    """
+    frame = sys._getframe(depth)
+    code = frame.f_code
+    key = (id(code), frame.f_lasti)
+    entry = _SITES.get(key)
+    if entry is None:
+        entry = _SITES[key] = (code, _resolve_site(frame))
+    return entry[1]
 
 
 class NodeContext:

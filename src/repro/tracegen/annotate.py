@@ -41,6 +41,16 @@ _ARITH_CODES = {
     "mul": OpCode.MUL, "div": OpCode.DIV,
 }
 
+# Enum member reads cost ~0.2 us each on CPython 3.11: the per-op paths
+# below read these module constants instead.
+_IFETCH = OpCode.IFETCH
+_LOAD = OpCode.LOAD
+_STORE = OpCode.STORE
+_LOADC = OpCode.LOADC
+_BRANCH = OpCode.BRANCH
+_CALL = OpCode.CALL
+_RET = OpCode.RET
+
 
 class AnnotationTranslator:
     """Translates source-level annotations into an operation stream.
@@ -90,7 +100,7 @@ class AnnotationTranslator:
         """The shared IFETCH operation of a static site."""
         op = self._ifetch_cache.get(site)
         if op is None:
-            op = Operation(OpCode.IFETCH, 0, self._site_address(site))
+            op = Operation(_IFETCH, 0, self._site_address(site))
             self._ifetch_cache[site] = op
         return op
 
@@ -129,28 +139,24 @@ class AnnotationTranslator:
         """
         if var.in_register:
             return
-        op = self._ifetch_cache.get(site)
-        if op is None:
-            op = Operation(OpCode.IFETCH, 0, self._site_address(site))
-            self._ifetch_cache[site] = op
+        op = self._ifetch_cache.get(site) or self._site_ifetch(site)
         emit = self.emit
         emit(op)
-        emit(Operation(OpCode.LOAD, int(var.mem_type),
-                       var.element_address(index)))
+        if not 0 <= index < var.n_elements:
+            raise var.index_error(index)
+        emit(Operation(_LOAD, var.dtype, var.address + index * var.stride))
         self.ops_emitted += 2
 
     def write(self, var: VarDescriptor, index: int = 0, *, site) -> None:
         """Assign to ``var[index]``: ifetch + store (memory variables)."""
         if var.in_register:
             return
-        op = self._ifetch_cache.get(site)
-        if op is None:
-            op = Operation(OpCode.IFETCH, 0, self._site_address(site))
-            self._ifetch_cache[site] = op
+        op = self._ifetch_cache.get(site) or self._site_ifetch(site)
         emit = self.emit
         emit(op)
-        emit(Operation(OpCode.STORE, int(var.mem_type),
-                       var.element_address(index)))
+        if not 0 <= index < var.n_elements:
+            raise var.index_error(index)
+        emit(Operation(_STORE, var.dtype, var.address + index * var.stride))
         self.ops_emitted += 2
 
     def const(self, mem_type: MemType = MemType.INT32, *, site) -> None:
@@ -159,7 +165,7 @@ class AnnotationTranslator:
         pair = self._pair_cache.get(key)
         if pair is None:
             pair = (self._site_ifetch(site),
-                    Operation(OpCode.LOADC, int(mem_type)))
+                    Operation(_LOADC, int(mem_type)))
             self._pair_cache[key] = pair
         emit = self.emit
         emit(pair[0])
@@ -168,7 +174,12 @@ class AnnotationTranslator:
 
     def arith(self, kind: str, arith_type: ArithType = ArithType.INT,
               count: int = 1, *, site) -> None:
-        """``count`` arithmetic operations of ``kind`` at one site."""
+        """``count`` arithmetic operations of ``kind`` at one site.
+
+        ``count=0`` emits nothing but still gives the site its address.
+        """
+        if count < 0:
+            raise ValueError(f"arithmetic count must be >= 0, got {count}")
         key = ("a", site, kind, int(arith_type))
         pair = self._pair_cache.get(key)
         if pair is None:
@@ -196,7 +207,7 @@ class AnnotationTranslator:
             pair = self._pair_cache.get(key)
             if pair is None:
                 f = self._site_ifetch(site)
-                pair = (f, Operation(OpCode.BRANCH, 0, f.arg))
+                pair = (f, Operation(_BRANCH, 0, f.arg))
                 self._pair_cache[key] = pair
             emit = self.emit
             emit(pair[0])
@@ -204,8 +215,7 @@ class AnnotationTranslator:
             self.ops_emitted += 2
             return
         self._fetch(site)
-        self._out(Operation(OpCode.BRANCH, 0,
-                            self._site_address(target_site)))
+        self._out(Operation(_BRANCH, 0, self._site_address(target_site)))
 
     def call(self, *, site) -> int:
         """Procedure call: ifetch + call, new VDT scope.
@@ -213,7 +223,7 @@ class AnnotationTranslator:
         Returns the call-site address (used by :meth:`ret`).
         """
         addr = self._fetch(site)
-        self._out(Operation(OpCode.CALL, 0, addr))
+        self._out(Operation(_CALL, 0, addr))
         self.vdt.push_scope()
         self._call_stack.append(addr)
         return addr
@@ -224,7 +234,7 @@ class AnnotationTranslator:
             raise ValueError("ret annotation without a matching call")
         return_to = self._call_stack.pop() + self.abi.instr_bytes
         self._fetch(site)
-        self._out(Operation(OpCode.RET, 0, return_to))
+        self._out(Operation(_RET, 0, return_to))
         self.vdt.pop_scope()
 
     # -- communication annotations ---------------------------------------------

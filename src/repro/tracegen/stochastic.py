@@ -41,12 +41,23 @@ from .descriptions import StochasticAppDescription
 
 __all__ = ["StochasticGenerator"]
 
-_KIND_TO_CODE = {
-    "load": OpCode.LOAD, "store": OpCode.STORE, "loadc": OpCode.LOADC,
-    "add": OpCode.ADD, "sub": OpCode.SUB, "mul": OpCode.MUL,
-    "div": OpCode.DIV, "branch": OpCode.BRANCH, "call": OpCode.CALL,
-    "ret": OpCode.RET,
+# Enum member reads cost ~0.2 us each on CPython 3.11: the per-op loop
+# of _comp_segment reads these module constants instead.
+_IFETCH = OpCode.IFETCH
+_MEMORY, _ARITH, _CONST, _CONTROL = range(4)
+#: kind -> (op code, the branch _comp_segment takes for it)
+_KINDS = {
+    "load": (OpCode.LOAD, _MEMORY), "store": (OpCode.STORE, _MEMORY),
+    "loadc": (OpCode.LOADC, _CONST),
+    "add": (OpCode.ADD, _ARITH), "sub": (OpCode.SUB, _ARITH),
+    "mul": (OpCode.MUL, _ARITH), "div": (OpCode.DIV, _ARITH),
+    "branch": (OpCode.BRANCH, _CONTROL), "call": (OpCode.CALL, _CONTROL),
+    "ret": (OpCode.RET, _CONTROL),
 }
+_INT32, _INT32_BYTES = int(MemType.INT32), MemType.INT32.nbytes
+_FLOAT64, _FLOAT64_BYTES = int(MemType.FLOAT64), MemType.FLOAT64.nbytes
+_INT, _FLOAT, _DOUBLE = (int(ArithType.INT), int(ArithType.FLOAT),
+                         int(ArithType.DOUBLE))
 
 
 class _ExchangeRound:
@@ -159,52 +170,61 @@ class StochasticGenerator:
         blen = state.setdefault("blen", self._block_len(rng))
         seq_cursor = state.setdefault("seq_cursor", 0)
 
-        for i in range(n_instructions):
+        # Loop invariants, read once per segment.
+        kind_table = [_KINDS[k] for k in kinds]
+        code_base, instr_bytes = desc.code_base, desc.instr_bytes
+        n_blocks = desc.n_basic_blocks
+        loopback = desc.loopback_prob
+        far_jump = loopback + desc.far_jump_prob
+        stack_fraction = mem.stack_fraction
+        sequential = stack_fraction + \
+            (1 - stack_fraction) * mem.sequential_fraction
+        stack_base, stack_bytes = mem.stack_base, mem.stack_bytes
+        data_base = mem.data_base
+        double_data = desc.mix.double_data_fraction
+        float_fraction = desc.mix.float_fraction
+
+        for k, (u0, u1, u2) in zip(kind_idx.tolist(), uni.tolist()):
             # Instruction fetch: the loop model drives the address.
-            addr = desc.code_base + (block * slot + min(pos, slot - 1)) \
-                * desc.instr_bytes
-            append(Operation(OpCode.IFETCH, 0, addr))
+            addr = code_base + (block * slot + min(pos, slot - 1)) \
+                * instr_bytes
+            append(Operation(_IFETCH, 0, addr))
             pos += 1
             if pos >= blen:
                 pos = 0
                 blen = self._block_len(rng)
-                r = uni[i, 2]
-                if r < desc.loopback_prob:
+                if u2 < loopback:
                     pass  # tight loop: same block again
-                elif r < desc.loopback_prob + desc.far_jump_prob:
-                    block = int(rng.integers(desc.n_basic_blocks))
+                elif u2 < far_jump:
+                    block = int(rng.integers(n_blocks))
                 else:
-                    block = (block + 1) % desc.n_basic_blocks
-            kind = kinds[kind_idx[i]]
-            code = _KIND_TO_CODE[kind]
-            if code in (OpCode.LOAD, OpCode.STORE):
-                if uni[i, 0] < mem.stack_fraction:
-                    daddr = mem.stack_base + int(uni[i, 1] * mem.stack_bytes)
-                elif uni[i, 0] < mem.stack_fraction + \
-                        (1 - mem.stack_fraction) * mem.sequential_fraction:
-                    daddr = mem.data_base + seq_cursor
+                    block = (block + 1) % n_blocks
+            code, cls = kind_table[k]
+            if cls == _MEMORY:
+                if u0 < stack_fraction:
+                    daddr = stack_base + int(u1 * stack_bytes)
+                elif u0 < sequential:
+                    daddr = data_base + seq_cursor
                     seq_cursor = (seq_cursor + 8) % ws
                 else:
-                    daddr = mem.data_base + int(uni[i, 1] * ws)
-                mtype = (MemType.FLOAT64
-                         if uni[i, 2] < desc.mix.double_data_fraction
-                         else MemType.INT32)
-                daddr -= daddr % mtype.nbytes
-                append(Operation(code, int(mtype), daddr))
-            elif code in (OpCode.ADD, OpCode.SUB, OpCode.MUL, OpCode.DIV):
-                if uni[i, 0] < desc.mix.float_fraction:
-                    at = (ArithType.FLOAT if uni[i, 1] < 0.5
-                          else ArithType.DOUBLE)
+                    daddr = data_base + int(u1 * ws)
+                if u2 < double_data:
+                    daddr -= daddr % _FLOAT64_BYTES
+                    append(Operation(code, _FLOAT64, daddr))
                 else:
-                    at = ArithType.INT
-                append(Operation(code, int(at)))
-            elif code == OpCode.LOADC:
-                append(Operation(code, int(MemType.INT32)))
+                    daddr -= daddr % _INT32_BYTES
+                    append(Operation(code, _INT32, daddr))
+            elif cls == _ARITH:
+                if u0 < float_fraction:
+                    at = _FLOAT if u1 < 0.5 else _DOUBLE
+                else:
+                    at = _INT
+                append(Operation(code, at))
+            elif cls == _CONST:
+                append(Operation(code, _INT32))
             else:
                 # branch/call/ret target a block boundary.
-                target = desc.code_base + int(uni[i, 1]
-                                              * desc.n_basic_blocks) \
-                    * slot * desc.instr_bytes
+                target = code_base + int(u1 * n_blocks) * slot * instr_bytes
                 append(Operation(code, 0, target))
 
         state["block"] = block

@@ -56,9 +56,10 @@ class NodeThread:
     """One node's trace-generating thread with strict handoff.
 
     ``body`` is called (in the OS thread) with this NodeThread; it emits
-    computational operations via :meth:`emit` and suspends at global
-    events via :meth:`global_event`.  The simulator side drives it with
-    :meth:`advance` and reads :attr:`buffer` / :attr:`pending_op`.
+    computational operations via :attr:`emit`, which never suspends, and
+    suspends at global events via :meth:`global_event`.  The simulator
+    side drives it with :meth:`advance` and reads :attr:`buffer` /
+    :attr:`pending_op`.
     """
 
     def __init__(self, node_id: int,
@@ -68,7 +69,10 @@ class NodeThread:
         self._cond = threading.Condition()
         self._turn = "main"             # "main" | "thread"
         self.state = "new"              # new|running|suspended|finished|failed
+        # The buffer is never rebound: ``emit`` is its bound C-level
+        # append, the one sink every annotation writes through.
         self.buffer: deque[Operation] = deque()
+        self.emit: Callable[[Operation], None] = self.buffer.append
         self.pending_op: Optional[Operation] = None
         self.pending_payload: Any = None
         self._resume_value: Any = None
@@ -93,10 +97,6 @@ class NodeThread:
             self.state = "failed" if self._exc is not None else "finished"
             self._turn = "main"
             self._cond.notify_all()
-
-    def emit(self, op: Operation) -> None:
-        """Record a computational (local) operation; never suspends."""
-        self.buffer.append(op)
 
     def global_event(self, op: Operation, payload: Any = None) -> Any:
         """Suspend at a global event until the simulator resumes us.

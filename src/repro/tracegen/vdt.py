@@ -64,10 +64,15 @@ class TargetABI:
 
 
 class VarDescriptor:
-    """One VDT entry."""
+    """One VDT entry.
+
+    ``dtype`` (the raw mem-type value) and ``stride`` (bytes per
+    element) are fixed at declaration, so a memory annotation reads two
+    plain ints instead of enum properties.
+    """
 
     __slots__ = ("name", "kind", "mem_type", "n_elements", "address",
-                 "in_register", "scope")
+                 "in_register", "scope", "dtype", "stride")
 
     def __init__(self, name: str, kind: VarKind, mem_type: MemType,
                  n_elements: int, address: int, in_register: bool,
@@ -79,17 +84,22 @@ class VarDescriptor:
         self.address = address
         self.in_register = in_register
         self.scope = scope
+        self.dtype = int(mem_type)
+        self.stride = mem_type.nbytes
 
     @property
     def size_bytes(self) -> int:
-        return self.n_elements * self.mem_type.nbytes
+        return self.n_elements * self.stride
 
     def element_address(self, index: int = 0) -> int:
         if not 0 <= index < self.n_elements:
-            raise VDTError(
-                f"index {index} out of bounds for {self.name!r} "
-                f"[{self.n_elements}]")
-        return self.address + index * self.mem_type.nbytes
+            raise self.index_error(index)
+        return self.address + index * self.stride
+
+    def index_error(self, index: int) -> VDTError:
+        """The error an out-of-bounds ``index`` raises."""
+        return VDTError(f"index {index} out of bounds for {self.name!r} "
+                        f"[{self.n_elements}]")
 
     def __repr__(self) -> str:
         loc = "reg" if self.in_register else f"{self.address:#x}"

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps import ThreadedApplication
 from repro.operations import ArithType, MemType, OpCode
 from repro.tracegen import AnnotationTranslator, TargetABI
+from repro.tracegen.threads import TraceGenerationError
 
 
 def make_translator(**abi_kw):
@@ -89,6 +91,31 @@ class TestArithmetic:
         tr, _ = make_translator()
         with pytest.raises(ValueError, match="unknown arithmetic"):
             tr.arith("fma", site="s")
+
+    @pytest.mark.parametrize("count", [-1, -3])
+    def test_negative_count_rejected(self, count):
+        """A negative count used to emit nothing yet lower ops_emitted."""
+        tr, ops = make_translator()
+        with pytest.raises(ValueError, match=f"got {count}"):
+            tr.arith("mul", ArithType.DOUBLE, count=count, site="s")
+        assert ops == [] and tr.ops_emitted == 0
+        # The rejected annotation assigned no address: the next site
+        # still gets the first one.
+        tr.const(site="t")
+        assert ops[0].address == tr.abi.code_base
+
+    def test_zero_count_emits_nothing_but_takes_an_address(self):
+        tr, ops = make_translator()
+        tr.arith("add", count=0, site="s")
+        assert ops == [] and tr.ops_emitted == 0
+        tr.const(site="t")
+        assert ops[0].address == tr.abi.code_base + tr.abi.instr_bytes
+
+    def test_negative_flops_through_context(self):
+        def program(ctx):
+            ctx.flops(-3)
+        with pytest.raises(TraceGenerationError, match="got -3"):
+            ThreadedApplication(program, 1).record()
 
 
 class TestControl:

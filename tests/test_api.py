@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.apps import ThreadedApplication
+from repro.apps import ThreadedApplication, api, make_matmul
 from repro.operations import (
     ArithType,
     MemType,
     OpCode,
 )
+from repro.tracegen import TargetABI
 
 
 def record(program, n_nodes=4):
@@ -64,6 +65,65 @@ class TestAnnotationsThroughContext:
             ctx.write(i)
         ts = record(program, 1)
         assert len(ts[0]) == 0
+
+
+class TestStaticSites:
+    """A site is its (filename, lineno); each line is resolved once per
+    call instruction, process-wide; addresses stay per node."""
+
+    def test_one_line_one_ifetch_address(self):
+        def program(ctx):
+            ctx.const(), ctx.const(MemType.FLOAT64)
+            ctx.const()
+        ops = list(record(program, 1)[0])
+        fetches = [op.address for op in ops if op.code is OpCode.IFETCH]
+        assert fetches[0] == fetches[1] != fetches[2]
+
+    @staticmethod
+    def resolutions(monkeypatch, program, n_nodes):
+        """(line-number resolutions, distinct ifetch addresses of node 0)
+        for one recording from an empty memo."""
+        resolved = []
+        real = api._resolve_site
+
+        def spy(frame):
+            resolved.append(real(frame))
+            return resolved[-1]
+        monkeypatch.setattr(api, "_SITES", {})
+        monkeypatch.setattr(api, "_resolve_site", spy)
+        ts = record(program, n_nodes)
+        fetches = {op.address for op in ts[0] if op.code is OpCode.IFETCH}
+        return resolved, fetches
+
+    def test_lines_resolved_once_per_static_site(self, monkeypatch):
+        counts = []
+        for n in (4, 8):
+            resolved, fetches = self.resolutions(
+                monkeypatch, make_matmul(n=n), 2)
+            # matmul has one annotation per line: every resolution is a
+            # distinct site, and every site shows up as one fetch address.
+            assert len(set(resolved)) == len(resolved) == len(fetches)
+            counts.append(len(resolved))
+        assert counts[0] == counts[1]
+
+    def test_nodes_assign_addresses_independently(self):
+        def program(ctx):
+            for first in ((True, False) if ctx.node_id == 0
+                          else (False, True)):
+                if first:
+                    ctx.const(MemType.INT32)
+                else:
+                    ctx.const(MemType.FLOAT64)
+        ts = record(program, 2)
+        # Each node numbers its sites in its own first-execution order,
+        # although both share the process-wide line memo.
+        for trace in ts:
+            ops = list(trace)
+            assert [ops[0].address, ops[2].address] == [
+                TargetABI().code_base,
+                TargetABI().code_base + TargetABI().instr_bytes]
+        assert ts[0][1].mem_type is MemType.INT32
+        assert ts[1][1].mem_type is MemType.FLOAT64
 
 
 class TestCollectives:

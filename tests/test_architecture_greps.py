@@ -9,6 +9,7 @@ installs, runs pytest and the two benchmark gates, and lints.
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -62,6 +63,39 @@ def test_pattern_stays_out(why, pattern, glob, allowed):
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if regex.search(line)]
     assert not hits, f"{why}\n" + "\n".join(hits)
+
+
+def test_line_numbers_resolved_only_on_a_site_memo_miss():
+    """Reading ``f_lineno`` walks the code's line table (a constant site
+    took fft generation from 121 to 49 ms): only the site memo's miss
+    path may."""
+    hits = [f"{path.relative_to(ROOT)}:{n}"
+            for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if "f_lineno" in line]
+    assert len(hits) == 1, hits
+    source = (ROOT / "src/repro/apps/api.py").read_text()
+    miss_path = ast.get_source_segment(source, next(
+        node for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef)
+        and node.name == "_resolve_site"))
+    assert "f_lineno" in miss_path
+
+
+@pytest.mark.parametrize("relpath", ["src/repro/tracegen/annotate.py",
+                                     "src/repro/tracegen/stochastic.py"])
+def test_no_enum_member_read_in_a_function_body(relpath):
+    """``OpCode.LOAD`` costs ~180 ns and ``MemType.FLOAT64.nbytes``
+    ~220 ns on CPython 3.11, several per emitted op: the per-op paths
+    read module constants bound once at import."""
+    tree = ast.parse((ROOT / relpath).read_text())
+    hits = [f"{relpath}:{node.lineno}: {ast.unparse(node)}"
+            for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            for stmt in fn.body for node in ast.walk(stmt)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("OpCode", "MemType", "ArithType")]
+    assert not hits, "\n".join(hits)
 
 
 #: The only commands a CI ``run:`` step may execute.

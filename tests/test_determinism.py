@@ -17,6 +17,7 @@ result cache rest on.  This suite pins it down three ways:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -25,6 +26,17 @@ from pathlib import Path
 import pytest
 
 from repro import Workbench, generic_multicomputer, t805_grid
+from repro.apps import (
+    make_alltoall,
+    make_fft,
+    make_jacobi,
+    make_master_worker,
+    make_matmul,
+    make_pingpong,
+    make_pipeline,
+    make_reduction,
+)
+from repro.operations import Operation
 from repro.parallel.pool import _mp_context
 from repro.tracegen import StochasticAppDescription, StochasticGenerator
 from tests.reference_kernel import reference_stack
@@ -109,6 +121,50 @@ def test_golden_snapshot_on_reference_stack(name):
     # The single-node workload has no event kernel under it; there the
     # specification is the scalar cost loop alone.
     assert built or name == "single_node_generic"
+
+
+def _stream_digests(traces) -> list:
+    """``[op count, sha256 over repr(op.to_tuple())]`` per node (a
+    master-worker ``recv_any`` event, not a Table-1 op, hashes its
+    repr)."""
+    out = []
+    for trace in traces:
+        digest = hashlib.sha256()
+        for op in trace:
+            key = op.to_tuple() if isinstance(op, Operation) else op
+            digest.update(repr(key).encode())
+        out.append([len(trace), digest.hexdigest()])
+    return out
+
+
+def annotation_streams() -> dict:
+    """Every bundled recordable program, small, on 4 nodes, plus the
+    instruction-level stochastic generator on two seeds."""
+    programs = {
+        "matmul": make_matmul(n=8),
+        "jacobi": make_jacobi(grid=8, iterations=2),
+        "fft": make_fft(points_per_node=16),
+        "pingpong": make_pingpong(size=256, repeats=3),
+        "alltoall": make_alltoall(block_bytes=256, work_flops=16),
+        "pipeline": make_pipeline(items=3, item_bytes=256, stage_flops=16),
+        "reduction": make_reduction(local_elems=16),
+        "master_worker": make_master_worker(n_tasks=6, mean_flops=16),
+    }
+    wb = Workbench(generic_multicomputer("mesh", (2, 2)))
+    streams = {name: _stream_digests(wb.record_traces(program))
+               for name, program in programs.items()}
+    for seed in (1, 20260930):
+        streams[f"stochastic_seed_{seed}"] = _stream_digests(
+            StochasticGenerator(StochasticAppDescription(), 4, seed=seed)
+            .generate_instruction_level(2_000))
+    return streams
+
+
+def test_annotation_streams_match_committed_values():
+    """Trace generation is pinned op for op: a speed-up of the
+    annotation translator or the stochastic generator must leave every
+    emitted stream byte-identical."""
+    check_golden("annotation_streams", annotation_streams())
 
 
 # ---------------------------------------------------------------------------
