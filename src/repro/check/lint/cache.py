@@ -20,7 +20,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
-from ...parallel.cache import CacheStats, sources_digest
+from ...parallel.cache import CacheStats, atomic_write_text, sources_digest
 from ..diagnostics import Diagnostic
 
 __all__ = ["LintCache", "lint_key", "lint_rules_version"]
@@ -69,18 +69,13 @@ class LintCache:
 
     def put(self, key: str, diagnostics: list[Diagnostic],
             suppressed: int) -> None:
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
             "key": key,
             "rules_version": lint_rules_version(),
             "suppressed": suppressed,
             "diagnostics": [d.to_dict() for d in diagnostics],
         }
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w") as fp:
-            json.dump(entry, fp, indent=2)
-        os.replace(tmp, path)
+        atomic_write_text(self._path(key), json.dumps(entry, indent=2))
         self.stats.stores += 1
 
     def __len__(self) -> int:

@@ -738,13 +738,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .parallel.executor import LocalAsyncExecutor
+    from .parallel.executor import Executor
     from .service import JobManager, JobScheduler, ResultStore, run_server
 
     if args.workers is not None and args.workers < 1:
         raise SystemExit(f"--workers must be >= 1, got {args.workers}")
-    executor = LocalAsyncExecutor(workers=args.workers,
-                                  job_timeout_s=args.job_timeout)
+    executor = Executor(workers=args.workers, job_timeout_s=args.job_timeout)
     store = ResultStore(args.store) if args.store else None
     try:
         scheduler = JobScheduler(tenant_quota=args.tenant_quota,

@@ -162,13 +162,11 @@ class Sweep:
             ``faults=None``.
         ``executor``
             a :class:`repro.parallel.Executor` to run the points as
-            a job on — e.g. a shared
-            :class:`repro.parallel.LocalAsyncExecutor` whose workers
-            outlive the call.  Mutually exclusive with ``workers`` (the
-            executor owns its worker pool, and ``workers=N`` is itself
-            sugar for an :class:`repro.parallel.InProcessExecutor` that
-            lives for the call); ``cache`` falls back to the executor's
-            own cache when ``None``.
+            a job on — e.g. a shared one whose workers outlive the
+            call.  Mutually exclusive with ``workers`` (the executor
+            owns its worker pool, and ``workers=N`` is itself sugar for
+            an executor that lives for the call); ``cache`` falls back
+            to the executor's own cache when ``None``.
         """
         from ..faults import as_fault_plan
         from ..parallel import ParallelSweepRunner

@@ -15,10 +15,10 @@ trustworthy:
 * :class:`ResultCache` — skip variants whose ``(machine, workload,
   code version, fault plan)`` hash already has a row;
 * :func:`result_key` / :func:`code_version` — the cache key scheme;
-* :class:`Executor` / :class:`InProcessExecutor` /
-  :class:`LocalAsyncExecutor` — sweeps as submit/poll/cancel/stream
-  *jobs*, byte-identical rows across backends (the service layer in
-  :mod:`repro.service` builds on these).
+* :class:`Executor` — sweeps as submit/poll/cancel/stream *jobs*
+  (the service layer in :mod:`repro.service` builds on it);
+  :class:`InProcessExecutor` and :class:`LocalAsyncExecutor` are the
+  names the layered benchmark still constructs.
 
 Normally reached through ``Sweep.run(runner, workers=..., cache=...)``
 (see :mod:`repro.core.experiment`) or the ``repro sweep`` CLI command.

@@ -1,26 +1,25 @@
-"""Backend-agnostic sweep execution: submit / poll / cancel / stream.
+"""Sweep execution as jobs: submit / poll / cancel / stream.
 
 The workbench's interactive loop runs sweeps synchronously; serving
 that loop to many users needs sweeps as *jobs* — submitted, watched,
 cancelled — without changing what a sweep computes.  An
 :class:`Executor` is the only way a sweep runs (``Sweep.run`` and
 :class:`~repro.parallel.runner.ParallelSweepRunner` are blocking sugar
-over it).  Every backend owns one
-:class:`~repro.parallel.pool.WorkerPool` and runs jobs one at a time
-through the same job body; the backends differ only in *when*:
+over it).  It owns one :class:`~repro.parallel.pool.WorkerPool`, and
+``submit`` runs the job to completion on the calling thread;
+submitters on several threads take turns on the pool, and a job is
+cancelled from another thread.  Nothing here holds jobs in line or
+runs them in the background: jobs wait only in the service's
+:class:`~repro.service.scheduler.JobScheduler`, and its dispatch thread
+is the only job thread.
 
-* :class:`InProcessExecutor` — ``submit`` runs the job to completion on
-  the calling thread before returning;
-* :class:`LocalAsyncExecutor` — ``submit`` enqueues and returns; a
-  supervisor thread runs the jobs FIFO.
-
-Both therefore share the pool's durability: a worker that dies
+Every job shares the pool's durability: a worker that dies
 mid-variant is replaced and the variant requeued, then reported as a
 ``WorkerCrashed`` error row; a job past its wall-time budget or
 cancelled has its in-flight workers killed and the executor keeps
 serving.  Every job funnels through
 :func:`~repro.parallel.runner.run_cached_sweep`, so sweep rows are
-byte-identical across backends by construction — the conformance suite
+byte-identical whoever submits them — the conformance suite
 (``tests/test_executor_conformance.py``) pins exactly that.  Job state
 is one of ``queued → running → done | failed | cancelled``, held in a
 :class:`JobState` that observers wait on; progress events mirror the
@@ -33,7 +32,6 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-import queue
 import threading
 import time
 from dataclasses import dataclass, field
@@ -54,7 +52,8 @@ EventFn = Callable[[dict], None]
 
 
 class ExecutorError(RuntimeError):
-    """Misuse of the executor API (unknown job, result of unfinished job)."""
+    """Misuse of the executor API (unknown job, result of unfinished
+    job, submit after close)."""
 
 
 class _JobCancelled(Exception):
@@ -111,7 +110,7 @@ class JobStatus:
 
 
 class JobState:
-    """One job's mutable state: the object submitter, backend and
+    """One job's mutable state: the object submitter, executor and
     observers share.
 
     The state machine every job runs — ``emit`` / ``set_state`` /
@@ -140,7 +139,7 @@ class JobState:
         self._timeout_s: Optional[float] = None
         self._deadline: Optional[float] = None
 
-    # -- mutation (backend side) ---------------------------------------
+    # -- mutation (executor side) --------------------------------------
 
     def emit(self, event: dict, **fields: Any) -> None:
         """Append ``event`` and set the ``fields`` it reports in one
@@ -242,17 +241,16 @@ def _crash_outcome(crash: WorkerCrashed) -> tuple[str, dict, float]:
 
 
 class Executor:
-    """Submit sweeps as jobs; poll, stream, cancel, fetch results.
+    """Run sweeps as jobs; poll, stream, cancel, fetch results.
 
     ``workers`` sizes the executor's :class:`WorkerPool` (default: CPU
     count; ``1`` runs variants in-process), ``cache`` serves jobs whose
     spec names none, ``job_timeout_s`` is the default per-job wall-time
     budget and ``max_task_retries`` the per-variant crash budget.
-    Subclasses only decide, in ``_start``, whether ``submit`` runs the
-    job synchronously or enqueues it (and with that how long the
-    pool's workers live); everything observable — job states, events,
-    row assembly, cache behavior, crash recovery — is shared here,
-    which is what makes backends conformant with each other.
+    :meth:`submit` runs a job on the calling thread, and jobs take
+    turns on the pool.  The workers are forked when a job first needs
+    them (so an all-hit job forks none), or all at once by
+    :meth:`start`, and live until :meth:`close`.
     """
 
     def __init__(self, workers: Optional[int] = None, cache: Any = None,
@@ -263,25 +261,36 @@ class Executor:
         self.cache = _as_cache(cache)
         self.job_timeout_s = job_timeout_s
         self._pool = WorkerPool(self.workers, max_task_retries)
-        #: jobs take turns on the pool (one supervisor thread, or this)
+        #: held by the running job, and by ``start`` / ``close``
         self._turn = threading.Lock()
+        self._closed = False
         self._jobs: dict[str, JobState] = {}
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
+
+    def start(self) -> None:
+        """Fork every worker now, e.g. before the owner accepts a socket
+        a forked child would inherit (see :class:`WorkerPool`)."""
+        with self._turn:
+            self._pool.start()
 
     # -- submission interface ------------------------------------------
 
     def submit(self, spec: JobSpec, *, job_id: Optional[str] = None,
                on_event: Optional[EventFn] = None,
                state: Optional[JobState] = None) -> str:
-        """Hand a job to the backend; returns the job id.
+        """Run a job to its terminal state on this thread; returns the
+        job id.
 
+        The job is registered first, then waits its turn on the pool;
+        one cancelled meanwhile ends ``cancelled`` without running.
         ``on_event`` observes every job event as it is emitted.  Pass
         ``state`` — a :class:`JobState` the caller owns and watches,
         like the service's job record — to have the job report into it
         instead of a new one; such a job is not registered for
         :meth:`poll` / :meth:`result`, so the executor keeps nothing of
-        it once it ends.
+        it once it ends.  Raises :class:`ExecutorError` once the
+        executor is closed (the job ends ``cancelled``).
         """
         if state is None:
             with self._lock:
@@ -291,11 +300,15 @@ class Executor:
                     raise ExecutorError(f"duplicate job id: {jid!r}")
                 state = self._jobs[jid] = JobState(jid, on_event=on_event)
         state.total = len(spec.points)
-        self._start(state, spec)
+        with self._turn:
+            if self._closed:
+                state.set_state("cancelled")
+                raise ExecutorError("executor is closed")
+            if state.cancel_requested:
+                state.set_state("cancelled")
+            else:
+                self._run_job(state, spec)
         return state.job_id
-
-    def _start(self, job: JobState, spec: JobSpec) -> None:
-        raise NotImplementedError
 
     # -- observation interface -----------------------------------------
 
@@ -344,7 +357,7 @@ class Executor:
     def cancel(self, job_id: str) -> bool:
         """Request cancellation; ``False`` if the job already ended.
 
-        Cancellation is cooperative: a queued job is dropped before it
+        Cancellation is cooperative: a job waiting for its turn never
         starts; a running job stops at the next row boundary, or within
         the pool's abort poll when its variants run on workers, which
         are then killed.
@@ -357,8 +370,11 @@ class Executor:
         return True
 
     def close(self) -> None:
-        """Release backend resources; idempotent."""
-        self._pool.close()
+        """Stop the workers once the running job has ended; idempotent.
+        Later submits raise :class:`ExecutorError`."""
+        with self._turn:
+            self._closed = True
+            self._pool.close()
 
     def __enter__(self) -> "Executor":
         return self
@@ -366,7 +382,7 @@ class Executor:
     def __exit__(self, *exc: Any) -> None:
         self.close()
 
-    # -- shared job body -----------------------------------------------
+    # -- the job body --------------------------------------------------
 
     def _run_job(self, job: JobState, spec: JobSpec) -> None:
         # Explicit None check: an *empty* ResultCache is falsy (__len__).
@@ -396,63 +412,18 @@ class Executor:
 
 
 class InProcessExecutor(Executor):
-    """Synchronous jobs: ``submit`` returns when the job has ended.
-
-    The job runs on the calling thread (events stream incrementally to
-    ``on_event`` while it runs) and its workers live only as long as it
-    does; submitters on several threads take turns.  Cancellation comes
-    from another thread.
-    """
-
-    def _start(self, job: JobState, spec: JobSpec) -> None:
-        with self._turn:
-            try:
-                self._run_job(job, spec)
-            finally:
-                self._pool.close()
+    """:class:`Executor` under the name the layered benchmark's probes
+    import; kept until those probes are retargeted."""
 
 
 class LocalAsyncExecutor(Executor):
-    """Async jobs: ``submit`` enqueues and returns immediately; a
-    supervisor thread runs the jobs FIFO.
+    """An :class:`Executor` whose workers are forked at construction.
 
-    The workers are forked here, at construction, and kept until
-    :meth:`close` — before a server that owns the executor has accepted
-    any socket a forked child would inherit and hold open.
+    Kept, like :class:`InProcessExecutor`, because the layered
+    benchmark's probes construct it; forking up front is the one
+    difference left between the two names.
     """
 
-    def __init__(self, workers: Optional[int] = None, cache: Any = None,
-                 job_timeout_s: Optional[float] = None,
-                 max_task_retries: int = 2) -> None:
-        super().__init__(workers, cache, job_timeout_s, max_task_retries)
-        self._pool.start()
-        self._job_queue: "queue.Queue[Optional[tuple[JobState, JobSpec]]]" \
-            = queue.Queue()
-        self._closed = False
-        self._thread = threading.Thread(target=self._supervise,
-                                        name="repro-executor", daemon=True)
-        self._thread.start()
-
-    def _start(self, job: JobState, spec: JobSpec) -> None:
-        if self._closed:
-            raise ExecutorError("executor is closed")
-        self._job_queue.put((job, spec))
-
-    def _supervise(self) -> None:
-        while True:
-            item = self._job_queue.get()
-            if item is None:
-                return
-            job, spec = item
-            if job.cancel_requested:
-                job.set_state("cancelled")
-                continue
-            self._run_job(job, spec)
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._job_queue.put(None)
-        self._thread.join(timeout=60.0)
-        super().close()
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.start()

@@ -17,7 +17,7 @@ shares; the processes themselves belong to
   and rows are collected **in point order**, never completion order;
 * :class:`ParallelSweepRunner` — the blocking front door behind
   ``Sweep.run``: one :class:`~repro.parallel.executor.JobSpec`
-  submitted to an executor, waited for, returned as rows.
+  run to its end on an executor, returned as rows.
 
 Every variant runs under the Pearl kernel's deterministic schedule
 (global monotone sequence tie-breaking), so rows computed on worker
@@ -271,10 +271,9 @@ class ParallelSweepRunner:
 
     Sugar over the :class:`~repro.parallel.executor.Executor` interface:
     :meth:`run` submits one :class:`~repro.parallel.executor.JobSpec` to
-    ``executor`` — or, given ``workers`` instead, to an
-    :class:`~repro.parallel.executor.InProcessExecutor` of that size
-    that lives for the call (``workers=1`` starts no process) — waits,
-    and returns the rows.  Rows come back in point order; failed
+    ``executor`` — or, given ``workers`` instead, to an executor of
+    that size that lives for the call (``workers=1`` starts no process)
+    — and returns the rows.  Rows come back in point order; failed
     variants become ``{**coords, "error": ...}`` rows unless
     ``on_error="raise"``.
     """
@@ -311,7 +310,7 @@ class ParallelSweepRunner:
         re-raised here as itself; a job that timed out or was cancelled
         on a shared executor raises ``RuntimeError``.
         """
-        from .executor import InProcessExecutor, JobSpec, JobState
+        from .executor import Executor, JobSpec, JobState
 
         spec = JobSpec(runner=runner, points=points, workload_id=workload_id,
                        on_error=on_error, timing=timing, cache=self.cache)
@@ -323,9 +322,8 @@ class ParallelSweepRunner:
         job = JobState("sweep", on_event=on_event)
         with (contextlib.nullcontext(self.executor)
               if self.executor is not None
-              else InProcessExecutor(workers=self.workers)) as executor:
+              else Executor(workers=self.workers)) as executor:
             executor.submit(spec, state=job)
-            job.wait()
         if job.state != "done":
             if job.exc is not None:
                 raise job.exc

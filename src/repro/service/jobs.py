@@ -36,8 +36,7 @@ from ..chaos.spec import as_campaign_spec
 from ..observe import MetricRegistry
 from ..parallel import ResultCache
 from ..parallel.cache import atomic_write_text
-from ..parallel.executor import (Executor, JobSpec, JobState,
-                                 LocalAsyncExecutor)
+from ..parallel.executor import Executor, JobSpec, JobState
 from .scheduler import JobScheduler, QuotaExceeded
 
 __all__ = ["JobManager", "JobRecord", "ResultStore", "ServiceError",
@@ -271,18 +270,21 @@ class ResultStore:
 class JobManager:
     """Admit, schedule, run and record jobs.
 
-    One dispatch thread pulls job ids off the
-    :class:`~repro.service.scheduler.JobScheduler` (quotas and lanes
-    enforced at submission) and runs them one at a time.  There is one
-    job body: whatever its kind, a job's planned points are submitted
-    to the :class:`~repro.parallel.executor.Executor` as one
+    The :class:`~repro.service.scheduler.JobScheduler` is the only job
+    queue (quotas and lanes enforced at submission) and one dispatch
+    thread the only job thread: it takes job ids off the scheduler and
+    runs each to its end through the executor's ``submit``, which runs
+    a job on the calling thread.  There is one job body: whatever its
+    kind, a job's planned points are submitted to the
+    :class:`~repro.parallel.executor.Executor` as one
     :class:`~repro.parallel.executor.JobSpec` with the record as the
     job state, so every job runs on the executor's own pool, reports
     progress into its record, honors cancellation and its time budget
     within the pool's abort poll, and lands in the
-    :class:`ResultStore` when done.  Because the dispatch thread waits
-    for each job, whether the executor's ``submit`` blocks or enqueues
-    is unobservable here.  ``service.*`` metrics live in a
+    :class:`ResultStore` when done.  The executor's workers are forked
+    here, at construction — before a server that owns the manager
+    accepts a socket a forked child would inherit and hold open — and
+    :meth:`close` ends every job.  ``service.*`` metrics live in a
     :class:`~repro.observe.MetricRegistry` for the ``/v1/metrics``
     endpoint.
     """
@@ -292,8 +294,8 @@ class JobManager:
                  scheduler: Optional[JobScheduler] = None,
                  registry: Optional[MetricRegistry] = None,
                  autostart: bool = True) -> None:
-        self.executor = executor if executor is not None \
-            else LocalAsyncExecutor()
+        self.executor = executor if executor is not None else Executor()
+        self.executor.start()
         self.store = store
         self.scheduler = scheduler if scheduler is not None \
             else JobScheduler()
@@ -302,7 +304,6 @@ class JobManager:
         self._records: dict[str, JobRecord] = {}
         self._lock = threading.Lock()
         self._seq = itertools.count(1)
-        self._stop = False
         self._thread: Optional[threading.Thread] = None
         self._counters = {
             name: self.registry.counter(f"service.jobs.{name}")
@@ -331,9 +332,21 @@ class JobManager:
         self._thread.start()
 
     def close(self) -> None:
-        self._stop = True
+        """End every job, then stop: queued jobs end ``cancelled``
+        without running, the running one is cancelled (within the
+        pool's abort poll when its variants run on workers, which are
+        killed), and the dispatch thread and the workers exit."""
+        for job_id in self.scheduler.close():
+            record = self.record(job_id)
+            record.set_state("cancelled")
+            self._finish(record)
+        with self._lock:
+            active = [r.job_id for r in self._records.values()
+                      if not r.terminal]
+        for job_id in active:
+            self.cancel(job_id)
         if self._thread is not None:
-            self._thread.join(timeout=60.0)
+            self._thread.join()
             self._thread = None
         self.executor.close()
 
@@ -401,13 +414,9 @@ class JobManager:
     # -- dispatch ------------------------------------------------------
 
     def _dispatch_loop(self) -> None:
-        while not self._stop:
-            job_id = self.scheduler.acquire(timeout=0.1)
-            if job_id is None:
-                continue
-            record = self.record(job_id)
+        while (job_id := self.scheduler.acquire()) is not None:
             try:
-                self._run(record)
+                self._run(self.record(job_id))
             finally:
                 self.scheduler.release(job_id)
 
@@ -426,19 +435,14 @@ class JobManager:
 
     def _run(self, record: JobRecord) -> None:
         try:
-            if record.cancel_requested:
-                record.set_state("cancelled")
-            else:
-                plan, request = record.plan, record.request
-                self.executor.submit(JobSpec(
-                    runner=plan["runner"], points=plan["points"],
-                    workload_id=plan["workload_id"],
-                    on_error=request.get("on_error", "capture"),
-                    timing=request.get("timing", False),
-                    cache=self.store.cache if self.store is not None
-                    else None,
-                    timeout_s=request["timeout_s"]), state=record)
-                record.wait()
+            plan, request = record.plan, record.request
+            self.executor.submit(JobSpec(
+                runner=plan["runner"], points=plan["points"],
+                workload_id=plan["workload_id"],
+                on_error=request.get("on_error", "capture"),
+                timing=request.get("timing", False),
+                cache=self.store.cache if self.store is not None else None,
+                timeout_s=request["timeout_s"]), state=record)
             self._finish(record)
         except Exception as exc:  # noqa: BLE001 - dispatch must survive
             record.set_state("failed", f"{type(exc).__name__}: {exc}")

@@ -17,7 +17,8 @@ admission and ordering are policy, not accident:
 
 The scheduler is a plain thread-safe data structure — it orders job
 ids and tracks active counts; actually *running* jobs is the job
-manager's business.  Hypothesis properties over random job mixes
+manager's business.  It is the service's only job queue: the executor
+runs each job it is handed on the thread that hands it over.  Hypothesis properties over random job mixes
 (``tests/test_service_scheduler.py``) pin the quota, starvation and
 cancellation invariants.
 """
@@ -61,9 +62,10 @@ class JobScheduler:
         sched.release(job_id)
 
     ``acquire`` blocks until a job is available (or the timeout
-    elapses, returning ``None``); ``release`` retires a running job and
-    frees its tenant's quota slot.  ``cancel`` removes a still-queued
-    job; a running job cannot be cancelled here (the executor owns it).
+    elapses, or :meth:`close` is called, returning ``None``);
+    ``release`` retires a running job and frees its tenant's quota
+    slot.  ``cancel`` removes a still-queued job; a running job cannot
+    be cancelled here (the executor owns it).
     """
 
     def __init__(self, *, tenant_quota: int = 4,
@@ -81,6 +83,7 @@ class JobScheduler:
         self._active: dict[str, int] = {}     # tenant -> queued + running
         self._seq = itertools.count(1)
         self._cond = threading.Condition()
+        self._closed = False
 
     # -- admission -----------------------------------------------------
 
@@ -105,10 +108,12 @@ class JobScheduler:
     # -- dispatch ------------------------------------------------------
 
     def acquire(self, timeout: Optional[float] = None) -> Optional[str]:
-        """Pop the next job to run; ``None`` if the timeout elapses."""
+        """Pop the next job to run; ``None`` if the timeout elapses or
+        the scheduler is closed."""
         with self._cond:
-            if not self._cond.wait_for(lambda: any(self._queues.values()),
-                                       timeout):
+            if not self._cond.wait_for(
+                    lambda: self._closed or any(self._queues.values()),
+                    timeout) or self._closed:
                 return None
             entry = self._pick()
             self._running[entry.job_id] = entry
@@ -149,6 +154,20 @@ class JobScheduler:
                         self._retire(entry)
                         return True
             return False
+
+    def close(self) -> list[str]:
+        """Stop handing out jobs: wake every ``acquire`` (it returns
+        ``None`` from now on) and return the ids still queued, highest
+        lane first, their quota slots freed."""
+        with self._cond:
+            self._closed = True
+            queued = [entry for lane in LANES for entry in self._queues[lane]]
+            for entry in queued:
+                self._retire(entry)
+            for q in self._queues.values():
+                q.clear()
+            self._cond.notify_all()
+            return [entry.job_id for entry in queued]
 
     def _retire(self, entry: _Entry) -> None:
         remaining = self._active.get(entry.tenant, 0) - 1

@@ -49,6 +49,11 @@ CASES = [
     ("one description of the checks: CI runs tests, not heredocs or the "
      "CLI",
      r"<<|python3? -m repro", ".github/workflows/*.yml", ()),
+    ("one job thread: a job runs on its submitter's thread",
+     r"\bqueue\b|threading\.Thread\(|def _start",
+     "src/repro/parallel/executor.py", ()),
+    ("one job queue: the dispatcher blocks and is woken by close()",
+     r"acquire\(timeout=", "src/repro/service/jobs.py", ()),
 ]
 
 @pytest.mark.parametrize("why, pattern, glob, allowed", CASES,

@@ -1,14 +1,17 @@
 """Executor conformance (repro.parallel.executor).
 
-Both backends — :class:`InProcessExecutor` (synchronous submit) and
-:class:`LocalAsyncExecutor` (async submit, FIFO supervisor) — run the
-same job body on the same :class:`WorkerPool` and must be *observably
-identical*: same rows (byte-for-byte, matching a direct ``Sweep.run``),
-same row ordering, same error rows with the same remote tracebacks,
-same cache cold/warm behavior, same event sequences, same durability
-(crash recovery, crash budget, job timeouts).  The suite parameterizes
-every shared contract over both backends, then pins what only an async
-submit can show (cancel of a running and of a queued job) separately.
+There is one executor: ``submit`` runs a job on the calling thread and
+jobs take turns on its one :class:`WorkerPool`.  The two names the
+layered benchmark still constructs — :class:`InProcessExecutor`
+(workers forked on the first miss) and :class:`LocalAsyncExecutor`
+(workers forked at construction) — must be *observably identical*:
+same rows (byte-for-byte, matching a direct ``Sweep.run``), same row
+ordering, same error rows with the same remote tracebacks, same cache
+cold/warm behavior, same event sequences, same durability (crash
+recovery, crash budget, job timeouts).  The suite parameterizes every
+shared contract over both names, then pins when each one forks, and
+cancellation from another thread of a running job and of a job still
+waiting for its turn.
 
 Everything that crosses a process boundary lives at module level
 (picklable), matching ``tests/test_parallel_sweep.py``.
@@ -93,6 +96,22 @@ def run_job(executor, spec, **submit_kwargs):
     job_id = executor.submit(spec, **submit_kwargs)
     status = executor.wait(job_id, timeout=120.0)
     return job_id, status
+
+
+def submit_on_thread(executor, spec, **submit_kwargs):
+    """Submit from a new thread; ``submit`` returns when the job ends."""
+    thread = threading.Thread(target=executor.submit, args=(spec,),
+                              kwargs=submit_kwargs)
+    thread.start()
+    return thread
+
+
+def on_state(state, flag):
+    """An ``on_event`` that sets ``flag`` once the job enters ``state``."""
+    def on_event(event):
+        if event.get("state") == state:
+            flag.set()
+    return on_event
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +331,50 @@ class TestLifecycleConformance:
             runner=echo_runner, points=bw_sweep([1.0]).points()))
         assert ok.state == "done"
 
+    def test_submit_after_close_raises(self, make_executor):
+        executor = make_executor()
+        executor.close()
+        with pytest.raises(ExecutorError, match="closed"):
+            executor.submit(JobSpec(runner=echo_runner,
+                                    points=bw_sweep([1.0]).points()),
+                            job_id="late")
+        assert executor.poll("late").state == "cancelled"
+
+
+class TestPoolLifetime:
+    """Workers are forked on the first miss, or by ``start()``, and live
+    until ``close()``; the two names differ only in when they fork."""
+
+    def test_inprocess_forks_on_the_first_miss_only(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        bw_sweep().run(echo_runner, cache=cache)          # serial warm-up
+        with InProcessExecutor(workers=2, cache=cache) as executor:
+            _, warm = run_job(executor, JobSpec(
+                runner=echo_runner, points=bw_sweep().points()))
+            assert warm.cache == {"hits": 4, "misses": 0, "stores": 0}
+            assert executor._pool._workers == []
+            _, cold = run_job(executor, JobSpec(
+                runner=echo_runner, points=bw_sweep([16.0, 32.0]).points()))
+            assert cold.cache == {"hits": 0, "misses": 2, "stores": 2}
+            workers = list(executor._pool._workers)
+            assert len(workers) == 2
+        assert executor._pool._workers == []
+        assert not any(worker.proc.is_alive() for worker in workers)
+
+    def test_localasync_forks_at_construction(self):
+        with LocalAsyncExecutor(workers=2) as executor:
+            pids = [worker.proc.pid for worker in executor._pool._workers]
+            assert len(pids) == 2
+            _, status = run_job(executor, JobSpec(
+                runner=echo_runner, points=bw_sweep().points()))
+            assert status.state == "done"
+            assert [w.proc.pid for w in executor._pool._workers] == pids
+        assert executor._pool._workers == []
+
 
 # ---------------------------------------------------------------------------
-# Durability: the pool's, so every backend's; cancellation of a job that
-# is running or queued needs an async submit, so LocalAsync only
+# Durability: the pool's, so both names'; cancellation comes from a
+# thread other than the submitter's
 # ---------------------------------------------------------------------------
 
 class TestLocalAsyncDurability:
@@ -389,27 +448,55 @@ class TestLocalAsyncDurability:
         assert sorted(finished) == list(range(n_threads))
 
     def test_cancel_running_job(self):
+        """The job runs on its submitter's thread; cancel comes from
+        another."""
+        running = threading.Event()
         with LocalAsyncExecutor(workers=1) as executor:
-            job_id = executor.submit(JobSpec(
-                runner=slow_runner,
-                points=bw_sweep([1.0, 2.0, 4.0, 8.0]).points()))
-            deadline = time.monotonic() + 30.0  # repro: noqa[PY002]
-            while executor.poll(job_id).state == "queued":
-                assert time.monotonic() < deadline  # repro: noqa[PY002]
-                time.sleep(0.01)  # repro: noqa[PY002]
-            assert executor.cancel(job_id) is True
-            status = executor.wait(job_id, timeout=30.0)
+            submitter = submit_on_thread(
+                executor, JobSpec(
+                    runner=slow_runner,
+                    points=bw_sweep([1.0, 2.0, 4.0, 8.0]).points()),
+                job_id="slow", on_event=on_state("running", running))
+            assert running.wait(timeout=30.0)
+            assert executor.cancel("slow") is True
+            status = executor.wait("slow", timeout=30.0)
+            submitter.join(timeout=30.0)
+            assert not submitter.is_alive()
             assert status.state == "cancelled"
-            assert executor.cancel(job_id) is False
+            assert executor.cancel("slow") is False
             with pytest.raises(ExecutorError, match="cancelled"):
-                executor.result(job_id)
+                executor.result("slow")
 
     def test_cancel_queued_job_never_runs(self):
+        """A second submitter, blocked waiting for its turn, is
+        cancelled by id: its job never runs."""
+        gate, running = threading.Event(), threading.Event()
+
+        def gated_runner(machine):          # in-process at workers=1
+            gate.wait(timeout=30.0)
+            return echo_runner(machine)
+
+        events = []
         with LocalAsyncExecutor(workers=1) as executor:
-            blocker = executor.submit(JobSpec(
-                runner=slow_runner, points=bw_sweep([1.0, 2.0]).points()))
-            queued = executor.submit(JobSpec(
-                runner=echo_runner, points=bw_sweep([4.0]).points()))
-            assert executor.cancel(queued) is True
-            assert executor.wait(queued, timeout=60.0).state == "cancelled"
-            assert executor.wait(blocker, timeout=60.0).state == "done"
+            blocker = submit_on_thread(
+                executor, JobSpec(runner=gated_runner,
+                                  points=bw_sweep([1.0]).points()),
+                job_id="blocker", on_event=on_state("running", running))
+            assert running.wait(timeout=30.0)
+            waiting = submit_on_thread(
+                executor, JobSpec(runner=echo_runner,
+                                  points=bw_sweep([4.0]).points()),
+                job_id="queued", on_event=events.append)
+            deadline = time.monotonic() + 30.0  # repro: noqa[PY002]
+            while "queued" not in executor._jobs:
+                assert time.monotonic() < deadline  # repro: noqa[PY002]
+                time.sleep(0.01)  # repro: noqa[PY002]
+            assert executor.poll("queued").state == "queued"
+            assert executor.cancel("queued") is True
+            gate.set()
+            for thread in (blocker, waiting):
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+            assert executor.poll("blocker").state == "done"
+            assert executor.poll("queued").state == "cancelled"
+        assert events == [{"event": "state", "state": "cancelled"}]

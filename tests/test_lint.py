@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -460,6 +461,34 @@ class TestLintCache:
         target.write_text("def f(chan):\n    yield chan.send(1)\n")
         result = lint_file(target, cache=cache)
         assert not result.cached and cache.stats.misses == 2
+
+    @pytest.mark.parametrize("failing", ["write_text", "replace"])
+    def test_failed_put_keeps_the_old_entry(self, tmp_path, monkeypatch,
+                                            failing):
+        """Regression: ``put`` wrote a hand-rolled ``.tmp.<pid>`` file
+        and left it behind when the write or the rename raised."""
+        cache = LintCache(tmp_path / "cache")
+        key = lint_key(b"x = 1\n", version="v")
+        cache.put(key, [], 3)
+
+        def no_space(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        if failing == "write_text":
+            real_write = Path.write_text
+
+            def partial_then_fail(self, text):
+                real_write(self, text[:1])      # the temp file exists
+                no_space()
+            monkeypatch.setattr(Path, "write_text", partial_then_fail)
+        else:
+            monkeypatch.setattr(os, "replace", no_space)
+        with pytest.raises(OSError, match="No space left"):
+            cache.put(key, [], 5)
+        monkeypatch.undo()
+        assert cache.get(key) == ([], 3)
+        assert [p.name for p in (tmp_path / "cache").rglob("*")
+                if ".tmp." in p.name] == []
 
     def test_rule_set_version_changes_key(self):
         raw = FIXTURE.read_bytes()

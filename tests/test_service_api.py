@@ -23,6 +23,7 @@ import asyncio
 import copy
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -312,6 +313,18 @@ def test_one_sick_point_is_a_row_not_a_400(manager, backend):
     assert first["row"]["error"].startswith("CheckError: MC001")
 
 
+@pytest.mark.parametrize("backend", [InProcessExecutor, LocalAsyncExecutor])
+def test_a_served_manager_owns_one_thread(manager, backend):
+    """The scheduler is the only job queue and the dispatch thread the
+    only job thread: the executor runs each job on it."""
+    before = set(threading.enumerate())
+    mgr = manager(executor=backend(workers=2))
+    record = mgr.submit(SWEEP_REQUEST)
+    assert record.wait(timeout=120.0) == "done"
+    added = set(threading.enumerate()) - before
+    assert [thread.name for thread in added] == ["repro-service-dispatch"]
+
+
 # ---------------------------------------------------------------------------
 # Chaos campaigns are ordinary jobs on the executor's pool
 # ---------------------------------------------------------------------------
@@ -390,6 +403,20 @@ class TestChaosOnTheExecutorPool:
         follow_up = stuck.submit(SWEEP_REQUEST)
         assert follow_up.wait(timeout=120.0) == "done"
         assert follow_up.rows == expected_sweep_rows()
+
+    def test_close_ends_every_job(self, stuck, tmp_path):
+        """Regression: ``close()`` joined a dispatcher stuck in the
+        running job for 60 s, then the executor's thread for 60 more,
+        and left the running record ``running`` and the queued one
+        ``submitted`` for good."""
+        running = stuck.submit(CHAOS_REQUEST)
+        queued = stuck.submit(SWEEP_REQUEST)
+        pids = self._rung_pids(tmp_path, 2)
+        started = time.monotonic()
+        stuck.close()
+        assert time.monotonic() - started < 5.0
+        assert (running.state, queued.state) == ("cancelled", "cancelled")
+        assert all(_gone(pid) for pid in pids)
 
 
 # ---------------------------------------------------------------------------
@@ -668,3 +695,59 @@ class TestCLI:
         with pytest.raises(SystemExit, match="cannot reach"):
             main(["status", "job", "--server",
                   "http://127.0.0.1:9"])  # discard port: nothing listens
+
+
+#: a sweep that would run far longer than the SIGINT test allows
+LONG_SWEEP_REQUEST = {"kind": "sweep", "preset": "t805-grid", "rounds": 5000,
+                      "axes": ["network.link_bandwidth=1,2,3,4,5,6,7,8"]}
+
+
+def _running(pid: int) -> bool:
+    """Alive and not a zombie, read from ``/proc`` as
+    ``tests/test_worker_pool.py`` does."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _children(pid: int) -> list[int]:
+    kids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            if int(stat.read_text().rsplit(")", 1)[1].split()[1]) == pid:
+                kids.append(int(stat.parent.name))
+        except (OSError, ValueError, IndexError):
+            pass                    # the process ended meanwhile
+    return kids
+
+
+def test_sigint_ends_repro_serve_mid_job():
+    """Regression: Ctrl-C on ``repro serve`` with a job running waited
+    out two 60 s joins while the job's workers kept computing."""
+    src = str(Path(__file__).parent.parent / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--workers", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    try:
+        line = proc.stdout.readline()
+        assert "repro service listening on " in line, line
+        client = ServiceClient(line.strip().rsplit(" ", 1)[-1])
+        record = client.submit(LONG_SWEEP_REQUEST)
+        deadline = time.monotonic() + 60.0
+        while client.status(record["id"])["state"] != "running":
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
+        workers = _children(proc.pid)
+        assert len(workers) == 2
+        proc.send_signal(signal.SIGINT)
+        proc.wait(timeout=10.0)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+    assert not any(_running(pid) for pid in workers)

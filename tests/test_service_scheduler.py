@@ -21,6 +21,8 @@ are deterministic.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -75,6 +77,27 @@ class TestBasics:
         assert sched.cancel("nope") is False
         assert sched.cancel("job-2") is True
         assert sched.acquire(timeout=0) is None
+
+    def test_close_hands_back_the_queue_and_wakes_acquire(self):
+        sched = JobScheduler()
+        for job_id, lane in (("a", "normal"), ("b", "high"), ("c", "low"),
+                             ("d", "normal")):
+            sched.submit(job_id, tenant="alice", lane=lane)
+        assert sched.acquire(timeout=0) == "b"
+        assert sched.close() == ["a", "d", "c"]
+        assert sched.active("alice") == 1       # "b" is still running
+        sched.release("b")
+        assert sched.active("alice") == 0
+        assert sched.acquire() is None          # closed: never blocks
+        assert sched.close() == []
+
+        blocked = JobScheduler()
+        got = []
+        waiter = threading.Thread(target=lambda: got.append(blocked.acquire()))
+        waiter.start()
+        blocked.close()
+        waiter.join(timeout=30)
+        assert not waiter.is_alive() and got == [None]
 
     def test_snapshot_shape(self):
         sched = JobScheduler()
