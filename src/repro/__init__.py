@@ -34,7 +34,7 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.core`       — configuration, Workbench facade, experiments
 * :mod:`repro.parallel`   — parallel sweep execution, result caching,
   backend-agnostic job executors
-* :mod:`repro.service`    — async HTTP job server (simulation as a
+* :mod:`repro.service`    — HTTP job server (simulation as a
   service: ``repro serve`` / ``submit`` / ``status`` / ``fetch``)
 * :mod:`repro.faults`     — deterministic fault injection + reliable transport
 * :mod:`repro.chaos`      — fault-sweep campaigns with SLO verdicts

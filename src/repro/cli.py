@@ -32,7 +32,7 @@ no-code-needed tasks:
   profiles (or dumps) a saved ``.npz`` trace set by path;
 * ``stats``       — run a bundled app and print every registered
   metric (the :class:`~repro.observe.MetricRegistry` snapshot);
-* ``serve``       — run the async HTTP job server (simulation as a
+* ``serve``       — run the HTTP job server (simulation as a
   service: sweeps and chaos campaigns as submitted jobs with
   progress streaming, quotas and priority lanes);
 * ``submit``      — submit a sweep or chaos job to a running server;
@@ -1109,7 +1109,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="machine-readable snapshot on stdout")
 
     p = sub.add_parser(
-        "serve", help="run the async HTTP job server (simulation as a "
+        "serve", help="run the HTTP job server (simulation as a "
                       "service)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8421,

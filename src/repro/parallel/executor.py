@@ -115,10 +115,10 @@ class JobState:
 
     The state machine every job runs — ``emit`` / ``set_state`` /
     ``note_progress`` append to :attr:`events` under :attr:`cond`,
-    :meth:`wait` blocks on it, :meth:`run` is the job boundary.  The
-    executor creates one per ``submit``; the service's ``JobRecord``
-    *is* one (with ``submitted`` as its initial state), so a served job
-    reports straight into its record.
+    :meth:`wait` and :meth:`follow` block on it, :meth:`run` is the
+    job boundary.  The executor creates one per ``submit``; the
+    service's ``JobRecord`` *is* one (with ``submitted`` as its
+    initial state), so a served job reports straight into its record.
     """
 
     def __init__(self, job_id: str, *, state: str = "queued",
@@ -216,6 +216,19 @@ class JobState:
         with self.cond:
             self.cond.wait_for(lambda: self.terminal, timeout)
             return self.state
+
+    def follow(self) -> Iterator[dict]:
+        """Yield the job's events from the first, live, until the
+        terminal state event: the one event-follow loop, behind
+        ``Executor.stream`` and the service's ``/events``."""
+        for idx in itertools.count():
+            with self.cond:
+                self.cond.wait_for(
+                    lambda: idx < len(self.events) or self.terminal)
+                if idx >= len(self.events):
+                    return
+                event = self.events[idx]
+            yield event
 
     def status(self) -> JobStatus:
         with self.cond:
@@ -344,15 +357,7 @@ class Executor:
         """Yield the job's events from the beginning, live, until the
         terminal state event — ``state`` events bracket ``progress``
         events, one per row, cache hits included."""
-        job = self._job(job_id)
-        for idx in itertools.count():
-            with job.cond:
-                job.cond.wait_for(
-                    lambda: idx < len(job.events) or job.terminal)
-                if idx >= len(job.events):
-                    return
-                event = job.events[idx]
-            yield event
+        return self._job(job_id).follow()
 
     def cancel(self, job_id: str) -> bool:
         """Request cancellation; ``False`` if the job already ended.

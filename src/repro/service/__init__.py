@@ -1,4 +1,4 @@
-"""Simulation as a service: async job server over the workbench.
+"""Simulation as a service: an HTTP job server over the workbench.
 
 The paper's workbench is an interactive design-exploration loop; this
 package serves that loop to many users.  Sweeps and chaos campaigns
@@ -11,9 +11,9 @@ the sweep :class:`~repro.parallel.ResultCache`:
 * :class:`JobManager` — admission, scheduling, execution, records;
 * :class:`JobScheduler` — per-tenant quotas, ``high``/``normal``/
   ``low`` lanes, anti-starvation aging;
-* :class:`ServiceServer` / :func:`run_server` — stdlib-asyncio HTTP
-  endpoints (submit / status / result / NDJSON event stream / cancel /
-  metrics);
+* :class:`ServiceServer` / :func:`run_server` — a stdlib threading
+  HTTP server, one thread per request (submit / status / result /
+  NDJSON event stream / cancel / metrics);
 * :class:`ServiceClient` — thin synchronous client;
 * :class:`ResultStore` — variant rows + deterministic job records.
 

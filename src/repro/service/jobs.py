@@ -212,12 +212,6 @@ class JobRecord(JobState):
                     spec, self.rows).to_dict()
             return payload
 
-    def events_since(self, start: int) -> tuple[list[dict], bool]:
-        """Events from index ``start`` on, plus whether the job ended
-        (polling contract for the NDJSON stream)."""
-        with self.cond:
-            return list(self.events[start:]), self.terminal
-
 
 # -- result store ----------------------------------------------------------
 

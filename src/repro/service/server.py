@@ -1,8 +1,9 @@
-"""Async HTTP façade over the job manager (stdlib asyncio only).
+"""HTTP façade over the job manager (stdlib ``http.server`` only).
 
-A deliberately small HTTP/1.1 server — ``asyncio.start_server`` plus a
-hand-rolled request parser, every response ``Connection: close`` — so
-the simulation service needs nothing beyond the standard library:
+A deliberately small HTTP/1.1 server — one
+:class:`~http.server.ThreadingHTTPServer` and one request handler, a
+thread per request, every response ``Connection: close`` — so the
+simulation service needs nothing beyond the standard library:
 
 =========  =====================================  ======================
 method     path                                   body
@@ -19,15 +20,22 @@ POST       ``/v1/jobs/<id>/cancel``               ``{"cancelled": bool}``
 
 Errors come back as ``{"error": message}`` with the status carried by
 :class:`~repro.service.jobs.ServiceError` (400 malformed, 404 unknown
-job, 409 result-not-ready, 429 quota), or 408 for a stalled request.  The
-events endpoint streams each job event as one JSON line, live, and closes
-after the terminal state event — the HTTP analogue of ``Executor.stream``.
+job, 409 result-not-ready, 429 quota), 408 for a body not received
+within ``_READ_TIMEOUT_S``, or the stdlib parser's own rejection (400 a
+malformed request line, 431 an oversized header line or too many
+headers, 501 a method no route takes).  A request line or headers that
+stall past the same deadline get a clean close.  The events endpoint
+streams each job event as one JSON line, live, and closes after the
+terminal state event: its handler thread follows the job record
+(:meth:`~repro.parallel.executor.JobState.follow`), as
+``Executor.stream`` does.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
+import sys
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Optional
 
 from .jobs import JobManager, ServiceError
@@ -35,186 +43,151 @@ from .jobs import JobManager, ServiceError
 __all__ = ["ServiceServer", "run_server"]
 
 _MAX_BODY = 8 * 1024 * 1024
-#: how long a client may take to send its whole request
+#: how long a client may take to send each part of its request
 _READ_TIMEOUT_S = 30.0
-#: how often the event stream re-checks a quiet job for new events
-_STREAM_POLL_S = 0.05
 
 
 def _json_bytes(payload: Any) -> bytes:
     return (json.dumps(payload, sort_keys=True, indent=1) + "\n").encode()
 
 
-class ServiceServer:
-    """One job manager behind ``asyncio.start_server``.
+class _Handler(BaseHTTPRequestHandler):
+    """One request: read it, route it to the manager, answer JSON."""
 
-    ``port=0`` binds an ephemeral port (the resolved one is in
-    :attr:`port` / :attr:`url` after :meth:`start`) — tests rely on
-    that.
+    server: "ServiceServer"
+    protocol_version = "HTTP/1.1"
+    # An unparseable request line is answered with a status line, not
+    # in the stdlib's HTTP/0.9 style (a bare body).
+    default_request_version = "HTTP/1.1"
+    # Buffered, so a response's headers and body leave in one send: sent
+    # apart, the body waits on Nagle's algorithm.
+    wbufsize = -1
+
+    def setup(self) -> None:
+        # Read per connection, so patching the module constant counts.
+        self.timeout = _READ_TIMEOUT_S
+        super().setup()
+
+    def log_message(self, format: str, *args: Any) -> None:
+        # Silent: ``repro serve``'s stderr may be a pipe nobody drains.
+        pass
+
+    def send_error(self, code: int, message: Optional[str] = None,
+                   explain: Optional[str] = None) -> None:
+        # The stdlib parser's rejections speak the service's JSON too.
+        self._respond(code, {"error": message or self.responses[code][0]})
+
+    def _respond(self, status: int, payload: Any) -> None:
+        body = _json_bytes(payload)
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(body)
+
+    def _handle(self) -> None:
+        try:
+            self._route(self.path.split("?", 1)[0], self._read_body())
+        except ServiceError as exc:
+            self._respond(exc.status, {"error": exc.message})
+        except ConnectionError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - connection boundary
+            self._respond(500, {"error": f"{type(exc).__name__}: {exc}"})
+
+    do_GET = do_POST = do_PUT = do_PATCH = do_DELETE = _handle
+
+    def _read_body(self) -> Optional[Any]:
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+            if not 0 <= length <= _MAX_BODY:
+                raise ValueError(f"Content-Length {length} is not "
+                                 f"0..{_MAX_BODY}")
+            raw = self.rfile.read(length)
+            if len(raw) < length:
+                raise ValueError(f"body ended after {len(raw)} of "
+                                 f"{length} bytes")
+            return json.loads(raw.decode()) if length else None
+        except TimeoutError:
+            raise ServiceError(408, "request timeout") from None
+        except ValueError as exc:
+            raise ServiceError(400, f"bad request: {exc}") from None
+
+    # -- routing -------------------------------------------------------
+
+    def _route(self, path: str, body: Optional[Any]) -> None:
+        manager, method = self.server.manager, self.command
+        parts = [p for p in path.split("/") if p]
+        if parts[:1] != ["v1"]:
+            raise ServiceError(404, f"no such path {path!r}")
+        rest = parts[1:]
+        if rest == ["healthz"] and method == "GET":
+            self._respond(200, {"ok": True})
+        elif rest == ["metrics"] and method == "GET":
+            self._respond(200, manager.metrics())
+        elif rest == ["jobs"] and method == "POST":
+            self._respond(200, manager.submit(body).to_dict())
+        elif rest == ["jobs"] and method == "GET":
+            self._respond(200, {"jobs": manager.list_jobs()})
+        elif len(rest) == 2 and rest[0] == "jobs" and method == "GET":
+            self._respond(200, manager.record(rest[1]).to_dict())
+        elif len(rest) == 3 and rest[0] == "jobs" and rest[2] == "result" \
+                and method == "GET":
+            record = manager.record(rest[1])
+            if record.state != "done":
+                detail = f": {record.error}" if record.error else ""
+                raise ServiceError(
+                    409, f"job {rest[1]!r} is {record.state}{detail}")
+            self._respond(200, record.result_payload())
+        elif len(rest) == 3 and rest[0] == "jobs" and rest[2] == "events" \
+                and method == "GET":
+            self._stream_events(rest[1])
+        elif len(rest) == 3 and rest[0] == "jobs" and rest[2] == "cancel" \
+                and method == "POST":
+            cancelled = manager.cancel(rest[1])
+            self._respond(200, {"id": rest[1], "cancelled": cancelled})
+        else:
+            raise ServiceError(
+                405 if rest[:1] == ["jobs"] else 404,
+                f"cannot {method} {path}")
+
+    def _stream_events(self, job_id: str) -> None:
+        record = self.server.manager.record(job_id)   # 404 before headers
+        self.send_response(200)
+        self.send_header("Content-Type", "application/x-ndjson")
+        self.send_header("Connection", "close")
+        self.end_headers()
+        for event in record.follow():
+            self.wfile.write((json.dumps(event, sort_keys=True)
+                              + "\n").encode())
+            self.wfile.flush()
+
+
+class ServiceServer(ThreadingHTTPServer):
+    """One job manager behind a :class:`~http.server.ThreadingHTTPServer`.
+
+    The socket is bound at construction; ``port=0`` binds an ephemeral
+    port, and the resolved one is in :attr:`port` / :attr:`url` — tests
+    rely on that.  Run it with :meth:`serve_forever`, stop it with
+    :meth:`shutdown` and :meth:`server_close`.
     """
 
     def __init__(self, manager: JobManager, host: str = "127.0.0.1",
                  port: int = 0) -> None:
         self.manager = manager
         self.host = host
-        self.port = port
-        self._server: Optional[asyncio.AbstractServer] = None
+        super().__init__((host, port), _Handler)
+        self.port = self.server_address[1]
 
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(self._handle, self.host,
-                                                  self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    # -- connection handling -------------------------------------------
-
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        try:
-            try:
-                method, path, body = await asyncio.wait_for(
-                    self._read_request(reader), _READ_TIMEOUT_S)
-            except asyncio.TimeoutError:
-                await self._respond(writer, 408, {"error": "request timeout"})
-                return
-            except (asyncio.IncompleteReadError, ValueError) as exc:
-                await self._respond(writer, 400, {"error": f"bad request: "
-                                                           f"{exc}"})
-                return
-            try:
-                await self._route(writer, method, path, body)
-            except ServiceError as exc:
-                await self._respond(writer, exc.status,
-                                    {"error": exc.message})
-            except Exception as exc:  # noqa: BLE001 - connection boundary
-                await self._respond(
-                    writer, 500,
-                    {"error": f"{type(exc).__name__}: {exc}"})
-        except (ConnectionError, BrokenPipeError):  # pragma: no cover
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):  # pragma: no cover
-                pass
-
-    async def _read_request(self, reader: asyncio.StreamReader
-                            ) -> tuple[str, str, Optional[Any]]:
-        request_line = (await reader.readline()).decode("latin-1").strip()
-        if not request_line:
-            raise ValueError("empty request line")
-        try:
-            method, target, _version = request_line.split(" ", 2)
-        except ValueError:
-            raise ValueError(f"malformed request line {request_line!r}")
-        length = 0
-        while True:
-            line = (await reader.readline()).decode("latin-1").strip()
-            if not line:
-                break
-            name, _, value = line.partition(":")
-            if name.strip().lower() == "content-length":
-                length = int(value.strip())
-        if length > _MAX_BODY:
-            raise ValueError(f"body too large ({length} bytes)")
-        body = None
-        if length:
-            raw = await reader.readexactly(length)
-            body = json.loads(raw.decode())
-        return method.upper(), target.split("?", 1)[0], body
-
-    async def _respond(self, writer: asyncio.StreamWriter, status: int,
-                       payload: Any) -> None:
-        body = _json_bytes(payload)
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  405: "Method Not Allowed", 408: "Request Timeout",
-                  409: "Conflict", 429: "Too Many Requests",
-                  500: "Internal Server Error"}.get(status, "Error")
-        head = (f"HTTP/1.1 {status} {reason}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"Connection: close\r\n\r\n")
-        writer.write(head.encode() + body)
-        await writer.drain()
-
-    # -- routing -------------------------------------------------------
-
-    async def _route(self, writer: asyncio.StreamWriter, method: str,
-                     path: str, body: Optional[Any]) -> None:
-        parts = [p for p in path.split("/") if p]
-        if parts[:1] != ["v1"]:
-            raise ServiceError(404, f"no such path {path!r}")
-        rest = parts[1:]
-        if rest == ["healthz"] and method == "GET":
-            await self._respond(writer, 200, {"ok": True})
-        elif rest == ["metrics"] and method == "GET":
-            await self._respond(writer, 200, self.manager.metrics())
-        elif rest == ["jobs"] and method == "POST":
-            record = self.manager.submit(body)
-            await self._respond(writer, 200, record.to_dict())
-        elif rest == ["jobs"] and method == "GET":
-            await self._respond(writer, 200,
-                                {"jobs": self.manager.list_jobs()})
-        elif len(rest) == 2 and rest[0] == "jobs" and method == "GET":
-            record = self.manager.record(rest[1])
-            await self._respond(writer, 200, record.to_dict())
-        elif len(rest) == 3 and rest[0] == "jobs" and rest[2] == "result" \
-                and method == "GET":
-            record = self.manager.record(rest[1])
-            if record.state != "done":
-                detail = f": {record.error}" if record.error else ""
-                raise ServiceError(
-                    409, f"job {rest[1]!r} is {record.state}{detail}")
-            await self._respond(writer, 200, record.result_payload())
-        elif len(rest) == 3 and rest[0] == "jobs" and rest[2] == "events" \
-                and method == "GET":
-            await self._stream_events(writer, rest[1])
-        elif len(rest) == 3 and rest[0] == "jobs" and rest[2] == "cancel" \
-                and method == "POST":
-            cancelled = self.manager.cancel(rest[1])
-            await self._respond(writer, 200, {"id": rest[1],
-                                              "cancelled": cancelled})
-        else:
-            raise ServiceError(
-                405 if rest[:1] == ["jobs"] else 404,
-                f"cannot {method} {path}")
-
-    async def _stream_events(self, writer: asyncio.StreamWriter,
-                             job_id: str) -> None:
-        record = self.manager.record(job_id)   # 404 before headers
-        head = ("HTTP/1.1 200 OK\r\n"
-                "Content-Type: application/x-ndjson\r\n"
-                "Connection: close\r\n\r\n")
-        writer.write(head.encode())
-        await writer.drain()
-        sent = 0
-        while True:
-            events, terminal = record.events_since(sent)
-            for event in events:
-                writer.write((json.dumps(event, sort_keys=True)
-                              + "\n").encode())
-                sent += 1
-            if events:
-                await writer.drain()
-            if terminal and not events:
-                return
-            if not events:
-                await asyncio.sleep(_STREAM_POLL_S)
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        # A client that left (e.g. mid-stream) is nobody to answer.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
 
 
 def run_server(manager: JobManager, host: str = "127.0.0.1",
@@ -225,19 +198,10 @@ def run_server(manager: JobManager, host: str = "127.0.0.1",
     prints the "listening on" line through it, and tests parse it to
     discover an ephemeral port.
     """
-    async def _main() -> None:
-        server = ServiceServer(manager, host, port)
-        await server.start()
-        announce(server.url)
-        try:
-            await server.serve_forever()
-        except asyncio.CancelledError:  # pragma: no cover - shutdown path
-            pass
-        finally:
-            await server.stop()
-
     try:
-        asyncio.run(_main())
+        with ServiceServer(manager, host, port) as server:
+            announce(server.url)
+            server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
         pass
     finally:

@@ -54,6 +54,12 @@ CASES = [
      "src/repro/parallel/executor.py", ()),
     ("one job queue: the dispatcher blocks and is woken by close()",
      r"acquire\(timeout=", "src/repro/service/jobs.py", ()),
+    ("one concurrency model: threads and conditions, no event loop",
+     r"asyncio", "src/**/*.py", ()),
+    ("observers wait on the record's condition (ServiceClient.wait's "
+     "poll aside)",
+     r"sleep\(|events_since", "src/repro/service/*.py",
+     ("src/repro/service/client.py",)),
 ]
 
 @pytest.mark.parametrize("why, pattern, glob, allowed", CASES,
@@ -68,6 +74,19 @@ def test_pattern_stays_out(why, pattern, glob, allowed):
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if regex.search(line)]
     assert not hits, f"{why}\n" + "\n".join(hits)
+
+
+def test_executor_stream_is_the_job_states_follow():
+    """One event-follow loop: ``JobState.follow``, which the service's
+    ``/events`` handler also rides."""
+    source = (ROOT / "src/repro/parallel/executor.py").read_text()
+    executor = next(node for node in ast.parse(source).body
+                    if isinstance(node, ast.ClassDef)
+                    and node.name == "Executor")
+    stream = next(node for node in executor.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "stream")
+    assert ".follow()" in ast.get_source_segment(source, stream)
 
 
 def test_line_numbers_resolved_only_on_a_site_memo_miss():

@@ -6,10 +6,11 @@ Three layers, bottom-up:
   across the whole lifecycle (``submitted → running → done / failed /
   cancelled``): fixed field order, no wall-clock fields, digests
   normalized out (they incorporate the code version by design);
-* **HTTP server** — the asyncio server + ``ServiceClient`` round
+* **HTTP server** — the threading server + ``ServiceClient`` round
   trip: rows fetched over HTTP must be byte-identical to an
   in-process ``Sweep.run`` with the CLI's runner, plus the error
-  statuses (400/404/405/409/429) and the NDJSON event stream;
+  statuses (400/404/405/408/409/429/431), malformed and stalled
+  requests, and the NDJSON event stream;
 * **CLI** — ``repro serve`` (subprocess, ephemeral port) driven by
   ``repro submit / status / fetch``: exit codes and output schemas.
 
@@ -19,7 +20,6 @@ timestamps, and the tiny sweeps are deterministic.
 
 from __future__ import annotations
 
-import asyncio
 import copy
 import json
 import os
@@ -48,6 +48,7 @@ from repro.service import (
     canonical_request,
     job_key,
 )
+from repro.service.server import _MAX_BODY
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -471,6 +472,63 @@ class TestResultStore:
 # HTTP surface
 # ---------------------------------------------------------------------------
 
+#: (case, raw request, first reply line; ``b""`` is a clean close)
+BOUNDARY_CASES = [
+    ("truncated JSON",
+     b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 5\r\n\r\n{\"kin",
+     b"HTTP/1.1 400 Bad Request"),
+    ("Content-Length longer than the body, then a stall",
+     b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 10\r\n\r\n{\"k",
+     b"HTTP/1.1 408 Request Timeout"),
+    ("negative Content-Length",
+     b"POST /v1/jobs HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+     b"HTTP/1.1 400 Bad Request"),
+    ("non-integer Content-Length",
+     b"POST /v1/jobs HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+     b"HTTP/1.1 400 Bad Request"),
+    ("Content-Length above _MAX_BODY",
+     b"POST /v1/jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+     % (_MAX_BODY + 1),
+     b"HTTP/1.1 400 Bad Request"),
+    ("a 70 kB header line",
+     b"GET /v1/healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n",
+     b"HTTP/1.1 431 Request Header Fields Too Large"),
+    ("200 headers",
+     b"GET /v1/healthz HTTP/1.1\r\n"
+     + b"".join(b"X-H%d: 1\r\n" % i for i in range(200)) + b"\r\n",
+     b"HTTP/1.1 431 Request Header Fields Too Large"),
+    ("a garbage request line", b"GARBAGE\r\n\r\n",
+     b"HTTP/1.1 400 Bad Request"),
+    ("DELETE /v1/jobs", b"DELETE /v1/jobs HTTP/1.1\r\n\r\n",
+     b"HTTP/1.1 405 Method Not Allowed"),
+    ("a stalled request line", b"GET /v1/hea", b""),
+    ("stalled headers", b"GET /v1/healthz HTTP/1.1\r\nX-A: 1\r\n", b""),
+]
+
+
+def _raw_exchange(client: ServiceClient, request: bytes) -> bytes:
+    """Send raw bytes and read until the server closes."""
+    import socket
+
+    reply = b""
+    with socket.create_connection((client.host, client.port),
+                                  timeout=30) as sock:
+        try:
+            sock.sendall(request)
+            while chunk := sock.recv(4096):
+                reply += chunk
+        except ConnectionResetError:
+            pass        # closed with the rest of an oversized request unread
+    return reply
+
+
+def _threads_back_to(baseline: int, case: str) -> None:
+    deadline = time.monotonic() + 5.0
+    while threading.active_count() > baseline:
+        assert time.monotonic() < deadline, f"{case}: a handler lingers"
+        time.sleep(0.01)
+
+
 @pytest.fixture
 def http_service(manager, tmp_path):
     services = []
@@ -480,18 +538,19 @@ def http_service(manager, tmp_path):
             tmp_path / f"store{len(services)}"))
         mgr = manager(**manager_kwargs)
         server = ServiceServer(mgr)
-        loop = asyncio.new_event_loop()
-        thread = threading.Thread(target=loop.run_forever, daemon=True)
+        # A short poll: shutdown() waits for serve_forever to look.
+        thread = threading.Thread(target=server.serve_forever,
+                                  args=(0.05,), daemon=True)
         thread.start()
-        asyncio.run_coroutine_threadsafe(server.start(), loop).result(30)
-        services.append((server, loop, thread))
+        services.append((server, thread))
         return mgr, ServiceClient(server.url)
 
     yield make
-    for server, loop, thread in services:
-        asyncio.run_coroutine_threadsafe(server.stop(), loop).result(30)
-        loop.call_soon_threadsafe(loop.stop)
+    for server, thread in services:
+        server.shutdown()
+        server.server_close()
         thread.join(timeout=30)
+        assert not thread.is_alive()
 
 
 class TestHTTP:
@@ -591,6 +650,65 @@ class TestHTTP:
                 reply += chunk
         assert reply.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
         assert client.health() == {"ok": True}
+
+    def test_http_boundary_cases(self, http_service, monkeypatch):
+        """Every malformed or stalled request ends in a typed 4xx or a
+        clean close within the read deadline, never a hung handler: the
+        server answers the next request and its thread count returns to
+        the baseline."""
+        import repro.service.server
+        monkeypatch.setattr(repro.service.server, "_READ_TIMEOUT_S", 0.3)
+        mgr, client = http_service()
+        baseline = threading.active_count()
+        for case, request, first_line in BOUNDARY_CASES:
+            start = time.monotonic()
+            reply = _raw_exchange(client, request)
+            assert reply.split(b"\r\n", 1)[0] == first_line, (case, reply)
+            if reply:
+                _, body = reply.split(b"\r\n\r\n", 1)
+                assert "error" in json.loads(body), case
+            assert time.monotonic() - start < 5.0, case
+            assert client.health() == {"ok": True}, case
+            _threads_back_to(baseline, case)
+
+    def test_events_of_a_finished_job_are_its_whole_list(self,
+                                                         http_service):
+        mgr, client = http_service()
+        record = client.submit(SWEEP_REQUEST)
+        assert mgr.record(record["id"]).wait(120.0) == "done"
+        events = json.loads(json.dumps(mgr.record(record["id"]).events))
+        assert list(client.events(record["id"])) == events
+
+    def test_events_of_a_queued_job_end_with_its_cancel(self, http_service):
+        mgr, client = http_service(autostart=False)
+        record = client.submit(SWEEP_REQUEST)
+        events = client.events(record["id"])
+        first = next(events)
+        assert client.cancel(record["id"]) is True
+        assert event_shapes([first, *events]) == [
+            ["submitted", None], ["cancelled", None]]
+
+    def test_a_client_gone_midstream_leaves_a_quiet_server(
+            self, http_service, capfd):
+        """The stream's handler writes into a closed socket once the
+        job moves on: it must end without a traceback on stderr."""
+        import socket
+
+        mgr, client = http_service(autostart=False)
+        baseline = threading.active_count() + 1     # + mgr.start()'s
+        record = client.submit(SWEEP_REQUEST)
+        with socket.create_connection((client.host, client.port),
+                                      timeout=30) as sock:
+            sock.sendall(f"GET /v1/jobs/{record['id']}/events HTTP/1.1"
+                         f"\r\n\r\n".encode())
+            reply = b""
+            while b'"submitted"' not in reply:
+                reply += sock.recv(4096)
+        mgr.start()
+        assert mgr.record(record["id"]).wait(120.0) == "done"
+        assert client.health() == {"ok": True}
+        _threads_back_to(baseline, "client gone mid-stream")
+        assert capfd.readouterr().err == ""
 
     def test_metrics_endpoint(self, http_service):
         mgr, client = http_service()
