@@ -47,7 +47,7 @@ from .lint import (
     lint_paths,
     lint_source,
 )
-from .machine_passes import MACHINE_PASSES
+from .machine_passes import MACHINE_PASSES, routing_memo
 from .passes import CheckContext, CheckPass, PassManager
 from .sanitizer import ContentionCluster, DeterminismSanitizer
 from .trace_passes import TRACE_PASSES
@@ -65,7 +65,7 @@ __all__ = [
     "PassManager", "RULES", "RULE_FAMILIES", "Report", "Severity",
     "TRACE_PASSES", "check_bounds", "check_description", "check_machine",
     "check_traces", "ensure_ok", "lint_file", "lint_paths", "lint_source",
-    "reports_to_dict", "rule_family",
+    "reports_to_dict", "routing_memo", "rule_family",
 ]
 
 

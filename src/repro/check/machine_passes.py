@@ -9,7 +9,9 @@ before a sweep burns hours simulating a doomed variant.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+import contextlib
+from contextvars import ContextVar
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .diagnostics import Diagnostic, Severity
 from .passes import CheckContext
@@ -19,11 +21,33 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["MachineContractPass", "TopologyReachabilityPass",
            "RoutingValidityPass", "ParameterConsistencyPass",
-           "MACHINE_PASSES"]
+           "MACHINE_PASSES", "routing_memo"]
 
 #: Above this endpoint count, routing validity samples pairs instead of
 #: enumerating all O(n^2) of them.
 _EXHAUSTIVE_ENDPOINTS = 64
+
+#: routing-validity findings per ``(topology, routing)`` while a
+#: :func:`routing_memo` block runs; ``None`` outside one
+_ROUTE_FINDINGS: ContextVar[Optional[dict]] = \
+    ContextVar("route_findings", default=None)
+
+
+@contextlib.contextmanager
+def routing_memo() -> Iterator[None]:
+    """Walk each ``(topology, routing)`` pair's routes once in the block.
+
+    Routing validity depends on nothing else, and a sweep's variants
+    mostly share their interconnect (a bandwidth x switching sweep never
+    changes it), so a sweep's pre-flight runs inside one block.  The
+    memo is scoped to the block, not the process: outside one, every
+    check walks its routes, and sees a patched ``make_routing``.
+    """
+    token = _ROUTE_FINDINGS.set({})
+    try:
+        yield
+    finally:
+        _ROUTE_FINDINGS.reset(token)
 
 
 def _build_topology(ctx: CheckContext) -> Optional["Topology"]:
@@ -99,7 +123,9 @@ class RoutingValidityPass:
     only existing topology links, and visits no node twice.  All pairs
     are checked up to 64 endpoints; beyond that a deterministic sample
     (every pair involving endpoints 0 and n-1, plus a stride-based
-    subset) keeps the pass fast.
+    subset) keeps the pass fast.  Inside a :func:`routing_memo` block a
+    ``(topology, routing)`` pair is walked once, and its findings are
+    rebound to each later machine's subject.
     """
 
     name = "machine-routing"
@@ -107,6 +133,17 @@ class RoutingValidityPass:
     gating = False
 
     def run(self, ctx: CheckContext) -> list[Diagnostic]:
+        memo = _ROUTE_FINDINGS.get()
+        if memo is None or ctx.machine is None:
+            return self._walk(ctx)
+        net = ctx.machine.network
+        key = (repr(net.topology), net.routing)
+        if key not in memo:
+            memo[key] = self._walk(ctx)
+        return [ctx.diag(d.rule, d.severity, d.message, d.location, d.hint)
+                for d in memo[key]]
+
+    def _walk(self, ctx: CheckContext) -> list[Diagnostic]:
         topo = _build_topology(ctx)
         if topo is None or ctx.machine is None:
             return []

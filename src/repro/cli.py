@@ -808,7 +808,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     try:
         record = client.submit(request)
         if args.wait:
-            record = client.wait(record["id"], poll_s=args.poll)
+            record = client.wait(record["id"])
     except ServiceError as exc:
         raise SystemExit(f"service error ({exc.status}): {exc.message}")
     except OSError as exc:
@@ -1172,10 +1172,8 @@ def _parser() -> argparse.ArgumentParser:
         k.add_argument("--timeout", type=float, default=None,
                        metavar="SECONDS", help="job wall-time budget")
         k.add_argument("--wait", action="store_true",
-                       help="poll until the job ends; exit 1 unless it "
+                       help="block until the job ends; exit 1 unless it "
                             "finishes 'done'")
-        k.add_argument("--poll", type=float, default=0.2,
-                       metavar="SECONDS", help="--wait poll interval")
 
     p = sub.add_parser("status", help="print a job's record")
     p.add_argument("job", help="job id from repro submit")

@@ -169,6 +169,9 @@ class WorkerPool:
                 self._dispatch(blobs, pending)
                 self._collect(ready, pending, on_crash,
                               None if check_abort is None else _ABORT_POLL_S)
+                # Refill before yielding: the caller stores each row
+                # meanwhile, and no worker should idle through that.
+                self._dispatch(blobs, pending)
                 while next_out in ready:
                     yield ready.pop(next_out)
                     next_out += 1

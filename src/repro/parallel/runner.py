@@ -166,12 +166,13 @@ def run_cached_sweep(imap: ImapFn, runner: Runner,
     even when every row is served from cache).
 
     A miss is pre-flighted by :func:`repro.check.check_machine` (once
-    per machine object) before it may reach ``imap``: a failing one
-    resolves during the scan as a ``CheckError: ...`` row — looked up
-    and not found, so one ``miss``, no ``store``, ``wall_time_s``
-    ``0.0`` — or raises, per ``on_error``.  A row is only ``put`` for a
-    machine that passed, under a key hashing the ``repro`` sources, so
-    a hit needs no second verdict.
+    per machine object, inside one :func:`repro.check.routing_memo`, so
+    each interconnect's routes are walked once per sweep) before it may
+    reach ``imap``: a failing one resolves during the scan as a
+    ``CheckError: ...`` row — looked up and not found, so one ``miss``,
+    no ``store``, ``wall_time_s`` ``0.0`` — or raises, per ``on_error``.
+    A row is only ``put`` for a machine that passed, under a key hashing
+    the ``repro`` sources, so a hit needs no second verdict.
 
     A point's fault plan (its optional third element) extends its cache
     key with the plan digest, so faulty and fault-free rows of the same
@@ -202,33 +203,34 @@ def run_cached_sweep(imap: ImapFn, runner: Runner,
     outcome_of: dict[str, Optional[tuple[str, Any]]] = {}
     #: per machine object pre-flighted, its failure message (or None)
     verdict_of: dict[int, Optional[str]] = {}
-    for idx, point in enumerate(points):
-        coords, machine = point[:2]
-        plan = point[2] if len(point) > 2 else None
-        key = ""
-        if cache is not None:
-            key = cache.key_for(machine, wid, faults=plan)
-            if key in outcome_of:
-                pending.append((idx, key))
+    with check.routing_memo():
+        for idx, point in enumerate(points):
+            coords, machine = point[:2]
+            plan = point[2] if len(point) > 2 else None
+            key = ""
+            if cache is not None:
+                key = cache.key_for(machine, wid, faults=plan)
+                if key in outcome_of:
+                    pending.append((idx, key))
+                    continue
+                cached = cache.get(key)
+                if cached is not None:
+                    resolve(idx, {**coords, **cached}, 0.0)
+                    continue
+            if id(machine) not in verdict_of:
+                report = check.check_machine(machine)
+                verdict_of[id(machine)] = None if report.ok \
+                    else f"CheckError: {report.summary_message()}"
+            error = verdict_of[id(machine)]
+            if error is not None:
+                if on_error == "raise":
+                    raise SweepVariantError(coords, error)
+                resolve(idx, {**coords, "error": error}, 0.0)
                 continue
-            cached = cache.get(key)
-            if cached is not None:
-                resolve(idx, {**coords, **cached}, 0.0)
-                continue
-        if id(machine) not in verdict_of:
-            report = check.check_machine(machine)
-            verdict_of[id(machine)] = None if report.ok \
-                else f"CheckError: {report.summary_message()}"
-        error = verdict_of[id(machine)]
-        if error is not None:
-            if on_error == "raise":
-                raise SweepVariantError(coords, error)
-            resolve(idx, {**coords, "error": error}, 0.0)
-            continue
-        if cache is not None:
-            outcome_of[key] = None
-        pending.append((idx, key))
-        variants.append((machine, plan))
+            if cache is not None:
+                outcome_of[key] = None
+            pending.append((idx, key))
+            variants.append((machine, plan))
 
     with contextlib.closing(imap(
             functools.partial(variant_outcome, runner, timing),

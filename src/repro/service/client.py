@@ -1,7 +1,9 @@
 """Thin synchronous client for the simulation service (stdlib only).
 
 ``http.client`` under the hood — one connection per call, matching the
-server's ``Connection: close`` discipline.  Raises
+server's ``Connection: close`` discipline.  :meth:`ServiceClient.wait`
+long-polls (``GET /v1/jobs/<id>?wait=<s>``): the server answers when
+the job ends, so a wait costs no more than the job.  Raises
 :class:`~repro.service.jobs.ServiceError` with the HTTP status on any
 error response, so CLI commands can map failures to exit codes without
 parsing bodies.
@@ -107,19 +109,27 @@ class ServiceClient:
         finally:
             conn.close()
 
-    def wait(self, job_id: str, poll_s: float = 0.2,
-             timeout: Optional[float] = None) -> dict:
-        """Poll until the job ends; returns the final record."""
-        # Client-side polling deadline: host wall time by definition.
+    def wait(self, job_id: str, timeout: Optional[float] = None) -> dict:
+        """Block until the job ends; returns the final record.
+
+        A loop of long polls, each shorter than the socket timeout.
+        Past ``timeout`` seconds, raises a 408 :class:`ServiceError`
+        naming the job's last state.
+        """
+        # Client-side deadline: host wall time by definition.
         deadline = (None if timeout is None
                     else time.monotonic() + timeout)  # repro: noqa[PY002]
         while True:
-            record = self.status(job_id)
+            chunk = self.timeout / 2
+            if deadline is not None:
+                chunk = min(chunk, max(
+                    0.0, deadline - time.monotonic()))  # repro: noqa[PY002]
+            record = self._request("GET",
+                                   f"/v1/jobs/{job_id}?wait={chunk:.3f}")
             if record["state"] in TERMINAL_STATES:
                 return record
             if deadline is not None \
-                    and time.monotonic() > deadline:  # repro: noqa[PY002]
+                    and time.monotonic() >= deadline:  # repro: noqa[PY002]
                 raise ServiceError(
                     408, f"timed out waiting for job {job_id!r} "
                          f"(last state {record['state']!r})")
-            time.sleep(poll_s)

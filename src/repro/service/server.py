@@ -13,6 +13,8 @@ GET        ``/v1/metrics``                        flat ``service.*`` map
 POST       ``/v1/jobs``                           job record (submitted)
 GET        ``/v1/jobs``                           ``{"jobs": [...]}``
 GET        ``/v1/jobs/<id>``                      job record
+GET        ``/v1/jobs/<id>?wait=<s>``             job record, once it
+                                                  ends or ``s`` passes
 GET        ``/v1/jobs/<id>/result``               rows / campaign
 GET        ``/v1/jobs/<id>/events``               NDJSON event stream
 POST       ``/v1/jobs/<id>/cancel``               ``{"cancelled": bool}``
@@ -28,7 +30,10 @@ stall past the same deadline get a clean close.  The events endpoint
 streams each job event as one JSON line, live, and closes after the
 terminal state event: its handler thread follows the job record
 (:meth:`~repro.parallel.executor.JobState.follow`), as
-``Executor.stream`` does.
+``Executor.stream`` does.  A record GET with ``?wait=<s>`` is a long
+poll: its handler thread waits on the record (at most ``_MAX_WAIT_S``)
+and then answers what a plain GET would, so a client learns that a job
+ended when it ends.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import json
 import sys
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Optional
+from urllib.parse import parse_qs
 
 from .jobs import JobManager, ServiceError
 
@@ -45,10 +51,25 @@ __all__ = ["ServiceServer", "run_server"]
 _MAX_BODY = 8 * 1024 * 1024
 #: how long a client may take to send each part of its request
 _READ_TIMEOUT_S = 30.0
+#: the longest a ``?wait=`` long poll holds its request
+_MAX_WAIT_S = 30.0
 
 
 def _json_bytes(payload: Any) -> bytes:
     return (json.dumps(payload, sort_keys=True, indent=1) + "\n").encode()
+
+
+def _wait_seconds(query: dict[str, list[str]]) -> float:
+    """A record GET's ``?wait=<s>``, clamped to ``_MAX_WAIT_S``; 0 when
+    absent."""
+    raw = query.get("wait", ["0"])[-1]
+    try:
+        seconds = float(raw)
+    except ValueError:
+        seconds = -1.0
+    if not seconds >= 0:                  # negative or NaN
+        raise ServiceError(400, f"bad wait {raw!r}: expected seconds >= 0")
+    return min(seconds, _MAX_WAIT_S)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -88,7 +109,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _handle(self) -> None:
         try:
-            self._route(self.path.split("?", 1)[0], self._read_body())
+            path, _, query = self.path.partition("?")
+            self._route(path, parse_qs(query, keep_blank_values=True),
+                        self._read_body())
         except ServiceError as exc:
             self._respond(exc.status, {"error": exc.message})
         except ConnectionError:
@@ -116,7 +139,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- routing -------------------------------------------------------
 
-    def _route(self, path: str, body: Optional[Any]) -> None:
+    def _route(self, path: str, query: dict[str, list[str]],
+               body: Optional[Any]) -> None:
         manager, method = self.server.manager, self.command
         parts = [p for p in path.split("/") if p]
         if parts[:1] != ["v1"]:
@@ -131,7 +155,9 @@ class _Handler(BaseHTTPRequestHandler):
         elif rest == ["jobs"] and method == "GET":
             self._respond(200, {"jobs": manager.list_jobs()})
         elif len(rest) == 2 and rest[0] == "jobs" and method == "GET":
-            self._respond(200, manager.record(rest[1]).to_dict())
+            record = manager.record(rest[1])
+            record.wait(_wait_seconds(query))
+            self._respond(200, record.to_dict())
         elif len(rest) == 3 and rest[0] == "jobs" and rest[2] == "result" \
                 and method == "GET":
             record = manager.record(rest[1])

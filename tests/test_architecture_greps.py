@@ -56,10 +56,9 @@ CASES = [
      r"acquire\(timeout=", "src/repro/service/jobs.py", ()),
     ("one concurrency model: threads and conditions, no event loop",
      r"asyncio", "src/**/*.py", ()),
-    ("observers wait on the record's condition (ServiceClient.wait's "
-     "poll aside)",
-     r"sleep\(|events_since", "src/repro/service/*.py",
-     ("src/repro/service/client.py",)),
+    ("observers wait on the record's condition, clients included: "
+     "ServiceClient.wait long-polls it",
+     r"sleep\(|events_since", "src/repro/service/*.py", ()),
 ]
 
 @pytest.mark.parametrize("why, pattern, glob, allowed", CASES,

@@ -612,6 +612,85 @@ class TestLookUpFirstPreflightOnlyTheMisses:
                 cache.stats.stores) == (2, 1, 0)
 
 
+def _noop_runner(machine):
+    return {}
+
+
+def _set_topology(machine, topology):
+    machine.network.topology = topology
+    machine.name += f"/{topology.kind}{topology.dims}"
+
+
+def _set_bandwidth(machine, bandwidth):
+    machine.network.link_bandwidth = bandwidth
+    machine.name += f"/bw{bandwidth:g}"
+
+
+class NowhereRouting:
+    def path(self, src, dst):
+        return [src, src]                     # never reaches dst
+
+
+class TestOneRouteWalkPerInterconnect:
+    """A sweep's pre-flight runs in one ``routing_memo``: each
+    ``(topology, routing)`` pair's routes are walked once, and every
+    point still gets the report unmemoised ``check_machine`` gives it."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Routings built, by kind; a ring's routes lead nowhere."""
+        import repro.commmodel.routing as routing_mod
+        built, make = [], routing_mod.make_routing
+
+        def spy(kind, topo, seed=0):
+            built.append(kind)
+            return NowhereRouting() if topo.kind == "ring" \
+                else make(kind, topo, seed)
+        monkeypatch.setattr(routing_mod, "make_routing", spy)
+        return built
+
+    def test_a_bandwidth_by_switching_sweep_builds_one_routing(self, built):
+        from repro.cli import _AxisSetter
+        sweep = Sweep(generic_multicomputer("mesh", (4, 4)))
+        for path, values in (
+                ("network.link_bandwidth", [1, 2, 3, 4, 5, 6, 7, 8]),
+                ("network.switching", ["store_and_forward", "wormhole"])):
+            sweep.axis(path, _AxisSetter(path), values)
+        rows = sweep.run(_noop_runner)
+        assert len(rows) == 16 and not any("error" in row for row in rows)
+        assert built == ["dimension_order"]
+
+    def test_every_point_gets_its_unmemoised_report(self, built,
+                                                    monkeypatch):
+        import repro.check
+        from repro.core.config import TopologyConfig
+        checked = []
+
+        def spy(machine):
+            report = check_machine(machine)
+            checked.append((machine, report))
+            return report
+        monkeypatch.setattr(repro.check, "check_machine", spy)
+        topologies = [TopologyConfig("mesh", (2, 2)),
+                      TopologyConfig("ring", (4,)),
+                      TopologyConfig("mesh", (2, 0))]
+        sweep = Sweep(t805_grid(2, 2)).axis("topo", _set_topology,
+                                            topologies)
+        sweep.axis("bw", _set_bandwidth, [2e6, 4e6])
+        rows = sweep.run(_noop_runner)
+        assert built == ["dimension_order", "dimension_order"]
+        assert len({report.subject for _, report in checked}) == 6
+        for row, (machine, report) in zip(rows, checked):
+            alone = check_machine(machine)
+            assert report.to_dict() == alone.to_dict()
+            assert row.get("error") == (
+                None if alone.ok
+                else f"CheckError: {alone.summary_message()}")
+        assert [row.get("error", "")[:17] for row in rows] == [
+            "", "", "CheckError: MC003", "CheckError: MC003",
+            "CheckError: MC001", "CheckError: MC001"]
+
+
 # ---------------------------------------------------------------------------
 # Bundled artifacts are lint-clean
 # ---------------------------------------------------------------------------

@@ -50,6 +50,13 @@ class TestPresets:
         assert res.total_cycles > 0
 
 
+@pytest.fixture(scope="module")
+def generic_report():
+    """One calibration of a generic 2x2 mesh, shared: its memory walk
+    alone takes over a second."""
+    return calibrate(generic_multicomputer("mesh", (2, 2)))
+
+
 class TestCalibration:
     def test_memory_latency_ordering(self):
         m = powerpc601_node()
@@ -57,11 +64,12 @@ class TestCalibration:
         assert lat["l1_hit_cycles"] < lat["last_level_cycles"]
         assert lat["last_level_cycles"] < lat["memory_cycles_per_line"]
 
-    def test_l1_latency_matches_config(self):
-        m = generic_multicomputer("mesh", (2, 2))
-        lat = measure_memory_latencies(m, accesses=512)
-        assert lat["l1_hit_cycles"] == pytest.approx(
-            m.node.cache_levels[0].data.hit_cycles, rel=0.05)
+    def test_l1_latency_matches_config(self, generic_report):
+        l1 = generic_multicomputer("mesh", (2, 2)).node.cache_levels[0]
+        row = next(row for row in generic_report.rows
+                   if row["parameter"] == "l1_hit_cycles")
+        assert row["configured"] == l1.data.hit_cycles
+        assert row["measured"] == pytest.approx(row["configured"], rel=0.05)
 
     def test_link_fit_recovers_bandwidth(self):
         m = generic_multicomputer("mesh", (2, 2))
@@ -87,9 +95,8 @@ class TestCalibration:
         assert arith["double_div"] == pytest.approx(
             cpu.div_cycles[ArithType.DOUBLE])
 
-    def test_full_report(self):
-        report = calibrate(generic_multicomputer("mesh", (2, 2)))
-        text = report.format()
+    def test_full_report(self, generic_report):
+        text = generic_report.format()
         assert "l1_hit_cycles" in text
         assert "link_bandwidth" in text
-        assert all(r["relative_error"] < 0.5 for r in report.rows)
+        assert all(r["relative_error"] < 0.5 for r in generic_report.rows)

@@ -559,7 +559,7 @@ class TestHTTP:
         mgr, client = http_service()
         assert client.health() == {"ok": True}
         record = client.submit(SWEEP_REQUEST)
-        record = client.wait(record["id"], poll_s=0.05, timeout=120.0)
+        record = client.wait(record["id"], timeout=120.0)
         assert record["state"] == "done"
         result = client.result(record["id"])
         direct = expected_sweep_rows()
@@ -567,7 +567,7 @@ class TestHTTP:
             json.dumps(direct, sort_keys=True)
         # Warm re-submission: same key, all cache hits.
         warm = client.submit(SWEEP_REQUEST)
-        warm = client.wait(warm["id"], poll_s=0.05, timeout=120.0)
+        warm = client.wait(warm["id"], timeout=120.0)
         assert warm["key"] == record["key"]
         assert warm["cache"] == {"hits": 2, "misses": 0, "stores": 0}
 
@@ -576,7 +576,7 @@ class TestHTTP:
         record = client.submit(CHAOS_REQUEST)
         # baseline rung + severity ladder factors [0, 1]
         assert record["total"] == 3
-        record = client.wait(record["id"], poll_s=0.05, timeout=300.0)
+        record = client.wait(record["id"], timeout=300.0)
         assert record["state"] == "done"
         campaign = client.result(record["id"])["campaign"]
         assert campaign["campaign"] == "service-demo"
@@ -713,12 +713,145 @@ class TestHTTP:
     def test_metrics_endpoint(self, http_service):
         mgr, client = http_service()
         record = client.submit(SWEEP_REQUEST)
-        client.wait(record["id"], poll_s=0.05, timeout=120.0)
+        client.wait(record["id"], timeout=120.0)
         metrics = client.metrics()
         assert metrics["service.jobs.submitted.count"] == 1
         assert metrics["service.jobs.completed.count"] == 1
         assert metrics["service.jobs.failed.count"] == 0
         assert "service.records.total" in metrics
+
+
+# ---------------------------------------------------------------------------
+# Long poll: GET /v1/jobs/<id>?wait=<s>
+# ---------------------------------------------------------------------------
+
+def _gated_point(gate, machine, **kwargs):
+    """A sweep point runner that returns once the test opens ``gate``."""
+    gate.wait(60.0)
+    return {"gated": True}
+
+
+@pytest.fixture
+def gated(http_service, monkeypatch):
+    """A served manager whose sweep points block until ``gate.set()``;
+    its one worker runs them on the dispatch thread."""
+    import repro.cli
+    gate = threading.Event()
+    monkeypatch.setattr(repro.cli, "_sweep_point_runner",
+                        partial(_gated_point, gate))
+    mgr, client = http_service(executor=InProcessExecutor(workers=1))
+    yield mgr, client, gate
+    gate.set()
+
+
+def _running_job(mgr, client) -> str:
+    record = mgr.record(client.submit(SWEEP_REQUEST)["id"])
+    with record.cond:
+        assert record.cond.wait_for(lambda: record.state == "running", 60)
+    return record.job_id
+
+
+def _long_poll(client, job_id: str, seconds) -> dict:
+    return client._request("GET", f"/v1/jobs/{job_id}?wait={seconds}")
+
+
+def _get(client, path: str) -> tuple[bytes, bytes]:
+    """A raw GET's status line and body."""
+    reply = _raw_exchange(client, f"GET {path} HTTP/1.1\r\n\r\n".encode())
+    head, body = reply.split(b"\r\n\r\n", 1)
+    return head.split(b"\r\n", 1)[0], body
+
+
+#: (job state, query): answered at once, as a plain GET would be
+IMMEDIATE_CASES = [("done", ""), ("done", "?wait=0"), ("done", "?wait=5"),
+                   ("running", ""), ("running", "?wait=0")]
+
+
+class TestLongPoll:
+    """The record once the job ends or ``wait`` seconds pass, never
+    later; ``ServiceClient.wait`` is a loop of such polls."""
+
+    def test_answers_at_the_terminal_event_not_at_the_cap(self, gated):
+        mgr, client, gate = gated
+        job_id = _running_job(mgr, client)
+        released = []
+
+        def release() -> None:
+            released.append(time.monotonic())
+            gate.set()
+        threading.Timer(0.2, release).start()
+        record = _long_poll(client, job_id, 30)
+        assert record["state"] == "done"
+        assert time.monotonic() - released[0] < 0.5
+
+    def test_past_the_cap_a_running_record_and_wait_loops(self, gated,
+                                                          monkeypatch):
+        import repro.service.server
+        monkeypatch.setattr(repro.service.server, "_MAX_WAIT_S", 0.1)
+        mgr, client, gate = gated
+        job_id = _running_job(mgr, client)
+        start = time.monotonic()
+        assert _long_poll(client, job_id, 30)["state"] == "running"
+        assert 0.09 <= time.monotonic() - start < 5.0
+        paths = []
+        request = client._request
+        monkeypatch.setattr(client, "_request", lambda method, path: (
+            paths.append(path), request(method, path))[1])
+        threading.Timer(0.25, gate.set).start()
+        assert client.wait(job_id, timeout=60.0)["state"] == "done"
+        assert len(paths) >= 2
+        assert all(path.startswith(f"/v1/jobs/{job_id}?wait=")
+                   for path in paths)
+
+    @pytest.mark.parametrize("state, query", IMMEDIATE_CASES)
+    def test_answered_at_once_byte_identical_to_a_plain_get(
+            self, gated, state, query):
+        mgr, client, gate = gated
+        job_id = _running_job(mgr, client)
+        if state == "done":
+            gate.set()
+            assert mgr.record(job_id).wait(60.0) == "done"
+        plain = _get(client, f"/v1/jobs/{job_id}")
+        start = time.monotonic()
+        assert _get(client, f"/v1/jobs/{job_id}{query}") == plain
+        assert time.monotonic() - start < 0.5
+        assert json.loads(plain[1])["state"] == state
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "nan", ""])
+    def test_a_bad_wait_is_400(self, http_service, value):
+        mgr, client = http_service(autostart=False)
+        record = client.submit(SWEEP_REQUEST)
+        with pytest.raises(ServiceError) as info:
+            _long_poll(client, record["id"], value)
+        assert info.value.status == 400
+
+    def test_wait_timeout_is_408_naming_the_last_state(self, gated):
+        mgr, client, gate = gated
+        job_id = _running_job(mgr, client)
+        with pytest.raises(ServiceError) as info:
+            client.wait(job_id, timeout=0.2)
+        assert info.value.status == 408
+        assert "last state 'running'" in info.value.message
+
+    def test_close_releases_a_blocked_long_poll(self, http_service):
+        mgr, client = http_service(autostart=False)
+        baseline = threading.active_count()
+        job_id = client.submit(SWEEP_REQUEST)["id"]
+        answers = []
+        poller = threading.Thread(target=lambda: answers.append(
+            _long_poll(client, job_id, 30)))
+        poller.start()
+        deadline = time.monotonic() + 5.0
+        while threading.active_count() < baseline + 2:  # poller, handler
+            assert time.monotonic() < deadline, "the long poll never came"
+            time.sleep(0.01)
+        time.sleep(0.1)                 # into the record's wait
+        start = time.monotonic()
+        mgr.close()
+        poller.join(5.0)
+        assert time.monotonic() - start < 1.0
+        assert answers[0]["state"] == "cancelled"
+        _threads_back_to(baseline, "long poll released by close()")
 
 
 # ---------------------------------------------------------------------------
@@ -777,8 +910,7 @@ class TestCLI:
             (["submit", "chaos", *chaos_args], capsys.readouterr().out),
         ]
         for argv, expected in cases:
-            rc = main(argv + ["--server", cli_server, "--wait",
-                              "--poll", "0.05"])
+            rc = main(argv + ["--server", cli_server, "--wait"])
             record = json.loads(capsys.readouterr().out)
             assert rc == 0 and record["state"] == "done"
 
@@ -792,7 +924,7 @@ class TestCLI:
     def test_failed_job_exit_codes(self, cli_server, capsys):
         from repro.cli import main
         rc = main(SUBMIT_ARGS + ["--server", cli_server, "--timeout",
-                                 "1e-9", "--wait", "--poll", "0.05"])
+                                 "1e-9", "--wait"])
         record = json.loads(capsys.readouterr().out)
         assert rc == 1 and record["state"] == "failed"
         assert main(["status", record["id"],

@@ -124,6 +124,19 @@ class TestWorkerPool:
             assert pool._workers == []        # both were busy: both killed
             assert list(pool.imap(double, [1, 2])) == [2, 4]
 
+    @pytest.mark.parametrize("n_items", [3, 8])
+    def test_every_worker_is_busy_while_the_caller_holds_a_row(self,
+                                                                n_items):
+        """Regression: a finished worker got its next task only when the
+        caller asked for the next row, so it idled while the caller
+        stored the row it had just been given."""
+        with WorkerPool(workers=2) as pool:
+            results = pool.imap(functools.partial(sleep_then, 0.01),
+                                list(range(n_items)))
+            for _ in results:
+                if results.gi_frame.f_locals["pending"]:   # undispatched
+                    assert all(w.busy is not None for w in pool._workers)
+
     def test_workers_do_not_outlive_a_killed_parent(self):
         """Regression: a forked worker kept the parent's end of its own
         pipe open, never saw EOF, and blocked on ``recv`` forever once
