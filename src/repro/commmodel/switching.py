@@ -17,6 +17,13 @@ packet level on top of the kernel's FIFO link resources:
 Each engine exposes ``inject(message)``; delivery is reported through a
 callback so the network model can hand the message to the destination's
 abstract processor.
+
+Hot-path contract: a packet is one Pearl process, and each of its
+yields is exactly one scheduled kernel entry.  Per hop, the body
+allocates only what the schedule needs (the VC acquire event).  Each
+distinct node path resolves once to a cached route: a tuple of links
+with their per-hop constants (header cycles, the dateline VC).  Fault,
+tracer and sanitizer runs walk the same bodies.
 """
 
 from __future__ import annotations
@@ -61,6 +68,8 @@ class SwitchingEngine:
         self.packet_hops = TallyMonitor("packet_hops")
         self.messages_injected = 0
         self.messages_delivered = 0
+        # node path -> resolved route (see _resolve), one per distinct path
+        self._routes: dict[tuple[int, ...], tuple] = {}
 
     # -- public API -------------------------------------------------------
 
@@ -72,28 +81,46 @@ class SwitchingEngine:
         reliable transport's degraded-routing fallback steers retries
         around suspect links with it.
         """
+        src, dst = message.src, message.dst
+        if src == dst:
+            raise ConfigError(
+                f"message {message.id}: source equals destination ({src})")
         message.t_inject = self.sim.now
         self.messages_injected += 1
-        if message.src == message.dst:
-            raise ConfigError(
-                f"message {message.id}: source equals destination "
-                f"({message.src})")
         packets = message.split(self.cfg.packet_bytes, self.cfg.header_bytes)
+        fixed = self._route(path) if path is not None else None
+        routing = self.routing
+        process = self.sim.process
         for pkt in packets:
             # Per-packet path: deterministic routers return the cached
             # path, adaptive (random-minimal) routers sample a fresh one.
-            pkt_path = path if path is not None \
-                else self.routing.path(message.src, message.dst)
-            self.sim.process(
-                self._packet_process(pkt, pkt_path),
-                name=f"pkt{message.id}.{pkt.index}")
+            route = fixed if fixed is not None \
+                else self._route(routing.path(src, dst))
+            process(self._packet_process(pkt, route),
+                    name=f"pkt{message.id}.{pkt.index}")
 
     # -- per-strategy transfer process --------------------------------------
 
-    def _packet_process(self, pkt: Packet, path: list[int]):
+    def _resolve(self, path: tuple[int, ...]) -> tuple:
+        """The route a transfer process walks for ``path``: its links
+        with every per-hop constant the strategy needs precomputed."""
+        raise NotImplementedError
+
+    def _packet_process(self, pkt: Packet, route: tuple):
         raise NotImplementedError
 
     # -- shared helpers ---------------------------------------------------------
+
+    def _route(self, path: list[int]) -> tuple:
+        key = tuple(path)
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = self._resolve(key)
+        return route
+
+    def _path_links(self, path: tuple[int, ...]) -> list[Link]:
+        return [self.links[(path[i], path[i + 1])]
+                for i in range(len(path) - 1)]
 
     def _packet_done(self, pkt: Packet, t_start: float) -> None:
         self.packet_latency.record(self.sim.now - t_start)
@@ -145,23 +172,26 @@ class SwitchingEngine:
 class StoreAndForward(SwitchingEngine):
     """Full packet received at each hop before forwarding."""
 
-    def _packet_process(self, pkt: Packet, path: list[int]):
+    def _resolve(self, path: tuple[int, ...]) -> tuple:
+        # hops of (link, vc)
+        return tuple((link, link.vcs[0]) for link in self._path_links(path))
+
+    def _packet_process(self, pkt: Packet, route: tuple):
         t0 = self.sim.now
-        self.packet_hops.record(len(path) - 1)
+        self.packet_hops.record(len(route))
         routing_cycles = self.cfg.routing_cycles
         injector = self.injector
-        for i in range(len(path) - 1):
-            link = self.links[(path[i], path[i + 1])]
+        nbytes = pkt.total_bytes
+        for link, vc in route:
             if injector is not None:
                 verdict = yield from link.cross_faults(injector, pkt)
                 if verdict == "drop":
                     return
             if routing_cycles:
                 yield routing_cycles
-            vc = link.vcs[0]
             yield vc.acquire()
-            transfer = link.transfer_cycles(pkt.total_bytes)
-            link.account(pkt.total_bytes, transfer)
+            transfer = link.transfer_cycles(nbytes)
+            link.account(nbytes, transfer)
             yield transfer
             vc.release()
             if link.latency:
@@ -172,40 +202,43 @@ class StoreAndForward(SwitchingEngine):
 class VirtualCutThrough(SwitchingEngine):
     """Forward on header arrival; buffer the whole packet when blocked."""
 
-    def _packet_process(self, pkt: Packet, path: list[int]):
+    def _resolve(self, path: tuple[int, ...]) -> tuple:
+        # hops of (link, vc, header serialization cycles)
+        header_bytes = self.cfg.header_bytes
+        return tuple((link, link.vcs[0], link.transfer_cycles(header_bytes))
+                     for link in self._path_links(path))
+
+    def _packet_process(self, pkt: Packet, route: tuple):
         t0 = self.sim.now
-        self.packet_hops.record(len(path) - 1)
-        cfg = self.cfg
-        body_bytes = max(pkt.total_bytes - cfg.header_bytes, 0)
+        self.packet_hops.record(len(route))
+        routing_cycles = self.cfg.routing_cycles
+        nbytes = pkt.total_bytes
+        body_bytes = max(nbytes - self.cfg.header_bytes, 0)
         injector = self.injector
-        for i in range(len(path) - 1):
-            link = self.links[(path[i], path[i + 1])]
+        for link, vc, header_t in route:
             if injector is not None:
                 verdict = yield from link.cross_faults(injector, pkt)
                 if verdict == "drop":
                     return
-            if cfg.routing_cycles:
-                yield cfg.routing_cycles
-            vc = link.vcs[0]
-            # Released by the timeout callback below once the body
-            # streams past, which the static leak check cannot see.
+            if routing_cycles:
+                yield routing_cycles
+            # Released behind the body below, which the static leak
+            # check cannot see.
             yield vc.acquire()             # repro: noqa[PY012]
-            header_t = link.transfer_cycles(cfg.header_bytes)
             body_t = link.transfer_cycles(body_bytes)
-            link.account(pkt.total_bytes, header_t + body_t)
+            link.account(nbytes, header_t + body_t)
             yield header_t
             # The body streams behind the header: the link stays occupied
             # for body_t more cycles, but this packet's header moves on.
             if body_t > 0:
-                self.sim.timeout(body_t).add_callback(
-                    lambda _value, r=vc: r.release())
+                vc.release_after(body_t)
             else:
                 vc.release()
             if link.latency:
                 yield link.latency
         # Tail arrival at the destination.
         if body_bytes:
-            yield self.links[(path[-2], path[-1])].transfer_cycles(body_bytes)
+            yield route[-1][0].transfer_cycles(body_bytes)
         self._packet_done(pkt, t0)
 
 
@@ -220,48 +253,55 @@ class Wormhole(SwitchingEngine):
 
     n_vcs = 2
 
-    def _packet_process(self, pkt: Packet, path: list[int]):
-        t0 = self.sim.now
-        self.packet_hops.record(len(path) - 1)
-        cfg = self.cfg
-        held = []
+    def _resolve(self, path: tuple[int, ...]) -> tuple:
+        """``(hops, bottleneck)``: hops of (link, vc, flit cycles, header
+        flit cycles incl. wire latency), the VC already switched past a
+        dateline; the slowest link sets the body's streaming rate."""
+        flit_bytes = self.cfg.flit_bytes
+        hops = []
         vc_index = 0
-        last_link = None
+        for i, link in enumerate(self._path_links(path)):
+            flit_t = link.transfer_cycles(flit_bytes)
+            hops.append((link, link.vcs[vc_index], flit_t,
+                         flit_t + link.latency))
+            if self.topo.is_wrap_edge(path[i], path[i + 1]):
+                vc_index = 1
+        bottleneck = min((hop[0] for hop in hops),
+                         key=lambda link: link.bandwidth)
+        return tuple(hops), bottleneck
+
+    def _packet_process(self, pkt: Packet, route: tuple):
+        t0 = self.sim.now
+        hops, bottleneck = route
+        self.packet_hops.record(len(hops))
+        cfg = self.cfg
+        routing_cycles = cfg.routing_cycles
+        nbytes = pkt.total_bytes
+        held = []
         injector = self.injector
         try:
-            for i in range(len(path) - 1):
-                u, v = path[i], path[i + 1]
-                link = self.links[(u, v)]
-                last_link = link
+            for link, vc, _flit_t, header_t in hops:
                 if injector is not None:
                     # A dropped worm releases its partial path through
                     # the finally below (tail never advances).
                     verdict = yield from link.cross_faults(injector, pkt)
                     if verdict == "drop":
                         return
-                if cfg.routing_cycles:
-                    yield cfg.routing_cycles
-                vc = link.vcs[vc_index]
+                if routing_cycles:
+                    yield routing_cycles
                 # Released through the `held` list in the finally
                 # below, which the static leak check cannot see.
                 yield vc.acquire()         # repro: noqa[PY012]
                 held.append(vc)
                 # Header flit crosses this hop.
-                yield link.transfer_cycles(cfg.flit_bytes) + link.latency
-                if self.topo.is_wrap_edge(u, v):
-                    vc_index = 1
+                yield header_t
             # Path is held end to end: stream the body (everything after
             # the header flit) through the pipeline, at the bottleneck
             # link's rate (links may differ, e.g. fat-tree levels).
-            body_bytes = max(pkt.total_bytes - cfg.flit_bytes, 0)
-            body_t = max(self.links[(path[i], path[i + 1])]
-                         .transfer_cycles(body_bytes)
-                         for i in range(len(path) - 1))
-            for i in range(len(path) - 1):
-                link = self.links[(path[i], path[i + 1])]
-                link.account(
-                    pkt.total_bytes,
-                    link.transfer_cycles(cfg.flit_bytes) + body_t)
+            body_t = bottleneck.transfer_cycles(
+                max(nbytes - cfg.flit_bytes, 0))
+            for link, _vc, flit_t, _header_t in hops:
+                link.account(nbytes, flit_t + body_t)
             if body_t:
                 yield body_t
         finally:

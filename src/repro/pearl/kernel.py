@@ -91,13 +91,17 @@ class Event:
             raise SimulationError(f"event {self.name!r} triggered twice")
         self.triggered = True
         self.value = value
-        sim = self.sim
-        for proc in self._waiters:
-            sim._schedule(sim.now, proc, value)
-        self._waiters.clear()
-        for cb in self._callbacks:
-            cb(value)
-        self._callbacks.clear()
+        waiters = self._waiters
+        if waiters:
+            sim = self.sim
+            for proc in waiters:
+                sim._schedule(sim.now, proc, value)
+            waiters.clear()
+        callbacks = self._callbacks
+        if callbacks:
+            for cb in callbacks:
+                cb(value)
+            callbacks.clear()
 
     def add_callback(self, fn: Callable[[Any], None]) -> None:
         """Call ``fn(value)`` when the event triggers (immediately if it has)."""
@@ -167,23 +171,49 @@ class Process:
     simulation time current when it was created (it is scheduled, not run
     inline).  When the generator returns, :attr:`result` holds its return
     value and :attr:`terminated` (an :class:`Event`) is triggered with it.
+    A finished process drops its generator (``gen`` becomes ``None``):
+    the simulator keeps every process for its deadlock report, and a
+    spent frame per packet is memory nobody can use.
     """
 
-    __slots__ = ("sim", "name", "gen", "terminated", "alive", "result",
-                 "_scheduled", "_blocked_on", "_send")
+    __slots__ = ("sim", "name", "gen", "alive", "result",
+                 "_scheduled", "_blocked_on", "_send", "_terminated")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str) -> None:
         self.sim = sim
         self.name = name
-        self.gen = gen
+        self.gen: Optional[Generator] = gen
         # The dispatch loops resume the generator millions of times; one
         # cached bound method replaces two attribute lookups per resume.
-        self._send = gen.send
-        self.terminated = Event(sim, f"{name}.terminated")
+        self._send: Optional[Callable[[Any], Any]] = gen.send
         self.alive = True
         self.result: Any = None
         self._scheduled = False      # has a pending resume on the event heap
         self._blocked_on: Optional[Event] = None
+        # Built on first access: most processes (one per packet) are
+        # never joined, and an Event per process is pure overhead.
+        self._terminated: Optional[Event] = None
+
+    @property
+    def terminated(self) -> Event:
+        """Triggered with :attr:`result` when the process ends (with
+        ``None`` if it was killed); already triggered if read after."""
+        ev = self._terminated
+        if ev is None:
+            ev = self._terminated = Event(self.sim, f"{self.name}.terminated")
+            if not self.alive:
+                ev.triggered = True
+                ev.value = self.result
+        return ev
+
+    def _finish(self, value: Any) -> None:
+        """Mark the process ended and wake whatever joined it."""
+        self.alive = False
+        self.gen = self._send = None
+        self.sim._live -= 1
+        ev = self._terminated
+        if ev is not None and not ev.triggered:
+            ev.trigger(value)
 
     # -- scheduling ------------------------------------------------------
 
@@ -199,15 +229,11 @@ class Process:
         try:
             item = self._send(value)
         except StopIteration as stop:
-            self.alive = False
             self.result = stop.value
-            sim._live -= 1
-            self.terminated.trigger(stop.value)
+            self._finish(stop.value)
             return
         except ProcessKilledError:
-            self.alive = False
-            sim._live -= 1
-            self.terminated.trigger(None)
+            self._finish(None)
             return
         # Dispatch on the yielded item.  Numbers are by far the hot case.
         if item is None:
@@ -268,13 +294,10 @@ class Process:
                 except RuntimeError:
                     pass
         finally:
-            self.alive = False
-            self.sim._live -= 1
             if self._scheduled:
                 self._scheduled = False
                 self.sim._drop_scheduled(self)
-            if not self.terminated.triggered:
-                self.terminated.trigger(None)
+            self._finish(None)
         if trapped:
             raise SimulationError(
                 f"process {self.name!r} trapped ProcessKilledError and "
@@ -618,40 +641,35 @@ class Simulator:
                 try:
                     item = target._send(value)
                 except StopIteration as stop:
-                    target.alive = False
                     target.result = stop.value
-                    self._live -= 1
-                    target.terminated.trigger(stop.value)
+                    target._finish(stop.value)
                     continue
                 except ProcessKilledError:
-                    target.alive = False
-                    self._live -= 1
-                    target.terminated.trigger(None)
+                    target._finish(None)
                     continue
+                # Interpret the yield: a hold pushes onto the heap; a
+                # blocking wait parks the process; every same-time
+                # resume falls through to one ring slot below.
                 cls = item.__class__
                 if cls is float or cls is int:
                     if item > 0:
                         seq = self._seq = self._seq + 1
                         target._scheduled = True
                         push(heap, (time + item, seq, target, None))
-                    elif item == 0:
-                        seq = self._seq = self._seq + 1
-                        target._scheduled = True
-                        self._ring_append(target, None, seq)
-                    else:
+                        continue
+                    if item != 0:
                         raise SimTimeError(
                             f"process {target.name!r} yielded negative "
                             f"delay {float(item)}")
+                    value = None
                 elif item is None:
-                    seq = self._seq = self._seq + 1
-                    target._scheduled = True
-                    self._ring_append(target, None, seq)
+                    value = None
                 elif isinstance(item, Event):
-                    if item.triggered:
-                        self._schedule(time, target, item.value)
-                    else:
+                    if not item.triggered:
                         item._waiters.append(target)
                         target._blocked_on = item
+                        continue
+                    value = item.value
                 else:
                     try:
                         delay = float(item)
@@ -663,9 +681,26 @@ class Simulator:
                         raise SimTimeError(
                             f"process {target.name!r} yielded negative "
                             f"delay {delay}")
-                    seq = self._seq = self._seq + 1
-                    target._scheduled = True
-                    push(heap, (time + delay, seq, target, None))
+                    when = time + delay
+                    if when != time:
+                        seq = self._seq = self._seq + 1
+                        target._scheduled = True
+                        push(heap, (when, seq, target, None))
+                        continue
+                    # A zero of another numeric type (numpy) is a
+                    # same-time resume too, as in _schedule.
+                    value = None
+                # Same-time resume: _schedule's ring branch, inlined.
+                seq = self._seq = self._seq + 1
+                target._scheduled = True
+                tail = self._ring_tail
+                if tail - self._ring_head > self._ring_mask:
+                    self._ring_grow()
+                i = tail & self._ring_mask
+                self._ring_t[i] = target
+                self._ring_v[i] = value
+                self._ring_s[i] = seq
+                self._ring_tail = tail + 1
             else:
                 target(value)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from .errors import SimulationError
+from .errors import SimTimeError, SimulationError
 from .kernel import Event, Simulator
 
 __all__ = ["Resource"]
@@ -34,7 +34,7 @@ class Resource:
 
     __slots__ = ("sim", "name", "capacity", "_in_use", "_queue",
                  "acquisitions", "_busy_time", "_last_change", "_busy_since",
-                 "max_queue_len", "total_wait_time")
+                 "max_queue_len", "total_wait_time", "_acquire_name")
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = "") -> None:
         if capacity < 1:
@@ -50,6 +50,7 @@ class Resource:
         self._busy_since: Optional[float] = None
         self.max_queue_len = 0
         self.total_wait_time = 0.0
+        self._acquire_name = f"{self.name}.acquire"
 
     # -- accounting ---------------------------------------------------------
 
@@ -80,47 +81,78 @@ class Resource:
             raise SimulationError(
                 f"cannot acquire {units} units of {self.name!r} "
                 f"(capacity {self.capacity})")
-        ev = Event(self.sim, f"{self.name}.acquire")
-        granted = not self._queue and self._in_use + units <= self.capacity
+        sim = self.sim
+        ev = Event(sim, self._acquire_name)
+        queue = self._queue
+        in_use = self._in_use
+        granted = not queue and in_use + units <= self.capacity
         if granted:
-            self._account()
-            self._in_use += units
+            # _account(), inlined: this is every packet hop's path.
+            now = sim.now
+            if in_use > 0:
+                self._busy_time += (now - self._last_change) * (
+                    in_use / self.capacity)
+            self._last_change = now
+            self._in_use = in_use + units
             self.acquisitions += 1
-            ev.trigger(None)
+            # Nobody can be waiting on an event this call just built:
+            # mark it triggered without the trigger() round trip.
+            ev.triggered = True
         else:
-            self._queue.append((ev, units, self.sim.now))
-            if len(self._queue) > self.max_queue_len:
-                self.max_queue_len = len(self._queue)
-        sanitizer = self.sim.sanitizer
+            queue.append((ev, units, sim.now))
+            if len(queue) > self.max_queue_len:
+                self.max_queue_len = len(queue)
+        sanitizer = sim.sanitizer
         if sanitizer is not None:
-            sanitizer.record_resource(self.name, self.sim.now, granted,
-                                      process=self.sim.current_process)
-        tracer = self.sim.tracer
+            sanitizer.record_resource(self.name, sim.now, granted,
+                                      process=sim.current_process)
+        tracer = sim.tracer
         if tracer is not None:
-            tracer.resource_acquire(self.sim.now, self.name, granted,
+            tracer.resource_acquire(sim.now, self.name, granted,
                                     self._in_use)
         return ev
 
     def release(self, units: int = 1) -> None:
         """Return ``units`` of capacity and grant queued requests (FIFO)."""
-        if units > self._in_use:
+        in_use = self._in_use
+        if units > in_use:
             raise SimulationError(
-                f"release of {units} exceeds in-use {self._in_use} "
+                f"release of {units} exceeds in-use {in_use} "
                 f"on {self.name!r}")
-        self._account()
-        self._in_use -= units
-        self._grant_queued()
-        tracer = self.sim.tracer
+        # _account(), inlined: this is every packet hop's path.
+        sim = self.sim
+        now = sim.now
+        if in_use > 0:
+            self._busy_time += (now - self._last_change) * (
+                in_use / self.capacity)
+        self._last_change = now
+        self._in_use = in_use - units
+        if self._queue:
+            self._grant_queued()
+        tracer = sim.tracer
         if tracer is not None:
-            tracer.resource_release(self.sim.now, self.name, self._in_use)
+            tracer.resource_release(now, self.name, self._in_use)
+
+    def release_after(self, delay: float, units: int = 1) -> None:
+        """Release ``units`` of capacity ``delay`` time units from now.
+
+        One scheduled bound callback (:meth:`release` itself), with no
+        event and no process: the same single heap entry a
+        :meth:`Simulator.timeout` would take, minus its objects.
+        """
+        if delay < 0:
+            raise SimTimeError(f"negative release delay {delay}")
+        sim = self.sim
+        sim._schedule_call(sim.now + delay, self.release, units)
 
     def _grant_queued(self) -> None:
         # Strict FIFO: grant from the head only, never skip ahead.
-        while self._queue:
-            ev, need, t_enq = self._queue[0]
+        queue = self._queue
+        while queue:
+            ev, need, t_enq = queue[0]
             if self._in_use + need > self.capacity:
                 break
-            self._queue.popleft()
+            queue.popleft()
             self._in_use += need
             self.acquisitions += 1
             self.total_wait_time += self.sim.now - t_enq

@@ -121,6 +121,30 @@ class TestGoldenScenarios:
 
         assert_equivalent(scenario)
 
+    def test_numpy_zero_delay_resumes_behind_ready_entries(self):
+        """A zero hold of a non-builtin numeric type is a same-time
+        resume: it queues behind entries already ready at ``now``."""
+        import numpy as np
+
+        def scenario(sim):
+            log = []
+
+            def other():
+                log.append(("other", sim.now))
+                yield 0
+
+            def holder():
+                yield 1.0
+                sim.process(other(), name="other")
+                yield np.float64(0.0)
+                log.append(("holder", sim.now))
+
+            sim.process(holder(), name="holder")
+            return lambda: log
+
+        log = assert_equivalent(scenario)[0]
+        assert log == [("other", 1.0), ("holder", 1.0)]
+
     def test_timer_anyof_kill_mix(self):
         """Timers racing events, cancellations and mid-run kills."""
 

@@ -247,6 +247,66 @@ class TestProcesses:
         sim.run()
         assert p.result == 99
 
+    def test_terminated_read_after_finish_returns_result(self, sim):
+        """``terminated`` is built on first read: read after the end it
+        is already triggered with the result."""
+        def child():
+            yield 1.0
+            return 7
+
+        c = sim.process(child())
+
+        def parent():
+            yield 5.0
+            assert not c.alive
+            value = yield c.terminated
+            return value, sim.now
+
+        p = sim.process(parent())
+        sim.run()
+        assert p.result == (7, 5.0)
+
+    def test_all_of_over_finished_and_live_terminated(self, sim):
+        def child(delay, value):
+            yield delay
+            return value
+
+        early = sim.process(child(1.0, "early"))
+
+        def parent():
+            yield 2.0
+            late = sim.process(child(3.0, "late"))
+            values = yield sim.all_of([early.terminated, late.terminated])
+            return values, sim.now
+
+        p = sim.process(parent())
+        sim.run()
+        assert p.result == (["early", "late"], 5.0)
+
+    def test_terminated_read_after_kill_is_triggered_with_none(self, sim):
+        def proc():
+            yield 10.0
+            return "never"
+
+        p = sim.process(proc())
+        sim.run(until=1.0)
+        p.kill()
+        assert p.terminated.triggered
+        assert p.terminated.value is None
+        assert p.result is None
+
+    def test_finished_process_drops_its_generator(self, sim):
+        def proc():
+            yield 1.0
+            return "done"
+
+        p = sim.process(proc())
+        assert p.gen is not None
+        sim.run()
+        assert p.gen is None
+        assert p.result == "done"
+        assert p.terminated.value == "done"
+
     def test_kill_blocked_process(self, sim):
         ev = sim.event()
         cleaned = []

@@ -266,6 +266,48 @@ class TestKillSafety:
         assert log == [("small", 3.0)]
         assert res.in_use == 0
 
+    def test_kill_between_grant_and_resume_releases(self, sim):
+        """An immediate grant is an already-triggered event: the holder
+        resumes from the ring, and a kill that lands before that resume
+        must still return the capacity (and drop the resume)."""
+        res = Resource(sim, capacity=1, name="bus")
+        log = []
+
+        def victim():
+            yield from res.use(100.0)
+            log.append("victim-done")
+
+        def killer(proc):
+            proc.kill()
+            yield 0.0
+
+        def queued_victim():
+            yield from res.use(100.0)
+            log.append("queued-victim-done")
+
+        def successor():
+            yield 1.0
+            yield res.acquire()
+            log.append(("got", sim.now))
+            res.release()
+
+        proc = sim.process(victim())
+        # Runs after the victim's grant, before its ring resume.
+        sim.process(killer(proc))
+        sim.process(successor())
+        sim.run()
+        assert log == [("got", 1.0)]
+        assert res.in_use == 0 and res.acquisitions == 2
+
+        # And a request still queued behind a holder, killed: no leak.
+        holder = sim.process(victim())
+        queued = sim.process(queued_victim())
+        sim.run(until=sim.now + 10.0)
+        assert res.queue_length == 1
+        queued.kill()
+        holder.kill()
+        assert res.in_use == 0 and res.queue_length == 0
+
     def test_cancel_of_granted_event_is_refused(self, sim):
         res = Resource(sim, capacity=1)
         results = []

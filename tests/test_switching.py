@@ -5,8 +5,18 @@ from __future__ import annotations
 import pytest
 
 from repro.commmodel import MultiNodeModel
-from repro.core.config import MachineConfig, NetworkConfig, TopologyConfig
+from repro.commmodel.message import Message
+from repro.commmodel.routing import make_routing
+from repro.commmodel.switching import make_switching
+from repro.core.config import (
+    ConfigError,
+    MachineConfig,
+    NetworkConfig,
+    TopologyConfig,
+)
+from repro.faults import DownWindow, FaultInjector, FaultPlan
 from repro.operations import recv, send
+from repro.topology import build_topology
 
 
 def machine(switching: str, *, kind="mesh", dims=(8, 1), **net_kw
@@ -39,6 +49,19 @@ def one_way_latency(switching: str, size: int, hops: int, **net_kw) -> float:
     streams[hops] = [recv(0)]
     net.run(streams)
     return net.message_latency.mean
+
+
+def bare_engine(sim, switching: str, plan=None, **machine_kw):
+    """A switching engine on ``sim`` with no NICs; returns it and the
+    ``(message id, delivery time)`` log its deliver callback fills."""
+    net = machine(switching, **machine_kw).network
+    topo = build_topology(net.topology)
+    injector = FaultInjector(plan, topo, sim) if plan is not None else None
+    delivered: list[tuple[int, float]] = []
+    engine = make_switching(sim, net, topo, make_routing(net.routing, topo),
+                            lambda msg: delivered.append((msg.id, sim.now)),
+                            injector=injector)
+    return engine, delivered
 
 
 class TestUncontendedLatency:
@@ -198,3 +221,39 @@ class TestErrors:
         net = MultiNodeModel(m)
         with pytest.raises(Exception):
             net.run([[send(64, 0)], [], []])
+
+    def test_rejected_message_is_not_counted(self, sim):
+        engine, _ = bare_engine(sim, "wormhole", dims=(3, 1))
+        msg = Message(1, 1, 64, synchronous=False)
+        with pytest.raises(ConfigError, match="source equals destination"):
+            engine.inject(msg)
+        assert engine.messages_injected == 0
+        assert msg.t_inject == 0.0 and msg.n_packets == 0
+        assert sim.live_processes == 0
+
+
+class TestVirtualCutThroughRelease:
+    def test_release_behind_a_down_window_still_frees_the_vc(self, sim):
+        """A VCT body releases its VC on schedule even while the header
+        waits out a down window one hop further on."""
+        plan = FaultPlan(link_down=[DownWindow(5.0, 500.0, src=1, dst=2)])
+        engine, delivered = bare_engine(sim, "virtual_cut_through", plan,
+                                        dims=(3, 1))
+        far = Message(0, 2, 256, synchronous=False)
+        near = Message(0, 1, 256, synchronous=False)
+
+        def driver():
+            engine.inject(far)
+            yield 10.0
+            engine.inject(near)
+
+        sim.process(driver())
+        sim.run()
+        # far: routing 2 + header 2 on 0->1 (body frees the VC at 68),
+        # link latency 1, then waits to 500 for 1->2; 2 + 2 + 1 + 64.
+        # near: queued on 0->1 from 12 to 68, then 2 + 1 + 64.
+        assert delivered == [(near.id, 135.0), (far.id, 569.0)]
+        assert engine.injector.down_waits == 1
+        vcs = [vc for link in engine.links.values() for vc in link.vcs]
+        assert all(vc.in_use == 0 and vc.queue_length == 0 for vc in vcs)
+        assert sum(vc.acquisitions for vc in vcs) == 3
