@@ -23,13 +23,14 @@ byte-identical for any worker count.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ..check.diagnostics import Diagnostic, Report, reports_to_dict
 from ..core.config import MachineConfig
+from ..parallel.cache import row_entry
+from ..store import Store
 from .analyzer import compute_bounds
 from .passes import DEFAULT_GAP_THRESHOLD, cross_check
 
@@ -66,21 +67,18 @@ def _resolve_workload(workload_id: str, n_nodes: int) -> Optional[Any]:
                                seed=seed).generate_task_level(rounds)
 
 
-def _audit_entry(path_str: str,
+def _audit_entry(key: str, store: Store,
                  gap_threshold: Optional[float] = DEFAULT_GAP_THRESHOLD
                  ) -> Dict[str, Any]:
-    """Audit one cache entry file (module-level: picklable)."""
-    path = Path(path_str)
-    try:
-        entry = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return {"key": path.stem, "status": "skipped",
-                "reason": "unreadable cache entry", "diagnostics": []}
-    key = str(entry.get("key", path.stem))
+    """Audit one cache entry (module-level: picklable)."""
     row: Dict[str, Any] = {"key": key, "status": "skipped",
                            "diagnostics": []}
-    metrics = entry.get("metrics")
-    if not isinstance(metrics, dict) or "total_cycles" not in metrics:
+    entry = store.get(key, row_entry)
+    if entry is None:
+        row["reason"] = "unreadable cache entry"
+        return row
+    metrics = entry["metrics"]
+    if "total_cycles" not in metrics:
         row["reason"] = "no total_cycles metric"
         return row
     if any(k in metrics for k in _FAULT_METRIC_KEYS):
@@ -192,7 +190,8 @@ def audit_cache(cache_dir: str, workers: int = 1,
     root = Path(cache_dir).expanduser()
     if not root.is_dir():
         raise FileNotFoundError(f"no cache directory at {root}")
-    paths = sorted(str(p) for p in root.glob("*/*.json"))
-    fn = functools.partial(_audit_entry, gap_threshold=gap_threshold)
-    rows = run_sharded(fn, paths, workers=workers)
+    store = Store(root)
+    fn = functools.partial(_audit_entry, store=store,
+                           gap_threshold=gap_threshold)
+    rows = run_sharded(fn, store.keys(), workers=workers)
     return AuditResult(cache_dir=str(root), rows=rows)

@@ -94,18 +94,16 @@ def lint_file(path: Path, cache: Optional[LintCache] = None,
     """
     subject = label if label is not None else str(path)
     raw = path.read_bytes()
-    key = lint_key(raw) if cache is not None else None
-    if cache is not None and key is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            diags, suppressed = hit
-            report = Report(subject=subject)
-            report.extend(diags)
-            return FileLint(report=report, suppressed=suppressed,
-                            cached=True)
+    if cache is None:
+        return lint_source(raw.decode("utf-8"), subject)
+    key = lint_key(raw)
+    hit = cache.get(key)
+    if hit is not None:
+        report = Report(subject=subject)
+        report.extend(hit[0])
+        return FileLint(report=report, suppressed=hit[1], cached=True)
     result = lint_source(raw.decode("utf-8"), subject)
-    if cache is not None and key is not None:
-        cache.put(key, result.report.diagnostics, result.suppressed)
+    cache.put(key, result.report.diagnostics, result.suppressed)
     return result
 
 

@@ -7,20 +7,20 @@ file's findings are cached under
 package — editing any analyzer source invalidates every entry, exactly
 like the sweep cache's ``code_version``.  Entries store serialized
 diagnostics *before* baseline filtering (baselines can change without
-re-analyzing), plus the suppression count.  Layout and atomic-write
-discipline follow :class:`repro.parallel.cache.ResultCache`.
+re-analyzing), plus the suppression count.  Entries live in a
+:class:`repro.store.Store`, so a damaged one is a counted miss.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
-from ...parallel.cache import CacheStats, atomic_write_text, sources_digest
+from ...parallel.cache import sources_digest
+from ...store import Store
 from ..diagnostics import Diagnostic
 
 __all__ = ["LintCache", "lint_key", "lint_rules_version"]
@@ -45,38 +45,21 @@ def lint_key(source_bytes: bytes, version: Optional[str] = None) -> str:
 class LintCache:
     """Directory-backed store of per-file lint findings."""
 
-    def __init__(self, root: str | os.PathLike) -> None:
-        self.root = Path(root).expanduser()
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.stats = CacheStats()
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    def __init__(self, root: str | os.PathLike[str]) -> None:
+        self.store = Store(root)
+        self.stats = self.store.stats
 
     def get(self, key: str) -> Optional[tuple[list[Diagnostic], int]]:
         """Cached ``(diagnostics, n_suppressed)``, or ``None`` on miss."""
-        try:
-            with open(self._path(key)) as fp:
-                entry = json.load(fp)
-            diags = [Diagnostic.from_dict(d)
-                     for d in entry["diagnostics"]]
-            suppressed = int(entry["suppressed"])
-        except (OSError, json.JSONDecodeError, KeyError, ValueError):
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return diags, suppressed
+        return self.store.get(key, lambda entry: (
+            [Diagnostic.from_dict(d) for d in entry["diagnostics"]],
+            int(entry["suppressed"])))
 
     def put(self, key: str, diagnostics: list[Diagnostic],
             suppressed: int) -> None:
-        entry = {
+        self.store.put(key, {
             "key": key,
             "rules_version": lint_rules_version(),
             "suppressed": suppressed,
             "diagnostics": [d.to_dict() for d in diagnostics],
-        }
-        atomic_write_text(self._path(key), json.dumps(entry, indent=2))
-        self.stats.stores += 1
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        })

@@ -25,7 +25,6 @@ Normally reached through ``Sweep.run(runner, workers=..., cache=...)``
 """
 
 from .cache import (
-    CacheStats,
     ResultCache,
     code_version,
     result_key,
@@ -52,7 +51,7 @@ from .runner import (
 )
 
 __all__ = [
-    "CacheStats", "Executor", "ExecutorError", "InProcessExecutor",
+    "Executor", "ExecutorError", "InProcessExecutor",
     "JobSpec", "JobState", "JobStatus", "LocalAsyncExecutor",
     "ParallelSweepRunner", "ResultCache", "SweepVariantError",
     "TERMINAL_STATES", "WorkerCrashed", "WorkerPool",

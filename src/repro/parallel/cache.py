@@ -15,10 +15,6 @@ sweep only simulates variants whose key changed.
   default derived from the runner's qualified name).
 * The code version is a digest over the ``repro`` package sources, so
   editing the simulator invalidates every entry automatically.
-
-Entries are JSON files under ``<root>/<key[:2]>/<key>.json`` — safe to
-share between concurrent processes (writes go through ``os.replace``)
-and to delete wholesale at any time.
 """
 
 from __future__ import annotations
@@ -26,15 +22,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Optional
 
 from ..core.config import MachineConfig
+from ..store import Store
 
-__all__ = ["CacheStats", "ResultCache", "code_version", "result_key",
+__all__ = ["ResultCache", "code_version", "result_key", "row_entry",
            "sources_digest"]
 
 
@@ -95,40 +90,15 @@ def result_key(machine: MachineConfig, workload_id: str,
     return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Replace ``path`` with ``text`` atomically (creating its
-    directory); last writer wins.
-
-    The temp name is per writer (process and thread), so concurrent
-    writers of one path — two sweeps storing the same row, two service
-    frontends finishing the same job key — never share a temp file, and
-    a reader sees either no file or a complete one.  A write that fails
-    (full disk) removes its temp file and leaves ``path`` as it was.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    except OSError:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss/store counters for one :class:`ResultCache` instance."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-
-    def format(self) -> str:
-        return f"{self.hits} hits, {self.misses} misses, {self.stores} stored"
+def row_entry(entry: dict[str, Any]) -> dict[str, Any]:
+    """Decode a row entry: its ``metrics`` must be an object."""
+    if not isinstance(entry["metrics"], dict):
+        raise TypeError("cache entry metrics is not an object")
+    return entry
 
 
 class ResultCache:
-    """Directory-backed store of sweep metric rows, addressed by key.
+    """Sweep metric rows by key, in a :class:`~repro.store.Store`.
 
     ::
 
@@ -141,12 +111,8 @@ class ResultCache:
     """
 
     def __init__(self, root: str | os.PathLike) -> None:
-        self.root = Path(root).expanduser()
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.stats = CacheStats()
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        self.store = Store(root)
+        self.root, self.stats = self.store.root, self.store.stats
 
     def key_for(self, machine: MachineConfig, workload_id: str,
                 faults=None, certificate: Optional[str] = None) -> str:
@@ -155,31 +121,11 @@ class ResultCache:
 
     def get(self, key: str) -> Optional[dict]:
         """The cached metric row for ``key``, or ``None`` on a miss."""
-        path = self._path(key)
-        try:
-            with open(path) as fp:
-                entry = json.load(fp)
-        except (OSError, json.JSONDecodeError):
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return entry["metrics"]
+        entry = self.store.get(key, row_entry)
+        return None if entry is None else entry["metrics"]
 
     def put(self, key: str, metrics: dict,
             meta: Optional[dict] = None) -> None:
         """Store one metric row (atomically; last writer wins)."""
-        entry = {"key": key, "metrics": metrics,
-                 "code_version": code_version(), **(meta or {})}
-        atomic_write_text(self._path(key),
-                          json.dumps(entry, indent=2, default=float))
-        self.stats.stores += 1
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
-
-    def clear(self) -> None:
-        for path in self.root.glob("*/*.json"):
-            path.unlink()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<ResultCache {str(self.root)!r} {self.stats.format()}>"
+        self.store.put(key, {"key": key, "metrics": metrics,
+                             "code_version": code_version(), **(meta or {})})

@@ -34,9 +34,10 @@ import itertools
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Iterator, Optional, Sequence
 
+from ..store import CacheStats
 from .cache import ResultCache
 from .pool import WorkerCrashed, WorkerPool
 from .runner import Point, Runner, run_cached_sweep
@@ -242,12 +243,6 @@ def _as_cache(cache: Any) -> Optional[ResultCache]:
     return ResultCache(str(cache))
 
 
-def _stats_snapshot(cache: Optional[ResultCache]) -> tuple[int, int, int]:
-    if cache is None:
-        return (0, 0, 0)
-    return (cache.stats.hits, cache.stats.misses, cache.stats.stores)
-
-
 def _crash_outcome(crash: WorkerCrashed) -> tuple[str, dict, float]:
     """The error outcome of a variant that exhausted its crash budget."""
     return "error", {"error": f"WorkerCrashed: variant {crash}"}, 0.0
@@ -390,27 +385,23 @@ class Executor:
     # -- the job body --------------------------------------------------
 
     def _run_job(self, job: JobState, spec: JobSpec) -> None:
-        # Explicit None check: an *empty* ResultCache is falsy (__len__).
-        cache = _as_cache(spec.cache)
-        if cache is None:
-            cache = self.cache
+        cache = _as_cache(spec.cache) or self.cache
         imap = functools.partial(self._pool.imap,
                                  check_abort=job.check_abort,
                                  on_crash=_crash_outcome)
+        stats = cache.stats if cache is not None else CacheStats()
 
         def body() -> None:
-            base = _stats_snapshot(cache)
+            base = asdict(stats)
             try:
                 job.rows = run_cached_sweep(
                     imap, spec.runner, list(spec.points), cache=cache,
                     workload_id=spec.workload_id, on_error=spec.on_error,
                     progress=job.progress, timing=spec.timing)
             finally:
-                after = _stats_snapshot(cache)
                 with job.cond:
-                    job.cache = {"hits": after[0] - base[0],
-                                 "misses": after[1] - base[1],
-                                 "stores": after[2] - base[2]}
+                    job.cache = {name: n - base[name]
+                                 for name, n in asdict(stats).items()}
 
         job.run(body, spec.timeout_s if spec.timeout_s is not None
                 else self.job_timeout_s)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import logging
 import threading
 from pathlib import Path
 from typing import Any, Optional
@@ -35,12 +36,14 @@ from ..chaos.runner import AppCampaignRunner, ChaosResult, campaign_points
 from ..chaos.spec import as_campaign_spec
 from ..observe import MetricRegistry
 from ..parallel import ResultCache
-from ..parallel.cache import atomic_write_text
 from ..parallel.executor import Executor, JobSpec, JobState
+from ..store import Store
 from .scheduler import JobScheduler, QuotaExceeded
 
 __all__ = ["JobManager", "JobRecord", "ResultStore", "ServiceError",
            "canonical_request", "job_key"]
+
+_log = logging.getLogger(__name__)
 
 
 class ServiceError(RuntimeError):
@@ -219,43 +222,30 @@ class JobRecord(JobState):
 class ResultStore:
     """Content-addressed persistence: variant rows + job records.
 
-    Promotes the sweep :class:`~repro.parallel.ResultCache` to the
-    service's row store (``<root>/rows/``, shared with CLI and
-    in-process runs — warm re-submissions hit it) and adds a job-record
-    store (``<root>/jobs/<key[:2]>/<key>.json``) addressed by
-    :func:`job_key`, so re-submitting the same request against the same
-    code version lands on the same record path.
+    ``<root>/rows/`` is the sweep :class:`~repro.parallel.ResultCache`
+    (shared with CLI and in-process runs, so warm re-submissions hit
+    it); ``<root>/jobs/`` is a :class:`~repro.store.Store` of finished
+    records by :func:`job_key`, one per request and code version.
     """
 
     def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self.cache = ResultCache(str(self.root / "rows"))
-        self._jobs_dir = self.root / "jobs"
-
-    def _job_path(self, key: str) -> Path:
-        return self._jobs_dir / key[:2] / f"{key}.json"
+        self.cache = ResultCache(Path(root) / "rows")
+        self.jobs = Store(Path(root) / "jobs")
 
     def put_job(self, record: JobRecord) -> Path:
         """Persist a finished job's record + result atomically."""
-        path = self._job_path(record.key)
-        payload = {"record": record.to_dict(),
-                   "result": record.result_payload()}
-        atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=1))
-        return path
+        return self.jobs.put(record.key, {"record": record.to_dict(),
+                                          "result": record.result_payload()})
 
     def get_job(self, key: str) -> Optional[dict]:
-        path = self._job_path(key)
-        if not path.exists():
-            return None
-        return json.loads(path.read_text())
+        """The stored ``{"record", "result"}`` of ``key``, or ``None``."""
+        return self.jobs.get(key, _job_entry)
 
-    def job_count(self) -> int:
-        if not self._jobs_dir.exists():
-            return 0
-        return sum(1 for _ in self._jobs_dir.glob("*/*.json"))
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<ResultStore {str(self.root)!r}>"
+def _job_entry(entry: dict) -> dict:
+    if not all(isinstance(entry[part], dict) for part in ("record", "result")):
+        raise TypeError("job entry record/result is not an object")
+    return entry
 
 
 # -- job manager -----------------------------------------------------------
@@ -303,6 +293,7 @@ class JobManager:
             name: self.registry.counter(f"service.jobs.{name}")
             for name in ("submitted", "completed", "failed",
                          "cancelled", "rejected")}
+        self._put_errors = self.registry.counter("service.store.put_errors")
         self.registry.register("service.scheduler", self.scheduler.snapshot)
         self.registry.register("service.records", self._records_summary)
         if autostart:
@@ -425,11 +416,15 @@ class JobManager:
                    "cancelled": "cancelled"}[record.state]
         self._counters[counter].inc()
         if record.state == "done" and self.store is not None:
-            self.store.put_job(record)
+            try:
+                self.store.put_job(record)
+            except Exception:  # noqa: BLE001 - the job stays done
+                self._put_errors.inc()
+                _log.exception("job %s: record not persisted", record.job_id)
 
     def _run(self, record: JobRecord) -> None:
+        plan, request = record.plan, record.request
         try:
-            plan, request = record.plan, record.request
             self.executor.submit(JobSpec(
                 runner=plan["runner"], points=plan["points"],
                 workload_id=plan["workload_id"],
@@ -437,7 +432,7 @@ class JobManager:
                 timing=request.get("timing", False),
                 cache=self.store.cache if self.store is not None else None,
                 timeout_s=request["timeout_s"]), state=record)
-            self._finish(record)
         except Exception as exc:  # noqa: BLE001 - dispatch must survive
-            record.set_state("failed", f"{type(exc).__name__}: {exc}")
-            self._counters["failed"].inc()
+            if not record.terminal:   # a closed executor ends it cancelled
+                record.set_state("failed", f"{type(exc).__name__}: {exc}")
+        self._finish(record)

@@ -59,6 +59,12 @@ CASES = [
     ("observers wait on the record's condition, clients included: "
      "ServiceClient.wait long-polls it",
      r"sleep\(|events_since", "src/repro/service/*.py", ()),
+    ("one store: only repro.store maps a key to its entry, writes an "
+     "entry or lists entries",
+     r'atomic_write_text|key\[:2\]|glob\("\*/\*\.json"\)',
+     "src/repro/**/*.py", ("src/repro/store.py",)),
+    ("one store: the audit reads cache entries through Store.get",
+     r"json\.loads?\(", "src/repro/bounds/audit.py", ()),
 ]
 
 @pytest.mark.parametrize("why, pattern, glob, allowed", CASES,

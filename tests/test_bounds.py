@@ -32,6 +32,7 @@ from repro.operations.ops import arecv, asend, compute, recv, send
 from repro.operations.trace import Trace, TraceSet
 from repro.pearl import Simulator
 from tests.reference_kernel import KERNELS
+from tests.test_store import DAMAGED
 
 APPS = ("pingpong", "alltoall", "pipeline")
 
@@ -440,10 +441,16 @@ class TestCacheAudit:
         cache_dir = _warm_cache(tmp_path)
         entry_path = _cache_entries(cache_dir)[0]
         entry_path.write_text("{not json")
+        # Every entry the store reads as a miss, each under its own key.
+        for n, damage in enumerate(DAMAGED.values()):
+            path = entry_path.parent.parent / "ee" / f"ee{n:062d}.json"
+            path.parent.mkdir(exist_ok=True)
+            path.write_bytes(damage)
         result = audit_cache(cache_dir)
-        assert result.n_skipped == 1
-        (skip,) = [r for r in result.rows if r["status"] == "skipped"]
-        assert "unreadable" in skip["reason"]
+        assert result.n_checked == 1
+        assert result.n_skipped == 1 + len(DAMAGED)
+        assert all("unreadable" in r["reason"] for r in result.rows
+                   if r["status"] == "skipped")
 
     def test_skips_recorded_in_json_schema(self, tmp_path, capsys):
         cache_dir = _warm_cache(tmp_path)

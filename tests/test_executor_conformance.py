@@ -248,8 +248,8 @@ class TestCacheConformance:
 
     def test_executor_default_cache_used_when_spec_cache_none(
             self, make_executor, tmp_path):
-        # Regression: an *empty* ResultCache is falsy (defines __len__),
-        # so `spec.cache or self.cache` used to discard it silently.
+        # Regression: an *empty* ResultCache was falsy (it defined
+        # __len__), so `spec.cache or self.cache` discarded it silently.
         executor = make_executor(cache=ResultCache(tmp_path))
         spec = JobSpec(runner=echo_runner, points=bw_sweep().points())
         _, cold = run_job(executor, spec)

@@ -265,11 +265,31 @@ class TestResultCache:
         assert len(log.read_text().splitlines()) == 4   # no new simulations
         assert cache.stats.hits == 4
 
+    def test_damaged_row_is_resimulated(self, tmp_path):
+        """A damaged cached row is one miss: the sweep re-simulates that
+        point only, returns the cold rows, and leaves an entry that
+        reads as a hit."""
+        log = tmp_path / "runs.log"
+        runner = functools.partial(counting_runner, log_path=str(log))
+        cold = bw_sweep().run(runner, cache=ResultCache(tmp_path / "c"),
+                              workload_id="count")
+        _, machine = bw_sweep().points()[1]
+        key = result_key(machine, "count")
+        (tmp_path / "c" / key[:2] / f"{key}.json").write_text(
+            '{"metrics": [1]}')
+        cache = ResultCache(tmp_path / "c")
+        assert bw_sweep().run(runner, cache=cache,
+                              workload_id="count") == cold
+        assert log.read_text().splitlines()[4:] == ["2.0"]
+        assert (cache.stats.hits, cache.stats.misses,
+                cache.stats.stores) == (3, 1, 1)
+        assert cache.get(key) == {"bw_out": 2.0}
+
     def test_cache_dir_path_accepted(self, tmp_path):
         first = bw_sweep().run(echo_runner, cache=str(tmp_path))
         second = bw_sweep().run(echo_runner, cache=str(tmp_path))
         assert first == second
-        assert len(ResultCache(tmp_path)) == 4
+        assert len(ResultCache(tmp_path).store) == 4
 
     def test_partial_hit_simulates_only_new_variants(self, tmp_path):
         log = tmp_path / "runs.log"
@@ -285,7 +305,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         rows = bw_sweep().run(failing_runner, cache=cache)
         assert sum("error" in r for r in rows) == 1
-        assert len(cache) == 3                          # only the ok rows
+        assert len(cache.store) == 3                    # only the ok rows
         assert cache.stats.stores == 3
 
     def test_workload_id_separates_entries(self, tmp_path):
@@ -307,7 +327,7 @@ class TestResultCache:
                                               failing):
         """Regression: a full disk under ``write_text``/``os.replace``
         left ``<name>.tmp.<pid>.<tid>`` behind for good."""
-        from repro.parallel.cache import atomic_write_text
+        from repro.store import atomic_write_text
 
         target = tmp_path / "row.json"
         atomic_write_text(target, "old")

@@ -245,7 +245,7 @@ class TestLifecycleGolden:
         assert again.wait(timeout=120.0) == "done"
         assert again.cache == {"hits": 2, "misses": 0, "stores": 0}
         assert again.key == first.key and again.job_id != first.job_id
-        assert store.job_count() == 1   # same key -> same record path
+        assert len(store.jobs) == 1   # same key -> same record path
         stored = store.get_job(first.key)
         assert stored["result"]["rows"] == expected_sweep_rows()
 
@@ -450,22 +450,72 @@ class TestResultStore:
                    for n in range(2)]
         for proc in writers:
             proc.start()
-        store, reads = ResultStore(root), 0
+        store, reads, absent = ResultStore(root), 0, 0
+        path = root / "jobs" / "ab" / f"{'ab' * 32}.json"
         while any(proc.is_alive() for proc in writers):
-            stored = store.get_job("ab" * 32)      # raises if torn
-            if stored is not None:
-                reads += 1
-                rows = stored["result"]["rows"]
-                assert len(rows) == 400
-                assert len({row["writer"] for row in rows}) == 1
+            existed = path.exists()
+            stored = store.get_job("ab" * 32)
+            if stored is None:
+                # Nothing deletes an entry: a miss on one that existed
+                # before the read is a torn read.
+                assert not existed, "a torn record read as a miss"
+                absent += 1
+                continue
+            reads += 1
+            rows = stored["result"]["rows"]
+            assert len(rows) == 400
+            assert len({row["writer"] for row in rows}) == 1
         for proc in writers:
             proc.join(timeout=120.0)
         assert [proc.exitcode for proc in writers] == [0, 0]
+        assert reads > 0, "the reader never raced a writer"
         assert store.get_job("ab" * 32)["record"]["state"] == "done"
-        assert store.job_count() == 1
+        assert store.jobs.stats.misses == absent
+        assert len(store.jobs) == 1
         leftovers = [p.name for p in (root / "jobs" / "ab").iterdir()
                      if not p.name.endswith(".json")]
         assert leftovers == []
+
+    def test_a_failed_record_write_leaves_the_job_done(
+            self, manager, tmp_path, monkeypatch, caplog):
+        """Regression: a ``put_job`` that raised (full disk) reached the
+        dispatcher's handler, which appended a second terminal event
+        (``done``, then ``failed``) and counted the job both completed
+        and failed.  The lost write is counted and logged instead."""
+        store = ResultStore(tmp_path / "store")
+
+        def no_space(record):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(store, "put_job", no_space)
+        mgr = manager(store=store)
+        record = mgr.submit(SWEEP_REQUEST)
+        assert record.wait(timeout=120.0) == "done"
+        mgr.close()           # joins the dispatcher: the write was tried
+        assert record.state == "done" and record.error is None
+        assert [e["state"] for e in record.events
+                if e["event"] == "state"] == ["submitted", "running", "done"]
+        metrics = mgr.metrics()
+        assert metrics["service.jobs.completed.count"] == 1
+        assert metrics["service.jobs.failed.count"] == 0
+        assert metrics["service.store.put_errors.count"] == 1
+        assert f"job {record.job_id}: record not persisted" in caplog.text
+        assert "No space left on device" in caplog.text
+
+    def test_a_closed_executor_ends_a_job_once(self, manager):
+        """Regression: a job handed to a closed executor ended
+        ``cancelled`` and then ``failed`` too, counted as failed."""
+        mgr = manager(autostart=False)
+        record = mgr.submit(SWEEP_REQUEST)
+        mgr.executor.close()
+        mgr.start()
+        assert record.wait(timeout=120.0) == "cancelled"
+        mgr.close()
+        assert [e["state"] for e in record.events
+                if e["event"] == "state"] == ["submitted", "cancelled"]
+        metrics = mgr.metrics()
+        assert metrics["service.jobs.cancelled.count"] == 1
+        assert metrics["service.jobs.failed.count"] == 0
 
 
 # ---------------------------------------------------------------------------
