@@ -220,12 +220,12 @@ class ChaosResult:
         base = float(len(self.rows))
         for i, v in enumerate(self.verdicts):
             if not v.passed:
-                tracer.fault(base + i, "slo_failed", "campaign",
-                             {"kind": v.kind, "detail": v.detail})
+                tracer.instant("faults", "slo_failed", base + i, "campaign",
+                               {"kind": v.kind, "detail": v.detail})
         for i, violation in enumerate(self.violations):
-            tracer.fault(base + len(self.verdicts) + i,
-                         "monotonicity_violation", "campaign",
-                         dict(violation))
+            tracer.instant("faults", "monotonicity_violation",
+                           base + len(self.verdicts) + i, "campaign",
+                           dict(violation))
 
     def register_metrics(self, registry: MetricRegistry) -> None:
         """Expose the campaign reduction as a ``chaos.campaign`` metric

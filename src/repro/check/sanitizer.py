@@ -5,9 +5,10 @@ number, so a given program always replays identically.  But a schedule
 whose *outcome* depends on that tie-break is fragile: reordering two
 model statements, or running the same model on a kernel with a
 different tie-break rule, changes the result.  The
-:class:`DeterminismSanitizer` is an opt-in hook
-(:meth:`repro.pearl.kernel.Simulator.attach_sanitizer`) that records
-same-timestamp conflicting operations:
+:class:`DeterminismSanitizer` is an opt-in
+:class:`~repro.pearl.observer.Observer` (``sim.observer =
+DeterminismSanitizer()``) that records same-timestamp conflicting
+operations:
 
 * ``KD001`` — two or more ``acquire`` requests on one resource at the
   same instant where at least one had to queue: the grant order is
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..pearl.observer import Observer
 from .diagnostics import Diagnostic, Report, Severity
 
 __all__ = ["ContentionCluster", "DeterminismSanitizer"]
@@ -54,13 +56,13 @@ class ContentionCluster:
     last_time: float = 0.0       # last occurrence (set on creation)
 
 
-class DeterminismSanitizer:
+class DeterminismSanitizer(Observer):
     """Records same-timestamp conflicting resource/channel operations.
 
-    The kernel calls :meth:`record_resource` / :meth:`record_channel`
-    on every operation (cheap: one dict update).  Conflicts are
-    evaluated lazily whenever simulated time advances, so memory stays
-    bounded by the widest single instant plus one
+    Resources and channels call :meth:`resource_acquire` /
+    :meth:`channel` on every operation (cheap: one dict update).
+    Conflicts are evaluated lazily whenever simulated time advances, so
+    memory stays bounded by the widest single instant plus one
     :class:`ContentionCluster` per distinct contention site.  Call
     :meth:`finish` (or :meth:`report`) after the run to flush the final
     instant.
@@ -82,14 +84,14 @@ class DeterminismSanitizer:
         self._clusters: dict[tuple[str, str, str, tuple[str, ...]],
                              ContentionCluster] = {}
 
-    # -- kernel-facing hooks (hot path) ---------------------------------
+    # -- observer calls (hot path) ---------------------------------------
 
-    def record_resource(self, name: str, now: float, granted: bool,
-                        process: str = "") -> None:
+    def resource_acquire(self, ts: float, name: str, granted: bool,
+                         in_use: int, process: str) -> None:
         """One ``acquire`` on resource ``name``; ``granted`` if immediate."""
-        if now != self._time:
+        if ts != self._time:
             self._flush()
-            self._time = now
+            self._time = ts
         entry = self._resources.get(name)
         if entry is None:
             entry = self._resources[name] = [0, 0]
@@ -99,12 +101,11 @@ class DeterminismSanitizer:
             entry[1] += 1
         self._resource_procs[name].append(process or "?")
 
-    def record_channel(self, name: str, now: float, kind: str,
-                       process: str = "") -> None:
+    def channel(self, ts: float, name: str, kind: str, process: str) -> None:
         """One ``send`` or ``recv`` on channel ``name``."""
-        if now != self._time:
+        if ts != self._time:
             self._flush()
-            self._time = now
+            self._time = ts
         key = (name, kind)
         procs = self._channels.get(key)
         if procs is None:

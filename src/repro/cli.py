@@ -453,7 +453,7 @@ def _check_determinism(machine, preset: str):
 
     model = MultiNodeModel(machine)
     sanitizer = DeterminismSanitizer()
-    model.sim.attach_sanitizer(sanitizer)
+    model.sim.observer = sanitizer
     gen = StochasticGenerator(StochasticAppDescription(), model.n_nodes,
                               seed=0)
     model.run(list(gen.generate_task_level(3)))
@@ -664,7 +664,7 @@ def _run_app_traced(app: str, preset: str, overrides: Sequence[str],
     machine = build_machine(preset, overrides)
     model = MultiNodeModel(machine, faults=faults)
     tracer = Tracer(capacity=ring)
-    model.sim.attach_tracer(tracer)
+    model.sim.observer = tracer
     traces = _app_traces()[app](model.n_nodes)
     if faults is not None:
         from .faults import DeliveryFailed

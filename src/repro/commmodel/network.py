@@ -216,34 +216,23 @@ class MultiNodeModel:
             # attempt copies stay out of application-level metrics.
             msg.on_deliver(msg)
             return
+        self._deliver_app(msg)
+
+    def _deliver_app(self, msg: Message) -> None:
+        """Deliver one application-level message: every non-internal
+        physical arrival (:meth:`_on_delivery`) and every acknowledged
+        *logical* message of the reliable transport, so both paths
+        record the same metrics."""
         self.message_latency.record(msg.latency)
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.instant("message", "deliver", self.sim.now,
-                           f"node{msg.dst}",
-                           {"src": msg.src, "dst": msg.dst,
-                            "bytes": msg.size, "latency": msg.latency})
+        observer = self.sim.observer
+        if observer is not None:
+            observer.instant("message", "deliver", self.sim.now,
+                             f"node{msg.dst}",
+                             {"src": msg.src, "dst": msg.dst,
+                              "bytes": msg.size, "latency": msg.latency})
         if msg.on_deliver is not None:
             # Protocol-internal traffic (VSM pages, invalidations, ...):
             # handled by its own layer, never enters the application NIC.
-            msg.on_deliver(msg)
-            return
-        self.nics[msg.dst].arrival(msg)
-        if msg.synchronous:
-            self.nics[msg.src].sender_completion(msg)
-
-    def _deliver_app(self, msg: Message) -> None:
-        """Deliver one acknowledged *logical* message (reliable-transport
-        path); mirrors the application-facing half of
-        :meth:`_on_delivery` so both paths record the same metrics."""
-        self.message_latency.record(msg.latency)
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.instant("message", "deliver", self.sim.now,
-                           f"node{msg.dst}",
-                           {"src": msg.src, "dst": msg.dst,
-                            "bytes": msg.size, "latency": msg.latency})
-        if msg.on_deliver is not None:
             msg.on_deliver(msg)
             return
         self.nics[msg.dst].arrival(msg)

@@ -123,11 +123,11 @@ class NIC:
         """Called by the network model when ``msg`` is fully delivered."""
         self.stats.messages_received += 1
         self.stats.bytes_received += msg.size
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.instant("nic", "arrival", self.sim.now,
-                           f"nic{self.node_id}",
-                           {"src": msg.src, "bytes": msg.size})
+        observer = self.sim.observer
+        if observer is not None:
+            observer.instant("nic", "arrival", self.sim.now,
+                             f"nic{self.node_id}",
+                             {"src": msg.src, "bytes": msg.size})
         src = msg.src
         for i, (ev, sources) in enumerate(self._waiting):
             if src in sources:
@@ -139,10 +139,7 @@ class NIC:
             self._preposted[src] -= 1
             return
         self._arrivals.setdefault(src, deque()).append(msg)
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.counter(self.sim.now, f"nic{self.node_id}.buffered",
-                           self.buffered_messages, cat="nic")
+        self._report_buffered()
 
     def sender_completion(self, msg: Message) -> None:
         """Called at delivery time to unblock a synchronous sender."""
@@ -218,10 +215,7 @@ class NIC:
                     best, best_key = queue, key
         if best is not None:
             msg = best.popleft()
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.counter(self.sim.now, f"nic{self.node_id}.buffered",
-                               self.buffered_messages, cat="nic")
+            self._report_buffered()
         else:
             ev = Event(self.sim,
                        f"nic{self.node_id}.recv_any({sorted(sources)})")
@@ -243,10 +237,7 @@ class NIC:
         msg: Optional[Message] = None
         if buffered:
             msg = buffered.popleft()
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.counter(self.sim.now, f"nic{self.node_id}.buffered",
-                               self.buffered_messages, cat="nic")
+            self._report_buffered()
         else:
             self._preposted[source] = self._preposted.get(source, 0) + 1
             self.stats.pre_posted += 1
@@ -259,6 +250,12 @@ class NIC:
     @property
     def buffered_messages(self) -> int:
         return sum(len(q) for q in self._arrivals.values())
+
+    def _report_buffered(self) -> None:
+        observer = self.sim.observer
+        if observer is not None:
+            observer.counter(self.sim.now, f"nic{self.node_id}.buffered",
+                             self.buffered_messages, cat="nic")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<NIC node={self.node_id} sent={self.stats.messages_sent} "

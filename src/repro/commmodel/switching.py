@@ -22,8 +22,8 @@ Hot-path contract: a packet is one Pearl process, and each of its
 yields is exactly one scheduled kernel entry.  Per hop, the body
 allocates only what the schedule needs (the VC acquire event).  Each
 distinct node path resolves once to a cached route: a tuple of links
-with their per-hop constants (header cycles, the dateline VC).  Fault,
-tracer and sanitizer runs walk the same bodies.
+with their per-hop constants (header cycles, the dateline VC).  Fault
+and observed runs walk the same bodies.
 """
 
 from __future__ import annotations
@@ -125,12 +125,12 @@ class SwitchingEngine:
     def _packet_done(self, pkt: Packet, t_start: float) -> None:
         self.packet_latency.record(self.sim.now - t_start)
         msg = pkt.message
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.span("network", f"pkt{msg.id}.{pkt.index}", t_start,
-                        self.sim.now - t_start, "network",
-                        {"src": msg.src, "dst": msg.dst,
-                         "bytes": pkt.total_bytes})
+        observer = self.sim.observer
+        if observer is not None:
+            observer.span("network", f"pkt{msg.id}.{pkt.index}", t_start,
+                          self.sim.now - t_start, "network",
+                          {"src": msg.src, "dst": msg.dst,
+                           "bytes": pkt.total_bytes})
         if msg.packet_arrived():
             msg.t_deliver = self.sim.now
             self.messages_delivered += 1

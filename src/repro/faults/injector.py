@@ -61,6 +61,13 @@ class FaultInjector:
         self.node_pause_count = 0
         self.node_pause_cycles = 0.0
 
+    def report(self, kind: str, tid: str, args: dict) -> None:
+        """Tell the simulation's observer of one fault event: an instant
+        of category ``faults`` on track ``tid`` (a link or a node)."""
+        observer = self.sim.observer
+        if observer is not None:
+            observer.instant("faults", kind, self.sim.now, tid, args)
+
     # -- link drop/corrupt --------------------------------------------------
 
     def _link_probs(self, u: int, v: int) -> tuple[float, float]:
@@ -95,20 +102,14 @@ class FaultInjector:
             self.dropped += 1
             key = f"{u}->{v}"
             self.dropped_by_link[key] = self.dropped_by_link.get(key, 0) + 1
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.fault(self.sim.now, "drop", f"link{u}->{v}",
-                             {"message": pkt.message.id,
-                              "packet": pkt.index})
+            self.report("drop", "link" + key,
+                        {"message": pkt.message.id, "packet": pkt.index})
             return "drop"
         if x < drop + corrupt:
             pkt.message.corrupted = True
             self.corrupted += 1
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.fault(self.sim.now, "corrupt", f"link{u}->{v}",
-                             {"message": pkt.message.id,
-                              "packet": pkt.index})
+            self.report("corrupt", f"link{u}->{v}",
+                        {"message": pkt.message.id, "packet": pkt.index})
             return "corrupt"
         return "ok"
 
@@ -127,10 +128,8 @@ class FaultInjector:
     def record_down_wait(self, u: int, v: int, delay: float, pkt) -> None:
         self.down_waits += 1
         self.down_wait_cycles += delay
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.fault(self.sim.now, "down_wait", f"link{u}->{v}",
-                         {"message": pkt.message.id, "delay": delay})
+        self.report("down_wait", f"link{u}->{v}",
+                    {"message": pkt.message.id, "delay": delay})
 
     # -- NIC stalls and node pauses ----------------------------------------
 
@@ -144,10 +143,7 @@ class FaultInjector:
             delay = until - sim.now
             self.nic_stall_count += 1
             self.nic_stall_cycles += delay
-            tracer = sim.tracer
-            if tracer is not None:
-                tracer.fault(sim.now, "nic_stall", f"node{node}",
-                             {"until": until})
+            self.report("nic_stall", f"node{node}", {"until": until})
             yield delay
 
     def pause(self, node: int):
@@ -160,10 +156,7 @@ class FaultInjector:
             delay = until - sim.now
             self.node_pause_count += 1
             self.node_pause_cycles += delay
-            tracer = sim.tracer
-            if tracer is not None:
-                tracer.fault(sim.now, "node_pause", f"node{node}",
-                             {"until": until})
+            self.report("node_pause", f"node{node}", {"until": until})
             yield delay
 
     # -- degraded-routing support ------------------------------------------

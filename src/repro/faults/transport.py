@@ -139,17 +139,13 @@ class ReliableTransport:
                 budget += 1 + cfg.max_retries
                 timeout = cfg.timeout_cycles
                 self.fallbacks += 1
-                tracer = sim.tracer
-                if tracer is not None:
-                    tracer.fault(sim.now, "fallback_route", f"node{msg.src}",
-                                 {"message": msg.id, "path": list(alt)})
+                self.injector.report("fallback_route", f"node{msg.src}",
+                                     {"message": msg.id, "path": list(alt)})
             attempts += 1
             if attempts > 1:
                 self.retransmissions += 1
-                tracer = sim.tracer
-                if tracer is not None:
-                    tracer.fault(sim.now, "retransmit", f"node{msg.src}",
-                                 {"message": msg.id, "attempt": attempts})
+                self.injector.report("retransmit", f"node{msg.src}",
+                                     {"message": msg.id, "attempt": attempts})
             phys = Message(msg.src, msg.dst, msg.size, synchronous=False)
             phys.internal = True
             done = Event(sim, f"xport{msg.id}.attempt{attempts}")
@@ -199,11 +195,9 @@ class ReliableTransport:
             "message": msg.id, "src": msg.src, "dst": msg.dst,
             "attempts": attempts, "time": self.sim.now,
         })
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.fault(self.sim.now, "delivery_failed", f"node{msg.src}",
-                         {"message": msg.id, "dst": msg.dst,
-                          "attempts": attempts})
+        self.injector.report("delivery_failed", f"node{msg.src}",
+                             {"message": msg.id, "dst": msg.dst,
+                              "attempts": attempts})
         err = DeliveryFailed(msg.src, msg.dst, msg.id, attempts)
         self.fail_app(msg, err)
 

@@ -27,16 +27,17 @@ def traced_tasks(network: MultiNodeModel, node_id: int,
                  task_ops: Iterator[Operation]) -> Iterator[Operation]:
     """Pass-through that marks each task-level operation boundary.
 
-    When a tracer is attached to the simulator, every operation handed
-    from the computational side to the node driver emits a ``task``
-    instant on the node's track — the hybrid hand-off points of Fig 2.
-    The check is per operation so a tracer attached mid-run is honored.
+    When the simulator has an observer, every operation handed from the
+    computational side to the node driver is reported to it as a
+    ``task`` instant on the node's track — the hybrid hand-off points
+    of Fig 2.  The check is per operation so an observer set mid-run is
+    honored.
     """
     sim = network.sim
     for op in task_ops:
-        tracer = sim.tracer
-        if tracer is not None:
-            tracer.task_boundary(sim.now, f"node{node_id}", repr(op))
+        observer = sim.observer
+        if observer is not None:
+            observer.instant("task", repr(op), sim.now, f"node{node_id}")
         yield op
 
 

@@ -55,6 +55,25 @@ class CalibrationReport:
         return "\n".join(lines)
 
 
+def _walk_latency(machine: MachineConfig, region_bytes: int, stride: int,
+                  accesses: int = 4096) -> float:
+    """Mean cycles per load of a pointer walk over ``region_bytes``.
+
+    Runs on a fresh node model: a warm-up pass, then the measured pass.
+    """
+    hier = SingleNodeModel(machine.node).hierarchy
+    # Cover the whole region at least twice so a level smaller than
+    # the region cannot satisfy the steady-state pass from residue.
+    n = max(accesses, 2 * (region_bytes // max(stride, 1)))
+    addrs = [(i * stride) % region_bytes for i in range(n)]
+    for a in addrs:                     # warm-up pass
+        hier.access_cycles(AccessKind.READ, a, 8)
+    total = 0.0
+    for a in addrs:                     # measured pass
+        total += hier.access_cycles(AccessKind.READ, a, 8)
+    return total / n
+
+
 def measure_memory_latencies(machine: MachineConfig,
                              accesses: int = 4096) -> dict[str, float]:
     """Effective per-access latency at each hierarchy level.
@@ -64,31 +83,20 @@ def measure_memory_latencies(machine: MachineConfig,
     """
     results: dict[str, float] = {}
     levels = machine.node.cache_levels
-
-    def walk(region_bytes: int, stride: int, label: str) -> None:
-        node = SingleNodeModel(machine.node)
-        hier = node.hierarchy
-        # Cover the whole region at least twice so a level smaller than
-        # the region cannot satisfy the steady-state pass from residue.
-        n = max(accesses, 2 * (region_bytes // max(stride, 1)))
-        addrs = [(i * stride) % region_bytes for i in range(n)]
-        for a in addrs:                     # warm-up pass
-            hier.access_cycles(AccessKind.READ, a, 8)
-        total = 0.0
-        for a in addrs:                     # measured pass
-            total += hier.access_cycles(AccessKind.READ, a, 8)
-        results[label] = total / n
-
     if levels:
         l1 = levels[0].data
-        walk(l1.size_bytes // 2, l1.line_bytes, "l1_hit_cycles")
+        results["l1_hit_cycles"] = _walk_latency(
+            machine, l1.size_bytes // 2, l1.line_bytes, accesses)
         last = levels[-1].data
         if len(levels) > 1:
-            walk(last.size_bytes // 2, last.line_bytes, "last_level_cycles")
+            results["last_level_cycles"] = _walk_latency(
+                machine, last.size_bytes // 2, last.line_bytes, accesses)
         # Far exceed the last level to force memory fills every line.
-        walk(last.size_bytes * 8, last.line_bytes, "memory_cycles_per_line")
+        results["memory_cycles_per_line"] = _walk_latency(
+            machine, last.size_bytes * 8, last.line_bytes, accesses)
     else:
-        walk(1 << 20, 8, "memory_cycles_per_line")
+        results["memory_cycles_per_line"] = _walk_latency(
+            machine, 1 << 20, 8, accesses)
     return results
 
 
@@ -146,12 +154,13 @@ def measure_arithmetic_throughput(machine: MachineConfig,
 def calibrate(machine: MachineConfig) -> CalibrationReport:
     """Full calibration sweep; compare against the configured values."""
     report = CalibrationReport(machine.name)
-    mem = measure_memory_latencies(machine)
     levels = machine.node.cache_levels
     if levels:
+        # The one latency reported: walk L1 only.
         l1 = levels[0].data
         report.add("l1_hit_cycles", l1.hit_cycles,
-                   mem["l1_hit_cycles"], "cycles")
+                   _walk_latency(machine, l1.size_bytes // 2,
+                                 l1.line_bytes), "cycles")
     link = measure_link_parameters(machine)
     report.add("link_bandwidth", machine.network.link_bandwidth,
                link["effective_bandwidth"], "B/cycle")

@@ -4,12 +4,11 @@ MGSim ships integrated event tracing as a first-class simulator
 feature, and Akita's hook-based tracing (feeding the Daisen visualizer)
 shows the clean pattern: components emit typed records through one
 uniform instrumentation API instead of printing.  :class:`Tracer` is
-that API for the Pearl kernel: attach it with
-:meth:`repro.pearl.kernel.Simulator.attach_tracer` and the kernel,
-channels, resources, NICs, switching engines and the hybrid scheduler
-emit span/instant/counter records as the model runs.  Detached
-simulations pay only a ``None`` check per operation (the same contract
-as the PR-2 determinism sanitizer).
+the :class:`~repro.pearl.observer.Observer` that keeps that API's
+records: set ``sim.observer = Tracer()`` and the kernel, channels,
+resources, NICs, switching engines, the fault layer and the hybrid
+scheduler emit span/instant/counter records as the model runs.
+Detached simulations pay only a ``None`` check per operation.
 
 Records use the Chrome ``trace_event`` phase vocabulary (``X`` complete
 span, ``i`` instant, ``C`` counter), so :meth:`Tracer.to_chrome`
@@ -27,6 +26,9 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from typing import IO, Any, Optional, Union
+
+from ..pearl.kernel import Process
+from ..pearl.observer import Observer
 
 __all__ = ["Tracer", "TraceRecord", "validate_chrome_trace"]
 
@@ -79,8 +81,8 @@ class TraceRecord:
                 f"t={self.ts:g} tid={self.tid!r}>")
 
 
-class Tracer:
-    """Collects typed trace records from an attached simulation.
+class Tracer(Observer):
+    """Collects typed trace records from an observed simulation.
 
     Parameters
     ----------
@@ -89,11 +91,12 @@ class Tracer:
         ``capacity`` records (ring buffer) — :attr:`dropped` reports
         how many older records were discarded.
 
-    The ``record_*``-style hooks below are called by the kernel and the
-    model layers on the hot path; each is one tuple construction and an
-    append.  The generic :meth:`span` / :meth:`instant` /
-    :meth:`counter` entry points serve model code with record shapes of
-    its own.
+    Every :class:`~repro.pearl.observer.Observer` call becomes one or
+    two records; each is one object construction and an append.  Model
+    code reports through the generic :meth:`span` / :meth:`instant` /
+    :meth:`counter`: a fault-injection event is an instant of category
+    ``faults`` on the link or node track, a hybrid task boundary an
+    instant of category ``task`` on the node track.
     """
 
     __slots__ = ("capacity", "emitted", "_records")
@@ -151,50 +154,36 @@ class Tracer:
         self._emit(TraceRecord(COUNTER, cat, name, ts, 0.0, name,
                                {"value": value}))
 
-    # -- typed hooks (called by the kernel and the model layers) -----------
+    # -- the kernel and its primitives ------------------------------------
 
-    def process_step(self, ts: float, name: str) -> None:
-        """Kernel dispatched one event to process/callback ``name``."""
+    def dispatch(self, ts: float, target: Any) -> None:
+        """Kernel dispatched one event to a process or callback."""
+        name = (target.name if target.__class__ is Process
+                else getattr(target, "__name__", "callback"))
         self._emit(TraceRecord(INSTANT, "kernel", "step", ts, 0.0, name))
 
     def hold(self, ts: float, dur: float, name: str) -> None:
         """Process ``name`` holds (advances local time) for ``dur``."""
         self._emit(TraceRecord(SPAN, "process", "hold", ts, dur, name))
 
-    def channel_send(self, ts: float, channel: str) -> None:
-        self._emit(TraceRecord(INSTANT, "channel", "send", ts, 0.0, channel))
+    def channel(self, ts: float, name: str, kind: str, process: str) -> None:
+        self._emit(TraceRecord(INSTANT, "channel", kind, ts, 0.0, name))
 
-    def channel_recv(self, ts: float, channel: str) -> None:
-        self._emit(TraceRecord(INSTANT, "channel", "recv", ts, 0.0, channel))
-
-    def resource_acquire(self, ts: float, resource: str, granted: bool,
-                         in_use: int) -> None:
-        """One acquire on ``resource`` (queued when not ``granted``),
-        plus the resulting occupancy level."""
+    def resource_acquire(self, ts: float, name: str, granted: bool,
+                         in_use: int, process: str) -> None:
+        """One acquire on ``name`` (queued when not ``granted``), plus
+        the resulting occupancy level."""
         self._emit(TraceRecord(INSTANT, "resource",
                                "acquire" if granted else "enqueue",
-                               ts, 0.0, resource))
-        self._emit(TraceRecord(COUNTER, "resource", resource, ts, 0.0,
-                               resource, {"value": in_use}))
+                               ts, 0.0, name))
+        self._emit(TraceRecord(COUNTER, "resource", name, ts, 0.0,
+                               name, {"value": in_use}))
 
-    def resource_release(self, ts: float, resource: str,
-                         in_use: int) -> None:
+    def resource_release(self, ts: float, name: str, in_use: int) -> None:
         self._emit(TraceRecord(INSTANT, "resource", "release", ts, 0.0,
-                               resource))
-        self._emit(TraceRecord(COUNTER, "resource", resource, ts, 0.0,
-                               resource, {"value": in_use}))
-
-    def task_boundary(self, ts: float, tid: str, label: str,
-                      args: Optional[dict] = None) -> None:
-        """A task-level operation boundary in the hybrid model."""
-        self._emit(TraceRecord(INSTANT, "task", label, ts, 0.0, tid, args))
-
-    def fault(self, ts: float, kind: str, tid: str,
-              args: Optional[dict] = None) -> None:
-        """A fault-injection event (``drop``, ``corrupt``, ``down_wait``,
-        ``nic_stall``, ``node_pause``, ``retransmit``,
-        ``fallback_route``, ``delivery_failed``) on track ``tid``."""
-        self._emit(TraceRecord(INSTANT, "faults", kind, ts, 0.0, tid, args))
+                               name))
+        self._emit(TraceRecord(COUNTER, "resource", name, ts, 0.0,
+                               name, {"value": in_use}))
 
     # -- Chrome trace_event export ----------------------------------------
 

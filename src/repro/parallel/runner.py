@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import logging
 import os
 import time
 import traceback
@@ -45,6 +46,8 @@ from .cache import ResultCache
 __all__ = ["ParallelSweepRunner", "SweepVariantError",
            "default_workload_id", "error_message", "execute_variant",
            "run_cached_sweep", "variant_outcome"]
+
+_log = logging.getLogger(__name__)
 
 Runner = Callable[[MachineConfig], dict]
 #: one sweep point: ``(coordinates, machine variant)``, or ``(coordinates,
@@ -246,10 +249,16 @@ def run_cached_sweep(imap: ImapFn, runner: Runner,
                     if status == "ok":
                         # The full config (not just the name) rides
                         # along so `repro bound --audit` can rebuild the
-                        # exact machine behind any historical row.
-                        cache.put(key, payload, meta={
-                            "machine": machine.name, "workload_id": wid,
-                            "machine_config": machine.to_dict()})
+                        # exact machine behind any historical row.  A
+                        # failed write (full disk) loses the entry, not
+                        # the row.
+                        try:
+                            cache.put(key, payload, meta={
+                                "machine": machine.name, "workload_id": wid,
+                                "machine_config": machine.to_dict()})
+                        except OSError:
+                            cache.stats.put_errors += 1
+                            _log.exception("row %s not cached", key)
             if status == "ok":
                 row = {**coords, **payload}
             elif on_error == "raise":

@@ -10,6 +10,8 @@ Python:
 * :class:`Process` / :class:`Event` — generator-based simulation objects;
 * :class:`Channel` — synchronous (rendezvous) and asynchronous messages;
 * :class:`Resource` — FIFO-arbitrated shared hardware (buses, links);
+* :class:`Observer` — the no-op base of whatever watches a run
+  (``sim.observer``: the tracer, the determinism sanitizer);
 * :class:`TallyMonitor` / :class:`TimeWeightedMonitor` — statistics.
 """
 
@@ -36,6 +38,7 @@ from .kernel import (
     kernel_mode,
 )
 from .monitor import TallyMonitor, TimeWeightedMonitor
+from .observer import Observer
 from .resource import Resource
 
 __all__ = [
@@ -45,6 +48,7 @@ __all__ = [
     "DeadlockError",
     "EVENT_RETURNING_METHODS",
     "Event",
+    "Observer",
     "PearlError",
     "Process",
     "ProcessKilledError",

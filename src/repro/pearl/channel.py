@@ -90,11 +90,9 @@ class Channel:
         sim = self.sim
         done = Event(sim, f"{self.name}.send")
         self.sent_count += 1
-        if sim.sanitizer is not None:
-            sim.sanitizer.record_channel(self.name, sim.now, "send",
-                                         process=sim.current_process)
-        if sim.tracer is not None:
-            sim.tracer.channel_send(sim.now, self.name)
+        observer = sim.observer
+        if observer is not None:
+            observer.channel(sim.now, self.name, "send", sim.current_process)
         if self._receivers:
             # A receiver is already waiting: hand over directly.
             recv_ev = self._receivers.popleft()
@@ -119,11 +117,9 @@ class Channel:
         """Take the next message; yield the returned event to obtain it."""
         sim = self.sim
         got = Event(sim, f"{self.name}.recv")
-        if sim.sanitizer is not None:
-            sim.sanitizer.record_channel(self.name, sim.now, "recv",
-                                         process=sim.current_process)
-        if sim.tracer is not None:
-            sim.tracer.channel_recv(sim.now, self.name)
+        observer = sim.observer
+        if observer is not None:
+            observer.channel(sim.now, self.name, "recv", sim.current_process)
         if self._buffer:
             message = self._buffer.popleft()
             self.received_count += 1

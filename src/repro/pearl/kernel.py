@@ -21,23 +21,24 @@ A process generator may ``yield``:
 Determinism: ties in simulated time are broken by a global monotone
 sequence number, so identical programs produce identical schedules.
 
-One dispatcher, two loops
--------------------------
+One dispatcher, two loops, two hook slots
+-----------------------------------------
 :class:`Simulator` is the only event engine.  Events scheduled *at the
 current time* while it runs go to a preallocated ring of slots instead
 of the heap (they can never overtake a pending heap entry: their
-sequence numbers are strictly larger), and :meth:`Simulator.run` picks
-one of two loops per call from what is attached to the simulator:
+sequence numbers are strictly larger).  A simulator has two hook
+slots: ``observer`` (a :class:`~repro.pearl.observer.Observer`, which
+watches the run) and ``tie_break`` (which chooses the schedule).
+:meth:`Simulator.run` picks one of two loops per call from them:
 
-* the **detached bulk loop** — nothing attached (``trace_hook``,
-  tracer, sanitizer and tie-break all ``None``) and no event bound:
+* the **detached bulk loop** — both slots ``None`` and no event bound:
   resumes generators and interprets their yields inline (cached bound
   ``gen.send``, type-switched fast lanes for numbers and ``None``),
   with no instrumentation conditionals at all;
-* the **instrumented loop** — everything else (any attachment, or
-  ``step()``): the same ``(time, seq)`` order with ``trace_hook``,
-  ``current_process`` and tracer calls around each event, and with a
-  tie-break hook choosing among same-time entries when one is attached.
+* the **instrumented loop** — everything else (either slot set, or
+  ``step()``): the same ``(time, seq)`` order with ``current_process``
+  and one ``observer.dispatch`` call around each event, and with the
+  tie-break hook choosing among same-time entries when one is set.
 
 The binary-heap dispatcher this kernel grew from is the specification,
 and lives with the tests (``tests/reference_kernel.py``): the
@@ -56,6 +57,7 @@ from .errors import (
     SimTimeError,
     SimulationError,
 )
+from .observer import Observer
 
 __all__ = ["Event", "Process", "Simulator", "Timer", "kernel_mode"]
 
@@ -217,11 +219,11 @@ class Process:
 
     # -- scheduling ------------------------------------------------------
 
-    def _step(self, value: Any, tracer=None) -> None:
+    def _step(self, value: Any, observer: Optional[Observer] = None) -> None:
         """Advance the generator one step and interpret what it yields.
 
-        ``tracer`` is passed down by the dispatch loop (a local there)
-        so the detached hot path pays no attribute lookup for it.
+        ``observer`` is passed down by the dispatch loop (a local there)
+        so the step pays no attribute lookup for it.
         """
         self._scheduled = False
         self._blocked_on = None
@@ -256,8 +258,8 @@ class Process:
                 raise SimTimeError(
                     f"process {self.name!r} yielded negative delay {delay}"
                 )
-            if tracer is not None:
-                tracer.hold(sim.now, delay, self.name)
+            if observer is not None:
+                observer.hold(sim.now, delay, self.name)
             sim._schedule(sim.now + delay, self, None)
 
     def kill(self) -> None:
@@ -332,9 +334,9 @@ class Simulator:
       heap-only.
 
     Dispatch runs one of two loops (module docstring): the detached
-    bulk loop when nothing is attached and the run is unbounded, the
+    bulk loop when both hook slots are empty and the run is unbounded, the
     instrumented loop otherwise.  Everything observable — event order,
-    timestamps, ``trace_hook`` and tracer callbacks, error messages,
+    timestamps, observer calls, error messages,
     ``events_executed`` — is identical between them and to the
     heap-only reference dispatcher in ``tests/reference_kernel.py``,
     by construction and by the differential suites.
@@ -342,7 +344,7 @@ class Simulator:
 
     _RING_CAP = 1024               # initial slots; grows by doubling
 
-    def __init__(self, *, trace_hook: Optional[Callable] = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: list = []           # (time, seq, process, value)
         self._seq: int = 0
@@ -357,26 +359,23 @@ class Simulator:
         self._ring_mask = cap - 1
         self._ring_head = 0
         self._ring_tail = 0
-        #: optional ``hook(time, process_or_callback)`` called before
-        #: every executed event — the kernel-level run-time trace.
-        self.trace_hook = trace_hook
-        #: optional :class:`repro.check.DeterminismSanitizer`; when set,
-        #: resources and channels report same-time conflicting operations
-        #: to it (see :meth:`attach_sanitizer`).
-        self.sanitizer = None
-        #: optional :class:`repro.observe.Tracer`; when set, the kernel,
-        #: channels and resources emit structured trace records (see
-        #: :meth:`attach_tracer`).  Costs one ``None`` check when
-        #: detached, like ``sanitizer``.
-        self.tracer = None
-        #: optional tie-break controller (see :meth:`attach_tie_break`);
-        #: when set, the instrumented loop lets it choose among
-        #: same-time entries and the ring is bypassed.
-        self.tie_break = None
+        #: optional :class:`~repro.pearl.observer.Observer` (the tracer,
+        #: the determinism sanitizer), told of every dispatched event,
+        #: hold, resource and channel operation, and of the model's
+        #: spans, instants and counters.  Set it before :meth:`run`.
+        self.observer: Optional[Observer] = None
+        #: optional tie-break controller: ``select(time, candidates)``
+        #: returns the index of the entry to dispatch next among the
+        #: ``(time, seq, target, value)`` entries ready at the current
+        #: instant, in sequence order.  Asked only on a genuine tie;
+        #: ``0`` everywhere is the default schedule (:mod:`repro.verify`
+        #: explores the others).  Set before :meth:`run`, it bypasses
+        #: the ring so every same-time event is a heap candidate.
+        self.tie_break: Any = None
         #: name of the event target currently being dispatched.
-        #: Maintained only by the instrumented loop (trace hook, tracer,
-        #: sanitizer or tie-break hook attached) — the detached bulk
-        #: loop skips it so the hot path stays store-free.
+        #: Maintained only by the instrumented loop (observer or
+        #: tie-break set) — the detached bulk loop skips it so the hot
+        #: path stays store-free.
         self.current_process: str = ""
 
     # -- construction ----------------------------------------------------
@@ -394,51 +393,6 @@ class Simulator:
     def event(self, name: str = "") -> Event:
         """Create a fresh untriggered :class:`Event`."""
         return Event(self, name)
-
-    def attach_sanitizer(self, sanitizer) -> None:
-        """Opt in to determinism sanitizing for this simulation.
-
-        ``sanitizer`` must provide ``record_resource(name, now, granted,
-        process=...)`` and ``record_channel(name, now, kind,
-        process=...)`` — normally a
-        :class:`repro.check.DeterminismSanitizer`.  The hooks cost one
-        attribute check per resource/channel operation when detached.
-        Attaching one routes dispatch through the instrumented loop so
-        :attr:`current_process` names the contending processes.
-        """
-        self.sanitizer = sanitizer
-
-    def attach_tracer(self, tracer) -> None:
-        """Opt in to structured event tracing for this simulation.
-
-        ``tracer`` must provide the record hooks of
-        :class:`repro.observe.Tracer` (``process_step``, ``hold``,
-        ``channel_send``/``channel_recv``, ``resource_acquire``/
-        ``resource_release``, ...).  Attach before :meth:`run`;
-        detached simulations pay only a ``None`` check per operation.
-        """
-        self.tracer = tracer
-
-    def attach_tie_break(self, hook) -> None:
-        """Opt in to controllable same-time tie-breaking.
-
-        ``hook`` must provide ``select(time, candidates) -> int``, where
-        ``candidates`` is the list of scheduled entries
-        ``(time, seq, target, value)`` ready at the current instant, in
-        sequence (seed) order, and the return value is the index of the
-        entry to dispatch next.  ``select`` is consulted only when two or
-        more entries are simultaneously ready; returning ``0`` everywhere
-        reproduces the default schedule exactly.  This is the mechanism
-        behind :mod:`repro.verify` — schedule-space exploration perturbs
-        exactly the orderings the ``(time, seq)`` total order pins down.
-
-        Attach before :meth:`run`.  A hook routes dispatch through the
-        instrumented loop with the ring bypassed (every same-time event
-        stays on the heap, visible as a candidate): verification runs
-        pay for controllability, normal runs pay one ``None`` check per
-        :meth:`run`.
-        """
-        self.tie_break = hook
 
     def timeout(self, delay: float, value: Any = None, name: str = "") -> Event:
         """An event that triggers ``delay`` time units from now."""
@@ -579,8 +533,7 @@ class Simulator:
         (``-1`` = unbounded).
         """
         try:
-            if (self.trace_hook is None and self.tracer is None
-                    and self.sanitizer is None and self.tie_break is None
+            if (self.observer is None and self.tie_break is None
                     and max_events == -1):
                 self._dispatch_bulk(until)
             else:
@@ -706,18 +659,18 @@ class Simulator:
 
     def _dispatch_instrumented(self, until: Optional[float],
                                max_events: int) -> None:
-        """Traced / sanitized / tie-broken / bounded dispatch.
+        """Observed / tie-broken / bounded dispatch.
 
-        The same next-entry order as the bulk loop, then ``trace_hook``,
-        ``current_process``, the tracer and the target, in that order.
+        The same next-entry order as the bulk loop, then
+        ``current_process``, ``observer.dispatch`` and the target, in
+        that order.
         Under a tie-break hook the ring stays empty (``_schedule``
         bypasses it) and the hook picks among the heap entries at
         ``now``.
         """
         heap = self._heap
         pop = heapq.heappop
-        hook = self.trace_hook
-        tracer = self.tracer
+        observer = self.observer
         tie_break = self.tie_break
         now = self.now
         executed = 0
@@ -745,20 +698,15 @@ class Simulator:
             else:
                 return
             executed += 1
-            if hook is not None:
-                hook(now, target)
-            if target.__class__ is Process:
-                self.current_process = target.name
-                if tracer is not None:
-                    tracer.process_step(now, target.name)
-                if target.alive:
-                    target._step(value, tracer)
-            else:
-                name = getattr(target, "__name__", "callback")
-                self.current_process = name
-                if tracer is not None:
-                    tracer.process_step(now, name)
+            is_process = target.__class__ is Process
+            self.current_process = (target.name if is_process else
+                                    getattr(target, "__name__", "callback"))
+            if observer is not None:
+                observer.dispatch(now, target)
+            if not is_process:
                 target(value)
+            elif target.alive:
+                target._step(value, observer)
 
     def _pop_tie_broken(self, tie_break) -> tuple:
         """Pop the heap entry at ``now`` that ``tie_break`` selects.
@@ -827,9 +775,9 @@ class Simulator:
     def step(self) -> bool:
         """Execute a single event; return False if none remain.
 
-        Drives the same dispatch path as :meth:`run` (trace hook,
-        tracer, liveness checks), so interleaving ``step()`` with
-        ``run()`` produces the identical schedule and trace.
+        Drives the same dispatch path as :meth:`run` (observer calls,
+        liveness checks), so interleaving ``step()`` with ``run()``
+        produces the identical schedule and trace.
         """
         if self._running:
             raise SimulationError("step() called while the simulator "

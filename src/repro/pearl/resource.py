@@ -102,14 +102,10 @@ class Resource:
             queue.append((ev, units, sim.now))
             if len(queue) > self.max_queue_len:
                 self.max_queue_len = len(queue)
-        sanitizer = sim.sanitizer
-        if sanitizer is not None:
-            sanitizer.record_resource(self.name, sim.now, granted,
-                                      process=sim.current_process)
-        tracer = sim.tracer
-        if tracer is not None:
-            tracer.resource_acquire(sim.now, self.name, granted,
-                                    self._in_use)
+        observer = sim.observer
+        if observer is not None:
+            observer.resource_acquire(sim.now, self.name, granted,
+                                      self._in_use, sim.current_process)
         return ev
 
     def release(self, units: int = 1) -> None:
@@ -129,9 +125,9 @@ class Resource:
         self._in_use = in_use - units
         if self._queue:
             self._grant_queued()
-        tracer = sim.tracer
-        if tracer is not None:
-            tracer.resource_release(now, self.name, self._in_use)
+        observer = sim.observer
+        if observer is not None:
+            observer.resource_release(now, self.name, self._in_use)
 
     def release_after(self, delay: float, units: int = 1) -> None:
         """Release ``units`` of capacity ``delay`` time units from now.

@@ -39,6 +39,11 @@ class CacheStats:
     misses: int = 0
     stores: int = 0
 
+    def __post_init__(self) -> None:
+        # Puts a caller survived (full disk).  Not a field: the asdict
+        # views (job records, campaign reports) keep their three keys.
+        self.put_errors = 0
+
     def format(self) -> str:
         return f"{self.hits} hits, {self.misses} misses, {self.stores} stored"
 

@@ -4,7 +4,7 @@ The :class:`~repro.check.DeterminismSanitizer` *warns* about same-time
 contention it happens to observe on one schedule (``KD001``/``KD002``).
 This package upgrades those warnings to **verdicts** by actually running
 the alternatives: a model is executed under a controllable tie-break
-scheduler (:meth:`repro.pearl.kernel.Simulator.attach_tie_break`) and
+scheduler (the ``tie_break`` slot of :class:`repro.pearl.Simulator`) and
 the orderings of each same-timestamp event cluster are enumerated.
 
 Dynamic partial-order reduction keeps that tractable: only clusters

@@ -92,7 +92,7 @@ def run_schedule(factory: Factory,
     """
     sim, run = factory()
     sanitizer = DeterminismSanitizer(max_findings=0)
-    sim.attach_sanitizer(sanitizer)
+    sim.observer = sanitizer
     controller: Any
     if perturbation is not None:
         controller = PreferenceOrder(perturbation)
@@ -100,7 +100,7 @@ def run_schedule(factory: Factory,
         controller = RecordingOrder()
     else:
         controller = SeedOrder()
-    sim.attach_tie_break(controller)
+    sim.tie_break = controller
     deadlock: tuple[str, ...] = ()
     error: Optional[str] = None
     value: Any = None

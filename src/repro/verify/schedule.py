@@ -1,7 +1,7 @@
 """Tie-break controllers: the schedules the explorer can impose.
 
 A controller is anything with ``select(time, candidates) -> int``
-(:meth:`repro.pearl.kernel.Simulator.attach_tie_break`), where
+(set as ``sim.tie_break`` on a :class:`repro.pearl.Simulator`), where
 ``candidates`` are the heap entries ``(time, seq, target, value)``
 simultaneously ready at the current instant, in sequence (seed) order.
 

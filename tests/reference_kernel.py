@@ -44,7 +44,7 @@ __all__ = ["CONSTRUCTION_SITES", "KERNELS", "ReferenceSimulator",
 class ReferenceSimulator:
     """Heap-only discrete-event engine with the :class:`Simulator` API."""
 
-    def __init__(self, *, trace_hook: Optional[Callable] = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: list = []           # (time, seq, target, value)
         self._seq: int = 0
@@ -52,9 +52,7 @@ class ReferenceSimulator:
         self._procs: list[Process] = []
         self._running = False
         self._dropped: int = 0
-        self.trace_hook = trace_hook
-        self.sanitizer = None
-        self.tracer = None
+        self.observer = None
         self.tie_break = None
         self.current_process: str = ""
 
@@ -71,15 +69,6 @@ class ReferenceSimulator:
 
     def event(self, name: str = "") -> Event:
         return Event(self, name)
-
-    def attach_sanitizer(self, sanitizer) -> None:
-        self.sanitizer = sanitizer
-
-    def attach_tracer(self, tracer) -> None:
-        self.tracer = tracer
-
-    def attach_tie_break(self, hook) -> None:
-        self.tie_break = hook
 
     def timeout(self, delay: float, value: Any = None,
                 name: str = "") -> Event:
@@ -128,10 +117,9 @@ class ReferenceSimulator:
     def _dispatch(self, until: Optional[float], max_events: int) -> None:
         """The one loop: pop the least ``(time, seq)`` entry — or, under
         a tie-break hook with a genuine tie, the one it selects — then
-        trace hook, ``current_process``, tracer, target."""
+        ``current_process``, ``observer.dispatch``, target."""
         heap = self._heap
-        hook = self.trace_hook
-        tracer = self.tracer
+        observer = self.observer
         tie_break = self.tie_break
         executed = 0
         while heap and executed != max_events:
@@ -165,19 +153,17 @@ class ReferenceSimulator:
             self.now = time
             target = entry[2]
             value = entry[3]
-            if hook is not None:
-                hook(time, target)
             if type(target) is Process:
                 self.current_process = target.name
-                if tracer is not None:
-                    tracer.process_step(time, target.name)
+                if observer is not None:
+                    observer.dispatch(time, target)
                 if target.alive:
-                    target._step(value, tracer)
+                    target._step(value, observer)
             else:
-                name = getattr(target, "__name__", "callback")
-                self.current_process = name
-                if tracer is not None:
-                    tracer.process_step(time, name)
+                self.current_process = getattr(target, "__name__",
+                                               "callback")
+                if observer is not None:
+                    observer.dispatch(time, target)
                 target(value)
 
     def run(self, until: Optional[float] = None,

@@ -65,6 +65,12 @@ CASES = [
      "src/repro/**/*.py", ("src/repro/store.py",)),
     ("one store: the audit reads cache entries through Store.get",
      r"json\.loads?\(", "src/repro/bounds/audit.py", ()),
+    ("one observer slot: the tracer, the sanitizer and every other watcher "
+     "of a run is sim.observer (module paths such as check.sanitizer "
+     "are not attributes)",
+     r"trace_hook|attach_(tracer|sanitizer|tie_break)"
+     r"|\.(tracer|sanitizer)\b(?! import|\.[A-Z])",
+     "src/**/*.py", ()),
 ]
 
 @pytest.mark.parametrize("why, pattern, glob, allowed", CASES,

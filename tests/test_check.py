@@ -337,7 +337,7 @@ class TestSanitizer:
     def test_same_time_resource_contention_kd001(self, sim):
         res = Resource(sim, capacity=1, name="bus")
         san = DeterminismSanitizer()
-        sim.attach_sanitizer(san)
+        sim.observer = san
 
         def worker():
             yield res.acquire()
@@ -355,7 +355,7 @@ class TestSanitizer:
     def test_staggered_requests_are_clean(self, sim):
         res = Resource(sim, capacity=1, name="bus")
         san = DeterminismSanitizer()
-        sim.attach_sanitizer(san)
+        sim.observer = san
 
         def worker(delay):
             yield delay
@@ -371,7 +371,7 @@ class TestSanitizer:
     def test_same_time_channel_sends_kd002(self, sim):
         chan = Channel(sim, capacity=None, name="pipe")
         san = DeterminismSanitizer()
-        sim.attach_sanitizer(san)
+        sim.observer = san
 
         def sender(value):
             yield chan.send(value)
@@ -385,7 +385,7 @@ class TestSanitizer:
     def test_finding_cap_counts_suppressed(self, sim):
         res = Resource(sim, capacity=1, name="r")
         san = DeterminismSanitizer(max_findings=1)
-        sim.attach_sanitizer(san)
+        sim.observer = san
 
         def clash():
             yield res.acquire()
@@ -418,7 +418,7 @@ class TestSanitizer:
     def test_findings_name_time_and_processes(self, sim):
         res = Resource(sim, capacity=1, name="bus")
         san = DeterminismSanitizer()
-        sim.attach_sanitizer(san)
+        sim.observer = san
 
         def worker():
             yield 3.0
@@ -436,7 +436,7 @@ class TestSanitizer:
     def test_repeated_clusters_deduplicated(self, sim):
         res = Resource(sim, capacity=1, name="bus")
         san = DeterminismSanitizer()
-        sim.attach_sanitizer(san)
+        sim.observer = san
 
         def worker():
             for _ in range(4):                # same (obj, procs) clash
@@ -459,7 +459,7 @@ class TestSanitizer:
     def test_clusters_accessor_for_verify_handoff(self, sim):
         res = Resource(sim, capacity=1, name="bus")
         san = DeterminismSanitizer()
-        sim.attach_sanitizer(san)
+        sim.observer = san
 
         def worker():
             yield res.acquire()

@@ -82,7 +82,7 @@ class TestEmptyPlanIsNoPlan:
         machine = generic_multicomputer("mesh", (2, 2))
         model = MultiNodeModel(machine, faults=empty_plan())
         tracer = Tracer()
-        model.sim.attach_tracer(tracer)
+        model.sim.observer = tracer
         model.run(list(apps.pingpong_task_traces(
             model.n_nodes, size=256, repeats=2, b=model.n_nodes - 1)))
         check_golden("chrome_trace_pingpong", tracer.to_chrome())
@@ -96,7 +96,7 @@ class TestEmptyPlanIsNoPlan:
         machine = generic_multicomputer("mesh", (2, 2))
         model = MultiNodeModel(machine, faults=FaultPlan())
         tracer2 = Tracer()
-        model.sim.attach_tracer(tracer2)
+        model.sim.observer = tracer2
         model.run(list(apps.pingpong_task_traces(
             model.n_nodes, size=256, repeats=2, b=model.n_nodes - 1)))
         assert json.dumps(doc1, sort_keys=True) == \

@@ -52,8 +52,8 @@ class TestPresets:
 
 @pytest.fixture(scope="module")
 def generic_report():
-    """One calibration of a generic 2x2 mesh, shared: its memory walk
-    alone takes over a second."""
+    """One calibration of a generic 2x2 mesh, shared by the tests that
+    read its rows."""
     return calibrate(generic_multicomputer("mesh", (2, 2)))
 
 

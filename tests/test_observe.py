@@ -111,7 +111,7 @@ class TestKernelWiring:
     def test_hold_and_step_records(self):
         sim = Simulator()
         tracer = Tracer()
-        sim.attach_tracer(tracer)
+        sim.observer = tracer
 
         def proc():
             yield 2.0
@@ -126,7 +126,7 @@ class TestKernelWiring:
     def test_channel_records(self):
         sim = Simulator()
         tracer = Tracer()
-        sim.attach_tracer(tracer)
+        sim.observer = tracer
         ch = Channel(sim, name="pipe")
 
         def sender():
@@ -144,7 +144,7 @@ class TestKernelWiring:
     def test_resource_records(self):
         sim = Simulator()
         tracer = Tracer()
-        sim.attach_tracer(tracer)
+        sim.observer = tracer
         res = Resource(sim, capacity=1, name="bus")
 
         def user(delay):
@@ -165,7 +165,7 @@ class TestKernelWiring:
             yield 1.0
         sim.process(proc())
         sim.run()
-        assert sim.tracer is None
+        assert sim.observer is None
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +224,7 @@ def traced_pingpong():
     machine = generic_multicomputer("mesh", (2, 2))
     model = MultiNodeModel(machine)
     tracer = Tracer()
-    model.sim.attach_tracer(tracer)
+    model.sim.observer = tracer
     result = model.run(list(pingpong_task_traces(
         model.n_nodes, size=256, repeats=2, b=model.n_nodes - 1)))
     return model, tracer, result

@@ -350,6 +350,28 @@ class TestResultCache:
         assert [p.name for p in tmp_path.iterdir()] == ["row.json"]
         assert target.read_text() == "old"
 
+    def test_failed_row_put_returns_the_row(self, tmp_path, monkeypatch,
+                                            caplog):
+        """A full disk under a row put loses the entry, not the row:
+        the sweep returns the cache-free rows, counts every failed put
+        and logs it."""
+        import errno
+
+        from repro.store import Store
+
+        def no_space(self, key, entry):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Store, "put", no_space)
+        cache = ResultCache(tmp_path)
+        with caplog.at_level("ERROR", logger="repro.parallel.runner"):
+            rows = bw_sweep().run(echo_runner, cache=cache)
+        assert rows == bw_sweep().run(echo_runner)
+        assert (cache.stats.stores, cache.stats.put_errors) == (0, 4)
+        assert len(cache.store) == 0
+        assert [r.levelname for r in caplog.records] == ["ERROR"] * 4
+        assert "No space left" in caplog.text
+
 
 GOLDEN_KEYS = Path(__file__).parent / "golden" / "result_keys.json"
 

@@ -4,9 +4,26 @@ from __future__ import annotations
 
 import pytest
 
-from repro.pearl import (DeadlockError, ProcessKilledError, SimTimeError,
-                         SimulationError, Simulator)
+from repro.pearl import (DeadlockError, Observer, ProcessKilledError,
+                         SimTimeError, SimulationError, Simulator)
 from tests.reference_kernel import KERNELS
+
+
+class DispatchProbe(Observer):
+    """An observer that hands every ``dispatch(ts, target)`` to ``fn``."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def dispatch(self, ts, target):
+        self.fn(ts, target)
+
+
+def probed(fn, kernel=Simulator):
+    """A fresh ``kernel`` whose observer is a :class:`DispatchProbe`."""
+    sim = kernel()
+    sim.observer = DispatchProbe(fn)
+    return sim
 
 
 class TestHold:
@@ -523,7 +540,7 @@ class TestStepRunParity:
 
     def test_step_fires_trace_hook(self):
         times = []
-        sim = Simulator(trace_hook=lambda t, target: times.append(t))
+        sim = probed(lambda t, target: times.append(t))
 
         def proc():
             yield 1.0
@@ -554,7 +571,7 @@ class TestStepRunParity:
         def trace(n_steps):
             sim = Simulator()
             tracer = Tracer()
-            sim.attach_tracer(tracer)
+            sim.observer = tracer
             self._workload(sim)
             for _ in range(n_steps):
                 assert sim.step()
@@ -582,7 +599,7 @@ class TestStepRunParity:
 class TestTraceHook:
     def test_hook_sees_every_event(self):
         events = []
-        sim = Simulator(trace_hook=lambda t, target: events.append(t))
+        sim = probed(lambda t, target: events.append(t))
 
         def proc():
             yield 1.0
@@ -595,7 +612,7 @@ class TestTraceHook:
 
     def test_hook_receives_process_target(self):
         targets = []
-        sim = Simulator(trace_hook=lambda t, target: targets.append(target))
+        sim = probed(lambda t, target: targets.append(target))
 
         def proc():
             yield 1.0
@@ -654,7 +671,7 @@ class TestDispatcherParity:
         def trace(n_steps):
             sim = KERNELS[kernel]()
             tracer = Tracer()
-            sim.attach_tracer(tracer)
+            sim.observer = tracer
             log = []
             self._mixed_workload(sim, log)
             for _ in range(n_steps):
@@ -674,7 +691,7 @@ class TestDispatcherParity:
         def records(kernel):
             sim = KERNELS[kernel]()
             tracer = Tracer()
-            sim.attach_tracer(tracer)
+            sim.observer = tracer
             log = []
             self._mixed_workload(sim, log)
             sim.run()
@@ -688,8 +705,8 @@ class TestDispatcherParity:
     def test_trace_hook_parity(self):
         def hook_times(kernel):
             times = []
-            sim = KERNELS[kernel](
-                trace_hook=lambda t, target: times.append(t))
+            sim = probed(lambda t, target: times.append(t),
+                         KERNELS[kernel])
             log = []
             self._mixed_workload(sim, log)
             sim.run()

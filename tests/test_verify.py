@@ -49,7 +49,7 @@ def _log_model(kernel: str, hook=None) -> list[tuple[str, float]]:
     for tag in "abc":
         sim.process(proc(tag), name=tag)
     if hook is not None:
-        sim.attach_tie_break(hook)
+        sim.tie_break = hook
     sim.run()
     return log
 

@@ -23,7 +23,7 @@ from repro.commmodel.message import reset_message_ids
 from repro.commmodel.network import MultiNodeModel
 from repro.faults import DownWindow, FaultPlan, LinkFault
 from repro.machines.presets import generic_multicomputer
-from repro.pearl import Process
+from repro.pearl import Observer, Process
 
 from .reference_kernel import ReferenceSimulator, reference_stack
 from .test_determinism import GOLDEN_DIR, check_golden
@@ -32,6 +32,17 @@ from .test_determinism import GOLDEN_DIR, check_golden
 #: releases) are recorded under one token, so the digest pins *when*
 #: a callback runs, not how the kernel spells it
 CALLBACK = "<callback>"
+
+
+class DispatchDigest(Observer):
+    """Hashes the ``(time, target)`` sequence the kernel dispatches."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def dispatch(self, ts, target):
+        name = target.name if type(target) is Process else CALLBACK
+        self.sha.update(f"{ts!r} {name}\n".encode())
 
 
 def _machine(switching: str, kind: str = "mesh",
@@ -65,17 +76,14 @@ WORKLOADS = {
 
 def _run(scenario: str, workload: str, traced: bool) -> tuple[dict, str]:
     """One run: its counts, and the digest of its dispatch sequence when
-    ``traced`` (the trace hook routes it through the instrumented loop)."""
+    ``traced`` (the observer routes it through the instrumented loop)."""
     machine, plan = SCENARIOS[scenario]()
     reset_message_ids()
     model = MultiNodeModel(machine, faults=plan)
     sim = model.sim
-    digest = hashlib.sha256()
+    digest = DispatchDigest()
     if traced:
-        def hook(time, target):
-            name = target.name if type(target) is Process else CALLBACK
-            digest.update(f"{time!r} {name}\n".encode())
-        sim.trace_hook = hook
+        sim.observer = digest
     result = model.run(list(WORKLOADS[workload](model.n_nodes)))
     engine = model.engine
     links = engine.links.values()
@@ -96,7 +104,7 @@ def _run(scenario: str, workload: str, traced: bool) -> tuple[dict, str]:
     }
     if model.injector is not None:
         counts["faults"] = model.injector.summary()
-    return counts, digest.hexdigest()
+    return counts, digest.sha.hexdigest()
 
 
 def work_counts(detached_too: bool) -> dict:
