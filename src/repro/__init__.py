@@ -18,83 +18,78 @@ Quick start::
     result = wb.run_hybrid(make_pingpong(size=4096))
     print(result.total_cycles, result.comm.message_latency.mean)
 
-Package map (see DESIGN.md for the full inventory):
+Package map, lowest layer first (see DESIGN.md for the full
+inventory).  A package imports only from the layers below its own, an
+order ``tests/test_layers.py`` pins:
 
-* :mod:`repro.pearl`      — discrete-event simulation kernel
-* :mod:`repro.operations` — abstract machine instructions (Table 1)
-* :mod:`repro.tracegen`   — stochastic generator, annotation translator
-* :mod:`repro.compmodel`  — single-node computational model
-* :mod:`repro.commmodel`  — multi-node communication model
-* :mod:`repro.topology`   — interconnect topologies
-* :mod:`repro.hybrid`     — the hybrid (accurate-mode) co-simulation
-* :mod:`repro.sharedmem`  — SMP nodes and SMP clusters
-* :mod:`repro.machines`   — presets (T805 grid, PowerPC 601) + calibration
-* :mod:`repro.apps`       — instrumentation API + reference workloads
-* :mod:`repro.analysis`   — slowdown, timelines, statistics, reports
-* :mod:`repro.core`       — configuration, Workbench facade, experiments
-* :mod:`repro.parallel`   — parallel sweep execution, result caching,
-  backend-agnostic job executors
-* :mod:`repro.service`    — HTTP job server (simulation as a
-  service: ``repro serve`` / ``submit`` / ``status`` / ``fetch``)
-* :mod:`repro.faults`     — deterministic fault injection + reliable transport
-* :mod:`repro.chaos`      — fault-sweep campaigns with SLO verdicts
-* :mod:`repro.check`      — static analyzer (``repro check``) + sanitizer
-* :mod:`repro.observe`    — event tracing (Chrome export) + metric registry
+1. :mod:`repro.store` (the one on-disk entry store under every cache),
+   :mod:`repro.diagnostics` (rule catalogue, ``Diagnostic``/``Report``),
+   :mod:`repro.operations` (abstract machine instructions, Table 1),
+   :mod:`repro.pearl` (discrete-event simulation kernel)
+2. :mod:`repro.config` (machine parameterization: every knob),
+   :mod:`repro.observe` (event tracing, Chrome export, metric registry),
+   :mod:`repro.tracegen` (stochastic generator, annotation translator)
+3. :mod:`repro.compmodel` (single-node computational model),
+   :mod:`repro.topology` (interconnect topologies)
+4. :mod:`repro.commmodel` (multi-node communication model)
+5. :mod:`repro.analysis` (slowdown, timelines, statistics, reports),
+   :mod:`repro.apps` (instrumentation API, reference workloads),
+   :mod:`repro.check` (static analyzer ``repro check``, sanitizer),
+   :mod:`repro.faults` (deterministic fault injection, reliable
+   transport), :mod:`repro.hybrid` (the hybrid co-simulation),
+   :mod:`repro.machines` (presets, calibration),
+   :mod:`repro.sharedmem` (SMP nodes and SMP clusters)
+6. :mod:`repro.parallel` (parallel sweeps, result cache, job
+   executors), :mod:`repro.vsm` (virtual shared memory)
+7. :mod:`repro.bounds` (static performance bounds, ``repro bound``),
+   :mod:`repro.chaos` (fault-sweep campaigns with SLO verdicts),
+   :mod:`repro.verify` (schedule-space verification, ``repro verify``)
+8. :mod:`repro.core` (the Workbench facade, sweeps, records),
+   :mod:`repro.service` (HTTP job server: ``repro serve`` /
+   ``submit`` / ``status`` / ``fetch``)
+9. :mod:`repro.experiments` (the paper's evaluation, ``repro reproduce``)
+10. :mod:`repro.cli` (the ``repro`` command line)
+
+The names below resolve on first use (PEP 562), so ``import
+repro.pearl`` loads the kernel and nothing above it.
 """
 
-from .core.config import (
-    BusConfig,
-    CPUConfig,
-    CacheConfig,
-    CacheLevelConfig,
-    MachineConfig,
-    MemoryConfig,
-    NetworkConfig,
-    NodeConfig,
-    TopologyConfig,
-)
-from .check import (
-    CheckError,
-    DeterminismSanitizer,
-    Diagnostic,
-    Report,
-    Severity,
-    check_description,
-    check_machine,
-    check_traces,
-)
-from .chaos import CampaignSpec, ChaosResult, run_campaign
-from .core.experiment import Sweep, vary_machine
-from .faults import DeliveryFailed, FaultPlan
-from .core.workbench import Workbench
-from .observe import MetricRegistry, Tracer
-from .parallel import (
-    Executor,
-    InProcessExecutor,
-    JobSpec,
-    LocalAsyncExecutor,
-    ParallelSweepRunner,
-    ResultCache,
-)
-from .machines.presets import (
-    generic_multicomputer,
-    powerpc601_node,
-    smp_node,
-    t805_grid,
-)
+import importlib
+from typing import Any
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BusConfig", "CPUConfig", "CacheConfig", "CacheLevelConfig",
-    "CampaignSpec", "ChaosResult",
-    "CheckError", "DeliveryFailed", "DeterminismSanitizer", "Diagnostic",
-    "Executor", "FaultPlan", "InProcessExecutor", "JobSpec",
-    "LocalAsyncExecutor", "MachineConfig",
-    "MemoryConfig", "MetricRegistry", "NetworkConfig", "NodeConfig",
-    "ParallelSweepRunner", "Report", "ResultCache", "Severity", "Sweep",
-    "TopologyConfig", "Tracer",
-    "Workbench", "__version__", "check_description", "check_machine",
-    "check_traces", "generic_multicomputer", "powerpc601_node",
-    "run_campaign", "smp_node", "t805_grid", "vary_machine",
-]
+#: public name -> the module that defines it
+_EXPORTS = {
+    **dict.fromkeys(
+        ("BusConfig", "CPUConfig", "CacheConfig", "CacheLevelConfig",
+         "MachineConfig", "MemoryConfig", "NetworkConfig", "NodeConfig",
+         "TopologyConfig"), "repro.config"),
+    **dict.fromkeys(("Diagnostic", "Report", "Severity"),
+                    "repro.diagnostics"),
+    **dict.fromkeys(
+        ("CheckError", "DeterminismSanitizer", "check_description",
+         "check_machine", "check_traces"), "repro.check"),
+    **dict.fromkeys(("CampaignSpec", "ChaosResult", "run_campaign"),
+                    "repro.chaos"),
+    **dict.fromkeys(("Sweep", "vary_machine"), "repro.core.experiment"),
+    "Workbench": "repro.core.workbench",
+    **dict.fromkeys(("DeliveryFailed", "FaultPlan"), "repro.faults"),
+    **dict.fromkeys(("MetricRegistry", "Tracer"), "repro.observe"),
+    **dict.fromkeys(
+        ("Executor", "InProcessExecutor", "JobSpec", "LocalAsyncExecutor",
+         "ParallelSweepRunner", "ResultCache"), "repro.parallel"),
+    **dict.fromkeys(
+        ("generic_multicomputer", "powerpc601_node", "smp_node",
+         "t805_grid"), "repro.machines.presets"),
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value

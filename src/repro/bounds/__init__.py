@@ -10,8 +10,9 @@ the bounds into ``repro check`` diagnostics and a simulation
 cross-check oracle.
 
 Entry points: :func:`compute_bounds` / :meth:`Workbench.bound`
-(one workload), :func:`audit_cache` (every cached sweep row),
-``repro bound`` (CLI for both).
+(one workload), :func:`check_bounds` (its ``PB`` diagnostics),
+:func:`audit_cache` (every cached sweep row), ``repro bound`` (CLI for
+both).
 """
 
 from .analyzer import compute_bounds
@@ -20,6 +21,7 @@ from .model import BoundReport, LinkLoad, MessageClassBound, NodeBound
 from .passes import (
     BOUNDS_PASSES,
     PerformanceBoundPass,
+    check_bounds,
     cross_check,
     static_diagnostics,
 )
@@ -32,6 +34,7 @@ __all__ = [
     "NodeBound",
     "BOUNDS_PASSES",
     "PerformanceBoundPass",
+    "check_bounds",
     "static_diagnostics",
     "cross_check",
     "audit_cache",

@@ -63,7 +63,7 @@ import heapq
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from ..commmodel.routing import RandomMinimalRouting, make_routing
-from ..core.config import MachineConfig, NetworkConfig
+from ..config import MachineConfig, NetworkConfig
 from ..operations.ops import OpCode, Operation
 from ..topology import Topology, build_topology
 from .model import BoundReport, LinkLoad, MessageClassBound, NodeBound

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from ..check.diagnostics import Diagnostic, Report, reports_to_dict
-from ..core.config import MachineConfig
+from ..config import MachineConfig
+from ..diagnostics import Diagnostic, Report, reports_to_dict
 from ..parallel.cache import row_entry
 from ..store import Store
 from .analyzer import compute_bounds
@@ -142,7 +142,7 @@ class AuditResult:
 
     @property
     def ok(self) -> bool:
-        from ..check.diagnostics import Severity
+        from ..diagnostics import Severity
         return not any(d.severity is Severity.ERROR
                        for d in self.diagnostics)
 

@@ -27,13 +27,16 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..check.diagnostics import Diagnostic, Severity
-from ..check.passes import CheckContext
+from ..check import check_machine, check_traces
+from ..check.passes import CheckContext, PassManager
+from ..config import MachineConfig
+from ..diagnostics import Diagnostic, Report, Severity
+from ..operations.trace import TraceSet
 from .analyzer import compute_bounds
 from .model import BoundReport
 
-__all__ = ["PerformanceBoundPass", "BOUNDS_PASSES", "static_diagnostics",
-           "cross_check"]
+__all__ = ["PerformanceBoundPass", "BOUNDS_PASSES", "check_bounds",
+           "static_diagnostics", "cross_check"]
 
 #: PB003 default: flag rows whose simulated time exceeds this many
 #: multiples of the static lower bound.
@@ -122,3 +125,24 @@ class PerformanceBoundPass:
 
 
 BOUNDS_PASSES: tuple = (PerformanceBoundPass(),)
+
+
+def check_bounds(machine: MachineConfig, traces: TraceSet,
+                 subject: Optional[str] = None) -> Report:
+    """Run the static bound pipeline (``PB`` rules) on one workload.
+
+    The machine and trace pipelines run first as a silent pre-flight:
+    their findings are *not* repeated in the returned report (those
+    families belong to :func:`~repro.check.check_machine` and
+    :func:`~repro.check.check_traces`), but any error among them
+    suppresses the bound analysis, whose geometry they would
+    invalidate.
+    """
+    if subject is None:
+        subject = f"bounds:{machine.name}"
+    ctx = CheckContext(subject=subject, machine=machine, traces=traces,
+                       n_nodes=machine.n_nodes)
+    ctx.prior.extend(check_machine(machine, subject=subject))
+    ctx.prior.extend(check_traces(traces, n_nodes=machine.n_nodes,
+                                  subject=subject))
+    return PassManager(BOUNDS_PASSES).run(ctx)

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Optional
 
 from ..analysis import format_table
-from ..core.config import ConfigError, MachineConfig
+from ..config import ConfigError, MachineConfig
 from ..observe import MetricRegistry, Tracer
 from ..parallel import ParallelSweepRunner, ResultCache
 from ..topology import build_topology

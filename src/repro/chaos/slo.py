@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..core.config import ConfigError
+from ..config import ConfigError
 
 __all__ = ["SLOVerdict", "evaluate_slos", "check_ladder_monotonicity"]
 

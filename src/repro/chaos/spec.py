@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
-from ..core.config import ConfigError
+from ..config import ConfigError
 from ..faults import DownWindow, FaultPlan, LinkFault, as_fault_plan
 from ..topology import Topology
 
@@ -85,7 +85,7 @@ class CampaignSpec:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> "CampaignSpec":
-        """Raise :class:`~repro.core.config.ConfigError` on a bad spec."""
+        """Raise :class:`~repro.config.ConfigError` on a bad spec."""
         if not self.generators:
             raise ConfigError("campaign spec has no generators")
         if self.base is not None:

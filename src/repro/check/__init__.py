@@ -12,11 +12,12 @@ Facade functions (one per artifact kind):
   prediction over a :class:`~repro.operations.trace.TraceSet`;
 * :func:`check_machine` — contract, topology reachability, routing
   validity, parameter consistency of a
-  :class:`~repro.core.config.MachineConfig`;
+  :class:`~repro.config.MachineConfig`;
 * :func:`check_description` — stochastic-description linting of a
-  :class:`~repro.tracegen.descriptions.StochasticAppDescription`;
-* :func:`check_bounds` — static performance-bound analysis (``PB``
-  rules) of a ``(machine, traces)`` pair via :mod:`repro.bounds`.
+  :class:`~repro.tracegen.descriptions.StochasticAppDescription`.
+
+The static performance-bound family (``PB`` rules) is
+:func:`repro.bounds.check_bounds`, a layer above this one.
 
 Each returns a :class:`Report` of :class:`Diagnostic` records (rule ids
 ``TR001``..., ``MC001``..., ``AD001``...; see :data:`RULES`).
@@ -28,8 +29,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from .description_passes import DESCRIPTION_PASSES
-from .diagnostics import (
+from ..diagnostics import (
     RULE_FAMILIES,
     RULES,
     Diagnostic,
@@ -38,6 +38,7 @@ from .diagnostics import (
     reports_to_dict,
     rule_family,
 )
+from .description_passes import DESCRIPTION_PASSES
 from .lint import (
     LINT_PASSES,
     Baseline,
@@ -53,7 +54,7 @@ from .sanitizer import ContentionCluster, DeterminismSanitizer
 from .trace_passes import TRACE_PASSES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.config import MachineConfig
+    from ..config import MachineConfig
     from ..operations.trace import TraceSet
     from ..tracegen.descriptions import StochasticAppDescription
 
@@ -63,7 +64,7 @@ __all__ = [
     "DeterminismSanitizer",
     "FileLint", "LINT_PASSES", "LintCache", "MACHINE_PASSES",
     "PassManager", "RULES", "RULE_FAMILIES", "Report", "Severity",
-    "TRACE_PASSES", "check_bounds", "check_description", "check_machine",
+    "TRACE_PASSES", "check_description", "check_machine",
     "check_traces", "ensure_ok", "lint_file", "lint_paths", "lint_source",
     "reports_to_dict", "routing_memo", "rule_family",
 ]
@@ -107,27 +108,6 @@ def check_description(description: "StochasticAppDescription",
     ctx = CheckContext(subject=subject, description=description,
                        n_nodes=n_nodes)
     return PassManager(DESCRIPTION_PASSES).run(ctx)
-
-
-def check_bounds(machine: "MachineConfig", traces: "TraceSet",
-                 subject: Optional[str] = None) -> Report:
-    """Run the static bound pipeline (``PB`` rules) on one workload.
-
-    The machine and trace pipelines run first as a silent pre-flight:
-    their findings are *not* repeated in the returned report (those
-    families belong to :func:`check_machine`/:func:`check_traces`), but
-    any error among them suppresses the bound analysis, whose geometry
-    they would invalidate.
-    """
-    from ..bounds.passes import BOUNDS_PASSES
-    if subject is None:
-        subject = f"bounds:{machine.name}"
-    ctx = CheckContext(subject=subject, machine=machine, traces=traces,
-                       n_nodes=machine.n_nodes)
-    ctx.prior.extend(check_machine(machine, subject=subject))
-    ctx.prior.extend(check_traces(traces, n_nodes=machine.n_nodes,
-                                  subject=subject))
-    return PassManager(BOUNDS_PASSES).run(ctx)
 
 
 def ensure_ok(report: Report) -> Report:

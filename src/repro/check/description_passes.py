@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .diagnostics import Diagnostic, Severity
+from ..diagnostics import Diagnostic, Severity
 from .passes import CheckContext
 
 __all__ = ["DescriptionContractPass", "InstructionMixPass",

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from ..diagnostics import Diagnostic, Report, Severity
+from ...diagnostics import Diagnostic, Report, Severity
 from ..passes import CheckPass, PassManager
 from .baseline import Baseline, fingerprint
 from .cache import LintCache, lint_key, lint_rules_version

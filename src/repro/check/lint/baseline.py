@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from ..diagnostics import Diagnostic, Report
+from ...diagnostics import Diagnostic, Report
 
 __all__ = ["Baseline", "fingerprint"]
 

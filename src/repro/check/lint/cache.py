@@ -3,9 +3,9 @@
 Linting is a pure function of ``(file bytes, rule set)``, so each
 file's findings are cached under
 ``sha256(file bytes + rules version)`` where the rules version is a
-:func:`~repro.parallel.cache.sources_digest` over the ``repro.check``
-package — editing any analyzer source invalidates every entry, exactly
-like the sweep cache's ``code_version``.  Entries store serialized
+:func:`~repro.store.sources_digest` over :data:`LINT_SOURCES` — editing
+any analyzer source invalidates every entry, exactly like the sweep
+cache's ``code_version``.  Entries store serialized
 diagnostics *before* baseline filtering (baselines can change without
 re-analyzing), plus the suppression count.  Entries live in a
 :class:`repro.store.Store`, so a damaged one is a counted miss.
@@ -19,17 +19,21 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
-from ...parallel.cache import sources_digest
-from ...store import Store
-from ..diagnostics import Diagnostic
+from ...diagnostics import Diagnostic
+from ...store import Store, sources_digest
 
-__all__ = ["LintCache", "lint_key", "lint_rules_version"]
+__all__ = ["LINT_SOURCES", "LintCache", "lint_key", "lint_rules_version"]
+
+#: What the lint's findings are computed by, relative to ``repro/``:
+#: the analyzer package, the rule catalogue and entry format, and the
+#: kernel API tables the Pearl passes read.
+LINT_SOURCES = ("check", "diagnostics.py", "pearl/introspect.py")
 
 
 @lru_cache(maxsize=1)
 def lint_rules_version() -> str:
-    """Digest over the ``repro.check`` sources — the analyzer version."""
-    return sources_digest(Path(__file__).resolve().parent.parent)
+    """Digest over :data:`LINT_SOURCES` — the analyzer version."""
+    return sources_digest(Path(__file__).resolve().parents[2], LINT_SOURCES)
 
 
 def lint_key(source_bytes: bytes, version: Optional[str] = None) -> str:

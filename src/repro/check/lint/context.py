@@ -11,7 +11,7 @@ from __future__ import annotations
 import ast
 from typing import Any, Optional
 
-from ..diagnostics import Diagnostic
+from ...diagnostics import Diagnostic
 from ..passes import CheckContext
 from .source import SourceModule
 

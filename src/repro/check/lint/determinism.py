@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Optional
 
-from ..diagnostics import Diagnostic, Severity
+from ...diagnostics import Diagnostic, Severity
 from ..passes import CheckContext
 from .context import LintContext
 from .source import iter_own_nodes

@@ -16,8 +16,8 @@ from __future__ import annotations
 import ast
 from typing import Optional
 
+from ...diagnostics import Diagnostic, Severity
 from ...pearl.introspect import EVENT_RETURNING_METHODS
-from ..diagnostics import Diagnostic, Severity
 from ..passes import CheckContext
 from .cfg import CFG, CFGNode, build_cfg
 from .context import LintContext

@@ -15,12 +15,12 @@ from __future__ import annotations
 import ast
 from typing import Optional
 
+from ...diagnostics import Diagnostic, Severity
 from ...pearl.introspect import (
     BLOCKING_EVENT_METHODS,
     RELEASE_METHODS,
     SELF_CONTAINED_HOLD_METHODS,
 )
-from ..diagnostics import Diagnostic, Severity
 from ..passes import CheckContext
 from .cfg import CFG, build_cfg, node_search_exprs
 from .context import LintContext

@@ -13,7 +13,7 @@ import contextlib
 from contextvars import ContextVar
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from .diagnostics import Diagnostic, Severity
+from ..diagnostics import Diagnostic, Severity
 from .passes import CheckContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -70,7 +70,7 @@ class MachineContractPass:
     def run(self, ctx: CheckContext) -> list[Diagnostic]:
         if ctx.machine is None:
             return []
-        from ..core.config import ConfigError
+        from ..config import ConfigError
         try:
             ctx.machine.validate()
         except ConfigError as exc:
@@ -89,7 +89,7 @@ class TopologyReachabilityPass:
     def run(self, ctx: CheckContext) -> list[Diagnostic]:
         if ctx.machine is None:
             return []
-        from ..core.config import ConfigError
+        from ..config import ConfigError
         from ..topology import build_topology
         try:
             topo = build_topology(ctx.machine.network.topology)
@@ -148,7 +148,7 @@ class RoutingValidityPass:
         if topo is None or ctx.machine is None:
             return []
         from ..commmodel.routing import make_routing
-        from ..core.config import ConfigError
+        from ..config import ConfigError
         try:
             routing = make_routing(ctx.machine.network.routing, topo)
         except ConfigError as exc:

@@ -2,9 +2,9 @@
 
 A *pass* looks at one artifact (a trace set, a machine config, an
 application description) through a :class:`CheckContext` and returns
-:class:`~repro.check.diagnostics.Diagnostic` records.  The
+:class:`~repro.diagnostics.Diagnostic` records.  The
 :class:`PassManager` runs a pipeline of passes in order, collecting
-everything into a single :class:`~repro.check.diagnostics.Report`; a
+everything into a single :class:`~repro.diagnostics.Report`; a
 pass marked ``gating`` stops the pipeline when it produced errors (e.g.
 there is no point routing over a topology whose config is malformed).
 """
@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional, Protocol, Sequence
 
-from .diagnostics import Diagnostic, Report
+from ..diagnostics import Diagnostic, Report
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.config import MachineConfig
+    from ..config import MachineConfig
     from ..operations.trace import TraceSet
     from ..tracegen.descriptions import StochasticAppDescription
 
@@ -47,7 +47,7 @@ class CheckContext:
 
     def has_error(self, rule_prefix: str = "") -> bool:
         """True if an earlier pass emitted an error (matching ``prefix``)."""
-        from .diagnostics import Severity
+        from ..diagnostics import Severity
         return any(d.severity is Severity.ERROR
                    and d.rule.startswith(rule_prefix) for d in self.prior)
 

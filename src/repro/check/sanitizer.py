@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..diagnostics import Diagnostic, Report, Severity
 from ..pearl.observer import Observer
-from .diagnostics import Diagnostic, Report, Severity
 
 __all__ = ["ContentionCluster", "DeterminismSanitizer"]
 

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Optional
 
+from ..diagnostics import Diagnostic, Severity
 from ..operations.ops import OpCode
-from .diagnostics import Diagnostic, Severity
 from .passes import CheckContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

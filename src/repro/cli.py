@@ -57,7 +57,7 @@ from .analysis import (
     format_table,
     trace_set_profile,
 )
-from .core.config import MachineConfig
+from .config import MachineConfig
 from .core.experiment import Sweep, _AxisSetter
 from .core.workbench import Workbench
 from .machines import calibrate as run_calibration
@@ -357,7 +357,7 @@ def _chaos_progress(done: int, total: int, row: dict) -> None:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from .chaos import AppCampaignRunner, run_campaign
-    from .core.config import ConfigError
+    from .config import ConfigError
 
     app = _resolve_app(args.app)
     if app is None:
@@ -461,8 +461,9 @@ def _check_determinism(machine, preset: str):
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from .check import (RULES, check_bounds, check_description,
-                        check_machine, check_traces, reports_to_dict)
+    from .bounds import check_bounds
+    from .check import (RULES, check_description, check_machine,
+                        check_traces, reports_to_dict)
 
     if args.rules:
         rows = [{"rule": rule, "description": text}
@@ -513,7 +514,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from .check import reports_to_dict
     from .check.lint import (Baseline, LintCache, iter_lint_targets,
                              lint_file)
-    from .check.diagnostics import Severity
+    from .diagnostics import Severity
 
     cache = LintCache(args.cache_dir) if args.cache_dir else None
     targets = iter_lint_targets([Path(p) for p in args.paths])

@@ -8,7 +8,7 @@ tools and the F3b network-sweep benchmark.
 
 from __future__ import annotations
 
-from ..core.config import NetworkConfig
+from ..config import NetworkConfig
 from ..pearl import Resource, Simulator
 
 __all__ = ["Link"]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence
 
-from ..core.config import MachineConfig
+from ..config import MachineConfig
 from ..observe import MetricRegistry
 from ..operations.ops import OpCode, Operation
 from ..pearl import DeadlockError, Simulator, TallyMonitor
@@ -154,8 +154,9 @@ class MultiNodeModel:
         self.routing = make_routing(machine.network.routing, self.topology)
         # Fault injection (repro.faults): an empty/absent plan builds
         # nothing at all, so the fault-free path is the seed path.
-        # Imported lazily to keep the commmodel <-> faults import DAG
-        # acyclic and the fault-free import graph unchanged.
+        # Imported lazily, so the fault-free import graph has no faults
+        # module: commmodel -> faults points up the layer order, one of
+        # the two edges tests/test_layers.py allows (see ALLOWED there).
         self.fault_plan = None
         self.injector = None
         self.transport = None
@@ -366,7 +367,7 @@ class MultiNodeModel:
         messages that arrived but were never consumed — the difference
         between "recv with no send" and "send stuck in the network".
         """
-        from ..check.diagnostics import Diagnostic, Severity
+        from ..diagnostics import Diagnostic, Severity
         nic_by_name = {f"node{nic.node_id}": nic for nic in self.nics}
         out = []
         for name in blocked:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable, Optional
 
-from ..core.config import NetworkConfig
+from ..config import NetworkConfig
 from ..pearl import Event, Simulator, TallyMonitor
 from .message import Message
 

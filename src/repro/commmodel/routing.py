@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.config import ConfigError
+from ..config import ConfigError
 from ..topology import Topology
 
 __all__ = ["RoutingFunction", "DimensionOrderRouting", "ShortestPathRouting",

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..core.config import ConfigError, NetworkConfig
+from ..config import ConfigError, NetworkConfig
 from ..pearl import Simulator, TallyMonitor
 from ..topology import Topology
 from .link import Link

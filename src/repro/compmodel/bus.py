@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..core.config import BusConfig
+from ..config import BusConfig
 from ..pearl import Resource, Simulator
 
 __all__ = ["Bus"]

@@ -5,7 +5,7 @@
 flow, the simulator tracks *which* lines are resident and in what state,
 never their contents.  One :class:`Cache` models one cache of the
 hierarchy; set indexing, associativity, replacement and write policy all
-come from :class:`~repro.core.config.CacheConfig`.
+come from :class:`~repro.config.CacheConfig`.
 
 Line states double as coherence states so the same structure serves the
 uniprocessor hierarchy (INVALID/SHARED/MODIFIED ≈ invalid/clean/dirty)
@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.config import CacheConfig
+from ..config import CacheConfig
 
 __all__ = ["Cache", "LineState", "CacheStats"]
 

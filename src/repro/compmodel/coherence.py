@@ -24,7 +24,7 @@ contention between CPUs is simulated, not estimated.
 
 from __future__ import annotations
 
-from ..core.config import ConfigError
+from ..config import ConfigError
 from .bus import Bus
 from .cache import Cache, LineState
 from .memory import DRAM

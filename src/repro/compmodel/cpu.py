@@ -2,7 +2,7 @@
 
 "The CPU component simulates a microprocessor within the node
 architecture.  It supports the operation set described in section 3.3."
-Costs come from :class:`~repro.core.config.CPUConfig`; memory operations
+Costs come from :class:`~repro.config.CPUConfig`; memory operations
 additionally pay whatever the attached memory system charges.
 
 Because operations are register-less abstract instructions, the CPU is
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from ..core.config import CPUConfig
+from ..config import CPUConfig
 from ..operations.ops import OpCode, Operation
 from ..operations.optypes import MEM_TYPE_BYTES, MemType
 from .hierarchy import AccessKind, CacheHierarchy

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..core.config import ConfigError
+from ..config import ConfigError
 from ..pearl import Resource, Simulator
 from .bus import Bus
 from .cache import Cache, LineState

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.config import CacheLevelConfig, MemoryConfig, BusConfig
+from ..config import CacheLevelConfig, MemoryConfig, BusConfig
 from .bus import Bus
 from .cache import Cache, LineState
 from .memory import DRAM

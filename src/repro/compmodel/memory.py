@@ -8,7 +8,7 @@ traffic counters.
 
 from __future__ import annotations
 
-from ..core.config import MemoryConfig
+from ..config import MemoryConfig
 
 __all__ = ["DRAM"]
 

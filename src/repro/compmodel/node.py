@@ -4,7 +4,7 @@ Wires a CPU, the cache hierarchy, the bus and the DRAM into one node
 model that executes computational-operation traces at the level of
 abstract machine instructions.  "It can be parameterized to represent a
 wide range of node architectures" — every knob lives in
-:class:`~repro.core.config.NodeConfig`.
+:class:`~repro.config.NodeConfig`.
 
 Multi-CPU (shared-memory) nodes are modelled in
 :mod:`repro.sharedmem.smp`, which replaces the analytic hierarchy with
@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from ..core.config import NodeConfig
+from ..config import NodeConfig
 from ..operations.ops import Operation
 from .cpu import CPU
 from .hierarchy import CacheHierarchy

@@ -1,30 +1,8 @@
-"""``repro.core`` — configuration, the workbench facade, and experiments.
+"""``repro.core`` — the workbench facade and experiments.
 
-The paper's primary contribution packaged for use: machine
-parameterization (:mod:`~repro.core.config`), the top-level
-:class:`Workbench` covering every simulation mode, parameter sweeps
-(:class:`Sweep`), and persistable experiment records.
+The paper's primary contribution packaged for use: the top-level
+:class:`~repro.core.workbench.Workbench` covering every simulation
+mode, parameter sweeps (:class:`~repro.core.experiment.Sweep`), and
+persistable experiment records (:mod:`~repro.core.results`).  Machine
+parameterization is the leaf module :mod:`repro.config`.
 """
-
-from .config import (
-    BusConfig,
-    CPUConfig,
-    CacheConfig,
-    CacheLevelConfig,
-    ConfigError,
-    MachineConfig,
-    MemoryConfig,
-    NetworkConfig,
-    NodeConfig,
-    TopologyConfig,
-)
-from .experiment import Sweep, vary_machine
-from .results import ExperimentRecord
-from .workbench import Workbench
-
-__all__ = [
-    "BusConfig", "CPUConfig", "CacheConfig", "CacheLevelConfig",
-    "ConfigError", "ExperimentRecord", "MachineConfig", "MemoryConfig",
-    "NetworkConfig", "NodeConfig", "Sweep", "TopologyConfig", "Workbench",
-    "vary_machine",
-]

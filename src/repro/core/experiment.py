@@ -13,7 +13,7 @@ import functools
 import itertools
 from typing import Any, Callable, Iterable, Sequence
 
-from .config import MachineConfig
+from ..config import MachineConfig
 
 __all__ = ["Sweep", "vary_machine"]
 

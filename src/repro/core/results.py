@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Any, Optional, Sequence
 
-from .config import MachineConfig
+from ..config import MachineConfig
 
 __all__ = ["ExperimentRecord"]
 

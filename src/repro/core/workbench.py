@@ -5,7 +5,7 @@ designing multicomputer systems, supporting the performance evaluation
 of a wide range of architectural design options by means of
 parameterization."
 
-A :class:`Workbench` binds one :class:`~repro.core.config.MachineConfig`
+A :class:`Workbench` binds one :class:`~repro.config.MachineConfig`
 and exposes every simulation mode:
 
 =====================  ======================================  ============
@@ -22,13 +22,11 @@ mode                   input (application level)               accuracy/cost
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .experiment import Sweep
+from typing import Iterable, Optional, Sequence, Union
 
 from ..commmodel.network import CommResult, MultiNodeModel
 from ..compmodel.node import NodeResult, SingleNodeModel
+from ..config import MachineConfig
 from ..hybrid.model import HybridModel, HybridResult
 from ..operations.ops import Operation
 from ..operations.trace import TraceSet
@@ -36,7 +34,7 @@ from ..sharedmem.hybridarch import HybridArchitectureModel, HybridArchResult
 from ..sharedmem.smp import SMPNodeModel, SMPResult
 from ..tracegen.descriptions import StochasticAppDescription
 from ..tracegen.stochastic import StochasticGenerator
-from .config import MachineConfig
+from .experiment import Sweep
 
 __all__ = ["Workbench"]
 
@@ -261,7 +259,6 @@ class Workbench:
         backend); see :mod:`repro.parallel`.  The same sweeps can be
         served over HTTP by :mod:`repro.service` (``repro serve``).
         """
-        from .experiment import Sweep
         return Sweep(self.machine, label)
 
     # -- trace recording -----------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
-from ..core.config import ConfigError
+from ..config import ConfigError
 
 __all__ = ["DownWindow", "FaultPlan", "LinkFault", "NodeWindow",
            "TransportConfig", "as_fault_plan"]
@@ -113,7 +113,7 @@ class FaultPlan:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> "FaultPlan":
-        """Raise :class:`~repro.core.config.ConfigError` on a bad plan."""
+        """Raise :class:`~repro.config.ConfigError` on a bad plan."""
         for rule in self.link_faults:
             for label, p in (("drop_prob", rule.drop_prob),
                              ("corrupt_prob", rule.corrupt_prob)):

@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 from ..commmodel.network import CommResult, MultiNodeModel
 from ..compmodel.node import SingleNodeModel
 from ..compmodel.tasks import TaskExtractionStats
-from ..core.config import MachineConfig
+from ..config import MachineConfig
 from ..operations.ops import Operation
 from ..operations.trace import TraceSet
 from ..pearl import Simulator

@@ -18,7 +18,7 @@ import numpy as np
 from ..commmodel.network import MultiNodeModel
 from ..compmodel.hierarchy import AccessKind
 from ..compmodel.node import SingleNodeModel
-from ..core.config import MachineConfig
+from ..config import MachineConfig
 from ..operations.ops import recv, send
 
 __all__ = ["measure_memory_latencies", "measure_link_parameters",
@@ -91,9 +91,11 @@ def measure_memory_latencies(machine: MachineConfig,
         if len(levels) > 1:
             results["last_level_cycles"] = _walk_latency(
                 machine, last.size_bytes // 2, last.line_bytes, accesses)
-        # Far exceed the last level to force memory fills every line.
+        # A cyclic walk over twice an LRU or FIFO level's capacity
+        # evicts every line before its reuse: each access fills from
+        # memory.
         results["memory_cycles_per_line"] = _walk_latency(
-            machine, last.size_bytes * 8, last.line_bytes, accesses)
+            machine, last.size_bytes * 2, last.line_bytes, accesses)
     else:
         results["memory_cycles_per_line"] = _walk_latency(
             machine, 1 << 20, 8, accesses)

@@ -5,13 +5,13 @@ T805 transputers and a single-node model of a Motorola PowerPC 601 using
 two levels of cache".  The presets below are those two machines, with
 parameters drawn from published datasheet figures, plus a fast generic
 machine for experiments.  Machine parameters are deliberately *data*
-(see :mod:`repro.core.config`): copy a preset and tweak fields to
+(see :mod:`repro.config`): copy a preset and tweak fields to
 explore the design space.
 """
 
 from __future__ import annotations
 
-from ..core.config import (
+from ..config import (
     BusConfig,
     CPUConfig,
     CacheConfig,

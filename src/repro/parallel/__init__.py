@@ -28,7 +28,6 @@ from .cache import (
     ResultCache,
     code_version,
     result_key,
-    sources_digest,
 )
 from .executor import (
     Executor,
@@ -57,5 +56,4 @@ __all__ = [
     "TERMINAL_STATES", "WorkerCrashed", "WorkerPool",
     "code_version", "default_workload_id", "error_message",
     "execute_variant", "result_key", "run_cached_sweep", "run_sharded",
-    "sources_digest",
 ]

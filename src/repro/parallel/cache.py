@@ -8,7 +8,7 @@ hash of ``(MachineConfig, workload id, code version)`` and re-running a
 sweep only simulates variants whose key changed.
 
 * The machine part is the canonical JSON of
-  :meth:`~repro.core.config.MachineConfig.to_dict` (sorted keys), so
+  :meth:`~repro.config.MachineConfig.to_dict` (sorted keys), so
   two structurally equal configs share an entry no matter how they
   were built.
 * The workload id is a caller-chosen string naming the workload (by
@@ -26,26 +26,10 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any, Optional
 
-from ..core.config import MachineConfig
-from ..store import Store
+from ..config import MachineConfig
+from ..store import Store, sources_digest
 
-__all__ = ["ResultCache", "code_version", "result_key", "row_entry",
-           "sources_digest"]
-
-
-def sources_digest(root: Path, pattern: str = "*.py") -> str:
-    """Stable digest of every ``pattern`` file under ``root``.
-
-    Paths (relative) and contents both feed the hash, so renames count
-    as changes.  Shared by :func:`code_version` and the lint analyzer's
-    rule-set version (``repro.check.lint.cache``).
-    """
-    digest = hashlib.sha256()
-    for path in sorted(root.rglob(pattern)):
-        digest.update(str(path.relative_to(root)).encode())
-        digest.update(b"\0")
-        digest.update(path.read_bytes())
-    return digest.hexdigest()[:16]
+__all__ = ["ResultCache", "code_version", "result_key", "row_entry"]
 
 
 @lru_cache(maxsize=1)

@@ -40,7 +40,7 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 # `check.check_machine` is looked up per call: tests and the layered
 # benchmark's `check` span patch the attribute on the module.
 from .. import check
-from ..core.config import MachineConfig
+from ..config import MachineConfig
 from .cache import ResultCache
 
 __all__ = ["ParallelSweepRunner", "SweepVariantError",

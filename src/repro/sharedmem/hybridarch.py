@@ -19,7 +19,7 @@ import functools
 from typing import Iterable, Optional, Sequence
 
 from ..commmodel.network import CommResult, MultiNodeModel
-from ..core.config import MachineConfig
+from ..config import MachineConfig
 from ..operations.ops import Operation
 from ..pearl import Simulator
 from .smp import SMPNodeModel, SMPResult

@@ -22,13 +22,13 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from ..core.config import ConfigError, NodeConfig
 from ..compmodel.bus import Bus
 from ..compmodel.cache import Cache, LineState
 from ..compmodel.coherence import SnoopyCoherence
-from ..compmodel.directory import DirectoryCoherence
 from ..compmodel.cpu import CPU
+from ..compmodel.directory import DirectoryCoherence
 from ..compmodel.memory import DRAM
+from ..config import ConfigError, NodeConfig
 from ..operations.ops import (
     COMMUNICATION_OPS,
     OpCode,

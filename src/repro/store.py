@@ -1,18 +1,20 @@
 """One content-addressed store under every on-disk cache: sweep rows,
 lint findings and served job records are each a :class:`Store` of JSON
 objects at ``<root>/<key[:2]>/<key>.json``, and only this module builds
-that path, writes an entry or lists entries."""
+that path, writes an entry or lists entries.  :func:`sources_digest`
+versions entries by the code that computed them."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional, TypeVar
+from typing import Any, Callable, Iterable, Optional, TypeVar
 
-__all__ = ["CacheStats", "Store", "atomic_write_text"]
+__all__ = ["CacheStats", "Store", "atomic_write_text", "sources_digest"]
 
 T = TypeVar("T")
 
@@ -29,6 +31,25 @@ def atomic_write_text(path: Path, text: str) -> None:
     except OSError:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def sources_digest(root: Path, paths: Iterable[str] = (".",)) -> str:
+    """Stable digest of the ``.py`` sources at ``paths`` under ``root``,
+    where a directory stands for every ``.py`` file below it.
+
+    Paths (relative to ``root``) and contents both feed the hash, so
+    renames count as changes.  It versions what a store's entries were
+    computed by: the sweep cache's ``code_version`` and the lint
+    analyzer's rule-set version (``repro.check.lint.cache``).
+    """
+    digest = hashlib.sha256()
+    for entry in paths:
+        top = root / entry
+        for path in sorted(top.rglob("*.py")) if top.is_dir() else [top]:
+            digest.update(str(path.relative_to(root)).encode())
+            digest.update(b"\0")
+            digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
 
 
 @dataclass

@@ -11,7 +11,6 @@ from .topologies import (
     full,
     hypercube,
     mesh,
-    node_count,
     ring,
     star,
     torus,
@@ -20,5 +19,5 @@ from .topologies import (
 
 __all__ = [
     "Topology", "build_topology", "fat_tree", "full", "hypercube", "mesh",
-    "node_count", "ring", "star", "torus", "tree",
+    "ring", "star", "torus", "tree",
 ]

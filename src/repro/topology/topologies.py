@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Optional, Sequence
 
-from ..core.config import ConfigError, TopologyConfig
+from ..config import ConfigError, TopologyConfig
 
-__all__ = ["Topology", "build_topology", "node_count", "mesh",
+__all__ = ["Topology", "build_topology", "mesh",
            "torus", "hypercube", "ring", "star", "tree", "fat_tree",
            "full"]
 
@@ -353,22 +353,3 @@ def build_topology(cfg: TopologyConfig) -> Topology:
     if kind == "full":
         return full(dims[0])
     raise ConfigError(f"unknown topology kind {kind!r}")
-
-
-def node_count(cfg: TopologyConfig) -> int:
-    """Number of nodes a :class:`TopologyConfig` describes (cheap)."""
-    kind, dims = cfg.kind, tuple(cfg.dims)
-    if kind in ("mesh", "torus"):
-        n = 1
-        for d in dims:
-            n *= d
-        return n
-    if kind == "hypercube":
-        return 1 << dims[0]
-    if kind == "tree":
-        arity, height = dims
-        return sum(arity ** h for h in range(height + 1))
-    if kind == "fat_tree":
-        # Only the leaves are compute endpoints.
-        return dims[0] ** dims[1]
-    return dims[0]

@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..check.diagnostics import Diagnostic, Report, Severity
+from ..diagnostics import Diagnostic, Report, Severity
 from .schedule import Perturbation
 
 __all__ = ["ClusterVerdict", "VerifyResult", "canonical_digest",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from ..core.config import MachineConfig
+from ..config import MachineConfig
 
 __all__ = ["VERIFY_APPS", "MasterWorkerVerifyTarget", "TraceVerifyTarget",
            "app_verify_target"]

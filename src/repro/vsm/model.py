@@ -16,7 +16,7 @@ from typing import Optional
 from ..commmodel.network import CommResult, MultiNodeModel
 from ..compmodel.node import SingleNodeModel
 from ..compmodel.tasks import TaskExtractionStats, extract_tasks
-from ..core.config import MachineConfig
+from ..config import MachineConfig
 from ..pearl import Simulator
 from ..tracegen.threads import InterleavedStream
 from .protocol import VSMConfig, VSMProtocol

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import (
+from repro.config import (
     BusConfig,
     CacheConfig,
     CacheLevelConfig,

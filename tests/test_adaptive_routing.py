@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.commmodel import MultiNodeModel, RandomMinimalRouting, make_routing
-from repro.core.config import (
+from repro.config import (
     ConfigError,
     MachineConfig,
     NetworkConfig,

@@ -11,7 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro import Workbench, generic_multicomputer
-from repro.core.config import (
+from repro.commmodel import MultiNodeModel
+from repro.config import (
     BusConfig,
     CacheConfig,
     CacheLevelConfig,
@@ -22,7 +23,6 @@ from repro.core.config import (
     NodeConfig,
     TopologyConfig,
 )
-from repro.commmodel import MultiNodeModel
 from repro.operations import (
     ArithType,
     MemType,

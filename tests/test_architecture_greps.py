@@ -17,6 +17,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
+#: the former homes of the two leaf modules, barred from every import
+_LEAVES = ("one import order: configuration and diagnostics are the leaves "
+           "repro.config and repro.diagnostics (tests/test_layers.py)",
+           r"core\.config|core import config|check\.diagnostics")
+
 #: (what it protects, pattern, glob under the repo root, allowed files)
 CASES = [
     ("one worker pool: processes belong to parallel.pool.WorkerPool",
@@ -45,7 +50,10 @@ CASES = [
      r"validate_trace_set|ValidationError|operations\.validate",
      "tests/**/*.py", ("tests/test_architecture_greps.py",)),
     ("one field table: the config walkers read the cached field names",
-     r"dataclasses\.is_dataclass", "src/repro/core/config.py", ()),
+     r"dataclasses\.is_dataclass", "src/repro/config.py", ()),
+    (*_LEAVES, "src/**/*.py", ("src/repro/core/config.py",)),
+    (*_LEAVES, "tests/**/*.py", ("tests/test_architecture_greps.py",)),
+    (*_LEAVES, "examples/**/*.py", ()),
     ("one description of the checks: CI runs tests, not heredocs or the "
      "CLI",
      r"<<|python3? -m repro", ".github/workflows/*.yml", ()),

@@ -26,7 +26,7 @@ from repro.compmodel.tasks import (
     _extract_tasks_scalar,
     extract_tasks,
 )
-from repro.core.config import (
+from repro.config import (
     BusConfig,
     CacheConfig,
     CacheLevelConfig,

@@ -19,11 +19,12 @@ from repro.bounds import (
     AuditResult,
     BoundReport,
     audit_cache,
+    check_bounds,
     compute_bounds,
     cross_check,
     static_diagnostics,
 )
-from repro.check import Severity, check_bounds
+from repro.check import Severity
 from repro.cli import PRESETS, build_machine, main
 from repro.commmodel.network import MultiNodeModel
 from repro.commmodel.nic import RecvAnyEvent

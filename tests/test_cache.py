@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import CacheConfig
 from repro.compmodel import Cache, LineState
+from repro.config import CacheConfig
 
 
 def make_cache(**kwargs) -> Cache:

@@ -25,7 +25,7 @@ from repro.chaos import (
     evaluate_slos,
     run_campaign,
 )
-from repro.core.config import ConfigError
+from repro.config import ConfigError
 from repro.core.workbench import Workbench
 from repro.faults import FaultPlan, LinkFault, TransportConfig
 from repro.machines.presets import t805_grid

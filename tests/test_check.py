@@ -272,7 +272,7 @@ class TestMachinePasses:
 
     def test_path_problem_detects_each_defect(self):
         from repro.topology import build_topology
-        from repro.core.config import TopologyConfig
+        from repro.config import TopologyConfig
         topo = build_topology(TopologyConfig(kind="ring", dims=(4,)))
         problem = RoutingValidityPass._path_problem
         assert problem(topo, 0, 2, [1, 2]) == "does not start at source 0"
@@ -547,7 +547,7 @@ class TestSweepPreflight:
     def test_preflight_false_restores_old_behaviour(self):
         """There is no ``preflight=`` knob any more; what is left of the
         old behaviour is that a bare ``points()`` validates eagerly."""
-        from repro.core.config import ConfigError
+        from repro.config import ConfigError
         sweep = Sweep(t805_grid(2, 2)).axis("flit", _set_flit, [-4])
         with pytest.raises(ConfigError):
             sweep.points()                    # default points() still strict
@@ -663,7 +663,7 @@ class TestOneRouteWalkPerInterconnect:
     def test_every_point_gets_its_unmemoised_report(self, built,
                                                     monkeypatch):
         import repro.check
-        from repro.core.config import TopologyConfig
+        from repro.config import TopologyConfig
         checked = []
 
         def spy(machine):

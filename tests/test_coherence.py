@@ -5,11 +5,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import (CacheConfig,
+from repro.compmodel import LineState
+from repro.config import (CacheConfig,
                                CacheLevelConfig,
                                ConfigError,
                                NodeConfig)
-from repro.compmodel import LineState
 from repro.operations import MemType, load, store
 from repro.sharedmem import SMPNodeModel
 

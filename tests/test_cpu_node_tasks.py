@@ -10,7 +10,7 @@ from repro.compmodel import (
     TaskExtractionStats,
     extract_tasks,
 )
-from repro.core.config import (
+from repro.config import (
     CacheConfig,
     CacheLevelConfig,
     CPUConfig,

@@ -5,13 +5,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import (
+from repro.compmodel import LineState
+from repro.config import (
     CacheConfig,
     CacheLevelConfig,
     ConfigError,
     NodeConfig,
 )
-from repro.compmodel import LineState
 from repro.operations import MemType, load, store
 from repro.sharedmem import SMPNodeModel
 
@@ -182,7 +182,7 @@ class TestStyleComparison:
         assert t_slow == pytest.approx(t_fast + 10 * 50.0)
 
     def test_config_round_trip_with_new_fields(self):
-        from repro.core.config import MachineConfig
+        from repro.config import MachineConfig
         from repro import smp_node
         m = smp_node(4)
         m.node.coherence_style = "directory"

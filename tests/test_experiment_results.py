@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Sweep, Workbench, generic_multicomputer, vary_machine
-from repro.core.config import ConfigError
+from repro.config import ConfigError
 from repro.core.results import ExperimentRecord
 
 

@@ -6,15 +6,15 @@ import pytest
 
 from repro import Workbench
 from repro.apps import alltoall_task_traces, pingpong_task_traces
-from repro.core.config import (
+from repro.commmodel import MultiNodeModel
+from repro.config import (
     ConfigError,
     MachineConfig,
     NetworkConfig,
     TopologyConfig,
 )
-from repro.commmodel import MultiNodeModel
 from repro.operations import recv, send
-from repro.topology import build_topology, fat_tree, node_count
+from repro.topology import build_topology, fat_tree
 
 
 def machine(arity=2, height=3, switching="virtual_cut_through"
@@ -58,7 +58,7 @@ class TestTopology:
 
     def test_node_count_counts_leaves_only(self):
         cfg = TopologyConfig(kind="fat_tree", dims=(2, 3))
-        assert node_count(cfg) == 8
+        assert cfg.n_nodes == 8
         assert build_topology(cfg).n_endpoints == 8
 
     def test_bad_shape(self):

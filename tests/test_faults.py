@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.apps import pingpong_task_traces
 from repro.commmodel.message import Message, reset_message_ids
 from repro.commmodel.network import MultiNodeModel
-from repro.core.config import ConfigError
+from repro.config import ConfigError
 from repro.faults import (
     DeliveryFailed,
     DownWindow,

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import (
+from repro.compmodel import AccessKind, CacheHierarchy
+from repro.config import (
     BusConfig,
     CacheConfig,
     CacheLevelConfig,
     MemoryConfig,
 )
-from repro.compmodel import AccessKind, CacheHierarchy
 
 
 BUS = BusConfig(width_bytes=8, cycles_per_beat=1.0, arbitration_cycles=1.0)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps import ThreadedApplication
-from repro.core.config import (
+from repro.config import (
     CacheConfig,
     CacheLevelConfig,
     MachineConfig,

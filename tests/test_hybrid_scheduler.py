@@ -6,7 +6,7 @@ import pytest
 
 from repro.commmodel import MultiNodeModel
 from repro.compmodel import SingleNodeModel, TaskExtractionStats
-from repro.core.config import (
+from repro.config import (
     CacheConfig,
     CacheLevelConfig,
     MachineConfig,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import FaultPlan, Workbench
-from repro.core.config import (
+from repro.config import (
     CacheConfig,
     CacheLevelConfig,
     MachineConfig,

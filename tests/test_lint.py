@@ -31,8 +31,10 @@ from repro.check.lint import (
     lint_rules_version,
     parse_module,
 )
+from repro.check.lint.cache import LINT_SOURCES
 from repro.cli import main
 from tests.test_check import check_golden
+from tests.test_layers import imported_modules
 
 REPO = Path(__file__).parent.parent
 FIXTURE = Path(__file__).parent / "fixtures" / "broken_model.py"
@@ -494,6 +496,31 @@ class TestLintCache:
         raw = FIXTURE.read_bytes()
         assert lint_key(raw, version="v1") != lint_key(raw, version="v2")
         assert lint_key(raw) == lint_key(raw, lint_rules_version())
+
+    def test_rule_set_version_covers_what_the_passes_import(self):
+        """A cached finding is stale when any module a lint pass reads
+        changes (the Pearl API tables, the rule catalogue), not only
+        when ``repro/check`` does.  The cache module itself keys the
+        findings rather than computing them."""
+        repro = REPO / "src" / "repro"
+        digested = [repro / entry for entry in LINT_SOURCES]
+        missed = set()
+        for path in sorted((repro / "check" / "lint").glob("*.py")):
+            if path.name == "cache.py":
+                continue
+            for _, module in imported_modules(path):
+                parts = module.split(".")
+                if parts[0] != "repro":
+                    continue
+                stem = repro.joinpath(*parts[1:])
+                source = next((p for p in (stem.with_suffix(".py"),
+                                           stem / "__init__.py")
+                               if p.exists()), None)
+                if source is not None and not any(
+                        source == d or d in source.parents
+                        for d in digested):
+                    missed.add(str(source.relative_to(repro)))
+        assert not missed, sorted(missed)
 
     def test_lint_paths_cache_rate(self, tmp_path):
         cache = LintCache(tmp_path / "cache")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.commmodel import Message, MultiNodeModel
-from repro.core.config import MachineConfig, NetworkConfig, TopologyConfig
+from repro.config import MachineConfig, NetworkConfig, TopologyConfig
 from repro.operations import arecv, asend, compute, ifetch, recv, send
 from repro.pearl import DeadlockError
 

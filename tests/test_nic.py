@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.commmodel import MultiNodeModel
-from repro.core.config import MachineConfig, NetworkConfig, TopologyConfig
+from repro.config import MachineConfig, NetworkConfig, TopologyConfig
 from repro.operations import arecv, asend, compute, recv, send
 
 

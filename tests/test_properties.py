@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import (
+from repro.commmodel import MultiNodeModel
+from repro.compmodel import Cache, LineState
+from repro.config import (
     CacheConfig,
     MachineConfig,
     NetworkConfig,
     TopologyConfig,
 )
-from repro.commmodel import MultiNodeModel
-from repro.compmodel import Cache, LineState
 from repro.operations import ArithType, compute, recv, send
 from repro.pearl import Channel, Simulator
 

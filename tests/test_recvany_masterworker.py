@@ -7,7 +7,7 @@ import pytest
 from repro import Workbench, generic_multicomputer, vary_machine
 from repro.apps import ThreadedApplication, make_master_worker
 from repro.commmodel import MultiNodeModel, RecvAnyEvent
-from repro.core.config import MachineConfig, NetworkConfig, TopologyConfig
+from repro.config import MachineConfig, NetworkConfig, TopologyConfig
 from repro.operations import compute, recv, send
 
 

@@ -10,7 +10,7 @@ from repro.commmodel import (
     ShortestPathRouting,
     make_routing,
 )
-from repro.core.config import ConfigError
+from repro.config import ConfigError
 from repro.topology import full, hypercube, mesh, ring, star, torus, tree
 
 

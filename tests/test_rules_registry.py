@@ -1,6 +1,6 @@
 """The rule-id registry: one table, globally unique, nothing unregistered.
 
-``repro.check.diagnostics.RULES`` is the single registry of every rule
+``repro.diagnostics.RULES`` is the single registry of every rule
 id any tool in the workbench can emit.  These tests pin that contract:
 ids are well-formed, every family prefix is documented in
 ``RULE_FAMILIES``, every pass declares only registered rules, and no

@@ -20,7 +20,7 @@ import repro.check.lint.cache as lint_cache
 import repro.parallel.cache as parallel_cache
 from repro.bounds import audit_cache
 from repro.check import LintCache
-from repro.check.diagnostics import Diagnostic, Severity
+from repro.diagnostics import Diagnostic, Severity
 from repro.parallel import ResultCache
 from repro.parallel.cache import row_entry
 from repro.service import JobRecord, ResultStore, canonical_request

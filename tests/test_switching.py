@@ -8,7 +8,7 @@ from repro.commmodel import MultiNodeModel
 from repro.commmodel.message import Message
 from repro.commmodel.routing import make_routing
 from repro.commmodel.switching import make_switching
-from repro.core.config import (
+from repro.config import (
     ConfigError,
     MachineConfig,
     NetworkConfig,

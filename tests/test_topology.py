@@ -5,14 +5,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.config import ConfigError, TopologyConfig
+from repro.config import ConfigError, TopologyConfig
 from repro.topology import (
     Topology,
     build_topology,
     full,
     hypercube,
     mesh,
-    node_count,
     ring,
     star,
     torus,
@@ -149,7 +148,7 @@ class TestBuildAndCount:
         ("ring", (7,)), ("star", (5,)), ("tree", (2, 3)), ("full", (6,))])
     def test_node_count_matches_build(self, kind, dims):
         cfg = TopologyConfig(kind=kind, dims=dims)
-        assert build_topology(cfg).n == node_count(cfg)
+        assert build_topology(cfg).n == cfg.n_nodes
 
     def test_bad_kind(self):
         with pytest.raises(ConfigError):

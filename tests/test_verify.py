@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.check.diagnostics import Severity
 from repro.core.workbench import Workbench
+from repro.diagnostics import Severity
 from repro.machines import t805_grid
 from repro.parallel.cache import ResultCache, result_key
 from repro.pearl import SimulationError, Simulator

@@ -16,6 +16,7 @@ Everything that crosses a process boundary lives at module level
 from __future__ import annotations
 
 import functools
+import json
 import os
 import subprocess
 import sys
@@ -169,6 +170,47 @@ class TestWorkerPool:
         while any(running(pid) for pid in pids):
             assert time.monotonic() < deadline, pids  # repro: noqa[PY002]
             time.sleep(0.05)  # repro: noqa[PY002]
+
+    def test_workers_import_nothing_after_the_fork(self):
+        """``import repro`` is lazy, so a sweep's workers must still
+        find every module a point needs already loaded by the parent:
+        an import after the fork is paid again in every worker."""
+        script = (
+            "import functools, json, os, sys, tempfile\n"
+            "from repro.cli import _AxisSetter, _sweep_point_runner, "
+            "build_machine\n"
+            "from repro.core.experiment import Sweep\n"
+            "from repro.parallel import ResultCache\n"
+            "forked = set()\n"
+            "os.register_at_fork(after_in_child=lambda: "
+            "forked.update(sys.modules))\n"
+            "def runner(machine, **kwargs):\n"
+            "    row = _sweep_point_runner(machine, **kwargs)\n"
+            "    row['forked'] = bool(forked)\n"
+            "    row['late'] = sorted(m for m in sys.modules\n"
+            "                         if m.startswith('repro')\n"
+            "                         and m not in forked)\n"
+            "    return row\n"
+            "sweep = Sweep(build_machine('generic-mesh'))\n"
+            "sweep.axis('network.switching', "
+            "_AxisSetter('network.switching'),\n"
+            "           ['store_and_forward', 'wormhole'])\n"
+            "with tempfile.TemporaryDirectory() as d:\n"
+            "    print(json.dumps(sweep.run(\n"
+            "        functools.partial(runner, workload='stencil', "
+            "rounds=1, seed=1),\n"
+            "        workers=2, cache=ResultCache(d), "
+            "workload_id='late-imports')))\n")
+        src = str(Path(__file__).parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=120, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        rows = json.loads(proc.stdout)
+        assert len(rows) == 2
+        for row in rows:
+            assert "error" not in row, row
+            assert row["forked"] and row["late"] == [], row
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError, match="workers"):
