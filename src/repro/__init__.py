@@ -44,11 +44,12 @@ order ``tests/test_layers.py`` pins:
 7. :mod:`repro.bounds` (static performance bounds, ``repro bound``),
    :mod:`repro.chaos` (fault-sweep campaigns with SLO verdicts),
    :mod:`repro.verify` (schedule-space verification, ``repro verify``)
-8. :mod:`repro.core` (the Workbench facade, sweeps, records),
-   :mod:`repro.service` (HTTP job server: ``repro serve`` /
-   ``submit`` / ``status`` / ``fetch``)
-9. :mod:`repro.experiments` (the paper's evaluation, ``repro reproduce``)
-10. :mod:`repro.cli` (the ``repro`` command line)
+8. :mod:`repro.core` (the Workbench facade, sweeps, records)
+9. :mod:`repro.plans` (presets; the job-kind table both front doors read)
+10. :mod:`repro.service` (HTTP job server: ``repro serve`` /
+    ``submit`` / ``status`` / ``fetch``)
+11. :mod:`repro.experiments` (the paper's evaluation, ``repro reproduce``)
+12. :mod:`repro.cli` (the ``repro`` command line)
 
 The names below resolve on first use (PEP 562), so ``import
 repro.pearl`` loads the kernel and nothing above it.

@@ -47,8 +47,8 @@ Machines are named by preset, with overrides as ``key=value`` pairs
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .analysis import (
@@ -57,105 +57,22 @@ from .analysis import (
     format_table,
     trace_set_profile,
 )
-from .config import MachineConfig
-from .core.experiment import Sweep, _AxisSetter
+from .core.experiment import _AxisSetter  # noqa: F401 - benchmarks/layered; ROADMAP 1(c)
 from .core.workbench import Workbench
 from .machines import calibrate as run_calibration
-from .machines import generic_multicomputer, powerpc601_node, smp_node, t805_grid
 from .operations.trace import TraceSet
+from .plans import _sweep_point_runner  # noqa: F401 - benchmarks/layered; ROADMAP 1(c)
+from .plans import (
+    JOB_KINDS,
+    PRESETS,
+    apply_override,
+    app_traces,
+    build_machine,
+    resolve_app,
+)
 from .tracegen import StochasticAppDescription
 
-__all__ = ["main", "build_machine", "PRESETS"]
-
-PRESETS: dict[str, Callable[[], MachineConfig]] = {
-    "t805-grid": lambda: t805_grid(4, 4),
-    "t805-grid-2x2": lambda: t805_grid(2, 2),
-    "powerpc601": powerpc601_node,
-    "generic-mesh": lambda: generic_multicomputer("mesh", (4, 4)),
-    "generic-hypercube": lambda: generic_multicomputer("hypercube", (4,)),
-    "generic-fattree": lambda: _fattree(),
-    "smp4": lambda: smp_node(4),
-}
-
-
-def _app_traces() -> dict[str, Callable]:
-    """Bundled task-level apps runnable by name (trace/stats commands)."""
-    from .apps import TASK_APPS
-    return TASK_APPS
-
-
-def _resolve_app(name: str) -> Optional[str]:
-    """Map ``examples/pingpong.py`` / ``pingpong`` to an app name."""
-    app = name
-    if app.startswith("examples/"):
-        app = app[len("examples/"):]
-    if app.endswith(".py"):
-        app = app[:-3]
-    return app if app in _app_traces() else None
-
-
-def _fattree() -> MachineConfig:
-    machine = generic_multicomputer("mesh", (2, 2))
-    machine.network.topology.kind = "fat_tree"
-    machine.network.topology.dims = (2, 4)
-    machine.network.routing = "shortest_path"
-    machine.name = "generic-fattree2x4"
-    return machine.validate()
-
-
-def _resolve_path(machine: MachineConfig, path: str):
-    """Walk a ``dotted.path`` into the config; return (target, leaf)."""
-    target = machine
-    parts = path.split(".")
-    for part in parts[:-1]:
-        if not hasattr(target, part):
-            raise SystemExit(f"unknown config path {path!r}")
-        target = getattr(target, part)
-    leaf = parts[-1]
-    if not hasattr(target, leaf):
-        raise SystemExit(f"unknown config path {path!r}")
-    return target, leaf
-
-
-def _parse_value(current: object, raw: str) -> object:
-    """Parse ``raw`` to the type of the attribute's current value."""
-    if isinstance(current, bool):
-        return raw.lower() in ("1", "true", "yes")
-    if isinstance(current, int):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
-    if isinstance(current, tuple):
-        return tuple(int(x) for x in raw.split(","))
-    return raw
-
-
-def _split_spec(spec: str) -> tuple[str, str]:
-    try:
-        path, raw = spec.split("=", 1)
-    except ValueError:
-        raise SystemExit(f"bad override {spec!r}; expected key=value")
-    return path, raw
-
-
-def _apply_override(machine: MachineConfig, spec: str) -> None:
-    """Apply one ``dotted.path=value`` override onto the config."""
-    path, raw = _split_spec(spec)
-    target, leaf = _resolve_path(machine, path)
-    setattr(target, leaf, _parse_value(getattr(target, leaf), raw))
-
-
-def build_machine(preset: str, overrides: Sequence[str] = ()) -> MachineConfig:
-    """Instantiate a preset and apply ``key=value`` overrides."""
-    try:
-        machine = PRESETS[preset]()
-    except KeyError:
-        raise SystemExit(
-            f"unknown preset {preset!r}; choose from: "
-            + ", ".join(sorted(PRESETS)))
-    for spec in overrides:
-        _apply_override(machine, spec)
-    return machine.validate()
+__all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
@@ -221,27 +138,6 @@ def _cmd_stochastic(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_point_runner(machine: MachineConfig, workload: Optional[str],
-                        rounds: int, seed: int, faults=None) -> dict:
-    """Per-variant runner for ``repro sweep`` (module-level: picklable)."""
-    from .tracegen import WORKLOAD_CLASSES
-    desc = (WORKLOAD_CLASSES[workload]() if workload
-            else StochasticAppDescription())
-    res = Workbench(machine, faults=faults).run_stochastic(
-        desc, level="task", rounds=rounds, seed=seed)
-    row = {
-        "total_cycles": res.total_cycles,
-        "mean_latency": res.message_latency.mean,
-        "time_ms": res.total_cycles / machine.node.cpu.clock_hz * 1e3,
-        "events": res.events_executed,
-    }
-    if res.fault_summary is not None:
-        row["dropped"] = res.fault_summary["dropped"]
-        row["retransmissions"] = res.retransmissions
-        row["delivery_failed"] = res.delivery_failures
-    return row
-
-
 def _load_faults(path: Optional[str]):
     """Load ``--faults FILE`` into a normalized plan (None when absent)."""
     if not path:
@@ -258,52 +154,26 @@ def _sweep_progress(done: int, total: int, row: dict) -> None:
     print(f"  [{done}/{total}] {status}{timing}", file=sys.stderr)
 
 
-def plan_sweep(preset: str, overrides: Sequence[str], axes: Sequence[str],
-               *, workload: Optional[str], rounds: int, seed: int):
-    """``(sweep, runner, workload_id)`` of a ``repro sweep``-style study.
-
-    The one place ``PATH=v1,v2`` axis specs become a
-    :class:`~repro.core.experiment.Sweep`, the point runner is bound
-    and the cache workload id is spelled — ``repro sweep`` and the
-    service both run exactly this plan, so their rows and cache
-    entries are interchangeable.
-    """
-    import functools
-
-    machine = build_machine(preset, overrides)
-    sweep = Sweep(machine, label=preset)
-    for spec in axes:
-        path, raw = _split_spec(spec)
-        target, leaf = _resolve_path(machine, path)
-        current = getattr(target, leaf)
-        try:
-            values = [_parse_value(current, v) for v in raw.split(",")]
-        except ValueError as exc:
-            raise SystemExit(f"bad axis value in {spec!r}: {exc}")
-        try:
-            sweep.axis(path, _AxisSetter(path), values)
-        except ValueError as exc:
-            raise SystemExit(f"bad axis {spec!r}: {exc}")
-    runner = functools.partial(_sweep_point_runner, workload=workload,
-                               rounds=rounds, seed=seed)
-    workload_id = (f"cli-stochastic:{workload or 'generic'}"
-                   f":rounds={rounds}:seed={seed}")
-    return sweep, runner, workload_id
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .parallel import ResultCache
+def _run_local(kind: str, args: argparse.Namespace,
+               progress: Callable[[int, int, dict], None]):
+    """Run ``repro <kind>`` in process: the plan of the request the
+    command stands for, the one the service runs for ``repro submit``.
+    Returns ``(rows, plan, cache)``."""
+    from .parallel import ParallelSweepRunner, ResultCache
 
     if args.workers < 1:
         raise SystemExit(f"--workers must be >= 1, got {args.workers}")
-    sweep, runner, workload_id = plan_sweep(
-        args.preset, args.set or (), args.axis, workload=args.workload,
-        rounds=args.rounds, seed=args.seed)
+    job = JOB_KINDS[kind]
+    plan = job.plan(job.request_from_args(args))
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    rows = sweep.run(runner, workers=args.workers, cache=cache,
-                     workload_id=workload_id,
-                     progress=_sweep_progress if args.progress else None,
-                     timing=args.timing, faults=_load_faults(args.faults))
+    rows = ParallelSweepRunner(workers=args.workers, cache=cache).run(
+        plan.runner, plan.points, workload_id=plan.workload_id,
+        progress=progress if args.progress else None, timing=args.timing)
+    return rows, plan, cache
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    rows, _plan, cache = _run_local("sweep", args, _sweep_progress)
     # Error rows carry the remote traceback for job records; the table
     # view keeps only the one-line message.
     shown = [{k: v for k, v in row.items() if k != "traceback"}
@@ -356,45 +226,23 @@ def _chaos_progress(done: int, total: int, row: dict) -> None:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from .chaos import AppCampaignRunner, run_campaign
-    from .config import ConfigError
+    from .chaos import ChaosResult
 
-    app = _resolve_app(args.app)
-    if app is None:
-        raise SystemExit(
-            f"unknown app {args.app!r}; choose from: "
-            + ", ".join(sorted(_app_traces())))
-    if args.workers < 1:
-        raise SystemExit(f"--workers must be >= 1, got {args.workers}")
-    machine = build_machine(args.preset, args.set or ())
-    tracer = None
-    if args.trace_out:
-        from .observe import Tracer
-        tracer = Tracer()
-    runner = AppCampaignRunner(app, size=args.size, repeats=args.repeats)
-    try:
-        result = run_campaign(
-            args.campaign, machine, runner, workers=args.workers,
-            cache=args.cache_dir,
-            progress=_chaos_progress if args.progress else None,
-            timing=args.timing, tracer=tracer)
-    except ConfigError as exc:
-        raise SystemExit(f"bad campaign spec: {exc}")
+    rows, plan, cache = _run_local("chaos", args, _chaos_progress)
+    result = ChaosResult.from_rows(plan.campaign, rows)
     # Reports go to stdout; run bookkeeping (cache stats, trace path)
     # goes to stderr, so stdout stays byte-identical between cold and
     # warm cache runs (tests/test_chaos.py compares it).
-    if args.json:
-        print(result.to_json())
-    else:
-        print(result.format())
-    if tracer is not None:
+    print(result.to_json() if args.json else result.format())
+    if args.trace_out:
+        from .observe import Tracer
+        tracer = Tracer()
+        result.emit_trace(tracer)
         tracer.export_chrome(args.trace_out)
         print(f"wrote {args.trace_out} ({tracer.emitted} records)",
               file=sys.stderr)
-    if result.cache_stats is not None:
-        stats = result.cache_stats
-        print(f"cache: {stats['hits']} hits, {stats['misses']} misses, "
-              f"{stats['stores']} stored (dir={args.cache_dir})",
+    if cache is not None:
+        print(f"cache: {cache.stats.format()} (dir={args.cache_dir})",
               file=sys.stderr)
     return 0 if result.ok else 1
 
@@ -415,7 +263,7 @@ def _check_targets(args: argparse.Namespace) -> list:
     for name in (args.preset or (() if explicit else sorted(PRESETS))):
         machine = PRESETS[name]()
         for spec in (args.set or ()):
-            _apply_override(machine, spec)
+            apply_override(machine, spec)
         targets.append(("machine", name, machine))
 
     for path in (args.trace or ()):
@@ -432,14 +280,14 @@ def _check_targets(args: argparse.Namespace) -> list:
                         gen.generate_task_level(5)))
 
     if not explicit:
-        for app, build in _app_traces().items():
+        for app, build in app_traces().items():
             targets.append(("traces", f"app:{app}",
                             build(2 if app == "pingpong" else args.nodes)))
         # Static performance bounds (PB rules) of each bundled app on a
         # reference machine: catches statically link-limited workloads.
         bound_machine = PRESETS["t805-grid-2x2"]()
         n = bound_machine.n_nodes
-        for app, build in _app_traces().items():
+        for app, build in app_traces().items():
             targets.append(("bounds", f"{app}:t805-grid-2x2",
                             (bound_machine, build(n))))
     return targets
@@ -496,7 +344,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     n_errors = sum(len(r.errors) for r in reports)
     if args.json:
-        import json
         print(json.dumps(reports_to_dict(reports), indent=2,
                          sort_keys=True))
     else:
@@ -539,7 +386,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     stale = baseline.stale(all_diags)
 
     if args.json:
-        import json
         payload = reports_to_dict(
             reports, ok=not new_errors, n_new=len(new),
             n_baselined=len(known), n_suppressed=suppressed,
@@ -587,7 +433,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise SystemExit(f"verification failed: {err}")
     report = result.report(subject=f"verify:{args.app}:{args.preset}")
     if args.json:
-        import json
         print(json.dumps(reports_to_dict([report], verify=result.to_dict()),
                          indent=2, sort_keys=True))
     else:
@@ -604,8 +449,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
-    import json
-
     from .bounds import audit_cache, compute_bounds, static_diagnostics
     from .check import Report, reports_to_dict
 
@@ -632,9 +475,9 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         raise SystemExit("pass a bundled app name or .npz trace-set path "
                          "(or --audit CACHE_DIR)")
     machine = build_machine(args.preset, args.set or ())
-    app = _resolve_app(args.target)
+    app = resolve_app(args.target)
     if app is not None:
-        traces = _app_traces()[app](machine.n_nodes)
+        traces = app_traces()[app](machine.n_nodes)
         subject = f"bounds:{app}:{args.preset}"
     else:
         traces = TraceSet.load(args.target)
@@ -666,7 +509,7 @@ def _run_app_traced(app: str, preset: str, overrides: Sequence[str],
     model = MultiNodeModel(machine, faults=faults)
     tracer = Tracer(capacity=ring)
     model.sim.observer = tracer
-    traces = _app_traces()[app](model.n_nodes)
+    traces = app_traces()[app](model.n_nodes)
     if faults is not None:
         from .faults import DeliveryFailed
         try:
@@ -682,7 +525,7 @@ def _run_app_traced(app: str, preset: str, overrides: Sequence[str],
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    app = _resolve_app(args.path)
+    app = resolve_app(args.path)
     if app is None:
         traces = TraceSet.load(args.path)
         rows = trace_set_profile(traces)
@@ -712,17 +555,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    app = _resolve_app(args.app)
+    app = resolve_app(args.app)
     if app is None:
         raise SystemExit(
             f"unknown app {args.app!r}; choose from: "
-            + ", ".join(sorted(_app_traces())))
+            + ", ".join(sorted(app_traces())))
     model, _tracer, result = _run_app_traced(app, args.preset,
                                              args.set or (),
                                              faults=_load_faults(args.faults))
     registry = model.registry
     if args.json:
-        import json
         print(json.dumps(registry.snapshot(), indent=2, sort_keys=True,
                          default=str))
         return 0
@@ -762,98 +604,42 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _submit_request(args: argparse.Namespace) -> dict:
-    """Build the JSON job request from ``repro submit`` arguments."""
-    import json
-
-    request: dict = {"kind": args.job_kind, "preset": args.preset,
-                     "set": args.set or [], "tenant": args.tenant,
-                     "lane": args.lane}
-    if args.timeout is not None:
-        request["timeout_s"] = args.timeout
-    if args.job_kind == "sweep":
-        request.update({"axes": args.axis, "workload": args.workload,
-                        "rounds": args.rounds, "seed": args.seed,
-                        "on_error": args.on_error, "timing": args.timing})
-        if args.faults:
-            try:
-                request["faults"] = json.loads(
-                    Path(args.faults).read_text())
-            except (OSError, ValueError) as exc:
-                raise SystemExit(f"cannot read fault plan "
-                                 f"{args.faults!r}: {exc}")
-    else:
-        try:
-            request["campaign"] = json.loads(
-                Path(args.campaign).read_text())
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"cannot read campaign spec "
-                             f"{args.campaign!r}: {exc}")
-        request.update({"app": args.app, "size": args.size,
-                        "repeats": args.repeats})
-    return request
-
-
-def _service_client(args: argparse.Namespace):
-    from .service import ServiceClient
-    return ServiceClient(args.server)
+def _ask_service(args: argparse.Namespace, call: Callable) -> dict:
+    """``call(client)`` against ``--server``; a service error or an
+    unreachable server is a one-line exit."""
+    from .service import ServiceClient, ServiceError
+    try:
+        return call(ServiceClient(args.server))
+    except ServiceError as exc:
+        raise SystemExit(f"service error ({exc.status}): {exc.message}")
+    except OSError as exc:
+        raise SystemExit(f"cannot reach {args.server}: {exc}")
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    import json
+    request = JOB_KINDS[args.job_kind].request_from_args(args)
 
-    from .service import ServiceError
-
-    client = _service_client(args)
-    request = _submit_request(args)
-    try:
+    def submit(client) -> dict:
         record = client.submit(request)
-        if args.wait:
-            record = client.wait(record["id"])
-    except ServiceError as exc:
-        raise SystemExit(f"service error ({exc.status}): {exc.message}")
-    except OSError as exc:
-        raise SystemExit(f"cannot reach {args.server}: {exc}")
+        return client.wait(record["id"]) if args.wait else record
+    record = _ask_service(args, submit)
     print(json.dumps(record, indent=2, sort_keys=True))
-    if args.wait and record["state"] != "done":
-        return 1
-    return 0
+    return 1 if args.wait and record["state"] != "done" else 0
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    import json
-
-    from .service import ServiceError
-
-    client = _service_client(args)
-    try:
-        record = client.status(args.job)
-    except ServiceError as exc:
-        raise SystemExit(f"service error ({exc.status}): {exc.message}")
-    except OSError as exc:
-        raise SystemExit(f"cannot reach {args.server}: {exc}")
+    record = _ask_service(args, lambda client: client.status(args.job))
     print(json.dumps(record, indent=2, sort_keys=True))
     return 1 if record["state"] == "failed" else 0
 
 
 def _cmd_fetch(args: argparse.Namespace) -> int:
-    import json
-
-    from .service import ServiceError
-
-    client = _service_client(args)
-    try:
-        result = client.result(args.job)
-    except ServiceError as exc:
-        raise SystemExit(f"service error ({exc.status}): {exc.message}")
-    except OSError as exc:
-        raise SystemExit(f"cannot reach {args.server}: {exc}")
+    result = _ask_service(args, lambda client: client.result(args.job))
     # Sweep rows / chaos verdicts only, dumped exactly like an
     # in-process run would dump them — tests/test_service_api.py
     # compares the bytes.
-    payload = (result.get("rows") if result["kind"] == "sweep"
-               else result.get("campaign"))
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(result.get("rows", result.get("campaign")), indent=2,
+                     sort_keys=True))
     return 0
 
 
@@ -891,33 +677,14 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep", help="parameter sweep over a preset (parallel, cached)")
-    p.add_argument("preset", choices=sorted(PRESETS))
-    p.add_argument("--axis", action="append", required=True,
-                   metavar="PATH=V1,V2,...",
-                   help="sweep axis, e.g. network.link_bandwidth=1,2,4,8 "
-                        "(repeat for a cross product)")
-    p.add_argument("--set", action="append", metavar="PATH=VALUE",
-                   help="fixed config override applied before sweeping")
+    JOB_KINDS["sweep"].add_arguments(p, submit=False)
     p.add_argument("--workers", type=int, default=1, metavar="N",
                    help="process-pool size (default 1 = serial)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="content-addressed result cache; re-runs only "
                         "simulate changed variants")
-    p.add_argument("--rounds", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
-    from .tracegen import WORKLOAD_CLASSES as _wl
-    p.add_argument("--workload", choices=sorted(_wl), default=None,
-                   help="workload-class preset (default: generic "
-                        "stochastic description)")
-    p.add_argument("--timing", action="store_true",
-                   help="add a per-variant wall_time_s column "
-                        "(nondeterministic; not cached)")
     p.add_argument("--progress", action="store_true",
                    help="print per-variant progress on stderr")
-    p.add_argument("--faults", default=None, metavar="PLAN.json",
-                   help="fault-injection plan applied to every variant "
-                        "(see repro.faults.FaultPlan; cache keys include "
-                        "the plan digest)")
 
     p = sub.add_parser(
         "reproduce", help="regenerate the paper's evaluation "
@@ -1010,26 +777,13 @@ def _parser() -> argparse.ArgumentParser:
         "chaos", help="fault-sweep campaign over a bundled app with SLO "
                       "verdicts (severity ladders, single-link-down "
                       "packs, correlated failures, rolling outages)")
-    p.add_argument("app",
-                   help="bundled app: pingpong, alltoall or pipeline")
-    p.add_argument("--campaign", required=True, metavar="SPEC.json",
-                   help="campaign spec JSON (see repro.chaos."
-                        "CampaignSpec: base plan + generators + SLOs)")
-    p.add_argument("--preset", choices=sorted(PRESETS),
-                   default="t805-grid-2x2",
-                   help="machine preset to run the campaign on")
-    p.add_argument("--set", action="append", metavar="PATH=VALUE",
-                   help="config override, e.g. network.switching=wormhole")
+    JOB_KINDS["chaos"].add_arguments(p, submit=False)
     p.add_argument("--workers", type=int, default=1, metavar="N",
                    help="run the campaign's rungs on N worker processes "
                         "(default 1 = serial; results are identical)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="content-addressed result cache shared across "
                         "rungs; keys include each rung's plan digest")
-    p.add_argument("--size", type=int, default=1024, metavar="BYTES",
-                   help="app message/block size (default 1024)")
-    p.add_argument("--repeats", type=int, default=4, metavar="N",
-                   help="app repeats/rounds/items (default 4)")
     p.add_argument("--timing", action="store_true",
                    help="add a per-rung wall_time_s column "
                         "(nondeterministic; excluded from --json)")
@@ -1135,43 +889,10 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "submit", help="submit a sweep or chaos job to a running server")
     kind = p.add_subparsers(dest="job_kind", required=True)
-    for job_kind in ("sweep", "chaos"):
+    for job_kind, job in JOB_KINDS.items():
         k = kind.add_parser(job_kind)
-        if job_kind == "sweep":
-            k.add_argument("preset", choices=sorted(PRESETS))
-            k.add_argument("--axis", action="append", required=True,
-                           metavar="PATH=V1,V2,...",
-                           help="sweep axis (repeatable)")
-            k.add_argument("--workload", default=None,
-                           help="stochastic workload class (default: "
-                                "generic)")
-            k.add_argument("--rounds", type=int, default=2)
-            k.add_argument("--seed", type=int, default=0)
-            k.add_argument("--on-error", choices=("capture", "raise"),
-                           default="capture", dest="on_error")
-            k.add_argument("--timing", action="store_true",
-                           help="add wall_time_s columns "
-                                "(nondeterministic)")
-            k.add_argument("--faults", default=None, metavar="PLAN.json",
-                           help="fault-injection plan file")
-        else:
-            k.add_argument("app", help="bundled app "
-                                       "(pingpong/alltoall/pipeline)")
-            k.add_argument("--campaign", required=True,
-                           metavar="SPEC.json",
-                           help="campaign spec file")
-            k.add_argument("--preset", choices=sorted(PRESETS),
-                           default="t805-grid-2x2")
-            k.add_argument("--size", type=int, default=256)
-            k.add_argument("--repeats", type=int, default=1)
-        k.add_argument("--set", action="append", metavar="PATH=VALUE",
-                       help="config override")
+        job.add_arguments(k, submit=True)
         k.add_argument("--server", default="http://127.0.0.1:8421")
-        k.add_argument("--tenant", default="default")
-        k.add_argument("--lane", choices=("high", "normal", "low"),
-                       default="normal")
-        k.add_argument("--timeout", type=float, default=None,
-                       metavar="SECONDS", help="job wall-time budget")
         k.add_argument("--wait", action="store_true",
                        help="block until the job ends; exit 1 unless it "
                             "finishes 'done'")

@@ -55,7 +55,7 @@ from .vsm import SharedRegion
 __all__ = ["EXPERIMENTS", "Experiment", "ShapeError", "format_experiment",
            "run_experiment", "save_experiment"]
 
-#: ``(sweep, runner, workload_id)`` — what ``cli.plan_sweep`` returns
+#: ``(sweep, runner, workload_id)`` — what ``plans.plan_sweep`` returns
 Job = tuple[Sweep, Callable[..., dict], str]
 Rows = list[dict]
 

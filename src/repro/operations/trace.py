@@ -14,9 +14,7 @@ trip through a compact columnar ``.npz`` file for post-mortem reuse.
 from __future__ import annotations
 
 import collections
-from typing import Iterable, Iterator, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .ops import (
     COMMUNICATION_OPS,
@@ -24,6 +22,9 @@ from .ops import (
     OpCode,
     Operation,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Trace", "TraceSet", "TraceStream", "trace_mix"]
 
@@ -92,6 +93,7 @@ class Trace:
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         """Encode as four parallel columns (code, dtype, arg, arg2)."""
+        import numpy as np   # only the .npz round-trip needs it
         n = len(self._ops)
         code = np.empty(n, dtype=np.uint8)
         dtyp = np.empty(n, dtype=np.uint8)
@@ -117,11 +119,13 @@ class Trace:
 
     def save(self, path: str) -> None:
         """Write the trace to a compressed columnar ``.npz`` file."""
+        import numpy as np
         cols = self.to_arrays()
         np.savez_compressed(path, node=np.int64(self.node), **cols)
 
     @classmethod
     def load(cls, path: str) -> "Trace":
+        import numpy as np
         with np.load(path) as data:
             return cls.from_arrays(int(data["node"]),
                                    {k: data[k] for k in
@@ -203,6 +207,7 @@ class TraceSet:
 
     def save(self, path: str) -> None:
         """All node traces in a single ``.npz`` (columns per node)."""
+        import numpy as np
         payload: dict[str, np.ndarray] = {"n_nodes": np.int64(len(self._traces))}
         for t in self._traces:
             for k, v in t.to_arrays().items():
@@ -211,6 +216,7 @@ class TraceSet:
 
     @classmethod
     def load(cls, path: str) -> "TraceSet":
+        import numpy as np
         with np.load(path) as data:
             n = int(data["n_nodes"])
             traces = []

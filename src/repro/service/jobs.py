@@ -14,8 +14,8 @@ rungs are points carrying their fault plan) and run as one
 their :class:`JobRecord` (the record *is* the executor's job state); a
 campaign's result document is the pure
 :meth:`~repro.chaos.ChaosResult.from_rows` reduction of the record's
-rows.  Both are planned by the CLI's own plan builders (same runner,
-same workload-id scheme) and pre-flighted by the job body, so rows
+rows.  Both are planned by their :data:`repro.plans.JOB_KINDS` row, the
+one ``repro sweep``/``chaos`` run, and pre-flighted by the job body, so rows
 fetched over HTTP, ``CheckError`` rows included, are byte-identical to
 ``repro sweep`` / in-process ``Sweep.run`` output (progress too: hits
 and pre-flight failures in point order during the scan, then executed
@@ -32,11 +32,11 @@ import threading
 from pathlib import Path
 from typing import Any, Optional
 
-from ..chaos.runner import AppCampaignRunner, ChaosResult, campaign_points
-from ..chaos.spec import as_campaign_spec
+from ..chaos.runner import ChaosResult
 from ..observe import MetricRegistry
 from ..parallel import ResultCache
 from ..parallel.executor import Executor, JobSpec, JobState
+from ..plans import JOB_KINDS, REQUIRED, Plan
 from ..store import Store
 from .scheduler import JobScheduler, QuotaExceeded
 
@@ -57,23 +57,11 @@ class ServiceError(RuntimeError):
 
 # -- request canonicalization ----------------------------------------------
 
-#: request fields, with defaults; ``...`` marks required fields.
-_SWEEP_FIELDS: dict[str, Any] = {
-    "kind": "sweep", "preset": ..., "axes": ..., "set": [],
-    "workload": None, "rounds": 2, "seed": 0, "on_error": "capture",
-    "timing": False, "faults": None, "timeout_s": None,
-    "tenant": "default", "lane": "normal",
-}
-_CHAOS_FIELDS: dict[str, Any] = {
-    "kind": "chaos", "preset": ..., "app": ..., "campaign": ...,
-    "set": [], "size": 256, "repeats": 1,
-    "timeout_s": None, "tenant": "default", "lane": "normal",
-}
-
 
 def canonical_request(request: Any) -> dict:
     """Validate a job request and fill defaults; deterministic output.
 
+    Fields and defaults are the kind's :data:`repro.plans.JOB_KINDS` row.
     Raises :class:`ServiceError` (status 400) on anything malformed:
     unknown ``kind``, unknown fields, missing required fields.  Deep
     validation (presets, axes, campaign specs) happens when the job is
@@ -83,13 +71,11 @@ def canonical_request(request: Any) -> dict:
         raise ServiceError(400, f"request must be a JSON object, "
                                 f"got {type(request).__name__}")
     kind = request.get("kind")
-    if kind == "sweep":
-        fields = _SWEEP_FIELDS
-    elif kind == "chaos":
-        fields = _CHAOS_FIELDS
-    else:
-        raise ServiceError(400, f"unknown job kind {kind!r}; "
-                                f"expected 'sweep' or 'chaos'")
+    if not isinstance(kind, str) or kind not in JOB_KINDS:
+        raise ServiceError(400, f"unknown job kind {kind!r}; expected "
+                                + " or ".join(map(repr, JOB_KINDS)))
+    fields = {"kind": kind, **{field.name: field.default
+                               for field in JOB_KINDS[kind].fields}}
     unknown = sorted(set(request) - set(fields))
     if unknown:
         raise ServiceError(400, f"unknown request fields: "
@@ -98,7 +84,7 @@ def canonical_request(request: Any) -> dict:
     for name in sorted(fields):
         if name in request:
             canon[name] = request[name]
-        elif fields[name] is ...:
+        elif fields[name] is REQUIRED:
             raise ServiceError(400, f"missing required field {name!r}")
         else:
             canon[name] = fields[name]
@@ -112,53 +98,6 @@ def job_key(request: dict) -> str:
     blob = json.dumps({"request": request, "code": code_version()},
                       sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-# -- job planning ----------------------------------------------------------
-
-
-def _plan_sweep(request: dict) -> dict:
-    """Turn a canonical sweep request into runnable pieces.
-
-    :func:`repro.cli.plan_sweep` is the plan ``repro sweep`` itself
-    runs, points unvalidated (a sick variant is the job's ``CheckError``
-    row, not a 400), so service rows are byte-identical to its output
-    and share cache entries with it.
-    """
-    from ..cli import plan_sweep
-    from ..faults import as_fault_plan
-
-    axes = request["axes"]
-    if not isinstance(axes, (list, tuple)) or not axes:
-        raise ServiceError(400, "axes must be a non-empty list of "
-                                "'dotted.path=v1,v2' strings")
-    try:
-        sweep, runner, workload_id = plan_sweep(
-            request["preset"], request["set"] or (), axes,
-            workload=request["workload"], rounds=request["rounds"],
-            seed=request["seed"])
-        plan = as_fault_plan(request["faults"])
-        points = [(*p, plan) for p in sweep.points(validate=False)]
-    except (SystemExit, Exception) as exc:  # noqa: BLE001 - request boundary
-        raise ServiceError(400, f"bad sweep request: {exc}") from None
-    return {"runner": runner, "points": points, "workload_id": workload_id}
-
-
-def _plan_chaos(request: dict) -> dict:
-    """Turn a canonical chaos request into runnable pieces: the shape
-    of :func:`_plan_sweep`, plus the spec the result is reduced with."""
-    from ..cli import build_machine
-
-    try:
-        machine = build_machine(request["preset"], request["set"] or ())
-        spec = as_campaign_spec(request["campaign"])
-        runner = AppCampaignRunner(request["app"], size=request["size"],
-                                   repeats=request["repeats"])
-        points = campaign_points(spec, machine)
-    except (SystemExit, Exception) as exc:  # noqa: BLE001 - request boundary
-        raise ServiceError(400, f"bad chaos request: {exc}") from None
-    return {"runner": runner, "points": points, "workload_id": None,
-            "campaign": spec}
 
 
 # -- job record ------------------------------------------------------------
@@ -178,7 +117,8 @@ class JobRecord(JobState):
         super().__init__(job_id, state="submitted")
         self.key = key
         self.request = request
-        self.plan: dict = {}
+        self.plan: Optional[Plan] = None
+        self.campaign: Any = None
 
     def to_dict(self) -> dict:
         """Deterministic record: fixed field order, no wall-clock."""
@@ -203,16 +143,15 @@ class JobRecord(JobState):
         with self.cond:
             payload = {"id": self.job_id, "kind": self.request["kind"],
                        "state": self.state}
-            spec = self.plan.get("campaign")
             if self.rows is None:
                 pass
-            elif spec is None:
+            elif self.campaign is None:
                 payload["rows"] = self.rows
             else:
                 # A campaign's document is a pure function of its rung
                 # rows; only the rows are job state.
                 payload["campaign"] = ChaosResult.from_rows(
-                    spec, self.rows).to_dict()
+                    self.campaign, self.rows).to_dict()
             return payload
 
 
@@ -342,13 +281,16 @@ class JobManager:
         requests and 429 on quota rejection."""
         canon = canonical_request(request)
         key = job_key(canon)
-        plan = (_plan_sweep if canon["kind"] == "sweep"
-                else _plan_chaos)(canon)
+        try:   # a sick variant is the job's ``CheckError`` row, not a 400
+            plan = JOB_KINDS[canon["kind"]].plan(canon)
+        except (SystemExit, Exception) as exc:  # noqa: BLE001 - request boundary
+            raise ServiceError(400, f"bad {canon['kind']} request: "
+                                    f"{exc}") from None
         with self._lock:
             job_id = f"{key[:12]}-{next(self._seq)}"
             record = JobRecord(job_id, key, canon)
-            record.plan = plan
-            record.total = len(plan["points"])
+            record.plan, record.campaign = plan, plan.campaign
+            record.total = len(plan.points)
             # Emit "submitted" before the scheduler can hand the job to
             # the dispatcher, so event order is stable.
             record.set_state("submitted")
@@ -411,7 +353,7 @@ class JobManager:
         # of the server must not pin the failed job's frames, nor the
         # plan's runner and machines (the result reads only the spec).
         record.exc = None
-        record.plan = {"campaign": record.plan.get("campaign")}
+        record.plan = None
         counter = {"done": "completed", "failed": "failed",
                    "cancelled": "cancelled"}[record.state]
         self._counters[counter].inc()
@@ -426,8 +368,8 @@ class JobManager:
         plan, request = record.plan, record.request
         try:
             self.executor.submit(JobSpec(
-                runner=plan["runner"], points=plan["points"],
-                workload_id=plan["workload_id"],
+                runner=plan.runner, points=plan.points,
+                workload_id=plan.workload_id,
                 on_error=request.get("on_error", "capture"),
                 timing=request.get("timing", False),
                 cache=self.store.cache if self.store is not None else None,

@@ -25,13 +25,14 @@ from repro.bounds import (
     static_diagnostics,
 )
 from repro.check import Severity
-from repro.cli import PRESETS, build_machine, main
+from repro.cli import main
 from repro.commmodel.network import MultiNodeModel
 from repro.commmodel.nic import RecvAnyEvent
 from repro.core.workbench import Workbench
 from repro.operations.ops import arecv, asend, compute, recv, send
 from repro.operations.trace import Trace, TraceSet
 from repro.pearl import Simulator
+from repro.plans import PRESETS, build_machine
 from tests.reference_kernel import KERNELS
 from tests.test_store import DAMAGED
 

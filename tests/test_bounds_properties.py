@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bounds import compute_bounds
-from repro.cli import build_machine
+from repro.plans import build_machine
 from repro.commmodel.network import MultiNodeModel
 from repro.operations.ops import compute, recv, send
 from repro.operations.trace import Trace, TraceSet

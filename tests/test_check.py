@@ -35,7 +35,7 @@ from repro.check import (
     ensure_ok,
 )
 from repro.check.machine_passes import RoutingValidityPass
-from repro.cli import PRESETS, main
+from repro.cli import main
 from repro.operations import (
     OpCode,
     Operation,
@@ -47,6 +47,7 @@ from repro.operations import (
 )
 from repro.pearl import DeadlockError, Resource
 from repro.pearl.channel import Channel
+from repro.plans import PRESETS
 from repro.tracegen import WORKLOAD_CLASSES, StochasticAppDescription
 from repro.tracegen.descriptions import InstructionMix
 
@@ -650,7 +651,7 @@ class TestOneRouteWalkPerInterconnect:
         return built
 
     def test_a_bandwidth_by_switching_sweep_builds_one_routing(self, built):
-        from repro.cli import _AxisSetter
+        from repro.core.experiment import _AxisSetter
         sweep = Sweep(generic_multicomputer("mesh", (4, 4)))
         for path, values in (
                 ("network.link_bandwidth", [1, 2, 3, 4, 5, 6, 7, 8]),

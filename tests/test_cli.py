@@ -7,7 +7,8 @@ import json
 import pytest
 
 from repro.apps import TASK_APPS
-from repro.cli import PRESETS, build_machine, main
+from repro.cli import main
+from repro.plans import PRESETS, build_machine
 from repro.tracegen import StochasticAppDescription, StochasticGenerator
 
 

@@ -385,7 +385,7 @@ KEY_AXES = [("network.link_bandwidth", [1.0, 4.0, 16.0]),
 def key_records() -> list[dict]:
     """The cache key and the field-ordered encoding digest of every
     preset and of every point of a three-axis sweep, in point order."""
-    from repro.cli import PRESETS
+    from repro.plans import PRESETS
     machines = [(f"preset {name}", factory())
                 for name, factory in sorted(PRESETS.items())]
     sweep = Sweep(PRESETS["generic-mesh"](), label="golden")

@@ -293,7 +293,7 @@ class TaggedMachine(MachineConfig):
 
 
 def test_deepcopy_equals_its_source_and_shares_nothing_mutable():
-    from repro.cli import PRESETS
+    from repro.plans import PRESETS
     for name, factory in sorted(PRESETS.items()):
         machine = factory()
         clone = copy.deepcopy(machine)

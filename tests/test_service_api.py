@@ -34,9 +34,10 @@ from pathlib import Path
 import pytest
 
 from repro import InProcessExecutor, LocalAsyncExecutor, Sweep
-from repro.cli import _AxisSetter, _sweep_point_runner, build_machine
+from repro.core.experiment import _AxisSetter
 from repro.faults import FaultPlan, LinkFault, TransportConfig
 from repro.parallel.pool import _mp_context
+from repro.plans import _sweep_point_runner, build_machine, plan_sweep
 from repro.service import (
     JobManager,
     JobRecord,
@@ -273,15 +274,14 @@ class TestLifecycleGolden:
         mgr = manager(autostart=False)
         sweep = mgr.submit(SWEEP_REQUEST)
         chaos = mgr.submit(CHAOS_REQUEST)
-        assert len(sweep.plan["points"]) == 2
-        assert len(chaos.plan["points"]) == 3
+        assert len(sweep.plan.points) == 2
+        assert len(chaos.plan.points) == 3
         mgr.start()
         assert sweep.wait(timeout=120.0) == "done"
         assert chaos.wait(timeout=300.0) == "done"
         mgr.close()           # joins the dispatcher: both are accounted for
         for record in (sweep, chaos):
-            assert "points" not in record.plan
-            assert "runner" not in record.plan
+            assert record.plan is None
         assert sweep.result_payload()["rows"] == expected_sweep_rows()
         assert chaos.result_payload()["campaign"] == ChaosResult.from_rows(
             as_campaign_spec(CHAOS_SPEC), chaos.rows).to_dict()
@@ -299,7 +299,6 @@ def test_one_sick_point_is_a_row_not_a_400(manager, backend):
     """Regression: the service planned with validating ``points()`` and
     never ran the analyzer, so the request ``repro sweep`` answers with
     one ``CheckError`` row and two good ones was rejected whole."""
-    from repro.cli import plan_sweep
     mgr = manager(executor=backend(workers=2))
     record = mgr.submit({"kind": "sweep", "preset": PRESET, "rounds": 1,
                          "axes": SICK_AXES})
@@ -785,9 +784,9 @@ def _gated_point(gate, machine, **kwargs):
 def gated(http_service, monkeypatch):
     """A served manager whose sweep points block until ``gate.set()``;
     its one worker runs them on the dispatch thread."""
-    import repro.cli
+    import repro.plans
     gate = threading.Event()
-    monkeypatch.setattr(repro.cli, "_sweep_point_runner",
+    monkeypatch.setattr(repro.plans, "_sweep_point_runner",
                         partial(_gated_point, gate))
     mgr, client = http_service(executor=InProcessExecutor(workers=1))
     yield mgr, client, gate
@@ -932,6 +931,20 @@ SUBMIT_ARGS = ["submit", "sweep", PRESET,
                "--axis", f"{AXIS}=2000000,4000000", "--rounds", "1"]
 SICK_SUBMIT_ARGS = ["submit", "sweep", PRESET,
                     "--axis", SICK_AXES[0], "--rounds", "1"]
+#: no --rounds: the server must plan ``repro sweep``'s own default
+DEFAULT_ROUNDS_ARGS = ["sweep", PRESET, "--axis", f"{AXIS}=2000000,4000000"]
+
+
+def local_sweep_rows(argv: list[str]) -> list[dict]:
+    """The rows ``repro sweep ARGV`` computes: its request's plan, run
+    in process."""
+    from repro.cli import _parser
+    from repro.parallel import ParallelSweepRunner
+    from repro.plans import JOB_KINDS
+    sweep = JOB_KINDS["sweep"]
+    plan = sweep.plan(sweep.request_from_args(_parser().parse_args(argv)))
+    return ParallelSweepRunner(workers=1).run(
+        plan.runner, plan.points, workload_id=plan.workload_id)
 
 
 @pytest.mark.usefixtures("cli_server")
@@ -940,8 +953,9 @@ class TestCLI:
                                            tmp_path):
         """``repro fetch`` prints, byte for byte, what the same study
         dumps in-process: a sweep, a sweep whose sick value is a
-        ``CheckError`` row, and a chaos campaign (``repro chaos --json``)."""
-        from repro.cli import main, plan_sweep
+        ``CheckError`` row, a sweep that leaves ``--rounds`` to its
+        default, and a chaos campaign (``repro chaos --json``)."""
+        from repro.cli import main
 
         def dump(rows):
             return json.dumps(rows, indent=2, sort_keys=True) + "\n"
@@ -957,6 +971,8 @@ class TestCLI:
             (SUBMIT_ARGS, dump(expected_sweep_rows())),
             (SICK_SUBMIT_ARGS, dump(sick.run(runner,
                                              workload_id=workload_id))),
+            (["submit", *DEFAULT_ROUNDS_ARGS],
+             dump(local_sweep_rows(DEFAULT_ROUNDS_ARGS))),
             (["submit", "chaos", *chaos_args], capsys.readouterr().out),
         ]
         for argv, expected in cases:

@@ -218,7 +218,7 @@ def test_parent_job_entry(tmp_path):
     store = ResultStore(tmp_path)
     assert store.get_job(KEY) == json.loads(PARENT_JOB)
     record = JobRecord("abababababab-1", KEY, canonical_request(
-        {"kind": "sweep", "preset": "t805-grid-2x2",
+        {"kind": "sweep", "preset": "t805-grid-2x2", "rounds": 2,
          "axes": ["network.link_bandwidth=2,4"]}))
     record.rows = [{"bw": 2, "total_cycles": 10.5}]
     record.state, record.total, record.done = "done", 1, 1

@@ -177,9 +177,8 @@ class TestWorkerPool:
         an import after the fork is paid again in every worker."""
         script = (
             "import functools, json, os, sys, tempfile\n"
-            "from repro.cli import _AxisSetter, _sweep_point_runner, "
-            "build_machine\n"
-            "from repro.core.experiment import Sweep\n"
+            "from repro.core.experiment import Sweep, _AxisSetter\n"
+            "from repro.plans import _sweep_point_runner, build_machine\n"
             "from repro.parallel import ResultCache\n"
             "forked = set()\n"
             "os.register_at_fork(after_in_child=lambda: "
@@ -265,13 +264,13 @@ class TestSweepsSurviveACrashingVariant:
         status 0."""
         script = (
             "import os, sys\n"
-            "from repro import cli\n"
-            "real = cli._sweep_point_runner\n"
+            "from repro import cli, plans\n"
+            "real = plans._sweep_point_runner\n"
             "def crashing(machine, **kwargs):\n"
             "    if machine.network.link_bandwidth == 4.0:\n"
             "        os._exit(43)\n"
             "    return real(machine, **kwargs)\n"
-            "cli._sweep_point_runner = crashing\n"
+            "plans._sweep_point_runner = crashing\n"
             "sys.exit(cli.main(['sweep', 't805-grid-2x2', '--axis',\n"
             "    'network.link_bandwidth=2,4', '--rounds', '1',\n"
             "    '--workers', '2']))\n")
