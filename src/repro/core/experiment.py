@@ -164,9 +164,11 @@ class Sweep:
             a :class:`repro.parallel.Executor` to run the points as
             a job on — e.g. a shared one whose workers outlive the
             call.  Mutually exclusive with ``workers`` (the executor
-            owns its worker pool, and ``workers=N`` is itself sugar for
-            an executor that lives for the call); ``cache`` falls back
-            to the executor's own cache when ``None``.
+            owns its worker pool, while ``workers=N`` is the process's
+            pool: forked on the first miss and reused until the process
+            exits, so code patched in the parent after the fork is not
+            seen by the workers); ``cache`` falls back to the
+            executor's own cache when ``None``.
         """
         from ..faults import as_fault_plan
         from ..parallel import ParallelSweepRunner

@@ -9,9 +9,12 @@ trustworthy:
   job; ordered results, per-variant error capture;
 * :class:`WorkerPool` — the one process pool everything fans out
   over: ordered streaming, crashed workers replaced and their task
-  requeued, then a typed :class:`WorkerCrashed`; :func:`run_sharded`
-  maps the two non-sweep fan-outs (``repro verify`` shards, the
-  ``repro bound --audit`` rows) over an ephemeral one;
+  requeued, then a typed :class:`WorkerCrashed`.  ``workers=N`` is the
+  process's pool (:func:`process_pool`), behind sweeps and
+  :func:`run_sharded` (``repro verify`` shards, the ``repro bound
+  --audit`` rows) alike: forked on the first miss and reused until the
+  process exits, so code patched in the parent after the fork is not
+  seen by the workers;
 * :class:`ResultCache` — skip variants whose ``(machine, workload,
   code version, fault plan)`` hash already has a row;
 * :func:`result_key` / :func:`code_version` — the cache key scheme;

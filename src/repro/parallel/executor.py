@@ -2,10 +2,12 @@
 
 The workbench's interactive loop runs sweeps synchronously; serving
 that loop to many users needs sweeps as *jobs* — submitted, watched,
-cancelled — without changing what a sweep computes.  An
-:class:`Executor` is the only way a sweep runs (``Sweep.run`` and
-:class:`~repro.parallel.runner.ParallelSweepRunner` are blocking sugar
-over it).  It owns one :class:`~repro.parallel.pool.WorkerPool`, and
+cancelled — without changing what a sweep computes.  :func:`run_job`
+is the only way a sweep runs: on an :class:`Executor`'s pool, or —
+for ``Sweep.run`` and a
+:class:`~repro.parallel.runner.ParallelSweepRunner` given no executor —
+on the process's (:func:`~repro.parallel.pool.process_pool`).  An
+executor owns one :class:`~repro.parallel.pool.WorkerPool`, and
 ``submit`` runs the job to completion on the calling thread;
 submitters on several threads take turns on the pool, and a job is
 cancelled from another thread.  Nothing here holds jobs in line or
@@ -43,7 +45,8 @@ from .pool import WorkerCrashed, WorkerPool
 from .runner import Point, Runner, run_cached_sweep
 
 __all__ = ["Executor", "ExecutorError", "InProcessExecutor", "JobSpec",
-           "JobState", "JobStatus", "LocalAsyncExecutor", "TERMINAL_STATES"]
+           "JobState", "JobStatus", "LocalAsyncExecutor", "TERMINAL_STATES",
+           "run_job"]
 
 #: job states that no longer change
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
@@ -315,7 +318,8 @@ class Executor:
             if state.cancel_requested:
                 state.set_state("cancelled")
             else:
-                self._run_job(state, spec)
+                run_job(self._pool, state, spec, cache=self.cache,
+                        timeout_s=self.job_timeout_s)
         return state.job_id
 
     # -- observation interface -----------------------------------------
@@ -382,29 +386,33 @@ class Executor:
     def __exit__(self, *exc: Any) -> None:
         self.close()
 
-    # -- the job body --------------------------------------------------
 
-    def _run_job(self, job: JobState, spec: JobSpec) -> None:
-        cache = _as_cache(spec.cache) or self.cache
-        imap = functools.partial(self._pool.imap,
-                                 check_abort=job.check_abort,
-                                 on_crash=_crash_outcome)
-        stats = cache.stats if cache is not None else CacheStats()
+def run_job(pool: WorkerPool, job: JobState, spec: JobSpec, *,
+            cache: Optional[ResultCache] = None,
+            timeout_s: Optional[float] = None) -> None:
+    """Run one job to its terminal state on ``pool``: the body of every
+    :meth:`Executor.submit`, and of a
+    :class:`~repro.parallel.runner.ParallelSweepRunner` on the process's
+    pool.  ``cache`` and ``timeout_s`` serve a spec that names none."""
+    cache = _as_cache(spec.cache) or cache
+    imap = functools.partial(pool.imap, check_abort=job.check_abort,
+                             on_crash=_crash_outcome)
+    stats = cache.stats if cache is not None else CacheStats()
 
-        def body() -> None:
-            base = asdict(stats)
-            try:
-                job.rows = run_cached_sweep(
-                    imap, spec.runner, list(spec.points), cache=cache,
-                    workload_id=spec.workload_id, on_error=spec.on_error,
-                    progress=job.progress, timing=spec.timing)
-            finally:
-                with job.cond:
-                    job.cache = {name: n - base[name]
-                                 for name, n in asdict(stats).items()}
+    def body() -> None:
+        base = asdict(stats)
+        try:
+            job.rows = run_cached_sweep(
+                imap, spec.runner, list(spec.points), cache=cache,
+                workload_id=spec.workload_id, on_error=spec.on_error,
+                progress=job.progress, timing=spec.timing)
+        finally:
+            with job.cond:
+                job.cache = {name: n - base[name]
+                             for name, n in asdict(stats).items()}
 
-        job.run(body, spec.timeout_s if spec.timeout_s is not None
-                else self.job_timeout_s)
+    job.run(body, spec.timeout_s if spec.timeout_s is not None
+            else timeout_s)
 
 
 class InProcessExecutor(Executor):

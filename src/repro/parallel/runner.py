@@ -5,7 +5,7 @@ means running the same workload on many machine variants — trivially
 parallel work.  This module holds what every way of running a sweep
 shares; the processes themselves belong to
 :class:`~repro.parallel.pool.WorkerPool` and the job lifecycle to
-:class:`~repro.parallel.executor.Executor`:
+:func:`~repro.parallel.executor.run_job`:
 
 * :func:`execute_variant` — run one variant, capturing a runner
   exception as an error payload (``on_error="capture"``), so an
@@ -17,7 +17,8 @@ shares; the processes themselves belong to
   and rows are collected **in point order**, never completion order;
 * :class:`ParallelSweepRunner` — the blocking front door behind
   ``Sweep.run``: one :class:`~repro.parallel.executor.JobSpec`
-  run to its end on an executor, returned as rows.
+  run to its end on an executor or the process's pool, returned as
+  rows.
 
 Every variant runs under the Pearl kernel's deterministic schedule
 (global monotone sequence tie-breaking), so rows computed on worker
@@ -42,6 +43,7 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 from .. import check
 from ..config import MachineConfig
 from .cache import ResultCache
+from .pool import process_pool
 
 __all__ = ["ParallelSweepRunner", "SweepVariantError",
            "default_workload_id", "error_message", "execute_variant",
@@ -282,11 +284,13 @@ class ParallelSweepRunner:
 
     Sugar over the :class:`~repro.parallel.executor.Executor` interface:
     :meth:`run` submits one :class:`~repro.parallel.executor.JobSpec` to
-    ``executor`` — or, given ``workers`` instead, to an executor of
-    that size that lives for the call (``workers=1`` starts no process)
-    — and returns the rows.  Rows come back in point order; failed
-    variants become ``{**coords, "error": ...}`` rows unless
-    ``on_error="raise"``.
+    ``executor`` — or, given ``workers`` instead, runs it on the
+    process's pool of that size
+    (:func:`~repro.parallel.pool.process_pool`: forked on the first
+    miss and reused until the process exits, so code patched in the
+    parent after the fork is not seen by the workers; ``workers=1``
+    starts no process) — and returns the rows.  Rows come back in point order; failed variants become
+    ``{**coords, "error": ...}`` rows unless ``on_error="raise"``.
     """
 
     def __init__(self, workers: Optional[int] = None,
@@ -321,7 +325,7 @@ class ParallelSweepRunner:
         re-raised here as itself; a job that timed out or was cancelled
         on a shared executor raises ``RuntimeError``.
         """
-        from .executor import Executor, JobSpec, JobState
+        from .executor import JobSpec, JobState, run_job
 
         spec = JobSpec(runner=runner, points=points, workload_id=workload_id,
                        on_error=on_error, timing=timing, cache=self.cache)
@@ -331,10 +335,11 @@ class ParallelSweepRunner:
                 if event["event"] == "progress":
                     progress(event["done"], event["total"], event["row"])
         job = JobState("sweep", on_event=on_event)
-        with (contextlib.nullcontext(self.executor)
-              if self.executor is not None
-              else Executor(workers=self.workers)) as executor:
-            executor.submit(spec, state=job)
+        if self.executor is not None:
+            self.executor.submit(spec, state=job)
+        else:
+            with process_pool(self.workers) as pool:
+                run_job(pool, job, spec)
         if job.state != "done":
             if job.exc is not None:
                 raise job.exc

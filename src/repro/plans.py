@@ -238,10 +238,14 @@ def _plan_sweep(request: dict) -> Plan:
     if not isinstance(axes, (list, tuple)) or not axes:
         raise SystemExit("axes must be a non-empty list of "
                          "'dotted.path=v1,v2' strings")
+    workload = request["workload"]
+    if workload is not None and workload not in WORKLOAD_CLASSES:
+        raise SystemExit(f"unknown workload {workload!r}; choose from: "
+                         + ", ".join(sorted(WORKLOAD_CLASSES)))
     from .faults import as_fault_plan
     sweep, runner, workload_id = plan_sweep(
         request["preset"], request["set"] or (), axes,
-        workload=request["workload"], rounds=request["rounds"],
+        workload=workload, rounds=request["rounds"],
         seed=request["seed"])
     faults = as_fault_plan(request["faults"])
     points = [(coords, machine, faults)

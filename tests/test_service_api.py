@@ -174,9 +174,18 @@ class TestRequests:
                 mgr.submit({"kind": "sweep", "preset": PRESET, "axes": axes})
             assert info.value.status == 400
 
-
-# ---------------------------------------------------------------------------
-# Job lifecycle: golden records
+    def test_unknown_workload_is_400_at_submit(self, manager):
+        """A sweep naming no workload class was admitted and ended
+        ``done`` with every row ``KeyError: 'nope'``; ``repro sweep
+        --workload nope`` is an argparse error over the same choices."""
+        from repro.tracegen import WORKLOAD_CLASSES
+        mgr = manager(autostart=False)
+        with pytest.raises(ServiceError, match="unknown workload 'nope'; "
+                           "choose from: " + ", ".join(
+                               sorted(WORKLOAD_CLASSES))) as info:
+            mgr.submit(dict(SWEEP_REQUEST, workload="nope"))
+        assert info.value.status == 400
+        assert mgr.submit(dict(SWEEP_REQUEST, workload="stencil")).job_id
 # ---------------------------------------------------------------------------
 
 class TestLifecycleGolden:

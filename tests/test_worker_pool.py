@@ -16,11 +16,13 @@ Everything that crosses a process boundary lives at module level
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -54,6 +56,25 @@ def sleep_then(seconds, x):
     return x
 
 
+class Node:
+    pass
+
+
+#: weak references to the cycles this process's tasks left behind
+left_cycles = []
+
+
+def leave_a_cycle(_):
+    """Leave cyclic garbage in the oldest generation; tell which of the
+    cycles earlier tasks left are still alive."""
+    alive = [ref() is not None for ref in left_cycles]
+    node = Node()
+    node.me = node
+    left_cycles.append(weakref.ref(node))
+    gc.collect(1)                  # survivors move to the oldest generation
+    return alive
+
+
 def cursed_bandwidth_runner(machine):
     """A variant that takes its whole worker process down."""
     if machine.network.link_bandwidth == 2.0:
@@ -63,6 +84,32 @@ def cursed_bandwidth_runner(machine):
 
 CRASH_ROW_ERROR = ("WorkerCrashed: variant worker exited with code 43 "
                    "(after 3 attempts)")
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def python(script, timeout=120):
+    """Run ``script`` in a fresh interpreter that imports ``repro`` and
+    this suite's helpers (``tests.*``)."""
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=timeout, cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=f"{ROOT / 'src'}{os.pathsep}{ROOT}"))
+
+
+def running(pid):
+    try:      # a zombie nobody reaped is dead for our purposes
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def wait_until_gone(pids, seconds=30.0):
+    deadline = time.monotonic() + seconds  # repro: noqa[PY002]
+    while any(running(pid) for pid in pids):
+        assert time.monotonic() < deadline, pids  # repro: noqa[PY002]
+        time.sleep(0.05)  # repro: noqa[PY002]
 
 
 class TestWorkerPool:
@@ -151,30 +198,20 @@ class TestWorkerPool:
             "assert list(pool.imap(abs, [-1, -2, -3])) == [1, 2, 3]\n"
             "print(*(w.proc.pid for w in pool._workers), flush=True)\n"
             "os.kill(os.getpid(), signal.SIGKILL)\n")
-        src = str(Path(__file__).parent.parent / "src")
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            timeout=120, env=dict(os.environ, PYTHONPATH=src))
+        proc = python(script)
         assert proc.returncode == -9, proc.stderr
         pids = [int(pid) for pid in proc.stdout.split()]
         assert len(pids) == 3
-
-        def running(pid):
-            try:      # a zombie nobody reaped is dead for our purposes
-                stat = Path(f"/proc/{pid}/stat").read_text()
-            except OSError:
-                return False
-            return stat.rsplit(")", 1)[1].split()[0] != "Z"
-
-        deadline = time.monotonic() + 30.0  # repro: noqa[PY002]
-        while any(running(pid) for pid in pids):
-            assert time.monotonic() < deadline, pids  # repro: noqa[PY002]
-            time.sleep(0.05)  # repro: noqa[PY002]
+        wait_until_gone(pids)
 
     def test_workers_import_nothing_after_the_fork(self):
         """``import repro`` is lazy, so a sweep's workers must still
-        find every module a point needs already loaded by the parent:
-        an import after the fork is paid again in every worker."""
+        find every ``repro`` module a point needs already loaded by the
+        parent: an import after the fork is paid again in every worker.
+        The process's pool is warm on the next sweep: the same workers,
+        and no module at all loaded by them (at the parent every sweep
+        forked anew, and each worker loaded ``numpy.random`` and 15
+        more modules)."""
         script = (
             "import functools, json, os, sys, tempfile\n"
             "from repro.core.experiment import Sweep, _AxisSetter\n"
@@ -183,33 +220,50 @@ class TestWorkerPool:
             "forked = set()\n"
             "os.register_at_fork(after_in_child=lambda: "
             "forked.update(sys.modules))\n"
+            "seen = []      # the worker's modules after its last point\n"
             "def runner(machine, **kwargs):\n"
+            "    before = seen[-1] if seen else forked\n"
             "    row = _sweep_point_runner(machine, **kwargs)\n"
+            "    seen.append(set(sys.modules))\n"
             "    row['forked'] = bool(forked)\n"
-            "    row['late'] = sorted(m for m in sys.modules\n"
-            "                         if m.startswith('repro')\n"
-            "                         and m not in forked)\n"
+            "    row['pid'] = os.getpid()\n"
+            "    row['late'] = sorted(seen[-1] - before)\n"
             "    return row\n"
             "sweep = Sweep(build_machine('generic-mesh'))\n"
             "sweep.axis('network.switching', "
             "_AxisSetter('network.switching'),\n"
             "           ['store_and_forward', 'wormhole'])\n"
+            "out = []\n"
             "with tempfile.TemporaryDirectory() as d:\n"
-            "    print(json.dumps(sweep.run(\n"
-            "        functools.partial(runner, workload='stencil', "
-            "rounds=1, seed=1),\n"
-            "        workers=2, cache=ResultCache(d), "
-            "workload_id='late-imports')))\n")
-        src = str(Path(__file__).parent.parent / "src")
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            timeout=120, env=dict(os.environ, PYTHONPATH=src))
+            "    for seed in (1, 2):\n"
+            "        out.append(sweep.run(\n"
+            "            functools.partial(runner, workload='stencil', "
+            "rounds=1, seed=seed),\n"
+            "            workers=2, cache=ResultCache(d), "
+            "workload_id=f'late-imports-{seed}'))\n"
+            "print(json.dumps(out))\n")
+        proc = python(script)
         assert proc.returncode == 0, proc.stderr
-        rows = json.loads(proc.stdout)
-        assert len(rows) == 2
-        for row in rows:
-            assert "error" not in row, row
-            assert row["forked"] and row["late"] == [], row
+        first, second = json.loads(proc.stdout)
+        assert len(first) == len(second) == 2
+        for row in first + second:
+            assert "error" not in row and row["forked"], row
+        for row in first:
+            assert [m for m in row["late"] if m.startswith("repro")] == [], \
+                row
+        for row in second:
+            assert row["late"] == [], row
+        pids = {row["pid"] for row in first}
+        assert len(pids) == 2 and {row["pid"] for row in second} == pids
+
+    def test_a_worker_collects_after_every_task(self):
+        """A worker lives as long as its owner: garbage a task leaves in
+        a cycle must not wait for a rare full collection (left waiting,
+        200 sweeps on one pool raised a worker's peak memory by 14 %)."""
+        with WorkerPool(workers=2) as pool:
+            assert list(pool.imap(leave_a_cycle, [0])) == [[]]
+            assert list(pool.imap(leave_a_cycle, [1])) == [[False]]
+            assert len(pool._workers) == 1
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError, match="workers"):
@@ -274,10 +328,7 @@ class TestSweepsSurviveACrashingVariant:
             "sys.exit(cli.main(['sweep', 't805-grid-2x2', '--axis',\n"
             "    'network.link_bandwidth=2,4', '--rounds', '1',\n"
             "    '--workers', '2']))\n")
-        src = str(Path(__file__).parent.parent / "src")
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            timeout=120, env=dict(os.environ, PYTHONPATH=src))
+        proc = python(script)
         assert proc.returncode == 0, proc.stderr
         assert "sweep of t805-grid-2x2 (2 variants, workers=2)" in proc.stdout
         lines = proc.stdout.splitlines()
@@ -285,3 +336,174 @@ class TestSweepsSurviveACrashingVariant:
         intact = [line for line in lines if "WorkerCrashed" not in line
                   and line.strip().startswith("2")]
         assert len(crashed) == 1 and len(intact) == 1, proc.stdout
+
+
+#: One interpreter's life with the process's pool, case by case; the
+#: cases share it because each fresh interpreter costs half a second.
+LIFETIME_SCRIPT = """
+import json, os, tempfile, threading, time
+from dataclasses import asdict
+from repro import Sweep, Workbench, generic_multicomputer
+from repro.apps import pingpong_task_traces
+from repro.parallel import ResultCache, WorkerPool, pool, run_sharded
+
+# Helpers live in __main__, defined before the first fork (importing
+# this suite's modules would import pytest too).
+def set_bw(machine, value):
+    machine.network.link_bandwidth = value
+
+def bw_sweep(values=(1.0, 2.0, 4.0, 8.0)):
+    return Sweep(generic_multicomputer("mesh", (2, 2))).axis(
+        "bw", set_bw, list(values))
+
+def echo_runner(machine):
+    return {"bw_out": machine.network.link_bandwidth}
+
+def pingpong_runner(machine):
+    res = Workbench(machine).run_comm_only(
+        pingpong_task_traces(4, size=256, repeats=2, b=3))
+    return {"cycles": res.total_cycles, "latency": res.message_latency.mean}
+
+def worker_pid(_):
+    return os.getpid()
+
+def pid_runner(machine):
+    return {"pid": os.getpid()}
+
+def nested_sweep_runner(machine):
+    rows = bw_sweep([1.0, 2.0]).run(echo_runner, workers=2)
+    return {"inner": json.dumps(rows, sort_keys=True)}
+
+out = {}
+
+def pool_pids():
+    return sorted(w.proc.pid for w in pool._process_pool._workers)
+
+# A fresh pool (the first fan-out), the warm one, the serial path.
+runs, pids = [], []
+with tempfile.TemporaryDirectory() as d:
+    for n, workers in enumerate((2, 2, 1)):
+        cache = ResultCache(os.path.join(d, str(n)))
+        rows = bw_sweep().run(pingpong_runner, workers=workers, cache=cache)
+        runs.append([rows, asdict(cache.stats)])
+        pids.append(pool_pids())
+out["warm"] = [runs, pids, sorted(set(run_sharded(worker_pid, range(8), 2)))]
+
+# Another size closes the workers and forks anew.
+three = set(run_sharded(worker_pid, range(9), workers=3))
+out["resize"] = [pids[0], sorted(three),
+                 [os.path.exists(f"/proc/{p}") for p in pids[0]]]
+
+# A __main__ runner defined after the fork.
+def late_runner(machine):
+    return {"late": 3 * machine.network.link_bandwidth}
+
+out["late"] = bw_sweep().run(late_runner, workers=2)
+with WorkerPool(2, max_task_retries=0) as own:
+    assert list(own.imap(abs, [-1, -2])) == [1, 2]
+    def triple(x):
+        return 3 * x
+    out["late_budget"] = list(own.imap(triple, [1, 2, 3]))
+
+# A sweep inside a worker, and inside a fan-out on the calling thread.
+out["in_worker"] = [{k: v for k, v in row.items() if k != "traceback"}
+                    for row in bw_sweep([1.0, 2.0]).run(
+                        nested_sweep_runner, workers=2)]
+hooked = []
+def hook(done, total, row):
+    hooked.append(bw_sweep([1.0, 2.0]).run(echo_runner, workers=2))
+out["on_thread"] = [
+    bw_sweep([1.0, 2.0]).run(lambda m: nested_sweep_runner(m), workers=2),
+    bw_sweep([1.0, 2.0]).run(echo_runner, workers=2, progress=hook),
+    hooked]
+
+# Two threads, one sweep each.
+values = {"0": [1.0, 2.0, 4.0], "1": [3.0, 5.0, 6.0, 7.0]}
+barrier, got = threading.Barrier(2), {}
+def sweep(n):
+    barrier.wait()
+    got[n] = bw_sweep(values[n]).run(pingpong_runner, workers=2)
+threads = [threading.Thread(target=sweep, args=(n,)) for n in values]
+for t in threads: t.start()
+for t in threads: t.join(60)
+out["threads"] = [got, {n: bw_sweep(v).run(pingpong_runner)
+                        for n, v in values.items()}]
+
+# The workers at exit.
+rows = bw_sweep().run(pid_runner, workers=2)
+out["exit"] = [sorted({r["pid"] for r in rows}), time.monotonic()]
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def lifetime():
+    """What ``LIFETIME_SCRIPT`` saw, and when its interpreter was gone."""
+    proc = python(LIFETIME_SCRIPT)
+    exited = time.monotonic()  # repro: noqa[PY002]
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout), proc.stderr, exited
+
+
+class TestProcessPool:
+    """Every ``workers=N`` fan-out borrows the process's one pool: its
+    workers are forked on the first miss and live until the process
+    exits.  The cases fork, so they run in a fresh interpreter."""
+
+    def test_warm_rows_and_stats_equal_fresh_and_serial(self, lifetime):
+        ((fresh, warm, serial), pids, shards) = lifetime[0]["warm"]
+        assert json.dumps(warm, sort_keys=True) == \
+            json.dumps(fresh, sort_keys=True) == \
+            json.dumps(serial, sort_keys=True)
+        assert fresh[1]["misses"] == fresh[1]["stores"] == 4
+        # One set of workers: the warm sweep, the serial one (which
+        # forks nothing and closes nothing) and the shards share it.
+        assert len(pids[0]) == 2 and pids[0] == pids[1] == pids[2]
+        assert set(shards) <= set(pids[0])
+
+    def test_another_size_reforks(self, lifetime):
+        two, three, still_running = lifetime[0]["resize"]
+        assert len(three) == 3 and not set(two) & set(three)
+        assert not any(still_running)
+
+    def test_runner_defined_after_the_fork(self, lifetime):
+        """A worker cannot unpickle a ``__main__`` function defined
+        after it was forked: it is re-forked and the task retried,
+        without a ``WorkerCrashed`` row, a spent crash budget or a
+        traceback."""
+        out, stderr, _ = lifetime
+        assert out["late"] == [{"bw": bw, "late": 3 * bw}
+                               for bw in (1.0, 2.0, 4.0, 8.0)]
+        assert out["late_budget"] == [3, 6, 9]
+        assert stderr == ""
+
+    def test_nested_fan_out_in_a_worker(self, lifetime):
+        """A worker starts with no pool: a sweep it runs itself forks
+        (and, a daemon, may not: the parent's behaviour), never waits on
+        the parent's turn or reuses its pipes."""
+        error = ("AssertionError: daemonic processes are not allowed to "
+                 "have children")
+        assert lifetime[0]["in_worker"] == [
+            {"bw": 1.0, "error": error}, {"bw": 2.0, "error": error}]
+
+    def test_nested_fan_out_on_the_calling_thread(self, lifetime):
+        """A fan-out inside another on the same thread — an unpicklable
+        runner, which runs in-process, or a progress hook — would wait
+        for the turn its own thread holds: it runs in-process instead."""
+        nested, hooked, inner = lifetime[0]["on_thread"]
+        echoed = [{"bw": 1.0, "bw_out": 1.0}, {"bw": 2.0, "bw_out": 2.0}]
+        assert nested == [{"bw": bw, "inner": json.dumps(echoed,
+                                                         sort_keys=True)}
+                          for bw in (1.0, 2.0)]
+        assert hooked == echoed and inner == [echoed, echoed]
+
+    def test_threads_take_turns(self, lifetime):
+        got, serial = lifetime[0]["threads"]
+        assert got == serial and len(got) == 2
+
+    def test_exit_is_prompt_and_leaves_no_worker(self, lifetime):
+        out, _, exited = lifetime
+        pids, done = out["exit"]
+        assert len(pids) == 2
+        assert exited - done < 5.0
+        wait_until_gone(pids, seconds=1.0)
