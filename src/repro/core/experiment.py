@@ -161,14 +161,14 @@ class Sweep:
             Empty plans are normalized away and behave exactly like
             ``faults=None``.
         ``executor``
-            a :class:`repro.parallel.Executor` to run the points as
-            a job on — e.g. a shared one whose workers outlive the
-            call.  Mutually exclusive with ``workers`` (the executor
-            owns its worker pool, while ``workers=N`` is the process's
-            pool: forked on the first miss and reused until the process
-            exits, so code patched in the parent after the fork is not
-            seen by the workers); ``cache`` falls back to the
-            executor's own cache when ``None``.
+            a :class:`repro.parallel.Executor` to submit the points to
+            as a job — e.g. a shared one with its own cache and time
+            budget.  Mutually exclusive with ``workers`` (the executor
+            names its own size).  Either way the variants run on the
+            process's pool: forked on the first miss and reused until
+            the process exits, so code patched in the parent after the
+            fork is not seen by the workers.  ``cache`` falls back to
+            the executor's own cache when ``None``.
         """
         from ..faults import as_fault_plan
         from ..parallel import ParallelSweepRunner

@@ -9,8 +9,9 @@ trustworthy:
   job; ordered results, per-variant error capture;
 * :class:`WorkerPool` — the one process pool everything fans out
   over: ordered streaming, crashed workers replaced and their task
-  requeued, then a typed :class:`WorkerCrashed`.  ``workers=N`` is the
-  process's pool (:func:`process_pool`), behind sweeps and
+  requeued, then a typed :class:`WorkerCrashed`.  A process has one
+  (:func:`process_pool`), borrowed by every :class:`Executor` — so by
+  every sweep, chaos campaign and served job — and by
   :func:`run_sharded` (``repro verify`` shards, the ``repro bound
   --audit`` rows) alike: forked on the first miss and reused until the
   process exits, so code patched in the parent after the fork is not
@@ -18,8 +19,9 @@ trustworthy:
 * :class:`ResultCache` — skip variants whose ``(machine, workload,
   code version, fault plan)`` hash already has a row;
 * :func:`result_key` / :func:`code_version` — the cache key scheme;
-* :class:`Executor` — sweeps as submit/poll/cancel/stream *jobs*
-  (the service layer in :mod:`repro.service` builds on it);
+* :class:`Executor` — sweeps as submit/poll/cancel/stream *jobs* on
+  the process's pool (the service layer in :mod:`repro.service` builds
+  on it);
   :class:`InProcessExecutor` and :class:`LocalAsyncExecutor` are the
   names the layered benchmark still constructs.
 
@@ -47,7 +49,6 @@ from .runner import (
     ParallelSweepRunner,
     SweepVariantError,
     default_workload_id,
-    error_message,
     execute_variant,
     run_cached_sweep,
 )
@@ -57,6 +58,6 @@ __all__ = [
     "JobSpec", "JobState", "JobStatus", "LocalAsyncExecutor",
     "ParallelSweepRunner", "ResultCache", "SweepVariantError",
     "TERMINAL_STATES", "WorkerCrashed", "WorkerPool",
-    "code_version", "default_workload_id", "error_message",
-    "execute_variant", "result_key", "run_cached_sweep", "run_sharded",
+    "code_version", "default_workload_id", "execute_variant",
+    "result_key", "run_cached_sweep", "run_sharded",
 ]

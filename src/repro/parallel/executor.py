@@ -2,15 +2,14 @@
 
 The workbench's interactive loop runs sweeps synchronously; serving
 that loop to many users needs sweeps as *jobs* — submitted, watched,
-cancelled — without changing what a sweep computes.  :func:`run_job`
-is the only way a sweep runs: on an :class:`Executor`'s pool, or —
-for ``Sweep.run`` and a
-:class:`~repro.parallel.runner.ParallelSweepRunner` given no executor —
-on the process's (:func:`~repro.parallel.pool.process_pool`).  An
-executor owns one :class:`~repro.parallel.pool.WorkerPool`, and
-``submit`` runs the job to completion on the calling thread;
-submitters on several threads take turns on the pool, and a job is
-cancelled from another thread.  Nothing here holds jobs in line or
+cancelled — without changing what a sweep computes.
+:meth:`Executor.submit` is the only way a sweep runs (``Sweep.run``
+and :class:`~repro.parallel.runner.ParallelSweepRunner` submit to one
+too).  An executor owns no processes: ``submit`` borrows the process's
+one pool (:func:`~repro.parallel.pool.process_pool`) and runs the job
+to completion on the calling thread, so submitters on several threads
+— to one executor or to several — take turns on that pool, and a job
+is cancelled from another thread.  Nothing here holds jobs in line or
 runs them in the background: jobs wait only in the service's
 :class:`~repro.service.scheduler.JobScheduler`, and its dispatch thread
 is the only job thread.
@@ -41,12 +40,11 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 
 from ..store import CacheStats
 from .cache import ResultCache
-from .pool import WorkerCrashed, WorkerPool
+from .pool import WorkerCrashed, process_pool
 from .runner import Point, Runner, run_cached_sweep
 
 __all__ = ["Executor", "ExecutorError", "InProcessExecutor", "JobSpec",
-           "JobState", "JobStatus", "LocalAsyncExecutor", "TERMINAL_STATES",
-           "run_job"]
+           "JobState", "JobStatus", "LocalAsyncExecutor", "TERMINAL_STATES"]
 
 #: job states that no longer change
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
@@ -254,26 +252,26 @@ def _crash_outcome(crash: WorkerCrashed) -> tuple[str, dict, float]:
 class Executor:
     """Run sweeps as jobs; poll, stream, cancel, fetch results.
 
-    ``workers`` sizes the executor's :class:`WorkerPool` (default: CPU
-    count; ``1`` runs variants in-process), ``cache`` serves jobs whose
-    spec names none, ``job_timeout_s`` is the default per-job wall-time
-    budget and ``max_task_retries`` the per-variant crash budget.
-    :meth:`submit` runs a job on the calling thread, and jobs take
-    turns on the pool.  The workers are forked when a job first needs
-    them (so an all-hit job forks none), or all at once by
-    :meth:`start`, and live until :meth:`close`.
+    ``workers`` sizes the process's pool its jobs borrow
+    (:func:`~repro.parallel.pool.process_pool`; default: CPU count;
+    ``1`` runs variants in-process), ``cache`` serves jobs whose spec
+    names none and ``job_timeout_s`` is the default per-job wall-time
+    budget.  :meth:`submit` runs a job on the calling thread while it
+    holds the pool's turn, so jobs take turns with every other fan-out
+    in the process (at ``workers=1`` there is no pool, and no turn).
+    The workers are forked when a job first needs them (so an all-hit
+    job forks none), or all at once by :meth:`start`; they serve every
+    fan-out of the same size until :meth:`close` stops them.
     """
 
     def __init__(self, workers: Optional[int] = None, cache: Any = None,
-                 job_timeout_s: Optional[float] = None,
-                 max_task_retries: int = 2) -> None:
+                 job_timeout_s: Optional[float] = None) -> None:
         self.workers = workers if workers is not None \
             else (os.cpu_count() or 1)
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         self.cache = _as_cache(cache)
         self.job_timeout_s = job_timeout_s
-        self._pool = WorkerPool(self.workers, max_task_retries)
-        #: held by the running job, and by ``start`` / ``close``
-        self._turn = threading.Lock()
         self._closed = False
         self._jobs: dict[str, JobState] = {}
         self._lock = threading.Lock()
@@ -281,9 +279,10 @@ class Executor:
 
     def start(self) -> None:
         """Fork every worker now, e.g. before the owner accepts a socket
-        a forked child would inherit (see :class:`WorkerPool`)."""
-        with self._turn:
-            self._pool.start()
+        a forked child would inherit (see
+        :class:`~repro.parallel.pool.WorkerPool`)."""
+        with process_pool(self.workers) as pool:
+            pool.start()
 
     # -- submission interface ------------------------------------------
 
@@ -311,15 +310,33 @@ class Executor:
                     raise ExecutorError(f"duplicate job id: {jid!r}")
                 state = self._jobs[jid] = JobState(jid, on_event=on_event)
         state.total = len(spec.points)
-        with self._turn:
+        with process_pool(self.workers) as pool:
             if self._closed:
                 state.set_state("cancelled")
                 raise ExecutorError("executor is closed")
             if state.cancel_requested:
                 state.set_state("cancelled")
-            else:
-                run_job(self._pool, state, spec, cache=self.cache,
-                        timeout_s=self.job_timeout_s)
+                return state.job_id
+            cache = _as_cache(spec.cache) or self.cache
+            imap = functools.partial(pool.imap, check_abort=state.check_abort,
+                                     on_crash=_crash_outcome)
+            stats = cache.stats if cache is not None else CacheStats()
+
+            def body() -> None:
+                base = asdict(stats)
+                try:
+                    state.rows = run_cached_sweep(
+                        imap, spec.runner, list(spec.points), cache=cache,
+                        workload_id=spec.workload_id,
+                        on_error=spec.on_error, progress=state.progress,
+                        timing=spec.timing)
+                finally:
+                    with state.cond:
+                        state.cache = {name: n - base[name]
+                                       for name, n in asdict(stats).items()}
+
+            state.run(body, spec.timeout_s if spec.timeout_s is not None
+                      else self.job_timeout_s)
         return state.job_id
 
     # -- observation interface -----------------------------------------
@@ -374,45 +391,18 @@ class Executor:
         return True
 
     def close(self) -> None:
-        """Stop the workers once the running job has ended; idempotent.
-        Later submits raise :class:`ExecutorError`."""
-        with self._turn:
+        """Stop the process's workers once the running job has ended;
+        idempotent.  Later submits raise :class:`ExecutorError`; a later
+        fan-out elsewhere in the process forks anew."""
+        with process_pool(self.workers) as pool:
             self._closed = True
-            self._pool.close()
+            pool.close()
 
     def __enter__(self) -> "Executor":
         return self
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
-
-
-def run_job(pool: WorkerPool, job: JobState, spec: JobSpec, *,
-            cache: Optional[ResultCache] = None,
-            timeout_s: Optional[float] = None) -> None:
-    """Run one job to its terminal state on ``pool``: the body of every
-    :meth:`Executor.submit`, and of a
-    :class:`~repro.parallel.runner.ParallelSweepRunner` on the process's
-    pool.  ``cache`` and ``timeout_s`` serve a spec that names none."""
-    cache = _as_cache(spec.cache) or cache
-    imap = functools.partial(pool.imap, check_abort=job.check_abort,
-                             on_crash=_crash_outcome)
-    stats = cache.stats if cache is not None else CacheStats()
-
-    def body() -> None:
-        base = asdict(stats)
-        try:
-            job.rows = run_cached_sweep(
-                imap, spec.runner, list(spec.points), cache=cache,
-                workload_id=spec.workload_id, on_error=spec.on_error,
-                progress=job.progress, timing=spec.timing)
-        finally:
-            with job.cond:
-                job.cache = {name: n - base[name]
-                             for name, n in asdict(stats).items()}
-
-    job.run(body, spec.timeout_s if spec.timeout_s is not None
-            else timeout_s)
 
 
 class InProcessExecutor(Executor):

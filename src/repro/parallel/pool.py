@@ -4,15 +4,15 @@ Every place the workbench fans work out over processes — sweep variants
 and chaos-campaign rungs behind any
 :class:`~repro.parallel.executor.Executor`, ``repro verify`` schedule
 shards, ``repro bound --audit`` rows — maps a picklable ``fn`` over
-items on a :class:`WorkerPool`.  This
-module is the only spawn site under ``src/``:
+items on the process's :class:`WorkerPool`.  This module is the only
+spawn site under ``src/``:
 
 * results stream back **in item order**, never completion order, so a
   parallel map is indistinguishable from a serial one;
 * a worker that dies mid-task (``os._exit`` in a model, the OOM
-  killer) is replaced and its task requeued, up to ``max_task_retries``
-  extra attempts; then the task resolves to a typed
-  :class:`WorkerCrashed` — the caller's process always survives;
+  killer) is replaced and its task requeued, up to
+  :data:`MAX_TASK_RETRIES` extra attempts; then the task resolves to a
+  typed :class:`WorkerCrashed` — the caller's process always survives;
 * an optional abort hook is polled while waiting; when it raises, the
   in-flight workers are killed and the exception propagates;
 * a worker whose parent is gone — closed, killed, crashed — sees EOF on
@@ -20,11 +20,12 @@ module is the only spawn site under ``src/``:
 * ``workers <= 1`` and unpicklable work run in-process — simulations
   are pure, so the results are identical.
 
-A process has one pool behind every ``workers=N`` fan-out
-(:func:`process_pool`): its workers are forked on the first miss and
-reused until the process exits, so they run the code the parent had
-when they were forked — a function patched in the parent afterwards is
-not seen by them, and one defined afterwards makes its worker re-fork.
+A process has one pool behind every ``workers=N`` fan-out and every
+executor (:func:`process_pool`): its workers are forked on the first
+miss and reused until the process exits, so they run the code the
+parent had when they were forked — a function patched in the parent
+afterwards is not seen by them, and one defined afterwards makes its
+worker re-fork.
 
 Tasks are pickled up front by the submitting thread and travel over a
 per-worker pipe, as results do: unpicklable work is a clean fallback,
@@ -48,6 +49,9 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 
 __all__ = ["WorkerCrashed", "WorkerPool", "process_pool", "run_sharded"]
 
+#: extra attempts a task gets after its worker died: one budget for the
+#: process's one pool (tests patch it)
+MAX_TASK_RETRIES = 2
 #: how often a waiting map re-runs its abort hook
 _ABORT_POLL_S = 0.02
 #: what pickling a task raises when it cannot cross a process boundary
@@ -86,6 +90,9 @@ def _worker_main(conn: Any, parent_conn: Any) -> None:  # pragma: no cover
     # it would hide the EOF that says the parent died (however it
     # died), and the worker would block on `recv` forever.
     parent_conn.close()
+    # A daemon may not fork: a fan-out the task runs itself (a runner
+    # that runs a sweep) runs in-process, as if nested on this thread.
+    _holder.held = True
     # A worker lives as long as its owner, and a simulation leaves
     # cyclic garbage that would pile up until a rare full collection
     # (14 % more peak memory after 50 sweeps): collect after every task.
@@ -153,14 +160,10 @@ class WorkerPool:
     closes would stay open in a worker.
     """
 
-    def __init__(self, workers: int, max_task_retries: int = 2) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if max_task_retries < 0:
-            raise ValueError(f"max_task_retries must be >= 0, "
-                             f"got {max_task_retries}")
         self.workers = workers
-        self.max_task_retries = max_task_retries
         self._ctx = _mp_context()
         self._workers: list[_Worker] = []
 
@@ -179,7 +182,7 @@ class WorkerPool:
         ``check_abort()`` runs before each dispatch round and at least
         every 20 ms while waiting; whatever it raises propagates after
         the in-flight workers are killed.  A task whose worker died
-        ``max_task_retries + 1`` times resolves to ``on_crash(exc)``,
+        ``MAX_TASK_RETRIES + 1`` times resolves to ``on_crash(exc)``,
         or raises the :class:`WorkerCrashed` when no hook is given.
         """
         blobs = None
@@ -266,7 +269,7 @@ class WorkerPool:
                 pending.appendleft((idx, tries))
                 continue
             crash = WorkerCrashed(exitcode, tries + 1)
-            if tries < self.max_task_retries:
+            if tries < MAX_TASK_RETRIES:
                 pending.appendleft((idx, tries + 1))
             elif on_crash is None:
                 raise crash from None
@@ -304,17 +307,16 @@ _holder = threading.local()
 def process_pool(workers: int) -> Iterator[WorkerPool]:
     """Borrow the process's pool of ``workers`` processes.
 
-    Every ``workers=N`` fan-out — a
-    :class:`~repro.parallel.runner.ParallelSweepRunner` given no
-    executor (``Sweep.run``, ``repro sweep``, chaos campaigns, ``repro
-    reproduce``) and :func:`run_sharded` — maps over this one pool, so a process forks
-    its workers on the first miss and reuses them until it exits; a
-    caller asking for another size closes them and forks anew.
-    Callers on other threads wait for their turn.  ``workers <= 1``,
-    and a fan-out nested in another on the same thread (a progress
-    hook, an in-process runner), run in-process.  A forked child starts
-    with no pool, so a fan-out inside a worker never touches the
-    parent's.
+    Every fan-out — each :class:`~repro.parallel.executor.Executor`'s
+    jobs (``Sweep.run``, ``repro sweep``, chaos campaigns, ``repro
+    reproduce``, ``repro serve``) and :func:`run_sharded` — maps over
+    this one pool, so a process forks its workers on the first miss and
+    reuses them until it exits; a caller asking for another size closes
+    them and forks anew.  Callers on other threads wait for their turn.
+    ``workers <= 1``, a fan-out nested in another on the same thread (a
+    progress hook, an in-process runner) and one inside a worker run
+    in-process.  A forked child starts with no pool, so a fan-out inside
+    a worker never touches the parent's.
     """
     global _process_pool
     if workers <= 1 or getattr(_holder, "held", False):

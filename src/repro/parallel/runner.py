@@ -3,9 +3,9 @@
 "The evaluation of a wide range of architectural design tradeoffs"
 means running the same workload on many machine variants — trivially
 parallel work.  This module holds what every way of running a sweep
-shares; the processes themselves belong to
+shares; the processes themselves belong to the process's
 :class:`~repro.parallel.pool.WorkerPool` and the job lifecycle to
-:func:`~repro.parallel.executor.run_job`:
+:meth:`~repro.parallel.executor.Executor.submit`:
 
 * :func:`execute_variant` — run one variant, capturing a runner
   exception as an error payload (``on_error="capture"``), so an
@@ -17,8 +17,7 @@ shares; the processes themselves belong to
   and rows are collected **in point order**, never completion order;
 * :class:`ParallelSweepRunner` — the blocking front door behind
   ``Sweep.run``: one :class:`~repro.parallel.executor.JobSpec`
-  run to its end on an executor or the process's pool, returned as
-  rows.
+  submitted to an executor and run to its end, returned as rows.
 
 Every variant runs under the Pearl kernel's deterministic schedule
 (global monotone sequence tie-breaking), so rows computed on worker
@@ -33,7 +32,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import logging
-import os
 import time
 import traceback
 from typing import Any, Callable, Iterator, Optional, Sequence
@@ -43,10 +41,9 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 from .. import check
 from ..config import MachineConfig
 from .cache import ResultCache
-from .pool import process_pool
 
 __all__ = ["ParallelSweepRunner", "SweepVariantError",
-           "default_workload_id", "error_message", "execute_variant",
+           "default_workload_id", "execute_variant",
            "run_cached_sweep", "variant_outcome"]
 
 _log = logging.getLogger(__name__)
@@ -112,15 +109,6 @@ def execute_variant(runner: Runner, machine: MachineConfig
         return "error", {"error": (f"TypeError: runner returned "
                                    f"{type(metrics).__name__}, expected dict")}
     return "ok", metrics
-
-
-def error_message(payload: Any) -> str:
-    """The human-readable message of an ``("error", payload)`` outcome
-    (the ``"error"`` entry of a structured payload, or the payload
-    itself when a legacy caller passed a plain string)."""
-    if isinstance(payload, dict):
-        return payload["error"]
-    return payload
 
 
 def variant_outcome(runner: Runner, timing: bool,
@@ -261,16 +249,11 @@ def run_cached_sweep(imap: ImapFn, runner: Runner,
                         except OSError:
                             cache.stats.put_errors += 1
                             _log.exception("row %s not cached", key)
-            if status == "ok":
-                row = {**coords, **payload}
-            elif on_error == "raise":
-                raise SweepVariantError(coords, error_message(payload))
-            else:
-                # The structured payload carries the "error" key, the
-                # remote traceback, plus any partial metric columns.
-                row = ({**coords, **payload} if isinstance(payload, dict)
-                       else {**coords, "error": payload})
-            resolve(idx, row, wall)
+            if status != "ok" and on_error == "raise":
+                raise SweepVariantError(coords, payload["error"])
+            # An error payload carries the "error" key, the remote
+            # traceback, plus any partial metric columns.
+            resolve(idx, {**coords, **payload}, wall)
     return rows  # type: ignore[return-value]
 
 
@@ -284,26 +267,26 @@ class ParallelSweepRunner:
 
     Sugar over the :class:`~repro.parallel.executor.Executor` interface:
     :meth:`run` submits one :class:`~repro.parallel.executor.JobSpec` to
-    ``executor`` — or, given ``workers`` instead, runs it on the
-    process's pool of that size
-    (:func:`~repro.parallel.pool.process_pool`: forked on the first
-    miss and reused until the process exits, so code patched in the
-    parent after the fork is not seen by the workers; ``workers=1``
-    starts no process) — and returns the rows.  Rows come back in point order; failed variants become
-    ``{**coords, "error": ...}`` rows unless ``on_error="raise"``.
+    ``executor`` — or, given ``workers`` instead, to an executor of that
+    size — and returns the rows.  Either way the variants run on the
+    process's pool (:func:`~repro.parallel.pool.process_pool`: forked on
+    the first miss and reused until the process exits, so code patched
+    in the parent after the fork is not seen by the workers;
+    ``workers=1`` starts no process).  Rows come back in point order;
+    failed variants become ``{**coords, "error": ...}`` rows unless
+    ``on_error="raise"``.
     """
 
     def __init__(self, workers: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
                  executor: Any = None) -> None:
+        from .executor import Executor
+
         if executor is not None and workers is not None:
             raise ValueError("pass either workers= or executor=, not both")
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers if workers is not None \
-            else (os.cpu_count() or 1)
         self.cache = cache
-        self.executor = executor
+        self.executor = executor if executor is not None \
+            else Executor(workers)
 
     def run(self, runner: Runner, points: Sequence[Point], *,
             workload_id: Optional[str] = None,
@@ -325,7 +308,7 @@ class ParallelSweepRunner:
         re-raised here as itself; a job that timed out or was cancelled
         on a shared executor raises ``RuntimeError``.
         """
-        from .executor import JobSpec, JobState, run_job
+        from .executor import JobSpec, JobState
 
         spec = JobSpec(runner=runner, points=points, workload_id=workload_id,
                        on_error=on_error, timing=timing, cache=self.cache)
@@ -335,11 +318,7 @@ class ParallelSweepRunner:
                 if event["event"] == "progress":
                     progress(event["done"], event["total"], event["row"])
         job = JobState("sweep", on_event=on_event)
-        if self.executor is not None:
-            self.executor.submit(spec, state=job)
-        else:
-            with process_pool(self.workers) as pool:
-                run_job(pool, job, spec)
+        self.executor.submit(spec, state=job)
         if job.state != "done":
             if job.exc is not None:
                 raise job.exc
@@ -347,8 +326,8 @@ class ParallelSweepRunner:
         return job.rows
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<ParallelSweepRunner workers={self.workers} "
-                f"cache={self.cache!r} executor={self.executor!r}>")
+        return (f"<ParallelSweepRunner cache={self.cache!r} "
+                f"executor={self.executor!r}>")
 
 
 class SweepVariantError(RuntimeError):

@@ -201,13 +201,14 @@ class JobManager:
     kind, a job's planned points are submitted to the
     :class:`~repro.parallel.executor.Executor` as one
     :class:`~repro.parallel.executor.JobSpec` with the record as the
-    job state, so every job runs on the executor's own pool, reports
+    job state, so every job runs on the process's one pool, reports
     progress into its record, honors cancellation and its time budget
     within the pool's abort poll, and lands in the
-    :class:`ResultStore` when done.  The executor's workers are forked
-    here, at construction — before a server that owns the manager
-    accepts a socket a forked child would inherit and hold open — and
-    :meth:`close` ends every job.  ``service.*`` metrics live in a
+    :class:`ResultStore` when done.  The executor starts the pool's
+    workers here, at construction — before a server that owns the
+    manager accepts a socket a forked child would inherit and hold
+    open — and :meth:`close` ends every job, then stops them.
+    ``service.*`` metrics live in a
     :class:`~repro.observe.MetricRegistry` for the ``/v1/metrics``
     endpoint.
     """

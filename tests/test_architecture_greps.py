@@ -26,6 +26,9 @@ _LEAVES = ("one import order: configuration and diagnostics are the leaves "
 CASES = [
     ("one worker pool: processes belong to parallel.pool.WorkerPool",
      r"ProcessPoolExecutor", "src/**/*.py", ()),
+    ("one pool per process: only process_pool builds a WorkerPool; "
+     "executors borrow it",
+     r"WorkerPool\(", "src/**/*.py", ("src/repro/parallel/pool.py",)),
     ("one kernel, no selector: the reference dispatcher lives in tests/",
      r"REPRO_KERNEL|FastSimulator", "src/**/*.py", ()),
     ("one batched cost loop, one cost table (CPU.fixed_rows)",

@@ -1,7 +1,8 @@
 """Executor conformance (repro.parallel.executor).
 
 There is one executor: ``submit`` runs a job on the calling thread and
-jobs take turns on its one :class:`WorkerPool`.  The two names the
+jobs take turns on the process's one :class:`WorkerPool`, which an
+executor borrows and does not own.  The two names the
 layered benchmark still constructs — :class:`InProcessExecutor`
 (workers forked on the first miss) and :class:`LocalAsyncExecutor`
 (workers forked at construction) — must be *observably identical*:
@@ -34,7 +35,7 @@ from repro import (
     LocalAsyncExecutor,
     ResultCache,
 )
-from repro.parallel import TERMINAL_STATES
+from repro.parallel import TERMINAL_STATES, Executor, pool
 from repro.parallel.executor import ExecutorError
 from tests.test_faults_differential import lossy_plan, stochastic_row
 from tests.test_parallel_sweep import (
@@ -341,35 +342,48 @@ class TestLifecycleConformance:
         assert executor.poll("late").state == "cancelled"
 
 
+def process_workers():
+    """The workers of the process's pool, which executors borrow."""
+    return pool._process_pool._workers
+
+
 class TestPoolLifetime:
-    """Workers are forked on the first miss, or by ``start()``, and live
-    until ``close()``; the two names differ only in when they fork."""
+    """An executor's jobs run on the process's pool: its workers are
+    forked on the first miss, or by ``start()``, and live until
+    ``close()``; the two names differ only in when they fork.  Each case
+    starts from stopped workers (an earlier test may leave them warm)."""
 
     def test_inprocess_forks_on_the_first_miss_only(self, tmp_path):
+        Executor(workers=2).close()
         cache = ResultCache(tmp_path)
         bw_sweep().run(echo_runner, cache=cache)          # serial warm-up
         with InProcessExecutor(workers=2, cache=cache) as executor:
             _, warm = run_job(executor, JobSpec(
                 runner=echo_runner, points=bw_sweep().points()))
             assert warm.cache == {"hits": 4, "misses": 0, "stores": 0}
-            assert executor._pool._workers == []
+            assert process_workers() == []
             _, cold = run_job(executor, JobSpec(
                 runner=echo_runner, points=bw_sweep([16.0, 32.0]).points()))
             assert cold.cache == {"hits": 0, "misses": 2, "stores": 2}
-            workers = list(executor._pool._workers)
+            workers = list(process_workers())
             assert len(workers) == 2
-        assert executor._pool._workers == []
+        assert process_workers() == []
         assert not any(worker.proc.is_alive() for worker in workers)
 
     def test_localasync_forks_at_construction(self):
+        Executor(workers=2).close()
         with LocalAsyncExecutor(workers=2) as executor:
-            pids = [worker.proc.pid for worker in executor._pool._workers]
+            pids = [worker.proc.pid for worker in process_workers()]
             assert len(pids) == 2
             _, status = run_job(executor, JobSpec(
                 runner=echo_runner, points=bw_sweep().points()))
             assert status.state == "done"
-            assert [w.proc.pid for w in executor._pool._workers] == pids
-        assert executor._pool._workers == []
+            assert [w.proc.pid for w in process_workers()] == pids
+        assert process_workers() == []
+
+    def test_executor_checks_its_size(self):
+        with pytest.raises(ValueError, match="workers"):
+            Executor(workers=0)
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +404,10 @@ class TestLocalAsyncDurability:
         assert [row["bw_out"] for row in rows] == [1.0, 2.0, 4.0]
         assert not any("error" in row for row in rows)
 
-    def test_crash_budget_exhausted_becomes_error_row(self, make_executor):
-        executor = make_executor(max_task_retries=1)
+    def test_crash_budget_exhausted_becomes_error_row(self, make_executor,
+                                                      monkeypatch):
+        monkeypatch.setattr(pool, "MAX_TASK_RETRIES", 1)
+        executor = make_executor()
         job_id, status = run_job(executor, JobSpec(
             runner=always_crash_runner,
             points=bw_sweep([1.0, 2.0]).points()))
@@ -414,8 +430,9 @@ class TestLocalAsyncDurability:
         assert ok.state == "done"
 
     def test_submitters_on_many_threads_never_cross_rows(self):
-        """The pool is shared by an executor's jobs: under contention
-        every job must still get exactly its own rows."""
+        """The process's pool is shared by every executor's jobs: under
+        contention, with the threads split over two executors, every
+        job must still get exactly its own rows."""
         n_threads, jobs_each = 6, 4      # more threads than cores
         failures, finished = [], []
 
@@ -433,9 +450,11 @@ class TestLocalAsyncDurability:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with InProcessExecutor(workers=2) as executor:
+            with InProcessExecutor(workers=2) as one, \
+                    LocalAsyncExecutor(workers=2) as other:
                 threads = [threading.Thread(target=submitter,
-                                            args=(executor, lane))
+                                            args=((one, other)[lane % 2],
+                                                  lane))
                            for lane in range(n_threads)]
                 for thread in threads:
                     thread.start()
@@ -472,12 +491,12 @@ class TestLocalAsyncDurability:
         cancelled by id: its job never runs."""
         gate, running = threading.Event(), threading.Event()
 
-        def gated_runner(machine):          # in-process at workers=1
-            gate.wait(timeout=30.0)
+        def gated_runner(machine):    # a closure: runs in-process, and
+            gate.wait(timeout=30.0)   # its job holds the pool's turn
             return echo_runner(machine)
 
         events = []
-        with LocalAsyncExecutor(workers=1) as executor:
+        with LocalAsyncExecutor(workers=2) as executor:
             blocker = submit_on_thread(
                 executor, JobSpec(runner=gated_runner,
                                   points=bw_sweep([1.0]).points()),

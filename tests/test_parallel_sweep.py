@@ -34,7 +34,6 @@ from repro.parallel import (
     SweepVariantError,
     code_version,
     default_workload_id,
-    error_message,
     execute_variant,
     result_key,
 )
@@ -194,7 +193,7 @@ class TestErrorCapture:
         status, payload = execute_variant(
             lambda m: 1 / 0, machine)
         assert status == "error"
-        assert error_message(payload).startswith("ZeroDivisionError")
+        assert payload["error"].startswith("ZeroDivisionError")
         # The formatted remote traceback rides along for debuggability.
         assert "ZeroDivisionError" in payload["traceback"]
         assert "execute_variant" in payload["traceback"]

@@ -36,6 +36,7 @@ import pytest
 from repro import InProcessExecutor, LocalAsyncExecutor, Sweep
 from repro.core.experiment import _AxisSetter
 from repro.faults import FaultPlan, LinkFault, TransportConfig
+from repro.parallel import Executor
 from repro.parallel.pool import _mp_context
 from repro.plans import _sweep_point_runner, build_machine, plan_sweep
 from repro.service import (
@@ -364,7 +365,7 @@ class TestChaosOnTheExecutorPool:
 
     def test_no_pool_beyond_the_executors(self, manager, backend,
                                           monkeypatch):
-        from repro.parallel import WorkerPool
+        from repro.parallel import WorkerPool, pool
         built = []
         init = WorkerPool.__init__
         monkeypatch.setattr(
@@ -374,7 +375,9 @@ class TestChaosOnTheExecutorPool:
         mgr = manager(executor=backend(workers=2))
         record = mgr.submit(CHAOS_REQUEST)
         assert record.wait(timeout=300.0) == "done"
-        assert built == [mgr.executor._pool]
+        # At most one pool of workers is built: the process's own.
+        assert [p for p in built if p.workers > 1] in (
+            [], [pool._process_pool])
         assert record.result_payload()["campaign"]["rungs"] == 3
 
     @pytest.fixture
@@ -383,7 +386,10 @@ class TestChaosOnTheExecutorPool:
         from repro.chaos import AppCampaignRunner
         monkeypatch.setattr(AppCampaignRunner, "__call__", _stuck_rung)
         monkeypatch.setattr(sys.modules[__name__], "_PID_DIR", [tmp_path])
-        return manager(executor=backend(workers=2))      # forks after
+        # Workers forked before the patch would not see it: stop any an
+        # earlier test left warm, so the manager forks them anew.
+        Executor(workers=2).close()
+        return manager(executor=backend(workers=2))
 
     def _rung_pids(self, tmp_path, count: int) -> list[int]:
         deadline = time.monotonic() + 60.0

@@ -29,6 +29,7 @@ import pytest
 
 from repro import ParallelSweepRunner
 from repro.parallel import WorkerCrashed, WorkerPool, run_sharded
+from repro.parallel import pool as worker_pool
 from tests.test_parallel_sweep import bw_sweep, echo_runner
 
 
@@ -141,8 +142,9 @@ class TestWorkerPool:
                 [pid, pid]
             assert pool._workers == []
 
-    def test_crash_budget_spent_raises_unless_hooked(self):
-        with WorkerPool(workers=2, max_task_retries=1) as pool:
+    def test_crash_budget_spent_raises_unless_hooked(self, monkeypatch):
+        monkeypatch.setattr(worker_pool, "MAX_TASK_RETRIES", 1)
+        with WorkerPool(workers=2) as pool:
             with pytest.raises(WorkerCrashed) as info:
                 list(pool.imap(exit_on_three, [1, 2, 3, 4]))
             assert (info.value.exitcode, info.value.attempts) == (41, 2)
@@ -268,8 +270,6 @@ class TestWorkerPool:
     def test_invalid_sizes(self):
         with pytest.raises(ValueError, match="workers"):
             WorkerPool(workers=0)
-        with pytest.raises(ValueError, match="max_task_retries"):
-            WorkerPool(workers=2, max_task_retries=-1)
 
 
 class TestRunSharded:
@@ -345,7 +345,9 @@ import json, os, tempfile, threading, time
 from dataclasses import asdict
 from repro import Sweep, Workbench, generic_multicomputer
 from repro.apps import pingpong_task_traces
-from repro.parallel import ResultCache, WorkerPool, pool, run_sharded
+from repro.parallel import (Executor, JobSpec, ResultCache, WorkerPool,
+                            pool, run_sharded)
+from repro.service import JobManager
 
 # Helpers live in __main__, defined before the first fork (importing
 # this suite's modules would import pytest too).
@@ -389,21 +391,36 @@ with tempfile.TemporaryDirectory() as d:
         pids.append(pool_pids())
 out["warm"] = [runs, pids, sorted(set(run_sharded(worker_pid, range(8), 2)))]
 
+# An executor borrows the same pool: its job runs on the warm workers.
+executor = Executor(workers=2)
+executor.submit(JobSpec(pid_runner, bw_sweep().points()), job_id="pids")
+out["executor"] = [pids[0],
+                   sorted({r["pid"] for r in executor.result("pids")})]
+
 # Another size closes the workers and forks anew.
 three = set(run_sharded(worker_pid, range(9), workers=3))
 out["resize"] = [pids[0], sorted(three),
                  [os.path.exists(f"/proc/{p}") for p in pids[0]]]
+
+# A service's manager forks the process's pool as it is built.
+manager = JobManager(executor=Executor(workers=2))
+served = pool_pids()
+out["manager"] = [sorted(three), served,
+                  [os.path.exists(f"/proc/{p}") for p in served]]
+manager.close()
 
 # A __main__ runner defined after the fork.
 def late_runner(machine):
     return {"late": 3 * machine.network.link_bandwidth}
 
 out["late"] = bw_sweep().run(late_runner, workers=2)
-with WorkerPool(2, max_task_retries=0) as own:
+pool.MAX_TASK_RETRIES = 0
+with WorkerPool(2) as own:
     assert list(own.imap(abs, [-1, -2])) == [1, 2]
     def triple(x):
         return 3 * x
     out["late_budget"] = list(own.imap(triple, [1, 2, 3]))
+pool.MAX_TASK_RETRIES = 2
 
 # A sweep inside a worker, and inside a fan-out on the calling thread.
 out["in_worker"] = [{k: v for k, v in row.items() if k != "traceback"}
@@ -461,6 +478,20 @@ class TestProcessPool:
         assert len(pids[0]) == 2 and pids[0] == pids[1] == pids[2]
         assert set(shards) <= set(pids[0])
 
+    def test_an_executor_borrows_the_warm_pool(self, lifetime):
+        """An ``Executor``'s job runs on the workers a ``Sweep.run``
+        left warm (at the parent every executor forked its own)."""
+        warm, served = lifetime[0]["executor"]
+        assert len(warm) == 2 and served == warm
+
+    def test_a_manager_forks_the_process_pool_as_it_is_built(self,
+                                                             lifetime):
+        """``JobManager`` starts the process's pool, at the size of its
+        executor, before a server that owns it could bind a socket."""
+        before, served, alive = lifetime[0]["manager"]
+        assert len(served) == 2 and all(alive)
+        assert not set(before) & set(served)
+
     def test_another_size_reforks(self, lifetime):
         two, three, still_running = lifetime[0]["resize"]
         assert len(three) == 3 and not set(two) & set(three)
@@ -478,13 +509,15 @@ class TestProcessPool:
         assert stderr == ""
 
     def test_nested_fan_out_in_a_worker(self, lifetime):
-        """A worker starts with no pool: a sweep it runs itself forks
-        (and, a daemon, may not: the parent's behaviour), never waits on
-        the parent's turn or reuses its pipes."""
-        error = ("AssertionError: daemonic processes are not allowed to "
-                 "have children")
+        """A sweep a worker runs itself runs in-process, with the
+        serial rows: a worker is a daemon and may not fork (at the
+        parent each row was ``AssertionError: daemonic processes are not
+        allowed to have children``), and it never waits on the parent's
+        turn or reuses its pipes."""
+        echoed = [{"bw": 1.0, "bw_out": 1.0}, {"bw": 2.0, "bw_out": 2.0}]
         assert lifetime[0]["in_worker"] == [
-            {"bw": 1.0, "error": error}, {"bw": 2.0, "error": error}]
+            {"bw": bw, "inner": json.dumps(echoed, sort_keys=True)}
+            for bw in (1.0, 2.0)]
 
     def test_nested_fan_out_on_the_calling_thread(self, lifetime):
         """A fan-out inside another on the same thread — an unpicklable
