@@ -162,13 +162,12 @@ class Sweep:
             ``faults=None``.
         ``executor``
             a :class:`repro.parallel.Executor` to submit the points to
-            as a job — e.g. a shared one with its own cache and time
-            budget.  Mutually exclusive with ``workers`` (the executor
-            names its own size).  Either way the variants run on the
-            process's pool: forked on the first miss and reused until
-            the process exits, so code patched in the parent after the
-            fork is not seen by the workers.  ``cache`` falls back to
-            the executor's own cache when ``None``.
+            as a job — e.g. a shared one with its own time budget.
+            Mutually exclusive with ``workers`` (the executor names its
+            own size).  Either way the variants run on the process's
+            pool: forked on the first miss and reused until the process
+            exits, so code patched in the parent after the fork is not
+            seen by the workers.
         """
         from ..faults import as_fault_plan
         from ..parallel import ParallelSweepRunner

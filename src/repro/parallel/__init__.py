@@ -19,9 +19,10 @@ trustworthy:
 * :class:`ResultCache` — skip variants whose ``(machine, workload,
   code version, fault plan)`` hash already has a row;
 * :func:`result_key` / :func:`code_version` — the cache key scheme;
-* :class:`Executor` — sweeps as submit/poll/cancel/stream *jobs* on
-  the process's pool (the service layer in :mod:`repro.service` builds
-  on it);
+* :class:`Executor` — sweeps as *jobs* on the process's pool, each
+  reporting into a :class:`JobState` that is watched, followed and
+  cancelled from other threads (the service layer in
+  :mod:`repro.service` builds on it);
   :class:`InProcessExecutor` and :class:`LocalAsyncExecutor` are the
   names the layered benchmark still constructs.
 
@@ -40,7 +41,6 @@ from .executor import (
     InProcessExecutor,
     JobSpec,
     JobState,
-    JobStatus,
     LocalAsyncExecutor,
     TERMINAL_STATES,
 )
@@ -55,7 +55,7 @@ from .runner import (
 
 __all__ = [
     "Executor", "ExecutorError", "InProcessExecutor",
-    "JobSpec", "JobState", "JobStatus", "LocalAsyncExecutor",
+    "JobSpec", "JobState", "LocalAsyncExecutor",
     "ParallelSweepRunner", "ResultCache", "SweepVariantError",
     "TERMINAL_STATES", "WorkerCrashed", "WorkerPool",
     "code_version", "default_workload_id", "execute_variant",

@@ -48,19 +48,13 @@ def _canonical_json(obj: Any) -> str:
 
 
 def result_key(machine: MachineConfig, workload_id: str,
-               version: Optional[str] = None, faults=None,
-               certificate: Optional[str] = None) -> str:
+               version: Optional[str] = None, faults=None) -> str:
     """Stable content hash of ``(machine, workload, code version)``.
 
     ``faults`` — a normalized :class:`repro.faults.FaultPlan` (or
-    ``None``) — extends the key with the plan's behaviour digest.
-    ``certificate`` — a ``repro verify``
-    :attr:`~repro.verify.VerifyResult.certificate` digest — extends the
-    key with the explored schedule space, so rows produced under a
-    verified schedule contract never collide with unverified ones (and
-    a changed verification outcome invalidates them).  Either extension
-    leaves the plain key unchanged from earlier releases, so existing
-    caches stay valid.
+    ``None``) — extends the key with the plan's behaviour digest; the
+    plain key is unchanged from earlier releases, so existing caches
+    stay valid.
     """
     payload = {
         "machine": machine.to_dict(),
@@ -69,8 +63,6 @@ def result_key(machine: MachineConfig, workload_id: str,
     }
     if faults is not None:
         payload["faults"] = faults.digest()
-    if certificate is not None:
-        payload["verify"] = certificate
     return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
 
 
@@ -99,9 +91,8 @@ class ResultCache:
         self.root, self.stats = self.store.root, self.store.stats
 
     def key_for(self, machine: MachineConfig, workload_id: str,
-                faults=None, certificate: Optional[str] = None) -> str:
-        return result_key(machine, workload_id, faults=faults,
-                          certificate=certificate)
+                faults=None) -> str:
+        return result_key(machine, workload_id, faults=faults)
 
     def get(self, key: str) -> Optional[dict]:
         """The cached metric row for ``key``, or ``None`` on a miss."""

@@ -1,18 +1,22 @@
-"""Sweep execution as jobs: submit / poll / cancel / stream.
+"""Sweep execution as jobs.
 
 The workbench's interactive loop runs sweeps synchronously; serving
 that loop to many users needs sweeps as *jobs* — submitted, watched,
 cancelled — without changing what a sweep computes.
 :meth:`Executor.submit` is the only way a sweep runs (``Sweep.run``
 and :class:`~repro.parallel.runner.ParallelSweepRunner` submit to one
-too).  An executor owns no processes: ``submit`` borrows the process's
-one pool (:func:`~repro.parallel.pool.process_pool`) and runs the job
-to completion on the calling thread, so submitters on several threads
-— to one executor or to several — take turns on that pool, and a job
-is cancelled from another thread.  Nothing here holds jobs in line or
-runs them in the background: jobs wait only in the service's
-:class:`~repro.service.scheduler.JobScheduler`, and its dispatch thread
-is the only job thread.
+too).  An executor owns no processes and keeps no jobs: ``submit``
+borrows the process's one pool
+(:func:`~repro.parallel.pool.process_pool`) and runs the job to
+completion on the calling thread, reporting into a :class:`JobState`
+— the caller's, or a new one it returns.  So submitters on several
+threads — to one executor or to several — take turns on that pool,
+and a job is watched and cancelled from another thread through its
+state.  Nothing here holds jobs in line, runs them in the background
+or looks them up by id: jobs wait only in the service's
+:class:`~repro.service.scheduler.JobScheduler`, its dispatch thread is
+the only job thread, and its :class:`~repro.service.jobs.JobManager`
+the only table of jobs by id.
 
 Every job shares the pool's durability: a worker that dies
 mid-variant is replaced and the variant requeued, then reported as a
@@ -35,7 +39,7 @@ import itertools
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from ..store import CacheStats
@@ -44,7 +48,7 @@ from .pool import WorkerCrashed, process_pool
 from .runner import Point, Runner, run_cached_sweep
 
 __all__ = ["Executor", "ExecutorError", "InProcessExecutor", "JobSpec",
-           "JobState", "JobStatus", "LocalAsyncExecutor", "TERMINAL_STATES"]
+           "JobState", "LocalAsyncExecutor", "TERMINAL_STATES"]
 
 #: job states that no longer change
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
@@ -54,8 +58,7 @@ EventFn = Callable[[dict], None]
 
 
 class ExecutorError(RuntimeError):
-    """Misuse of the executor API (unknown job, result of unfinished
-    job, submit after close)."""
+    """A submit to a closed executor."""
 
 
 class _JobCancelled(Exception):
@@ -80,8 +83,8 @@ class JobSpec:
     point it has no cached row for; progress reports hits and pre-flight
     failures in point order during the scan, then executed variants.
     ``cache`` may be a :class:`ResultCache`, a directory path, or
-    ``None`` (falls back to the executor's cache).  ``timeout_s`` bounds
-    the whole job's wall time (``None`` defers to the executor default).
+    ``None`` (no cache).  ``timeout_s`` bounds the whole job's wall
+    time (``None`` defers to the executor default).
     """
 
     runner: Runner
@@ -93,34 +96,18 @@ class JobSpec:
     timeout_s: Optional[float] = None
 
 
-@dataclass
-class JobStatus:
-    """A point-in-time snapshot of one job (no wall-clock fields)."""
-
-    job_id: str
-    state: str
-    done: int
-    total: int
-    error: Optional[str] = None
-    cache: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        """Deterministic JSON form, field order fixed."""
-        return {"job_id": self.job_id, "state": self.state,
-                "done": self.done, "total": self.total,
-                "error": self.error, "cache": dict(self.cache)}
-
-
 class JobState:
     """One job's mutable state: the object submitter, executor and
     observers share.
 
     The state machine every job runs — ``emit`` / ``set_state`` /
     ``note_progress`` append to :attr:`events` under :attr:`cond`,
-    :meth:`wait` and :meth:`follow` block on it, :meth:`run` is the
-    job boundary.  The executor creates one per ``submit``; the
-    service's ``JobRecord`` *is* one (with ``submitted`` as its
-    initial state), so a served job reports straight into its record.
+    :meth:`wait` and :meth:`follow` block on it, :meth:`cancel` asks
+    it to stop, :meth:`run` is the job boundary.  It is the only job
+    handle: ``Executor.submit`` reports into the caller's (a new one
+    when given none) and keeps nothing of it; the service's
+    ``JobRecord`` *is* one (with ``submitted`` as its initial state),
+    so a served job reports straight into its record.
     """
 
     def __init__(self, job_id: str, *, state: str = "queued",
@@ -207,7 +194,7 @@ class JobState:
             state, error = "done", None
         self.set_state(state, error)
 
-    # -- observation ---------------------------------------------------
+    # -- observation and cancellation (any thread) ---------------------
 
     @property
     def terminal(self) -> bool:
@@ -221,8 +208,9 @@ class JobState:
 
     def follow(self) -> Iterator[dict]:
         """Yield the job's events from the first, live, until the
-        terminal state event: the one event-follow loop, behind
-        ``Executor.stream`` and the service's ``/events``."""
+        terminal state event — ``state`` events bracket ``progress``
+        events, one per row, cache hits included.  The one event-follow
+        loop, behind the service's ``/events``."""
         for idx in itertools.count():
             with self.cond:
                 self.cond.wait_for(
@@ -232,10 +220,19 @@ class JobState:
                 event = self.events[idx]
             yield event
 
-    def status(self) -> JobStatus:
+    def cancel(self) -> bool:
+        """Request cancellation; ``False`` if the job already ended.
+
+        Cancellation is cooperative: a job waiting for its turn never
+        starts; a running job stops at the next row boundary, or within
+        the pool's abort poll when its variants run on workers, which
+        are then killed.
+        """
         with self.cond:
-            return JobStatus(self.job_id, self.state, self.done, self.total,
-                             self.error, dict(self.cache))
+            if self.terminal:
+                return False
+            self.cancel_requested = True
+        return True
 
 
 def _as_cache(cache: Any) -> Optional[ResultCache]:
@@ -250,32 +247,28 @@ def _crash_outcome(crash: WorkerCrashed) -> tuple[str, dict, float]:
 
 
 class Executor:
-    """Run sweeps as jobs; poll, stream, cancel, fetch results.
+    """Run sweeps as jobs on the process's pool; keep none of them.
 
     ``workers`` sizes the process's pool its jobs borrow
     (:func:`~repro.parallel.pool.process_pool`; default: CPU count;
-    ``1`` runs variants in-process), ``cache`` serves jobs whose spec
-    names none and ``job_timeout_s`` is the default per-job wall-time
-    budget.  :meth:`submit` runs a job on the calling thread while it
-    holds the pool's turn, so jobs take turns with every other fan-out
-    in the process (at ``workers=1`` there is no pool, and no turn).
-    The workers are forked when a job first needs them (so an all-hit
-    job forks none), or all at once by :meth:`start`; they serve every
-    fan-out of the same size until :meth:`close` stops them.
+    ``1`` runs variants in-process) and ``job_timeout_s`` is the
+    default per-job wall-time budget.  :meth:`submit` runs a job on
+    the calling thread while it holds the pool's turn, so jobs take
+    turns with every other fan-out in the process (at ``workers=1``
+    there is no pool, and no turn).  The workers are forked when a job
+    first needs them (so an all-hit job forks none), or all at once by
+    :meth:`start`; they serve every fan-out of the same size until
+    :meth:`close` stops them.
     """
 
-    def __init__(self, workers: Optional[int] = None, cache: Any = None,
+    def __init__(self, workers: Optional[int] = None,
                  job_timeout_s: Optional[float] = None) -> None:
         self.workers = workers if workers is not None \
             else (os.cpu_count() or 1)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        self.cache = _as_cache(cache)
         self.job_timeout_s = job_timeout_s
         self._closed = False
-        self._jobs: dict[str, JobState] = {}
-        self._lock = threading.Lock()
-        self._ids = itertools.count(1)
 
     def start(self) -> None:
         """Fork every worker now, e.g. before the owner accepts a socket
@@ -284,31 +277,20 @@ class Executor:
         with process_pool(self.workers) as pool:
             pool.start()
 
-    # -- submission interface ------------------------------------------
-
-    def submit(self, spec: JobSpec, *, job_id: Optional[str] = None,
-               on_event: Optional[EventFn] = None,
-               state: Optional[JobState] = None) -> str:
+    def submit(self, spec: JobSpec,
+               state: Optional[JobState] = None) -> JobState:
         """Run a job to its terminal state on this thread; returns the
-        job id.
+        job's state.
 
-        The job is registered first, then waits its turn on the pool;
-        one cancelled meanwhile ends ``cancelled`` without running.
-        ``on_event`` observes every job event as it is emitted.  Pass
-        ``state`` — a :class:`JobState` the caller owns and watches,
-        like the service's job record — to have the job report into it
-        instead of a new one; such a job is not registered for
-        :meth:`poll` / :meth:`result`, so the executor keeps nothing of
-        it once it ends.  Raises :class:`ExecutorError` once the
+        The job reports into ``state`` — a :class:`JobState` the caller
+        owns and watches or cancels from other threads, like the
+        service's job record — or into a new one.  It waits its turn on
+        the pool first; one cancelled meanwhile ends ``cancelled``
+        without running.  Raises :class:`ExecutorError` once the
         executor is closed (the job ends ``cancelled``).
         """
         if state is None:
-            with self._lock:
-                jid = job_id if job_id is not None \
-                    else f"job-{next(self._ids)}"
-                if jid in self._jobs:
-                    raise ExecutorError(f"duplicate job id: {jid!r}")
-                state = self._jobs[jid] = JobState(jid, on_event=on_event)
+            state = JobState("job")
         state.total = len(spec.points)
         with process_pool(self.workers) as pool:
             if self._closed:
@@ -316,8 +298,8 @@ class Executor:
                 raise ExecutorError("executor is closed")
             if state.cancel_requested:
                 state.set_state("cancelled")
-                return state.job_id
-            cache = _as_cache(spec.cache) or self.cache
+                return state
+            cache = _as_cache(spec.cache)
             imap = functools.partial(pool.imap, check_abort=state.check_abort,
                                      on_crash=_crash_outcome)
             stats = cache.stats if cache is not None else CacheStats()
@@ -337,58 +319,11 @@ class Executor:
 
             state.run(body, spec.timeout_s if spec.timeout_s is not None
                       else self.job_timeout_s)
-        return state.job_id
+        return state
 
-    # -- observation interface -----------------------------------------
-
-    def _job(self, job_id: str) -> JobState:
-        with self._lock:
-            try:
-                return self._jobs[job_id]
-            except KeyError:
-                raise ExecutorError(f"unknown job: {job_id!r}") from None
-
-    def poll(self, job_id: str) -> JobStatus:
-        """A snapshot of the job's state, progress and cache stats."""
-        return self._job(job_id).status()
-
-    def result(self, job_id: str) -> list[dict]:
-        """The finished job's rows; raises unless the job is ``done``."""
-        job = self._job(job_id)
-        with job.cond:
-            if job.state != "done":
-                detail = f": {job.error}" if job.error else ""
-                raise ExecutorError(
-                    f"job {job_id!r} is {job.state}{detail}")
-            return list(job.rows or [])
-
-    def wait(self, job_id: str,
-             timeout: Optional[float] = None) -> JobStatus:
-        """Block until the job reaches a terminal state (or timeout)."""
-        job = self._job(job_id)
-        job.wait(timeout)
-        return job.status()
-
-    def stream(self, job_id: str) -> Iterator[dict]:
-        """Yield the job's events from the beginning, live, until the
-        terminal state event — ``state`` events bracket ``progress``
-        events, one per row, cache hits included."""
-        return self._job(job_id).follow()
-
-    def cancel(self, job_id: str) -> bool:
-        """Request cancellation; ``False`` if the job already ended.
-
-        Cancellation is cooperative: a job waiting for its turn never
-        starts; a running job stops at the next row boundary, or within
-        the pool's abort poll when its variants run on workers, which
-        are then killed.
-        """
-        job = self._job(job_id)
-        with job.cond:
-            if job.terminal:
-                return False
-            job.cancel_requested = True
-        return True
+    def wait(self, job: JobState) -> str:
+        """``job.wait()``, kept for the layered benchmark's probes."""
+        return job.wait()
 
     def close(self) -> None:
         """Stop the process's workers once the running job has ended;

@@ -317,8 +317,7 @@ class ParallelSweepRunner:
             def on_event(event: dict) -> None:
                 if event["event"] == "progress":
                     progress(event["done"], event["total"], event["row"])
-        job = JobState("sweep", on_event=on_event)
-        self.executor.submit(spec, state=job)
+        job = self.executor.submit(spec, JobState("sweep", on_event=on_event))
         if job.state != "done":
             if job.exc is not None:
                 raise job.exc

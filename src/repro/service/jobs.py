@@ -204,7 +204,8 @@ class JobManager:
     job state, so every job runs on the process's one pool, reports
     progress into its record, honors cancellation and its time budget
     within the pool's abort poll, and lands in the
-    :class:`ResultStore` when done.  The executor starts the pool's
+    :class:`ResultStore` when done.  The records are the only table of
+    jobs by id: the executor keeps none.  The executor starts the pool's
     workers here, at construction — before a server that owns the
     manager accepts a socket a forked child would inherit and hold
     open — and :meth:`close` ends every job, then stops them.
@@ -323,10 +324,8 @@ class JobManager:
     def cancel(self, job_id: str) -> bool:
         """Cancel a job; ``False`` when it already ended."""
         record = self.record(job_id)
-        with record.cond:
-            if record.terminal:
-                return False
-            record.cancel_requested = True
+        if not record.cancel():
+            return False
         if self.scheduler.cancel(job_id):
             # Still queued: it will never be acquired — finalize here.
             record.set_state("cancelled")

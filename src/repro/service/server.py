@@ -29,11 +29,10 @@ headers, 501 a method no route takes).  A request line or headers that
 stall past the same deadline get a clean close.  The events endpoint
 streams each job event as one JSON line, live, and closes after the
 terminal state event: its handler thread follows the job record
-(:meth:`~repro.parallel.executor.JobState.follow`), as
-``Executor.stream`` does.  A record GET with ``?wait=<s>`` is a long
-poll: its handler thread waits on the record (at most ``_MAX_WAIT_S``)
-and then answers what a plain GET would, so a client learns that a job
-ended when it ends.
+(:meth:`~repro.parallel.executor.JobState.follow`).  A record GET with
+``?wait=<s>`` is a long poll: its handler thread waits on the record
+(at most ``_MAX_WAIT_S``) and then answers what a plain GET would, so
+a client learns that a job ended when it ends.
 """
 
 from __future__ import annotations

@@ -60,6 +60,8 @@ CASES = [
     ("one description of the checks: CI runs tests, not heredocs or the "
      "CLI",
      r"<<|python3? -m repro", ".github/workflows/*.yml", ()),
+    ("one job table: only the service's JobManager keeps jobs by id",
+     r"_jobs\b|def (poll|stream)\b|JobStatus", "src/repro/parallel/*.py", ()),
     ("one job thread: a job runs on its submitter's thread",
      r"\bqueue\b|threading\.Thread\(|def _start",
      "src/repro/parallel/executor.py", ()),
@@ -100,14 +102,14 @@ def test_pattern_stays_out(why, pattern, glob, allowed):
 
 def test_executor_stream_is_the_job_states_follow():
     """One event-follow loop: ``JobState.follow``, which the service's
-    ``/events`` handler also rides."""
-    source = (ROOT / "src/repro/parallel/executor.py").read_text()
-    executor = next(node for node in ast.parse(source).body
-                    if isinstance(node, ast.ClassDef)
-                    and node.name == "Executor")
-    stream = next(node for node in executor.body
+    ``/events`` handler rides."""
+    source = (ROOT / "src/repro/service/server.py").read_text()
+    handler = next(node for node in ast.parse(source).body
+                   if isinstance(node, ast.ClassDef)
+                   and node.name == "_Handler")
+    stream = next(node for node in handler.body
                   if isinstance(node, ast.FunctionDef)
-                  and node.name == "stream")
+                  and node.name == "_stream_events")
     assert ".follow()" in ast.get_source_segment(source, stream)
 
 

@@ -12,7 +12,8 @@ cold/warm behavior, same event sequences, same durability (crash
 recovery, crash budget, job timeouts).  The suite parameterizes every
 shared contract over both names, then pins when each one forks, and
 cancellation from another thread of a running job and of a job still
-waiting for its turn.
+waiting for its turn.  An executor keeps no job: ``submit`` returns the
+:class:`JobState` it ran into, and that state is the only handle.
 
 Everything that crosses a process boundary lives at module level
 (picklable), matching ``tests/test_parallel_sweep.py``.
@@ -21,11 +22,13 @@ Everything that crosses a process boundary lives at module level
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import os
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -35,7 +38,7 @@ from repro import (
     LocalAsyncExecutor,
     ResultCache,
 )
-from repro.parallel import TERMINAL_STATES, Executor, pool
+from repro.parallel import TERMINAL_STATES, Executor, JobState, pool
 from repro.parallel.executor import ExecutorError
 from tests.test_faults_differential import lossy_plan, stochastic_row
 from tests.test_parallel_sweep import (
@@ -93,16 +96,17 @@ def make_executor(request):
         executor.close()
 
 
-def run_job(executor, spec, **submit_kwargs):
-    job_id = executor.submit(spec, **submit_kwargs)
-    status = executor.wait(job_id, timeout=120.0)
-    return job_id, status
+def run_job(executor, spec, on_event=None):
+    """Run ``spec``; ``submit`` returns its :class:`JobState` once the
+    job has ended."""
+    job = executor.submit(spec, JobState("job", on_event=on_event))
+    assert job.terminal
+    return job
 
 
-def submit_on_thread(executor, spec, **submit_kwargs):
-    """Submit from a new thread; ``submit`` returns when the job ends."""
-    thread = threading.Thread(target=executor.submit, args=(spec,),
-                              kwargs=submit_kwargs)
+def submit_on_thread(executor, spec, state):
+    """Submit from a new thread, into a state the caller owns."""
+    thread = threading.Thread(target=executor.submit, args=(spec, state))
     thread.start()
     return thread
 
@@ -123,20 +127,20 @@ class TestRowConformance:
     def test_rows_byte_identical_to_direct_sweep_run(self, make_executor):
         direct = bw_sweep().run(echo_runner)
         executor = make_executor()
-        job_id, status = run_job(executor, JobSpec(
+        status = run_job(executor, JobSpec(
             runner=echo_runner, points=bw_sweep().points()))
         assert status.state == "done"
-        rows = executor.result(job_id)
+        rows = status.rows
         assert json.dumps(rows, sort_keys=True) == \
             json.dumps(direct, sort_keys=True)
 
     def test_rows_come_back_in_point_order(self, make_executor):
         values = [8.0, 1.0, 4.0, 2.0]   # deliberately unsorted
         executor = make_executor()
-        job_id, status = run_job(executor, JobSpec(
+        status = run_job(executor, JobSpec(
             runner=echo_runner, points=bw_sweep(values).points()))
         assert status.state == "done"
-        rows = executor.result(job_id)
+        rows = status.rows
         assert [row["bw"] for row in rows] == values
         assert [row["bw_out"] for row in rows] == values
 
@@ -152,10 +156,10 @@ class TestRowConformance:
                                                          make_executor):
         serial = bw_sweep([1.0, 2.0, 4.0]).run(failing_runner)
         executor = make_executor()
-        job_id, status = run_job(executor, JobSpec(
+        status = run_job(executor, JobSpec(
             runner=failing_runner, points=bw_sweep([1.0, 2.0, 4.0]).points()))
         assert status.state == "done"
-        rows = executor.result(job_id)
+        rows = status.rows
         assert rows == serial
         bad = rows[1]
         assert bad["error"].startswith("ValueError: bandwidth 2.0 is cursed")
@@ -165,14 +169,14 @@ class TestRowConformance:
         """No ``Sweep.run`` in front: the job body itself vets a miss."""
         points = bw_sweep([1.0, -2.0, 4.0]).points(validate=False)
         executor = make_executor()
-        job_id, status = run_job(executor, JobSpec(
+        status = run_job(executor, JobSpec(
             runner=echo_runner, points=points))
         assert status.state == "done"
-        rows = executor.result(job_id)
+        rows = status.rows
         assert [row.get("bw_out") for row in rows] == [1.0, None, 4.0]
         assert rows[1]["bw"] == -2.0
         assert rows[1]["error"].startswith("CheckError: MC001")
-        _, status = run_job(executor, JobSpec(
+        status = run_job(executor, JobSpec(
             runner=echo_runner, points=points, on_error="raise"))
         assert status.state == "failed"
         assert status.error.startswith("SweepVariantError")
@@ -196,16 +200,16 @@ class TestPlanIsACoordinateOfThePoint:
         points = [(c0, m0), (c0, m0, plan), (c1, m1, None), (c1, m1, plan)]
         expected = json.dumps([clean[0], faulty[0], clean[1], faulty[1]])
         executor = make_executor()
-        cold_id, cold = run_job(executor, JobSpec(
+        cold = run_job(executor, JobSpec(
             runner=stochastic_row, points=points))
         assert cold.state == "done"
-        assert json.dumps(executor.result(cold_id)) == expected
+        assert json.dumps(cold.rows) == expected
         # The cache the separate sweeps warmed serves the whole job.
-        warm_id, warm = run_job(executor, JobSpec(
+        warm = run_job(executor, JobSpec(
             runner=stochastic_row, points=points, workload_id="w",
             cache=cache))
         assert warm.cache == {"hits": 4, "misses": 0, "stores": 0}
-        assert json.dumps(executor.result(warm_id)) == expected
+        assert json.dumps(warm.rows) == expected
 
     def test_equal_keys_in_one_job_simulate_and_store_once(
             self, make_executor, tmp_path):
@@ -215,13 +219,13 @@ class TestPlanIsACoordinateOfThePoint:
                                       ("c", None), ("d", lossy_plan()))]
         executor = make_executor()
         seen = []
-        job_id, status = run_job(
+        status = run_job(
             executor,
             JobSpec(runner=stochastic_row, points=points, timing=True,
                     cache=ResultCache(tmp_path)),
             on_event=lambda e: seen.append(e.get("done")))
         assert status.cache == {"hits": 0, "misses": 2, "stores": 2}
-        rows = executor.result(job_id)
+        rows = status.rows
         assert [row["rung"] for row in rows] == ["a", "b", "c", "d"]
         assert [row["wall_time_s"] > 0.0 for row in rows] == \
             [True, True, False, False]
@@ -238,26 +242,14 @@ class TestCacheConformance:
         executor = make_executor()
         spec = JobSpec(runner=echo_runner, points=bw_sweep().points(),
                        cache=cache)
-        _, cold = run_job(executor, spec)
+        cold = run_job(executor, spec)
         assert cold.state == "done"
         assert cold.cache == {"hits": 0, "misses": 4, "stores": 4}
         warm_spec = JobSpec(runner=echo_runner, points=bw_sweep().points(),
                             cache=cache)
-        warm_id, warm = run_job(executor, warm_spec)
+        warm = run_job(executor, warm_spec)
         assert warm.cache == {"hits": 4, "misses": 0, "stores": 0}
-        assert executor.result(warm_id) == bw_sweep().run(echo_runner)
-
-    def test_executor_default_cache_used_when_spec_cache_none(
-            self, make_executor, tmp_path):
-        # Regression: an *empty* ResultCache was falsy (it defined
-        # __len__), so `spec.cache or self.cache` discarded it silently.
-        executor = make_executor(cache=ResultCache(tmp_path))
-        spec = JobSpec(runner=echo_runner, points=bw_sweep().points())
-        _, cold = run_job(executor, spec)
-        assert cold.cache == {"hits": 0, "misses": 4, "stores": 4}
-        _, warm = run_job(executor, JobSpec(
-            runner=echo_runner, points=bw_sweep().points()))
-        assert warm.cache == {"hits": 4, "misses": 0, "stores": 0}
+        assert warm.rows == bw_sweep().run(echo_runner)
 
     def test_warm_job_still_streams_progress_to_100_percent(
             self, make_executor, tmp_path):
@@ -266,7 +258,7 @@ class TestCacheConformance:
         run_job(executor, JobSpec(runner=echo_runner,
                                   points=bw_sweep().points(), cache=cache))
         events = []
-        warm_id, warm = run_job(
+        warm = run_job(
             executor,
             JobSpec(runner=echo_runner, points=bw_sweep().points(),
                     cache=cache),
@@ -275,7 +267,7 @@ class TestCacheConformance:
         progress = [e for e in events if e["event"] == "progress"]
         assert [e["done"] for e in progress] == [1, 2, 3, 4]
         assert all(e["total"] == 4 for e in progress)
-        assert list(executor.stream(warm_id)) == events
+        assert list(warm.follow()) == events
 
 
 class TestLifecycleConformance:
@@ -295,51 +287,63 @@ class TestLifecycleConformance:
                          ("progress", None), ("state", "done")]
 
     def test_poll_and_result_lifecycle(self, make_executor):
+        """``submit`` returns the job's state: a new one unless the
+        caller passes its own, which is then the one returned."""
         executor = make_executor()
-        job_id, status = run_job(executor, JobSpec(
-            runner=echo_runner, points=bw_sweep([1.0]).points()))
-        polled = executor.poll(job_id)
-        assert polled.to_dict() == status.to_dict()
-        assert list(polled.to_dict()) == \
-            ["job_id", "state", "done", "total", "error", "cache"]
-        assert (polled.done, polled.total) == (1, 1)
-        with pytest.raises(ExecutorError, match="unknown job"):
-            executor.poll("no-such-job")
-        with pytest.raises(ExecutorError, match="duplicate job id"):
-            executor.submit(JobSpec(runner=echo_runner,
-                                    points=bw_sweep([1.0]).points()),
-                            job_id=job_id)
+        spec = JobSpec(runner=echo_runner, points=bw_sweep([1.0]).points())
+        job = executor.submit(spec)
+        assert (job.job_id, job.state, job.done, job.total, job.error) == \
+            ("job", "done", 1, 1, None)
+        assert job.cache == {"hits": 0, "misses": 0, "stores": 0}
+        assert job.rows == bw_sweep([1.0]).run(echo_runner)
+        assert executor.wait(job) == "done"
+        mine = JobState("mine")
+        assert executor.submit(spec, mine) is mine
+        assert mine.rows == job.rows
 
     def test_cancel_after_terminal_returns_false(self, make_executor):
         executor = make_executor()
-        job_id, status = run_job(executor, JobSpec(
+        status = run_job(executor, JobSpec(
             runner=echo_runner, points=bw_sweep([1.0]).points()))
         assert status.state in TERMINAL_STATES
-        assert executor.cancel(job_id) is False
+        assert status.cancel() is False
+        assert not status.cancel_requested
+
+    def test_a_submitted_job_is_freed_once_the_caller_drops_it(
+            self, make_executor):
+        """Regression: the executor kept every job it made — its rows
+        and events — in a table by id for as long as it lived."""
+        executor = make_executor()
+        job = executor.submit(JobSpec(runner=echo_runner,
+                                      points=bw_sweep().points()))
+        assert job.state == "done" and len(job.rows) == 4
+        freed = weakref.ref(job)
+        del job
+        gc.collect()
+        assert freed() is None
 
     def test_on_error_raise_fails_the_job_not_the_executor(self,
                                                            make_executor):
         executor = make_executor()
-        job_id, status = run_job(executor, JobSpec(
+        status = run_job(executor, JobSpec(
             runner=failing_runner, points=bw_sweep([1.0, 2.0]).points(),
             on_error="raise"))
         assert status.state == "failed"
         assert "bandwidth 2.0 is cursed" in status.error
-        with pytest.raises(ExecutorError, match="failed"):
-            executor.result(job_id)
+        assert status.rows is None
         # The executor survives a failed job.
-        _, ok = run_job(executor, JobSpec(
+        ok = run_job(executor, JobSpec(
             runner=echo_runner, points=bw_sweep([1.0]).points()))
         assert ok.state == "done"
 
     def test_submit_after_close_raises(self, make_executor):
         executor = make_executor()
         executor.close()
+        late = JobState("late")
         with pytest.raises(ExecutorError, match="closed"):
             executor.submit(JobSpec(runner=echo_runner,
-                                    points=bw_sweep([1.0]).points()),
-                            job_id="late")
-        assert executor.poll("late").state == "cancelled"
+                                    points=bw_sweep([1.0]).points()), late)
+        assert late.state == "cancelled"
 
 
 def process_workers():
@@ -357,13 +361,15 @@ class TestPoolLifetime:
         Executor(workers=2).close()
         cache = ResultCache(tmp_path)
         bw_sweep().run(echo_runner, cache=cache)          # serial warm-up
-        with InProcessExecutor(workers=2, cache=cache) as executor:
-            _, warm = run_job(executor, JobSpec(
-                runner=echo_runner, points=bw_sweep().points()))
+        with InProcessExecutor(workers=2) as executor:
+            warm = run_job(executor, JobSpec(
+                runner=echo_runner, points=bw_sweep().points(),
+                cache=cache))
             assert warm.cache == {"hits": 4, "misses": 0, "stores": 0}
             assert process_workers() == []
-            _, cold = run_job(executor, JobSpec(
-                runner=echo_runner, points=bw_sweep([16.0, 32.0]).points()))
+            cold = run_job(executor, JobSpec(
+                runner=echo_runner, points=bw_sweep([16.0, 32.0]).points(),
+                cache=cache))
             assert cold.cache == {"hits": 0, "misses": 2, "stores": 2}
             workers = list(process_workers())
             assert len(workers) == 2
@@ -375,7 +381,7 @@ class TestPoolLifetime:
         with LocalAsyncExecutor(workers=2) as executor:
             pids = [worker.proc.pid for worker in process_workers()]
             assert len(pids) == 2
-            _, status = run_job(executor, JobSpec(
+            status = run_job(executor, JobSpec(
                 runner=echo_runner, points=bw_sweep().points()))
             assert status.state == "done"
             assert [w.proc.pid for w in process_workers()] == pids
@@ -397,10 +403,10 @@ class TestLocalAsyncDurability:
         runner = functools.partial(crash_once_runner,
                                    flag_dir=str(tmp_path))
         executor = make_executor()
-        job_id, status = run_job(executor, JobSpec(
+        status = run_job(executor, JobSpec(
             runner=runner, points=bw_sweep([1.0, 2.0, 4.0]).points()))
         assert status.state == "done"
-        rows = executor.result(job_id)
+        rows = status.rows
         assert [row["bw_out"] for row in rows] == [1.0, 2.0, 4.0]
         assert not any("error" in row for row in rows)
 
@@ -408,24 +414,24 @@ class TestLocalAsyncDurability:
                                                       monkeypatch):
         monkeypatch.setattr(pool, "MAX_TASK_RETRIES", 1)
         executor = make_executor()
-        job_id, status = run_job(executor, JobSpec(
+        status = run_job(executor, JobSpec(
             runner=always_crash_runner,
             points=bw_sweep([1.0, 2.0]).points()))
         assert status.state == "done"
-        for row in executor.result(job_id):
+        for row in status.rows:
             assert row["error"] == ("WorkerCrashed: variant worker exited "
                                     "with code 43 (after 2 attempts)")
 
     def test_job_timeout_fails_job_but_executor_keeps_serving(
             self, make_executor):
         executor = make_executor()
-        _, status = run_job(executor, JobSpec(
+        status = run_job(executor, JobSpec(
             runner=slow_runner, points=bw_sweep([1.0, 2.0]).points(),
             timeout_s=0.1))
         assert status.state == "failed"
         assert status.error == \
             "JobTimeout: job exceeded its 0.1s budget"
-        _, ok = run_job(executor, JobSpec(
+        ok = run_job(executor, JobSpec(
             runner=echo_runner, points=bw_sweep([1.0]).points()))
         assert ok.state == "done"
 
@@ -440,9 +446,9 @@ class TestLocalAsyncDurability:
             for j in range(jobs_each):
                 values = [float(100 * lane + 10 * j + k + 1)
                           for k in range(3)]
-                job_id, status = run_job(executor, JobSpec(
+                status = run_job(executor, JobSpec(
                     runner=echo_runner, points=bw_sweep(values).points()))
-                got = [row["bw_out"] for row in executor.result(job_id)]
+                got = [row["bw_out"] for row in status.rows]
                 if status.state != "done" or got != values:
                     failures.append((lane, j, status.state, got))
             finished.append(lane)
@@ -470,25 +476,24 @@ class TestLocalAsyncDurability:
         """The job runs on its submitter's thread; cancel comes from
         another."""
         running = threading.Event()
+        slow = JobState("slow", on_event=on_state("running", running))
         with LocalAsyncExecutor(workers=1) as executor:
             submitter = submit_on_thread(
                 executor, JobSpec(
                     runner=slow_runner,
                     points=bw_sweep([1.0, 2.0, 4.0, 8.0]).points()),
-                job_id="slow", on_event=on_state("running", running))
+                slow)
             assert running.wait(timeout=30.0)
-            assert executor.cancel("slow") is True
-            status = executor.wait("slow", timeout=30.0)
+            assert slow.cancel() is True
+            assert slow.wait(timeout=30.0) == "cancelled"
             submitter.join(timeout=30.0)
             assert not submitter.is_alive()
-            assert status.state == "cancelled"
-            assert executor.cancel("slow") is False
-            with pytest.raises(ExecutorError, match="cancelled"):
-                executor.result("slow")
+            assert slow.cancel() is False
+            assert slow.rows is None
 
     def test_cancel_queued_job_never_runs(self):
         """A second submitter, blocked waiting for its turn, is
-        cancelled by id: its job never runs."""
+        cancelled through its job state: its job never runs."""
         gate, running = threading.Event(), threading.Event()
 
         def gated_runner(machine):    # a closure: runs in-process, and
@@ -496,26 +501,29 @@ class TestLocalAsyncDurability:
             return echo_runner(machine)
 
         events = []
+        blocker = JobState("blocker", on_event=on_state("running", running))
+        queued = JobState("queued", on_event=events.append)
         with LocalAsyncExecutor(workers=2) as executor:
-            blocker = submit_on_thread(
+            threads = [submit_on_thread(
                 executor, JobSpec(runner=gated_runner,
                                   points=bw_sweep([1.0]).points()),
-                job_id="blocker", on_event=on_state("running", running))
+                blocker)]
             assert running.wait(timeout=30.0)
-            waiting = submit_on_thread(
+            threads.append(submit_on_thread(
                 executor, JobSpec(runner=echo_runner,
                                   points=bw_sweep([4.0]).points()),
-                job_id="queued", on_event=events.append)
+                queued))
+            # submit sets the total before it waits for its turn
             deadline = time.monotonic() + 30.0  # repro: noqa[PY002]
-            while "queued" not in executor._jobs:
+            while queued.total != 1:
                 assert time.monotonic() < deadline  # repro: noqa[PY002]
                 time.sleep(0.01)  # repro: noqa[PY002]
-            assert executor.poll("queued").state == "queued"
-            assert executor.cancel("queued") is True
+            assert queued.state == "queued"
+            assert queued.cancel() is True
             gate.set()
-            for thread in (blocker, waiting):
+            for thread in threads:
                 thread.join(timeout=60.0)
                 assert not thread.is_alive()
-            assert executor.poll("blocker").state == "done"
-            assert executor.poll("queued").state == "cancelled"
+            assert blocker.state == "done"
+            assert queued.state == "cancelled"
         assert events == [{"event": "state", "state": "cancelled"}]

@@ -268,13 +268,14 @@ class TestLifecycleGolden:
         """Regression: every served job used to live twice for the life
         of the server — in its record and in the executor's own job
         table (rows and per-row events included).  The record now *is*
-        the executor's job state."""
+        the job's state, and the executor has no job table."""
         mgr = manager(executor=backend(workers=2))
         records = [mgr.submit(dict(SWEEP_REQUEST, seed=seed))
                    for seed in range(3)]
         assert [r.wait(timeout=120.0) for r in records] == ["done"] * 3
         assert all(len(r.rows) == 2 for r in records)
-        assert mgr.executor._jobs == {}
+        assert set(vars(mgr.executor)) == \
+            {"workers", "job_timeout_s", "_closed"}
 
     def test_finished_record_drops_its_planned_points(self, manager):
         """Regression: a record kept its plan — the runner and one

@@ -11,7 +11,6 @@ import pytest
 from repro.core.workbench import Workbench
 from repro.diagnostics import Severity
 from repro.machines import t805_grid
-from repro.parallel.cache import ResultCache, result_key
 from repro.pearl import SimulationError, Simulator
 from repro.pearl.resource import Resource
 from repro.verify import (
@@ -274,20 +273,6 @@ class TestCertificate:
         small = ScheduleExplorer(budget=2).explore(wide_race_factory)
         large = ScheduleExplorer(budget=32).explore(wide_race_factory)
         assert small.certificate != large.certificate
-
-    def test_certificate_extends_cache_key(self, tmp_path):
-        machine = t805_grid(2, 2)
-        plain = result_key(machine, "wl", version="v")
-        certified = result_key(machine, "wl", version="v",
-                               certificate="abc")
-        assert plain != certified
-        assert result_key(machine, "wl", version="v",
-                          certificate="abc") == certified
-        assert result_key(machine, "wl", version="v",
-                          certificate="def") != certified
-        cache = ResultCache(tmp_path)
-        assert cache.key_for(machine, "wl") != \
-            cache.key_for(machine, "wl", certificate="abc")
 
 
 class TestResultHelpers:

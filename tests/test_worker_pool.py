@@ -393,9 +393,8 @@ out["warm"] = [runs, pids, sorted(set(run_sharded(worker_pid, range(8), 2)))]
 
 # An executor borrows the same pool: its job runs on the warm workers.
 executor = Executor(workers=2)
-executor.submit(JobSpec(pid_runner, bw_sweep().points()), job_id="pids")
-out["executor"] = [pids[0],
-                   sorted({r["pid"] for r in executor.result("pids")})]
+job = executor.submit(JobSpec(pid_runner, bw_sweep().points()))
+out["executor"] = [pids[0], sorted({r["pid"] for r in job.rows})]
 
 # Another size closes the workers and forks anew.
 three = set(run_sharded(worker_pid, range(9), workers=3))
