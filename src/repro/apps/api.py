@@ -32,7 +32,7 @@ from ..tracegen.annotate import AnnotationTranslator
 from ..tracegen.threads import FunctionalExecutor, InterleavedStream, NodeThread
 from ..tracegen.vdt import TargetABI, VarDescriptor
 
-__all__ = ["NodeContext", "ThreadedApplication"]
+__all__ = ["NodeContext", "ThreadedApplication", "as_application"]
 
 
 #: (id(code), f_lasti) -> (code, (filename, lineno)): one entry per
@@ -347,3 +347,14 @@ class ThreadedApplication:
     def record(self):
         """Execute logically (no timing) and return the static TraceSet."""
         return FunctionalExecutor(self._bodies()).record()
+
+
+def as_application(application, n_nodes: int):
+    """``application``, with a ``program(ctx)`` callable wrapped into a
+    :class:`ThreadedApplication` run SPMD on ``n_nodes`` nodes: the
+    one place every execution-driven entry point accepts a bare
+    program."""
+    if callable(application) and not isinstance(application,
+                                                ThreadedApplication):
+        return ThreadedApplication(application, n_nodes)
+    return application

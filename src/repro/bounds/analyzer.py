@@ -62,6 +62,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
+from ..commmodel.message import packet_payloads
 from ..commmodel.routing import RandomMinimalRouting, make_routing
 from ..config import MachineConfig, NetworkConfig
 from ..operations.ops import OpCode, Operation
@@ -72,16 +73,9 @@ __all__ = ["compute_bounds"]
 
 
 def _packet_wire_sizes(size: int, cfg: NetworkConfig) -> List[int]:
-    """Wire bytes (payload + header) per packet, mirroring Message.split."""
-    payloads: List[int] = []
-    remaining = size
-    while remaining > 0:
-        take = min(remaining, cfg.packet_bytes)
-        payloads.append(take)
-        remaining -= take
-    if not payloads:
-        payloads = [0]
-    return [p + cfg.header_bytes for p in payloads]
+    """Wire bytes (payload + header) per packet, as the engine splits."""
+    return [p + cfg.header_bytes
+            for p in packet_payloads(size, cfg.packet_bytes)]
 
 
 def _transit_cycles(cfg: NetworkConfig, scales: Sequence[float],

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-__all__ = ["Message", "Packet", "reset_message_ids"]
+__all__ = ["Message", "Packet", "packet_payloads", "reset_message_ids"]
 
 _message_ids = itertools.count()
 
@@ -29,6 +29,18 @@ def reset_message_ids() -> None:
     """
     global _message_ids
     _message_ids = itertools.count()
+
+
+def packet_payloads(size: int, max_payload: int) -> list[int]:
+    """Payload bytes of each packet of a ``size``-byte message: as many
+    ``max_payload`` packets as fit, then the remainder.  A zero-byte
+    message still sends one (header-only) packet.  The one packetization
+    rule: the switching engines (:meth:`Message.split`) and the static
+    bounds analyzer both read it."""
+    if size <= 0:
+        return [0]
+    full, rest = divmod(size, max_payload)
+    return [max_payload] * full + ([rest] if rest else [])
 
 
 class Message:
@@ -77,18 +89,10 @@ class Message:
 
     def split(self, max_payload: int, header_bytes: int) -> list["Packet"]:
         """Packetize: each packet carries up to ``max_payload`` bytes plus
-        a ``header_bytes`` header.  A zero-byte message still sends one
-        (header-only) packet."""
-        payloads: list[int] = []
-        remaining = self.size
-        while remaining > 0:
-            take = min(remaining, max_payload)
-            payloads.append(take)
-            remaining -= take
-        if not payloads:
-            payloads = [0]
+        a ``header_bytes`` header (see :func:`packet_payloads`)."""
         packets = [Packet(self, i, p, header_bytes)
-                   for i, p in enumerate(payloads)]
+                   for i, p in enumerate(packet_payloads(self.size,
+                                                         max_payload))]
         self.n_packets = len(packets)
         self._packets_remaining = len(packets)
         return packets

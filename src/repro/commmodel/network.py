@@ -202,6 +202,10 @@ class MultiNodeModel:
                                    nic.stats.summary)
         for act in self.activity:
             self.registry.register(f"node{act.node}.activity", act.summary)
+        #: handlers of the global events that have no Table-1 opcode,
+        #: by event type; a layer above adds its own (the VSM protocol
+        #: registers its page faults) through :meth:`register_event`
+        self._event_handlers = {RecvAnyEvent: self._recv_any}
 
     @property
     def n_nodes(self) -> int:
@@ -252,6 +256,24 @@ class MultiNodeModel:
 
     # -- node driver -------------------------------------------------------------
 
+    def register_event(self, kind: type, handler) -> None:
+        """Route global events of type ``kind`` (``code is None``) to
+        ``handler(node_id, event)``, a generator whose return value is
+        what the node thread resumes with."""
+        self._event_handlers[kind] = handler
+
+    def _recv_any(self, node_id: int, event: RecvAnyEvent):
+        """Handler of :class:`RecvAnyEvent`: the first message from any
+        of its sources, as ``(source, payload)``."""
+        cfg = self.machine.network
+        act = self.activity[node_id]
+        t0 = self.sim.now
+        msg = yield from self.nics[node_id].recv_any(event.sources)
+        waited = self.sim.now - t0
+        act.overhead_cycles += min(cfg.recv_overhead, waited)
+        act.recv_wait_cycles += max(waited - cfg.recv_overhead, 0.0)
+        return (msg.src, msg.payload)
+
     def node_driver(self, node_id: int, ops: Iterator[Operation],
                     payload_source=None, result_sink=None):
         """Process body: execute one node's task-level operation stream.
@@ -269,27 +291,28 @@ class MultiNodeModel:
 
     def handle_op(self, node_id: int, op: Operation,
                   payload_source=None, result_sink=None):
-        """Process one task-level operation (generator; shared by the
-        plain driver and the VSM driver)."""
+        """Process one task-level operation or global event (generator;
+        the step of every node driver, and of every SMP CPU's
+        communication)."""
         nic = self.nics[node_id]
         act = self.activity[node_id]
         cfg = self.machine.network
         sim = self.sim
         if self.injector is not None:
-            # Node pauses gate the whole operation stream; hooking here
-            # covers the plain, hybrid, and VSM drivers alike.
+            # Node pauses gate the whole operation stream, the global
+            # events without an opcode (VSM page faults) included.
             yield from self.injector.pause(node_id)
         act.ops_processed += 1
-        if isinstance(op, RecvAnyEvent):
-            t0 = sim.now
-            msg = yield from nic.recv_any(op.sources)
-            waited = sim.now - t0
-            act.overhead_cycles += min(cfg.recv_overhead, waited)
-            act.recv_wait_cycles += max(waited - cfg.recv_overhead, 0.0)
-            if result_sink:
-                result_sink((msg.src, msg.payload))
-            return
         code = op.code
+        if code is None:
+            handler = self._event_handlers.get(type(op))
+            if handler is None:
+                raise ValueError(f"node {node_id}: no model here handles "
+                                 f"the global event {op!r}")
+            result = yield from handler(node_id, op)
+            if result_sink:
+                result_sink(result)
+            return
         if code == OpCode.COMPUTE:
             act.compute_cycles += op.arg2
             yield op.arg2

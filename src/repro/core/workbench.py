@@ -12,12 +12,17 @@ and exposes every simulation mode:
 mode                   input (application level)               accuracy/cost
 =====================  ======================================  ============
 ``run_hybrid``         instrumented program (live threads)     highest
+``run_vsm``            program sharing ``SharedRegion`` pages  highest
 ``run_mixed_traces``   recorded instruction-level traces       high
 ``run_comm_only``      task-level traces                       fast
 ``run_stochastic``     probabilistic description               fastest
 ``run_single_node``    computational trace, one node           node studies
 ``run_smp``            per-CPU traces, one shared-memory node  SMP studies
+``run_smp_cluster``    per-CPU traces, SMP nodes on a network  SMP studies
 =====================  ======================================  ============
+
+``run_hybrid`` and ``run_vsm`` drive the same node pipeline; the VSM
+mode adds the page-fault protocol (:mod:`repro.vsm`).
 """
 
 from __future__ import annotations
@@ -67,12 +72,10 @@ class Workbench:
         ``application`` is a :class:`~repro.apps.api.ThreadedApplication`
         or a plain ``program(ctx)`` callable (run SPMD on every node).
         """
-        from ..apps.api import ThreadedApplication
-        if callable(application) and not isinstance(application,
-                                                    ThreadedApplication):
-            application = ThreadedApplication(application, self.n_nodes)
+        from ..apps.api import as_application
         model = HybridModel(self.machine, faults=self.faults)
-        return model.run_application(application)
+        return model.run_application(as_application(application,
+                                                    self.n_nodes))
 
     def run_mixed_traces(self, traces: Union[TraceSet,
                                              Sequence[Iterable[Operation]]]
@@ -129,14 +132,11 @@ class Workbench:
     def run_vsm(self, application, vsm_config=None):
         """Hybrid simulation with the virtual-shared-memory layer.
 
-        ``application`` programs use :class:`repro.vsm.SharedRegion`
-        instead of explicit message passing.
+        ``application`` (as for :meth:`run_hybrid`) programs use
+        :class:`repro.vsm.SharedRegion` instead of explicit message
+        passing.
         """
-        from ..apps.api import ThreadedApplication
         from ..vsm import VSMModel
-        if callable(application) and not isinstance(application,
-                                                    ThreadedApplication):
-            application = ThreadedApplication(application, self.n_nodes)
         model = VSMModel(self.machine, vsm_config, faults=self.faults)
         return model.run_application(application)
 
@@ -265,11 +265,8 @@ class Workbench:
 
     def record_traces(self, application) -> TraceSet:
         """Execute an instrumented program logically; return its traces."""
-        from ..apps.api import ThreadedApplication
-        if callable(application) and not isinstance(application,
-                                                    ThreadedApplication):
-            application = ThreadedApplication(application, self.n_nodes)
-        return application.record()
+        from ..apps.api import as_application
+        return as_application(application, self.n_nodes).record()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Workbench {self.machine.name!r} nodes={self.n_nodes}>"

@@ -16,7 +16,7 @@ broken arrows) is exact.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ..commmodel.network import CommResult, MultiNodeModel
 from ..compmodel.node import SingleNodeModel
@@ -112,33 +112,32 @@ class HybridModel:
     def run_streams(self, streams: Sequence[InterleavedStream]
                     ) -> HybridResult:
         """Execution-driven hybrid run from interleaved node streams."""
-        if len(streams) != self.n_nodes:
-            raise ValueError(
-                f"expected {self.n_nodes} streams, got {len(streams)}")
         try:
-            for i, stream in enumerate(streams):
-                body = make_node_pipeline(
-                    self.network, i, stream, self.node_models[i], stream,
-                    self.task_stats[i])
-                self.sim.process(body, name=f"node{i}")
-            self.sim.run(check_deadlock=True)
+            return self._run([(stream, stream) for stream in streams])
         finally:
             for stream in streams:
                 stream.close()
-        return self._result()
 
     # -- trace-driven (static mixed traces) ----------------------------------
 
     def run_traces(self, traces: TraceSet | Sequence[Iterable[Operation]]
                    ) -> HybridResult:
         """Hybrid run from pre-recorded mixed traces (trace-file mode)."""
-        if len(traces) != self.n_nodes:
+        return self._run([(iter(trace), None) for trace in traces])
+
+    def _run(self, sources: Sequence[tuple[Iterator[Operation],
+                                           Optional[InterleavedStream]]]
+             ) -> HybridResult:
+        """The one per-node loop: each node's ``(ops, stream)`` source
+        through its pipeline, then one kernel run."""
+        if len(sources) != self.n_nodes:
             raise ValueError(
-                f"expected {self.n_nodes} traces, got {len(traces)}")
-        for i in range(self.n_nodes):
+                f"expected one stream or trace per node ({self.n_nodes}), "
+                f"got {len(sources)}")
+        for i, (ops, stream) in enumerate(sources):
             body = make_node_pipeline(
-                self.network, i, iter(traces[i]), self.node_models[i],
-                None, self.task_stats[i])
+                self.network, i, ops, self.node_models[i], stream,
+                self.task_stats[i])
             self.sim.process(body, name=f"node{i}")
         self.sim.run(check_deadlock=True)
         return self._result()

@@ -1,132 +1,64 @@
-"""The VSM simulation model: hybrid mode + page-fault handling.
+"""The VSM simulation model: the hybrid model plus the page-fault protocol.
 
-Runs an instrumented application whose shared accesses go through
-:class:`~repro.vsm.runtime.SharedRegion` on a multicomputer: the usual
-hybrid pipeline (node models timing computational operations, the
-communication model carrying messages) with page faults intercepted by
-the driver and executed by :class:`~repro.vsm.protocol.VSMProtocol`.
-Explicit message passing (``ctx.send``/``ctx.recv``/``ctx.barrier``)
-still works alongside — real VSM systems mix both.
+A :class:`VSMModel` is a :class:`~repro.hybrid.HybridModel` whose
+network also carries a :class:`~repro.vsm.protocol.VSMProtocol`: every
+node runs the hybrid pipeline (node model, task extraction, the
+communication model's driver), and a page fault raised by
+:class:`~repro.vsm.runtime.SharedRegion` reaches the driver as a global
+event that the protocol handles.  Explicit message passing
+(``ctx.send``/``ctx.recv``/``ctx.barrier``) still works alongside — real
+VSM systems mix both.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..commmodel.network import CommResult, MultiNodeModel
-from ..compmodel.node import SingleNodeModel
-from ..compmodel.tasks import TaskExtractionStats, extract_tasks
+from ..apps.api import as_application
 from ..config import MachineConfig
+from ..hybrid.model import HybridModel, HybridResult
 from ..pearl import Simulator
-from ..tracegen.threads import InterleavedStream
 from .protocol import VSMConfig, VSMProtocol
-from .runtime import VSMFault
 
 __all__ = ["VSMModel", "VSMResult"]
 
 
-class VSMResult:
-    """Outcome of a VSM simulation."""
+class VSMResult(HybridResult):
+    """A hybrid result plus the VSM protocol's counters."""
 
-    def __init__(self, comm: CommResult, vsm_summary: dict,
-                 node_summaries: list[dict],
-                 task_stats: list[TaskExtractionStats]) -> None:
-        self.comm = comm
+    def __init__(self, hybrid: HybridResult, vsm_summary: dict) -> None:
+        super().__init__(hybrid.comm, hybrid.node_summaries,
+                         hybrid.task_stats)
         self.vsm = vsm_summary
-        self.node_summaries = node_summaries
-        self.task_stats = task_stats
-
-    @property
-    def total_cycles(self) -> float:
-        return self.comm.total_cycles
-
-    @property
-    def seconds(self) -> float:
-        return self.comm.seconds
 
     @property
     def faults(self) -> int:
         return self.vsm["faults"]
 
     def summary(self) -> dict:
-        return {
-            "total_cycles": self.total_cycles,
-            "vsm": self.vsm,
-            "comm": self.comm.summary(),
-            "tasks": [t.summary() for t in self.task_stats],
-            "nodes": self.node_summaries,
-        }
+        return {**super().summary(), "vsm": self.vsm}
 
     def __repr__(self) -> str:
         return (f"<VSMResult cycles={self.total_cycles:.0f} "
                 f"faults={self.faults}>")
 
 
-class VSMModel:
+class VSMModel(HybridModel):
     """Hybrid multicomputer simulation with a virtual-shared-memory layer."""
 
     def __init__(self, machine: MachineConfig,
                  vsm_config: Optional[VSMConfig] = None,
                  sim: Optional[Simulator] = None, faults=None) -> None:
-        machine.validate()
-        if machine.node.n_cpus != 1:
-            raise ValueError("VSMModel runs on single-CPU node templates")
-        self.machine = machine
-        self.network = MultiNodeModel(machine, sim, faults=faults)
+        super().__init__(machine, sim, faults=faults)
         self.protocol = VSMProtocol(self.network, vsm_config)
-        self.node_models = [SingleNodeModel(machine.node, node_id=i)
-                            for i in range(self.network.n_nodes)]
-        self.task_stats = [TaskExtractionStats()
-                           for _ in range(self.network.n_nodes)]
-
-    @property
-    def sim(self) -> Simulator:
-        return self.network.sim
-
-    @property
-    def n_nodes(self) -> int:
-        return self.network.n_nodes
-
-    # -- the VSM-aware driver ----------------------------------------------
-
-    def _driver(self, node_id: int, stream: InterleavedStream):
-        task_ops = extract_tasks(self.node_models[node_id], stream,
-                                 self.task_stats[node_id])
-        network = self.network
-        protocol = self.protocol
-        for op in task_ops:
-            if isinstance(op, VSMFault):
-                yield from protocol.handle_fault(op)
-                stream.post_result(None)
-            else:
-                yield from network.handle_op(
-                    node_id, op,
-                    payload_source=lambda: stream.thread.pending_payload,
-                    result_sink=stream.post_result)
-        network.activity[node_id].finish_time = self.sim.now
-
-    # -- top-level run -----------------------------------------------------------
 
     def run_application(self, app) -> VSMResult:
-        """Run a ThreadedApplication whose programs use SharedRegion."""
-        from ..apps.api import ThreadedApplication
-        if callable(app) and not isinstance(app, ThreadedApplication):
-            app = ThreadedApplication(app, self.n_nodes)
-        if app.n_nodes != self.n_nodes:
-            raise ValueError(
-                f"application has {app.n_nodes} nodes, machine has "
-                f"{self.n_nodes}")
-        streams = app.streams()
-        try:
-            for i, stream in enumerate(streams):
-                self.sim.process(self._driver(i, stream), name=f"node{i}")
-            self.sim.run(check_deadlock=True)
-        finally:
-            for stream in streams:
-                stream.close()
-        return VSMResult(
-            self.network.result(), self.protocol.stats.summary(),
-            [m.summary() for m in self.node_models], self.task_stats)
+        """Run a ThreadedApplication, or a ``program(ctx)`` callable,
+        whose programs use SharedRegion."""
+        return super().run_application(as_application(app, self.n_nodes))
+
+    def _result(self) -> VSMResult:
+        return VSMResult(super()._result(), self.protocol.stats.summary())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<VSMModel {self.machine.name!r} n={self.n_nodes}>"

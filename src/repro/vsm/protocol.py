@@ -95,6 +95,9 @@ class VSMProtocol:
         self._pages: dict[tuple[str, int], _PageEntry] = {}
         # region -> {node -> app-side view dict}
         self._views: dict[str, dict[int, dict]] = {}
+        # Page faults reach the node driver as global events.
+        network.register_event(VSMFault,
+                               lambda node_id, fault: self.handle_fault(fault))
 
     # -- helpers -----------------------------------------------------------
 
@@ -164,7 +167,8 @@ class VSMProtocol:
     # -- fault transactions ------------------------------------------------------
 
     def handle_fault(self, fault: VSMFault):
-        """Generator run inside the faulting node's driver process."""
+        """Generator run inside the faulting node's driver process (the
+        network's handler of :class:`VSMFault`)."""
         sim = self.network.sim
         t0 = sim.now
         self._register_view(fault)

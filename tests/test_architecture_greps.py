@@ -84,6 +84,9 @@ CASES = [
      r"trace_hook|attach_(tracer|sanitizer|tie_break)"
      r"|\.(tracer|sanitizer)\b(?! import|\.[A-Z])",
      "src/**/*.py", ()),
+    ("one node pipeline: VSM nodes run the hybrid model's driver, and a "
+     "page fault is a global event its network hands to the protocol",
+     r"extract_tasks|sim\.run\(", "src/repro/vsm/*.py", ()),
 ]
 
 @pytest.mark.parametrize("why, pattern, glob, allowed", CASES,
@@ -128,6 +131,20 @@ def test_line_numbers_resolved_only_on_a_site_memo_miss():
         if isinstance(node, ast.FunctionDef)
         and node.name == "_resolve_site"))
     assert "f_lineno" in miss_path
+
+
+def test_one_site_wraps_a_program_into_an_application():
+    """Every execution-driven entry point accepts a bare ``program(ctx)``
+    through ``repro.apps.api.as_application``, the one type test."""
+    hits = [f"{path.relative_to(ROOT)}:{node.lineno}"
+            for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+            and "ThreadedApplication" in ast.unparse(node.args[1])]
+    assert len(hits) == 1, hits
+    assert hits[0].startswith("src/repro/apps/api.py:"), hits
 
 
 @pytest.mark.parametrize("relpath", ["src/repro/tracegen/annotate.py",
