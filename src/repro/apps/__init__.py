@@ -8,7 +8,7 @@ benchmarks.
 """
 
 from .alltoall import alltoall_task_traces, make_alltoall
-from .api import NodeContext, ThreadedApplication
+from .api import NodeContext, ThreadedApplication, as_application
 from .fft import make_fft
 from .jacobi import make_jacobi
 from .masterworker import make_master_worker
@@ -34,7 +34,7 @@ TASK_APP_SIZING = {
 
 __all__ = [
     "NodeContext", "TASK_APPS", "TASK_APP_SIZING", "ThreadedApplication",
-    "alltoall_task_traces",
+    "alltoall_task_traces", "as_application",
     "make_alltoall", "make_fft", "make_jacobi", "make_master_worker",
     "make_matmul", "make_pingpong",
     "make_pipeline", "make_reduction", "matmul_flops",

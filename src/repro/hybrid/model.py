@@ -102,7 +102,17 @@ class HybridModel:
     # -- execution-driven (live node threads) -----------------------------
 
     def run_application(self, app) -> HybridResult:
-        """Run a :class:`~repro.apps.api.ThreadedApplication` end to end."""
+        """Run a :class:`~repro.apps.api.ThreadedApplication` end to end.
+
+        A bare ``program(ctx)`` is a ``TypeError``: ``hybrid`` shares a
+        layer with ``apps``, so the wrap is the caller's.
+        """
+        if not hasattr(app, "streams"):
+            raise TypeError(
+                f"HybridModel.run_application takes a ThreadedApplication, "
+                f"got {type(app).__name__}; run a program(ctx) with "
+                f"Workbench.run_hybrid, or wrap it with "
+                f"repro.apps.as_application(program, n_nodes)")
         if app.n_nodes != self.n_nodes:
             raise ValueError(
                 f"application has {app.n_nodes} nodes, machine has "

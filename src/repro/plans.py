@@ -24,7 +24,8 @@ from .config import ConfigError, MachineConfig
 from .core.experiment import Sweep, _AxisSetter
 from .core.workbench import Workbench
 from .machines import generic_multicomputer, powerpc601_node, smp_node, t805_grid
-from .tracegen import WORKLOAD_CLASSES, StochasticAppDescription
+from .operations import TraceSet
+from .tracegen import WORKLOAD_CLASSES, StochasticAppDescription, StochasticGenerator
 
 __all__ = ["JOB_KINDS", "PRESETS", "REQUIRED", "Field", "JobKind", "Plan",
            "apply_override", "app_traces", "build_machine", "plan_sweep",
@@ -115,13 +116,30 @@ def build_machine(preset: str, overrides: Sequence[str] = ()) -> MachineConfig:
     return machine.validate()
 
 
-def _sweep_point_runner(machine: MachineConfig, workload: Optional[str],
-                        rounds: int, seed: int, faults: Any = None) -> dict:
-    """Per-variant runner of a sweep job (module-level: picklable)."""
+@functools.lru_cache(maxsize=1)
+def _task_traces(workload: Optional[str], n_nodes: int, rounds: int,
+                 seed: int) -> TraceSet:
+    """The task-level traces every point of a sweep job runs.
+
+    They depend on the workload, node count, rounds and seed only, so a
+    job's points share one generation per process (one entry: a worker
+    serves one job at a time).  Safe to share because a run reads its
+    traces and never changes them.
+    """
     desc = (WORKLOAD_CLASSES[workload]() if workload
             else StochasticAppDescription())
-    res = Workbench(machine, faults=faults).run_stochastic(
-        desc, level="task", rounds=rounds, seed=seed)
+    return StochasticGenerator(desc, n_nodes, seed=seed).generate_task_level(
+        rounds)
+
+
+def _sweep_point_runner(machine: MachineConfig, workload: Optional[str],
+                        rounds: int, seed: int, faults: Any = None) -> dict:
+    """Per-variant runner of a sweep job (module-level: picklable):
+    ``Workbench.run_stochastic`` at the task level, on traces shared
+    across the job's points."""
+    bench = Workbench(machine, faults=faults)
+    res = bench.run_comm_only(_task_traces(workload, bench.n_nodes, rounds,
+                                           seed))
     row = {
         "total_cycles": res.total_cycles,
         "mean_latency": res.message_latency.mean,

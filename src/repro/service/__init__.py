@@ -15,7 +15,8 @@ the sweep :class:`~repro.parallel.ResultCache`:
   HTTP server, one thread per request (submit / status / result /
   NDJSON event stream / cancel / metrics);
 * :class:`ServiceClient` — thin synchronous client;
-* :class:`ResultStore` — variant rows + deterministic job records.
+* :class:`ResultStore` — variant rows + deterministic job records (a
+  repeated sweep is answered from its record, not run again).
 
 CLI: ``repro serve`` runs the server; ``repro submit`` / ``repro
 status`` / ``repro fetch`` talk to it.  Rows fetched over HTTP are

@@ -20,17 +20,22 @@ fetched over HTTP, ``CheckError`` rows included, are byte-identical to
 ``repro sweep`` / in-process ``Sweep.run`` output (progress too: hits
 and pre-flight failures in point order during the scan, then executed
 variants) and share the same :class:`~repro.parallel.ResultCache` entries.
+A sweep whose finished record is already in the :class:`ResultStore` —
+the same request on the same code, before or since a restart — is
+answered from that record at submission, with the events and record an
+all-hit run would give, and is not run again.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
 import logging
 import threading
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from ..chaos.runner import ChaosResult
 from ..observe import MetricRegistry
@@ -164,12 +169,15 @@ class ResultStore:
     ``<root>/rows/`` is the sweep :class:`~repro.parallel.ResultCache`
     (shared with CLI and in-process runs, so warm re-submissions hit
     it); ``<root>/jobs/`` is a :class:`~repro.store.Store` of finished
-    records by :func:`job_key`, one per request and code version.
+    records by :func:`job_key`, one per request and code version, which
+    :meth:`JobManager.submit` reads to answer a repeated sweep.
     """
 
     def __init__(self, root: str | Path) -> None:
         self.cache = ResultCache(Path(root) / "rows")
         self.jobs = Store(Path(root) / "jobs")
+        # Request threads read records concurrently: keep the counts exact.
+        self._reads = threading.Lock()
 
     def put_job(self, record: JobRecord) -> Path:
         """Persist a finished job's record + result atomically."""
@@ -178,7 +186,8 @@ class ResultStore:
 
     def get_job(self, key: str) -> Optional[dict]:
         """The stored ``{"record", "result"}`` of ``key``, or ``None``."""
-        return self.jobs.get(key, _job_entry)
+        with self._reads:
+            return self.jobs.get(key, _job_entry)
 
 
 def _job_entry(entry: dict) -> dict:
@@ -204,7 +213,9 @@ class JobManager:
     job state, so every job runs on the process's one pool, reports
     progress into its record, honors cancellation and its time budget
     within the pool's abort poll, and lands in the
-    :class:`ResultStore` when done.  The records are the only table of
+    :class:`ResultStore` when done — except a sweep whose finished
+    record is stored already, which is answered from it at submission
+    and never queued.  The records are the only table of
     jobs by id: the executor keeps none.  The executor starts the pool's
     workers here, at construction — before a server that owns the
     manager accepts a socket a forked child would inherit and hold
@@ -233,7 +244,7 @@ class JobManager:
         self._counters = {
             name: self.registry.counter(f"service.jobs.{name}")
             for name in ("submitted", "completed", "failed",
-                         "cancelled", "rejected")}
+                         "cancelled", "rejected", "stored")}
         self._put_errors = self.registry.counter("service.store.put_errors")
         self.registry.register("service.scheduler", self.scheduler.snapshot)
         self.registry.register("service.records", self._records_summary)
@@ -280,33 +291,88 @@ class JobManager:
 
     def submit(self, request: Any) -> JobRecord:
         """Admit one job; raises :class:`ServiceError` 400 on malformed
-        requests and 429 on quota rejection."""
+        requests and 429 on quota rejection.  A request whose finished
+        record is in the store is answered from it, done on return."""
         canon = canonical_request(request)
         key = job_key(canon)
+        rows = self._stored_rows(canon, key)
+        if rows is not None:
+            return self._answer_stored(canon, key, rows)
         try:   # a sick variant is the job's ``CheckError`` row, not a 400
             plan = JOB_KINDS[canon["kind"]].plan(canon)
         except (SystemExit, Exception) as exc:  # noqa: BLE001 - request boundary
             raise ServiceError(400, f"bad {canon['kind']} request: "
                                     f"{exc}") from None
         with self._lock:
-            job_id = f"{key[:12]}-{next(self._seq)}"
-            record = JobRecord(job_id, key, canon)
+            record = self._new_record(canon, key, len(plan.points))
             record.plan, record.campaign = plan, plan.campaign
-            record.total = len(plan.points)
-            # Emit "submitted" before the scheduler can hand the job to
-            # the dispatcher, so event order is stable.
-            record.set_state("submitted")
-            try:
-                self.scheduler.submit(job_id, tenant=canon["tenant"],
+            with self._admission():
+                self.scheduler.submit(record.job_id, tenant=canon["tenant"],
                                       lane=canon["lane"])
-            except QuotaExceeded as exc:
-                self._counters["rejected"].inc()
-                raise ServiceError(429, str(exc)) from None
-            except ValueError as exc:
-                self._counters["rejected"].inc()
-                raise ServiceError(400, str(exc)) from None
-            self._records[job_id] = record
+            self._records[record.job_id] = record
             self._counters["submitted"].inc()
+        return record
+
+    def _new_record(self, canon: dict, key: str, total: int) -> JobRecord:
+        record = JobRecord(f"{key[:12]}-{next(self._seq)}", key, canon)
+        record.total = total
+        # Emit "submitted" before the scheduler can hand the job to the
+        # dispatcher, so event order is stable.
+        record.set_state("submitted")
+        return record
+
+    @contextlib.contextmanager
+    def _admission(self) -> Iterator[None]:
+        """Map a scheduler refusal to its :class:`ServiceError`."""
+        try:
+            yield
+        except QuotaExceeded as exc:
+            self._counters["rejected"].inc()
+            raise ServiceError(429, str(exc)) from None
+        except ValueError as exc:
+            self._counters["rejected"].inc()
+            raise ServiceError(400, str(exc)) from None
+
+    def _stored_rows(self, canon: dict, key: str) -> Optional[list[dict]]:
+        """The rows of ``key``'s stored record when they answer the
+        request as a run would: a ``done`` sweep, ``timing`` off (wall
+        times are measured afresh), and no error row (a crashed worker
+        or a spent budget may not recur).  ``None`` sends the job to the
+        executor, as does a damaged entry."""
+        if self.store is None or canon["kind"] != "sweep" or canon["timing"]:
+            return None
+        stored = self.store.get_job(key)
+        if stored is None or stored["record"].get("state") != "done":
+            return None
+        rows = stored["result"].get("rows")
+        if not isinstance(rows, list) or not all(
+                isinstance(row, dict) and "error" not in row for row in rows):
+            return None
+        return rows
+
+    def _answer_stored(self, canon: dict, key: str,
+                       rows: list[dict]) -> JobRecord:
+        """A job answered from its stored record: quota-checked like
+        any job, then ``running``, one ``progress`` per row in point
+        order and ``done``, as an all-hit run reports, with no plan,
+        scheduler turn or pool."""
+        with self._admission():
+            self.scheduler.admit(canon["tenant"], canon["lane"])
+        with self._lock:
+            record = self._new_record(canon, key, len(rows))
+
+        def body() -> None:
+            for done, row in enumerate(rows, 1):
+                record.note_progress(done, len(rows), row)
+            with record.cond:
+                record.rows = rows
+                record.cache = {"hits": len(rows), "misses": 0, "stores": 0}
+
+        record.run(body)
+        with self._lock:
+            self._records[record.job_id] = record
+        for name in ("submitted", "completed", "stored"):
+            self._counters[name].inc()
         return record
 
     def record(self, job_id: str) -> JobRecord:

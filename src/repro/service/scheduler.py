@@ -87,11 +87,11 @@ class JobScheduler:
 
     # -- admission -----------------------------------------------------
 
-    def submit(self, job_id: str, *, tenant: str = "default",
-               lane: str = "normal") -> None:
-        """Queue ``job_id``; raises :class:`QuotaExceeded` when the
-        tenant is at its active-job cap and ``ValueError`` on an
-        unknown lane."""
+    def admit(self, tenant: str = "default", lane: str = "normal") -> int:
+        """The check :meth:`submit` makes, queueing nothing: the
+        tenant's active job count, or :class:`QuotaExceeded` when it is
+        at its cap and ``ValueError`` on an unknown lane.  The service
+        asks it before answering a job it need not run."""
         if lane not in self._queues:
             raise ValueError(f"unknown lane {lane!r}, expected one of {LANES}")
         with self._cond:
@@ -100,6 +100,13 @@ class JobScheduler:
                 raise QuotaExceeded(
                     f"tenant {tenant!r} has {active} active jobs "
                     f"(quota {self.tenant_quota})")
+            return active
+
+    def submit(self, job_id: str, *, tenant: str = "default",
+               lane: str = "normal") -> None:
+        """Queue ``job_id``; raises as :meth:`admit` does."""
+        with self._cond:
+            active = self.admit(tenant, lane)
             entry = _Entry(job_id, tenant, lane, next(self._seq))
             self._queues[lane].append(entry)
             self._active[tenant] = active + 1

@@ -55,7 +55,7 @@ _MAX_WAIT_S = 30.0
 
 
 def _json_bytes(payload: Any) -> bytes:
-    return (json.dumps(payload, sort_keys=True, indent=1) + "\n").encode()
+    return (json.dumps(payload, sort_keys=True) + "\n").encode()
 
 
 def _wait_seconds(query: dict[str, list[str]]) -> float:

@@ -22,11 +22,16 @@ T = TypeVar("T")
 def atomic_write_text(path: Path, text: str) -> None:
     """Replace ``path`` with ``text`` atomically; last writer wins.  The
     temp file is per writer (process and thread), and a failed write
-    (full disk) removes it and leaves ``path`` as it was."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    (full disk) removes it and leaves ``path`` as it was.  The parent
+    directory is made only when the write finds it missing, so a put
+    into an existing shard is one write and one rename."""
     tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
     try:
-        tmp.write_text(text)
+        try:
+            tmp.write_text(text)
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(text)
         os.replace(tmp, path)
     except OSError:
         tmp.unlink(missing_ok=True)
@@ -70,8 +75,10 @@ class CacheStats:
 
 
 class Store:
-    """JSON objects by key under ``root``, each written as
-    ``json.dumps(entry, indent=2, default=float)``."""
+    """JSON objects by key under ``root``, each written as compact JSON
+    (``json.dumps(entry, separators=(",", ":"), default=float)``: with
+    no ``indent`` the C encoder writes it).  Any JSON object reads back,
+    so entries written indented by earlier releases stay valid."""
 
     def __init__(self, root: str | os.PathLike[str]) -> None:
         self.root = Path(root).expanduser()
@@ -102,7 +109,8 @@ class Store:
     def put(self, key: str, entry: dict[str, Any]) -> Path:
         """Write ``entry`` at ``key``; returns the entry's path."""
         path = self._path(key)
-        atomic_write_text(path, json.dumps(entry, indent=2, default=float))
+        atomic_write_text(path, json.dumps(entry, separators=(",", ":"),
+                                           default=float))
         self.stats.stores += 1
         return path
 

@@ -7,18 +7,22 @@ EXPERIMENTS.md.  Host-measured columns (declared per experiment) are
 left out of the comparison.  The shape claims are checked on the fresh
 rows with the wall-time columns taken from the record, so a loaded
 runner cannot fail the suite; ``repro reproduce`` and
-``benchmarks/bench_paper.py`` check them on fresh host times.
+``benchmarks/bench_paper.py`` check them on fresh host times.  The
+table runs once per session, sharded over the process's two-worker
+pool, and each case checks its own experiment's rows.
 """
 
 from __future__ import annotations
 
 import json
+import traceback
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.experiments import EXPERIMENTS, run_experiment
+from repro.parallel.pool import run_sharded
 
 RESULTS = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
 
@@ -44,10 +48,33 @@ def test_every_record_has_a_spec_and_every_spec_a_record():
         == sorted(EXPERIMENTS)
 
 
+TABLE_CASE = "test_rows_match_the_committed_record_and_claims_hold"
+
+
+def _rows_of(exp_id: str) -> tuple:
+    """``(rows, None)`` of one experiment, or ``(None, traceback)``: a
+    ``run_sharded`` function captures its own errors."""
+    try:
+        return run_experiment(EXPERIMENTS[exp_id], workers=1,
+                              cache=None), None
+    except Exception:  # noqa: BLE001 - reported by the experiment's case
+        return None, traceback.format_exc()
+
+
+@pytest.fixture(scope="session")
+def table_rows(request) -> dict[str, tuple]:
+    """Every collected experiment's ``_rows_of``, run once per session
+    on the process's pool (so ``-k S6a`` runs S6a alone)."""
+    ids = [item.callspec.params["exp"].id for item in request.session.items
+           if getattr(item, "originalname", "") == TABLE_CASE]
+    return dict(zip(ids, run_sharded(_rows_of, ids, workers=2)))
+
+
 @pytest.mark.parametrize("exp", EXPERIMENTS.values(), ids=list(EXPERIMENTS))
-def test_rows_match_the_committed_record_and_claims_hold(exp):
+def test_rows_match_the_committed_record_and_claims_hold(exp, table_rows):
     record = json.loads((RESULTS / f"{exp.id}.json").read_text())
-    rows = run_experiment(exp, workers=1, cache=None)
+    rows, error = table_rows[exp.id]
+    assert error is None, error
     exact, fitted = simulated(exp, rows)
     want_exact, want_fitted = simulated(exp, record["rows"])
     assert exact == want_exact

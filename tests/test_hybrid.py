@@ -61,6 +61,21 @@ class TestExecutionDriven:
             assert res.comm.activity[i].compute_cycles == pytest.approx(
                 res.task_stats[i].total_task_cycles)
 
+    def test_a_bare_program_is_a_type_error_naming_the_wrap(self):
+        """``hybrid`` cannot wrap a program itself (it shares a layer
+        with ``apps``): it names the two ways that do, instead of an
+        ``AttributeError`` on ``n_nodes``."""
+        from repro.apps import as_application
+        from repro.core.workbench import Workbench
+
+        hm = HybridModel(machine())
+        with pytest.raises(TypeError, match=r"Workbench\.run_hybrid.*"
+                           r"repro\.apps\.as_application"):
+            hm.run_application(exchange_program)
+        wrapped = hm.run_application(as_application(exchange_program, 4))
+        assert wrapped.total_cycles == \
+            Workbench(machine()).run_hybrid(exchange_program).total_cycles
+
     def test_node_count_mismatch(self):
         hm = HybridModel(machine(4))
         with pytest.raises(ValueError, match="nodes"):

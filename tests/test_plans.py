@@ -115,3 +115,67 @@ def test_unreadable_request_file_is_a_clean_error(tmp_path):
         JOB_KINDS["sweep"].request_from_args(_parser().parse_args(
             ["sweep", PRESET, "--axis", AXIS,
              "--faults", str(tmp_path / "missing.json")]))
+
+
+# -- a sweep job's points share one trace generation --------------------------
+
+#: every switching discipline, two link speeds: six points, one trace key
+SWITCHED_AXES = ["network.switching=store_and_forward,virtual_cut_through,"
+                 "wormhole", AXIS]
+
+
+def _fresh_traces_point(machine, **kwargs):
+    """The sweep point runner with its traces generated afresh, as every
+    point did before they were shared."""
+    from repro.plans import _sweep_point_runner, _task_traces
+    _task_traces.cache_clear()
+    return _sweep_point_runner(machine, **kwargs)
+
+
+@pytest.mark.parametrize("faulty", [False, True], ids=["clean", "faults"])
+def test_shared_traces_give_the_rows_of_fresh_ones(faulty):
+    """Rows are byte-identical whether each point generates its traces
+    or takes the job's shared ones, on every switching discipline, with
+    and without a fault plan, serial and on two workers; and a fresh
+    point is ``Workbench.run_stochastic``'s run."""
+    import functools
+
+    from repro.core.workbench import Workbench
+    from repro.faults import FaultPlan, LinkFault, TransportConfig
+    from repro.plans import plan_sweep
+    from repro.tracegen import StochasticAppDescription
+
+    faults = FaultPlan(seed=7, link_faults=[LinkFault(drop_prob=0.02)],
+                       transport=TransportConfig(
+                           timeout_cycles=50_000.0, backoff_factor=1.0,
+                           max_retries=60)) if faulty else None
+    sweep, runner, workload_id = plan_sweep(
+        PRESET, (), SWITCHED_AXES, workload=None, rounds=2, seed=3)
+    fresh = sweep.run(functools.partial(_fresh_traces_point, **runner.keywords),
+                      workload_id=workload_id, faults=faults)
+    assert len(fresh) == 6 and not any("error" in row for row in fresh)
+    assert {row["network.switching"] for row in fresh} == {
+        "store_and_forward", "virtual_cut_through", "wormhole"}
+    if faulty:
+        assert all("retransmissions" in row for row in fresh)
+    for row, (_, machine) in zip(fresh, sweep.points()):
+        res = Workbench(machine, faults=faults).run_stochastic(
+            StochasticAppDescription(), rounds=2, seed=3)
+        assert (row["total_cycles"], row["events"]) == (
+            res.total_cycles, res.events_executed)
+    want = json.dumps(fresh, sort_keys=True)
+    for workers in (1, 2):
+        shared = sweep.run(runner, workers=workers, workload_id=workload_id,
+                           faults=faults)
+        assert json.dumps(shared, sort_keys=True) == want, workers
+
+
+def test_the_trace_memo_holds_one_entry():
+    from repro.plans import _task_traces
+    _task_traces.cache_clear()
+    first = _task_traces(None, 4, 2, 0)
+    assert _task_traces(None, 4, 2, 0) is first
+    _task_traces("stencil", 4, 2, 0)
+    info = _task_traces.cache_info()
+    assert (info.currsize, info.maxsize) == (1, 1)
+    assert _task_traces(None, 4, 2, 0) is not first

@@ -534,6 +534,120 @@ class TestResultStore:
 
 
 # ---------------------------------------------------------------------------
+# Repeat requests are answered from the job store
+# ---------------------------------------------------------------------------
+
+def _finished_in(root: Path, manager, request: dict) -> JobRecord:
+    """``request`` run to its end by a manager over the store at
+    ``root``, its record persisted."""
+    mgr = manager(store=ResultStore(root))
+    record = mgr.submit(request)
+    assert record.wait(timeout=300.0) == "done"
+    mgr.close()           # joins the dispatcher: the record is stored
+    return record
+
+
+def _executor_runs(mgr, monkeypatch) -> list[str]:
+    """The ids of the jobs ``mgr`` hands its executor from now on."""
+    runs: list[str] = []
+    submit = mgr.executor.submit
+
+    def spy(spec, state=None):
+        runs.append(state.job_id)
+        return submit(spec, state)
+    monkeypatch.setattr(mgr.executor, "submit", spy)
+    return runs
+
+
+def _without_id(doc: dict) -> dict:
+    return {name: value for name, value in doc.items() if name != "id"}
+
+
+def _never_planned(request):
+    raise AssertionError("a stored answer plans nothing")
+
+
+class TestStoredAnswers:
+    """A sweep whose finished record is stored is answered from it at
+    submission: the record, events and result an all-hit run reports,
+    with no plan, scheduler turn or executor run, after a restart too."""
+
+    def test_a_stored_answer_is_what_a_warm_run_reports(
+            self, manager, tmp_path, monkeypatch):
+        import shutil
+
+        from repro import plans
+        _finished_in(tmp_path / "a", manager, SWEEP_REQUEST)
+        # The executor path on a warm row cache, with no stored record.
+        shutil.copytree(tmp_path / "a" / "rows", tmp_path / "b" / "rows")
+        warm = manager(store=ResultStore(tmp_path / "b")).submit(
+            SWEEP_REQUEST)
+        assert warm.wait(timeout=120.0) == "done"
+        assert warm.cache == {"hits": 2, "misses": 0, "stores": 0}
+
+        monkeypatch.setitem(plans.JOB_KINDS, "sweep", plans.JOB_KINDS[
+            "sweep"]._replace(plan=_never_planned))
+        mgr = manager(store=ResultStore(tmp_path / "a"))   # a restart
+        runs = _executor_runs(mgr, monkeypatch)
+        stored = mgr.submit(SWEEP_REQUEST)
+        assert stored.state == "done" and runs == []
+        assert _without_id(stored.to_dict()) == _without_id(warm.to_dict())
+        assert stored.events == warm.events
+        assert json.dumps(_without_id(stored.result_payload())) == \
+            json.dumps(_without_id(warm.result_payload()))
+        assert stored.rows == expected_sweep_rows()
+        assert mgr.record(stored.job_id) is stored
+        metrics = mgr.metrics()
+        assert metrics["service.jobs.stored.count"] == 1
+        assert metrics["service.jobs.submitted.count"] == 1
+        assert metrics["service.jobs.completed.count"] == 1
+        assert mgr.scheduler.snapshot() == {
+            "queued": {"high": 0, "normal": 0, "low": 0}, "running": 0,
+            "tenants": {}}
+
+    def test_the_quota_refuses_a_stored_answer_as_any_job(
+            self, manager, tmp_path):
+        _finished_in(tmp_path, manager, SWEEP_REQUEST)
+        mgr = manager(store=ResultStore(tmp_path), autostart=False,
+                      scheduler=JobScheduler(tenant_quota=1))
+        queued = mgr.submit(dict(SWEEP_REQUEST, seed=1))
+        with pytest.raises(ServiceError) as info:
+            mgr.submit(SWEEP_REQUEST)
+        assert info.value.status == 429
+        assert mgr.metrics()["service.jobs.rejected.count"] == 1
+        assert mgr.cancel(queued.job_id) is True
+        assert mgr.submit(SWEEP_REQUEST).state == "done"
+
+    @pytest.mark.parametrize("case", ["error-row", "timing", "chaos",
+                                      "damaged"])
+    def test_the_executor_runs_what_the_store_cannot_answer(
+            self, manager, tmp_path, monkeypatch, case):
+        """An error row may not recur, wall times are measured afresh, a
+        campaign's result has no rows, and a damaged entry is a miss:
+        each runs again, and its put replaces the entry."""
+        request = {"error-row": dict(SWEEP_REQUEST, axes=SICK_AXES),
+                   "timing": dict(SWEEP_REQUEST, timing=True),
+                   "chaos": CHAOS_REQUEST,
+                   "damaged": SWEEP_REQUEST}[case]
+        first = _finished_in(tmp_path, manager, request)
+        entry = tmp_path / "jobs" / first.key[:2] / f"{first.key}.json"
+        assert ResultStore(tmp_path).get_job(first.key) is not None
+        if case == "damaged":
+            entry.write_bytes(b'{"record": {"state": "do')
+        mgr = manager(store=ResultStore(tmp_path))
+        runs = _executor_runs(mgr, monkeypatch)
+        again = mgr.submit(request)
+        assert again.wait(timeout=300.0) == "done"
+        mgr.close()
+        assert runs == [again.job_id]
+        assert mgr.metrics()["service.jobs.stored.count"] == 0
+        if case in ("error-row", "damaged"):
+            assert again.rows == first.rows
+        assert ResultStore(tmp_path).get_job(first.key)["record"][
+            "state"] == "done"
+
+
+# ---------------------------------------------------------------------------
 # HTTP surface
 # ---------------------------------------------------------------------------
 

@@ -5,8 +5,9 @@ bound --audit`` reads all go through one :class:`~repro.store.Store`,
 so they share one read contract: a damaged entry is one counted miss
 (for the audit, one "unreadable cache entry" skip), never an exception
 and never a hit, and the next put replaces it.  Entries written before
-the store existed read back equal; rows and lint findings are also
-rewritten byte for byte.
+the store existed (indented) read back equal, and rows and lint
+findings are rewritten as the same object in the same key order, as
+compact JSON.
 """
 
 from __future__ import annotations
@@ -107,6 +108,29 @@ def test_the_next_put_replaces_a_damaged_entry(tmp_path, monkeypatch):
     assert store.keys() == [KEY] and len(store) == 1
 
 
+def test_a_put_into_an_existing_shard_is_one_write_and_one_rename(
+        tmp_path, monkeypatch):
+    """``mkdir`` runs only when a put finds its shard directory missing;
+    the entry is compact JSON."""
+    made = []
+    real_mkdir = Path.mkdir
+
+    def spy(self, *args, **kwargs):
+        made.append(self)
+        return real_mkdir(self, *args, **kwargs)
+
+    store = Store(tmp_path)
+    monkeypatch.setattr(Path, "mkdir", spy)
+    store.put(KEY, {"metrics": {"x": 1}})
+    assert made == [_entry(tmp_path).parent]
+    store.put(KEY, {"metrics": {"x": 2}})
+    store.put("ab" + "cd" * 31, {"metrics": {"x": 3}})
+    assert made == [_entry(tmp_path).parent]
+    assert _entry(tmp_path).read_text() == '{"metrics":{"x":2}}'
+    assert sorted(p.name for p in _entry(tmp_path).parent.iterdir()) == \
+        sorted([f"{KEY}.json", f"ab{'cd' * 31}.json"])
+
+
 # -- entries in the exact format the pre-store code wrote --------------------
 
 PARENT_ROW = """\
@@ -186,6 +210,11 @@ PARENT_JOB = """\
 }"""
 
 
+def _compact(text: str) -> str:
+    """``text``'s object as ``Store.put`` writes it."""
+    return json.dumps(json.loads(text), separators=(",", ":"))
+
+
 def test_parent_row_entry(tmp_path, monkeypatch):
     metrics = {"total_cycles": 1234.5, "latency": 7.25}
     _entry(tmp_path).parent.mkdir()
@@ -195,7 +224,7 @@ def test_parent_row_entry(tmp_path, monkeypatch):
     monkeypatch.setattr(parallel_cache, "code_version",
                         lambda: "0123456789abcdef")
     cache.put(KEY, metrics, meta={"workload_id": "w"})
-    assert _entry(tmp_path).read_text() == PARENT_ROW
+    assert _entry(tmp_path).read_text() == _compact(PARENT_ROW)
 
 
 def test_parent_lint_entry(tmp_path, monkeypatch):
@@ -210,7 +239,7 @@ def test_parent_lint_entry(tmp_path, monkeypatch):
     monkeypatch.setattr(lint_cache, "lint_rules_version",
                         lambda: "fedcba9876543210")
     cache.put(KEY, [diag], 2)
-    assert _entry(tmp_path).read_text() == PARENT_LINT
+    assert _entry(tmp_path).read_text() == _compact(PARENT_LINT)
 
 
 def test_parent_job_entry(tmp_path):
