@@ -2,8 +2,8 @@
 """Application scaling study with a run-time timeline.
 
 Predicts SPMD matmul speedup on 1..16 nodes of a generic wormhole
-multicomputer, then re-runs the 4-node case with a timeline recorder
-attached to the node drivers and renders a text Gantt chart — the
+multicomputer, then re-runs the 4-node case with a tracer attached and
+renders the timeline of its node hand-offs as a text Gantt chart — the
 headless equivalent of Mermaid's run-time visualization.
 
 Run:  python examples/matmul_scaling.py
@@ -18,7 +18,7 @@ from repro.analysis import (
 )
 from repro.apps import ThreadedApplication, make_matmul
 from repro.hybrid import HybridModel
-from repro.operations import OpCode
+from repro.observe import Tracer
 
 
 def scaling_study(n_matrix: int = 32) -> None:
@@ -36,38 +36,10 @@ def scaling_study(n_matrix: int = 32) -> None:
 def timeline_view(n_matrix: int = 24) -> None:
     machine = generic_multicomputer("mesh", (4, 1))
     model = HybridModel(machine)
-    recorder = TimelineRecorder(model.sim)
-
-    # Wrap each node driver stream so state changes mark the timeline.
-    app = ThreadedApplication(make_matmul(n=n_matrix), 4)
-    streams = app.streams()
-    from repro.compmodel import extract_tasks
-
-    def observed_driver(node_id, stream):
-        entity = f"node{node_id}"
-        task_ops = extract_tasks(model.node_models[node_id], stream)
-        for op in task_ops:
-            if op.code is OpCode.COMPUTE:
-                recorder.mark(entity, "compute")
-            elif op.code in (OpCode.SEND, OpCode.ASEND):
-                recorder.mark(entity, "send")
-            else:
-                recorder.mark(entity, "recv")
-            yield op
-        recorder.mark(entity, "idle")
-
-    try:
-        for i, stream in enumerate(streams):
-            body = model.network.node_driver(
-                i, observed_driver(i, stream),
-                payload_source=lambda s=stream: s.thread.pending_payload,
-                result_sink=stream.post_result)
-            model.sim.process(body, name=f"node{i}")
-        model.sim.run(check_deadlock=True)
-    finally:
-        for s in streams:
-            s.close()
-    recorder.finish()
+    tracer = Tracer()
+    model.sim.observer = tracer
+    model.run_application(ThreadedApplication(make_matmul(n=n_matrix), 4))
+    recorder = TimelineRecorder(tracer)
 
     print(f"timeline (matmul {n_matrix}, 4 nodes; node 0 gathers):")
     print(render_gantt(recorder, width=68))

@@ -1,7 +1,8 @@
 """``repro.analysis`` — visualization and analysis tools (Fig 1).
 
-Slowdown measurement (the paper's Section-6 metric), timeline recording
-with text Gantt rendering, statistics post-processing, and text reports.
+Slowdown measurement (the paper's Section-6 metric), timelines read
+from a run's :class:`~repro.observe.Tracer` records with text Gantt
+rendering, statistics post-processing, and text reports.
 """
 
 from .heatmap import link_utilization_grid, top_links

@@ -1,18 +1,19 @@
-"""Timeline recording and rendering — the visualization substrate.
+"""Timelines and their rendering — the visualization substrate.
 
 Mermaid provided "a suite of tools ... to visualize and analyze the
 simulation output.  Visualization of simulation data can be performed
-both at run-time and post-mortem."  Headless reproduction: a
-:class:`TimelineRecorder` captures state intervals per entity while the
-simulation runs (run-time observers may subscribe) and renders them
-post-mortem as a text Gantt chart or CSV export.
+both at run-time and post-mortem."  Headless reproduction: a run-time
+view is an observer in the ``sim.observer`` slot; a
+:class:`TimelineRecorder` is the post-mortem view of a
+:class:`~repro.observe.Tracer`'s records, rendered as a text Gantt
+chart or CSV export.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, TextIO
+from typing import Optional, TextIO
 
-from ..pearl import Simulator
+from ..observe import Tracer
 
 __all__ = ["TimelineRecorder", "render_gantt"]
 
@@ -29,45 +30,36 @@ _STATE_GLYPHS = {
     "idle": ".",
 }
 
+#: The state a ``task`` instant opens, by the operation name it carries
+#: (``send(size=64, dest=1)`` -> ``send``); other names are the state.
+_TASK_STATES = {"asend": "send", "arecv": "recv", "end": "idle"}
+
 
 class TimelineRecorder:
-    """Records (entity, state, start, end) intervals in simulated time.
+    """(entity, state, start, end) intervals in simulated time.
 
-    Usage: call ``mark(entity, state)`` at every state change; the
-    previous state of that entity is closed at the current simulation
-    time.  ``finish()`` closes all open intervals.  Run-time observers
-    registered with :meth:`subscribe` are called at each mark — the
-    run-time-visualization hook.
+    Each ``task`` instant on a track (the hybrid hand-offs
+    :func:`repro.hybrid.scheduler.traced_tasks` emits) opens a state for
+    that entity and closes the one before; the last state closes where
+    the trace ends.
     """
 
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
+    def __init__(self, tracer: Tracer) -> None:
+        records = tracer.records
         self.intervals: list[tuple[str, str, float, float]] = []
-        self._open: dict[str, tuple[str, float]] = {}
-        self._observers: list[Callable[[float, str, str], None]] = []
-
-    def subscribe(self, observer: Callable[[float, str, str], None]) -> None:
-        """Register a run-time observer called as ``observer(t, entity,
-        state)`` at every mark."""
-        self._observers.append(observer)
-
-    def mark(self, entity: str, state: str) -> None:
-        now = self.sim.now
-        prev = self._open.get(entity)
-        if prev is not None:
-            prev_state, start = prev
-            if now > start:
-                self.intervals.append((entity, prev_state, start, now))
-        self._open[entity] = (state, now)
-        for obs in self._observers:
-            obs(now, entity, state)
-
-    def finish(self) -> None:
-        now = self.sim.now
-        for entity, (state, start) in self._open.items():
-            if now > start:
-                self.intervals.append((entity, state, start, now))
-        self._open.clear()
+        opened: dict[str, tuple[str, float]] = {}
+        for rec in records:
+            if rec.cat != "task":
+                continue
+            prev = opened.get(rec.tid)
+            if prev is not None and rec.ts > prev[1]:
+                self.intervals.append((rec.tid, *prev, rec.ts))
+            kind = rec.name.partition("(")[0]
+            opened[rec.tid] = (_TASK_STATES.get(kind, kind), rec.ts)
+        end = max((rec.ts + rec.dur for rec in records), default=0.0)
+        for entity, (state, start) in opened.items():
+            if end > start:
+                self.intervals.append((entity, state, start, end))
 
     # -- post-mortem exports ------------------------------------------------
 

@@ -137,10 +137,9 @@ class CommResult:
 class MultiNodeModel:
     """The communication model: topology + routers + links + NICs.
 
-    Feed it one task-level operation stream per node via :meth:`run`.
-    In hybrid mode (:mod:`repro.hybrid`) the streams come from the
-    single-node computational models; in fast-prototyping mode they come
-    straight from a trace generator.
+    Feed it one task-level operation stream per node via :meth:`run`;
+    the hybrid, VSM and SMP-cluster models hand their node processes to
+    :meth:`run_bodies`, the one run loop of every network mode.
     """
 
     def __init__(self, machine: MachineConfig,
@@ -361,9 +360,18 @@ class MultiNodeModel:
             raise ValueError(
                 f"expected {self.n_nodes} op streams (one per node), got "
                 f"{len(per_node_ops)}")
-        for node_id, ops in enumerate(per_node_ops):
-            self.sim.process(self.node_driver(node_id, iter(ops)),
-                             name=f"node{node_id}")
+        return self.run_bodies(
+            ((f"node{node_id}", self.node_driver(node_id, iter(ops)))
+             for node_id, ops in enumerate(per_node_ops)), until=until)
+
+    def run_bodies(self, bodies: Iterable[tuple[str, Iterator]],
+                   until: Optional[float] = None) -> CommResult:
+        """Start each ``(name, body)`` process, run the kernel, return
+        :meth:`result`.  A deadlock is re-raised with RT001 diagnostics;
+        a :class:`~repro.faults.transport.DeliveryFailed` carries the
+        partial result as ``err.result``."""
+        for name, body in bodies:
+            self.sim.process(body, name=name)
         if self.transport is not None:
             from ..faults.transport import DeliveryFailed
         else:
@@ -388,13 +396,14 @@ class MultiNodeModel:
         Inspects NIC state: posted-but-unmatched receives (with their
         source filters), synchronous sends still awaiting delivery, and
         messages that arrived but were never consumed — the difference
-        between "recv with no send" and "send stuck in the network".
+        between "recv with no send" and "send stuck in the network".  A
+        process ``node{n}`` or ``node{n}.cpu{c}`` reads node ``n``'s NIC.
         """
         from ..diagnostics import Diagnostic, Severity
         nic_by_name = {f"node{nic.node_id}": nic for nic in self.nics}
         out = []
         for name in blocked:
-            nic = nic_by_name.get(name)
+            nic = nic_by_name.get(name.partition(".")[0])
             if nic is None:
                 detail = "internal process (router/link) blocked"
             else:

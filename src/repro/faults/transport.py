@@ -38,9 +38,10 @@ class DeliveryFailed(RuntimeError):
     routing fallback) and could not be delivered.
 
     For synchronous sends this propagates out of the blocked
-    ``NIC.send``; :meth:`MultiNodeModel.run` attaches the partial
-    simulation result as ``err.result`` before re-raising.  Failed
-    asynchronous sends are only counted (nobody is blocked on them).
+    ``NIC.send``; :meth:`MultiNodeModel.run_bodies`, the run loop of
+    every network mode, attaches the partial simulation result as
+    ``err.result`` before re-raising.  Failed asynchronous sends are
+    only counted (nobody is blocked on them).
     """
 
     def __init__(self, src: int, dst: int, message_id: int,

@@ -139,24 +139,20 @@ class HybridModel:
                                            Optional[InterleavedStream]]]
              ) -> HybridResult:
         """The one per-node loop: each node's ``(ops, stream)`` source
-        through its pipeline, then one kernel run."""
+        through its pipeline, all run by the network's one run loop."""
         if len(sources) != self.n_nodes:
             raise ValueError(
                 f"expected one stream or trace per node ({self.n_nodes}), "
                 f"got {len(sources)}")
-        for i, (ops, stream) in enumerate(sources):
-            body = make_node_pipeline(
+        return self._result(self.network.run_bodies(
+            (f"node{i}", make_node_pipeline(
                 self.network, i, ops, self.node_models[i], stream,
-                self.task_stats[i])
-            self.sim.process(body, name=f"node{i}")
-        self.sim.run(check_deadlock=True)
-        return self._result()
+                self.task_stats[i]))
+            for i, (ops, stream) in enumerate(sources)))
 
-    def _result(self) -> HybridResult:
+    def _result(self, comm: CommResult) -> HybridResult:
         return HybridResult(
-            self.network.result(),
-            [m.summary() for m in self.node_models],
-            self.task_stats)
+            comm, [m.summary() for m in self.node_models], self.task_stats)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<HybridModel {self.machine.name!r} n={self.n_nodes}>"

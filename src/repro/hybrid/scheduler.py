@@ -30,8 +30,8 @@ def traced_tasks(network: MultiNodeModel, node_id: int,
     When the simulator has an observer, every operation handed from the
     computational side to the node driver is reported to it as a
     ``task`` instant on the node's track — the hybrid hand-off points
-    of Fig 2.  The check is per operation so an observer set mid-run is
-    honored.
+    of Fig 2, and one ``end`` instant marks the end of the stream.  The
+    check is per operation so an observer set mid-run is honored.
     """
     sim = network.sim
     for op in task_ops:
@@ -39,6 +39,9 @@ def traced_tasks(network: MultiNodeModel, node_id: int,
         if observer is not None:
             observer.instant("task", repr(op), sim.now, f"node{node_id}")
         yield op
+    observer = sim.observer
+    if observer is not None:
+        observer.instant("task", "end", sim.now, f"node{node_id}")
 
 
 def stream_hooks(stream: InterleavedStream

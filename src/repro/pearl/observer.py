@@ -5,9 +5,11 @@ stream of facts about a run.  A :class:`~repro.pearl.kernel.Simulator`
 has one slot for a consumer of it, ``sim.observer``, and
 :class:`Observer` is its vocabulary: every method is a no-op, and a
 consumer overrides what it needs (:class:`repro.observe.Tracer` records
-everything, :class:`repro.check.DeterminismSanitizer` watches resource
-and channel contention).  An observer never changes the run; choosing
-the schedule is the other slot's job, ``sim.tie_break``.
+everything for post-mortem views such as
+:class:`repro.analysis.TimelineRecorder`, a run-time view overrides
+:meth:`instant`, :class:`repro.check.DeterminismSanitizer` watches
+resource and channel contention).  An observer never changes the run;
+choosing the schedule is the other slot's job, ``sim.tie_break``.
 """
 
 from __future__ import annotations

@@ -95,6 +95,7 @@ class HybridArchitectureModel:
             raise ValueError(
                 f"expected {self.n_nodes} node entries, got "
                 f"{len(per_node_per_cpu_ops)}")
+        bodies = []
         for node_id, cpu_streams in enumerate(per_node_per_cpu_ops):
             if len(cpu_streams) != self.n_cpus_per_node:
                 raise ValueError(
@@ -102,16 +103,15 @@ class HybridArchitectureModel:
                     f"streams, got {len(cpu_streams)}")
             smp = self.smp_nodes[node_id]
             handler = functools.partial(self.network.handle_op, node_id)
-            for cpu_id, ops in enumerate(cpu_streams):
-                self.sim.process(
-                    smp.cpu_process(cpu_id, iter(ops), comm_handler=handler),
-                    name=f"node{node_id}.cpu{cpu_id}")
-        self.sim.run(check_deadlock=True)
-        for node_id in range(self.n_nodes):
-            self.network.activity[node_id].finish_time = self.sim.now
+            bodies += [(f"node{node_id}.cpu{cpu_id}",
+                        smp.cpu_process(cpu_id, iter(ops),
+                                        comm_handler=handler))
+                       for cpu_id, ops in enumerate(cpu_streams)]
+        comm = self.network.run_bodies(bodies)
+        for act in comm.activity:
+            act.finish_time = comm.total_cycles
         return HybridArchResult(
-            self.network.result(),
-            [smp.result() for smp in self.smp_nodes])
+            comm, [smp.result() for smp in self.smp_nodes])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<HybridArchitectureModel nodes={self.n_nodes} "

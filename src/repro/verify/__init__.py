@@ -28,8 +28,7 @@ Each cluster ends in one of four verdicts (``KV`` rules):
   unexplored frontier is reported, never silently dropped.
 
 A :class:`VerifyResult` also emits a **certificate** — a digest of the
-explored schedule space — which :class:`repro.parallel.ResultCache` can
-fold into result keys and the golden harness can pin across kernels.
+explored schedule space — which the golden harness pins across kernels.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..apps.api import as_application
+from ..commmodel.network import CommResult
 from ..config import MachineConfig
 from ..hybrid.model import HybridModel, HybridResult
 from ..pearl import Simulator
@@ -57,8 +58,9 @@ class VSMModel(HybridModel):
         whose programs use SharedRegion."""
         return super().run_application(as_application(app, self.n_nodes))
 
-    def _result(self) -> VSMResult:
-        return VSMResult(super()._result(), self.protocol.stats.summary())
+    def _result(self, comm: CommResult) -> VSMResult:
+        return VSMResult(super()._result(comm),
+                         self.protocol.stats.summary())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<VSMModel {self.machine.name!r} n={self.n_nodes}>"

@@ -20,9 +20,11 @@ from repro.analysis import (
     smp_report,
     speedup_table,
 )
-from repro.apps import make_pingpong
-from repro.operations import MemType, add, ifetch, load
-from repro.pearl import Simulator, TallyMonitor
+from repro.apps import ThreadedApplication, make_matmul, make_pingpong
+from repro.hybrid import HybridModel
+from repro.observe import Tracer
+from repro.operations import MemType, add, compute, ifetch, load
+from repro.pearl import Observer, Simulator, TallyMonitor
 
 
 class TestSlowdown:
@@ -61,22 +63,36 @@ class TestSlowdown:
         assert m.host_seconds > 0
 
 
+#: The timeline the matmul-scaling example prints for matmul 24 on four
+#: generic-mesh nodes (its Gantt chart, then each node's state totals).
+MATMUL24_TIMELINE = """\
+t = 0 .. 7.01e+04 cycles (1031/col)   #=compute  >=send  <=recv  o=overhead  .=idle
+node0         |###################################################################<|
+node1         |###################################################################.|
+node2         |###################################################################>|
+node3         |###################################################################>|
+  node0: compute=68,920, recv=1,176
+  node1: compute=68,920, idle=771, send=405
+  node2: compute=68,920, idle=448, send=728
+  node3: compute=68,920, idle=100, send=1,076"""
+
+
 class TestTimeline:
     def build(self):
         sim = Simulator()
-        rec = TimelineRecorder(sim)
+        tracer = Tracer()
+        sim.observer = tracer
 
         def node(name, pattern):
             for state, dur in pattern:
-                rec.mark(name, state)
+                sim.observer.instant("task", state, sim.now, name)
                 yield dur
 
         sim.process(node("n0", [("compute", 10), ("send", 5),
                                 ("compute", 5)]))
         sim.process(node("n1", [("idle", 8), ("recv", 4), ("compute", 8)]))
         sim.run()
-        rec.finish()
-        return rec
+        return TimelineRecorder(tracer)
 
     def test_intervals_and_totals(self):
         rec = self.build()
@@ -104,17 +120,37 @@ class TestTimeline:
         assert "#" in rows[0]
 
     def test_empty_gantt(self):
-        sim = Simulator()
-        rec = TimelineRecorder(sim)
+        rec = TimelineRecorder(Tracer())
         assert "empty" in render_gantt(rec)
 
     def test_runtime_observer(self):
-        sim = Simulator()
-        rec = TimelineRecorder(sim)
+        # A run-time view sits in the one observer slot and sees each
+        # hybrid hand-off as it happens.
         seen = []
-        rec.subscribe(lambda t, e, s: seen.append((t, e, s)))
-        rec.mark("x", "compute")
-        assert seen == [(0.0, "x", "compute")]
+
+        class Probe(Observer):
+            def instant(self, cat, name, ts, tid, args=None):
+                if cat == "task":
+                    seen.append((ts, tid, name.partition("(")[0]))
+
+        model = HybridModel(generic_multicomputer("full", (2,)))
+        model.sim.observer = Probe()
+        model.run_traces([[compute(10)], []])
+        assert seen[0] == (0.0, "node0", "compute")
+        assert (10.0, "node0", "end") in seen
+
+    def test_traced_matmul_timeline_matches_example(self):
+        model = HybridModel(generic_multicomputer("mesh", (4, 1)))
+        tracer = Tracer()
+        model.sim.observer = tracer
+        model.run_application(ThreadedApplication(make_matmul(n=24), 4))
+        rec = TimelineRecorder(tracer)
+        lines = [render_gantt(rec, width=68)]
+        for entity in rec.entities():
+            totals = sorted(rec.state_totals(entity).items())
+            lines.append(f"  {entity}: " + ", ".join(
+                f"{k}={v:,.0f}" for k, v in totals))
+        assert "\n".join(lines) == MATMUL24_TIMELINE
 
 
 class TestReports:

@@ -22,6 +22,12 @@ _LEAVES = ("one import order: configuration and diagnostics are the leaves "
            "repro.config and repro.diagnostics (tests/test_layers.py)",
            r"core\.config|core import config|check\.diagnostics")
 
+#: every multi-node mode hands its node processes to the network's one
+#: run loop, which alone attaches the deadlock and delivery-failure detail
+_ONE_RUN_LOOP = ("one multi-node run loop: MultiNodeModel.run_bodies starts "
+                 "the node processes and runs the kernel",
+                 r"sim\.(run|process)\(")
+
 #: (what it protects, pattern, glob under the repo root, allowed files)
 CASES = [
     ("one worker pool: processes belong to parallel.pool.WorkerPool",
@@ -87,6 +93,10 @@ CASES = [
     ("one node pipeline: VSM nodes run the hybrid model's driver, and a "
      "page fault is a global event its network hands to the protocol",
      r"extract_tasks|sim\.run\(", "src/repro/vsm/*.py", ()),
+    (*_ONE_RUN_LOOP, "src/repro/hybrid/*.py", ()),
+    (*_ONE_RUN_LOOP, "src/repro/vsm/model.py", ()),
+    (*_ONE_RUN_LOOP, "src/repro/sharedmem/hybridarch.py", ()),
+    (*_ONE_RUN_LOOP, "examples/*.py", ()),
 ]
 
 @pytest.mark.parametrize("why, pattern, glob, allowed", CASES,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,7 @@ from repro.check import (
 )
 from repro.check.machine_passes import RoutingValidityPass
 from repro.cli import main
+from repro.machines.presets import smp_node
 from repro.operations import (
     OpCode,
     Operation,
@@ -483,6 +485,29 @@ class TestSanitizer:
 # Runtime deadlock diagnostics (RT001)
 # ---------------------------------------------------------------------------
 
+def _recv_from_peer(ctx):
+    ctx.recv(1 - ctx.node_id)
+
+
+def _pair() -> Workbench:
+    return Workbench(generic_multicomputer("full", (2,)))
+
+
+def _crossed_traces() -> TraceSet:
+    return TraceSet.from_lists([[recv(1)], [recv(0)]])
+
+
+#: mode -> a run of two nodes, each blocked in a receive from the other.
+_CROSSED_RECEIVES = {
+    "comm_only": lambda: _pair().run_comm_only(_crossed_traces()),
+    "mixed_traces": lambda: _pair().run_mixed_traces(_crossed_traces()),
+    "hybrid": lambda: _pair().run_hybrid(_recv_from_peer),
+    "vsm": lambda: _pair().run_vsm(_recv_from_peer),
+    "smp_cluster": lambda: Workbench(smp_node(2)).run_smp_cluster(
+        [[[recv(1)], []], [[recv(0)], []]]),
+}
+
+
 class TestRuntimeDeadlock:
     def test_deadlock_error_names_blocked_receives(self):
         wb = Workbench(generic_multicomputer("full", (2,)))
@@ -494,6 +519,19 @@ class TestRuntimeDeadlock:
         text = " ".join(d.message for d in diags)
         assert "node0" in text and "receive posted" in text
         assert "node0" in str(err.value)      # detail reaches the message
+
+    @pytest.mark.parametrize("mode", sorted(_CROSSED_RECEIVES))
+    def test_every_network_mode_names_blocked_receives(self, mode):
+        # Every mode that runs a network reports the same deadlock the
+        # same way: the RT001 diagnostics name both blocked receives.
+        with pytest.raises(DeadlockError) as err:
+            _CROSSED_RECEIVES[mode]()
+        diags = err.value.diagnostics
+        assert diags and all(d.rule == "RT001" for d in diags)
+        text = " ".join(d.message for d in diags)
+        for node, source in (("node0", 1), ("node1", 0)):
+            assert re.search(rf"'{node}(\.cpu0)?': receive posted for "
+                             rf"source\(s\) \[{source}\]", text), text
 
 
 # ---------------------------------------------------------------------------

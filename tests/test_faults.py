@@ -16,7 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.apps import pingpong_task_traces
+from repro import Workbench
+from repro.apps import make_pingpong, pingpong_task_traces
 from repro.commmodel.message import Message, reset_message_ids
 from repro.commmodel.network import MultiNodeModel
 from repro.config import ConfigError
@@ -40,6 +41,16 @@ from tests.reference_kernel import KERNELS, kernel_stack
 # ---------------------------------------------------------------------------
 # Shared recipes (module level: they also run inside forked workers)
 # ---------------------------------------------------------------------------
+
+def dead_links_plan() -> FaultPlan:
+    """Every link drops every packet; the transport gives up after one
+    retry, so the first synchronous send fails."""
+    return FaultPlan(
+        seed=1,
+        link_faults=[LinkFault(drop_prob=1.0)],
+        transport=TransportConfig(timeout_cycles=1_000.0,
+                                  backoff_factor=1.0, max_retries=1))
+
 
 def drop_plan(p: float = 0.2, *, seed: int = 11, corrupt: float = 0.0,
               max_retries: int = 200, timeout: float = 50_000.0,
@@ -387,11 +398,7 @@ class TestTransportEndToEnd:
         assert t["delivery_failed"] == 0
 
     def test_delivery_failed_raises_with_partial_result(self):
-        plan = FaultPlan(
-            seed=1,
-            link_faults=[LinkFault(drop_prob=1.0)],   # every link is dead
-            transport=TransportConfig(timeout_cycles=1_000.0,
-                                      backoff_factor=1.0, max_retries=1))
+        plan = dead_links_plan()
         reset_message_ids()
         machine = generic_multicomputer("mesh", (2, 2))
         model = MultiNodeModel(machine, faults=plan)
@@ -404,6 +411,31 @@ class TestTransportEndToEnd:
         assert err.result is not None              # partial CommResult
         assert err.result.fault_summary["transport"]["delivery_failed"] == 1
         assert model.transport.failures[0]["dst"] == 1
+
+    @pytest.mark.parametrize("mode", ["mixed_traces", "hybrid"])
+    def test_delivery_failed_partial_row_is_the_same_in_every_mode(
+            self, mode):
+        # The same pingpong under the same dead links: the error row a
+        # sweep captures must not depend on which mode ran it.
+        def failure(run):
+            reset_message_ids()
+            wb = Workbench(generic_multicomputer("mesh", (2, 2)),
+                           faults=dead_links_plan())
+            with pytest.raises(DeliveryFailed) as excinfo:
+                run(wb)
+            return excinfo.value
+
+        comm = failure(lambda wb: wb.run_comm_only(
+            pingpong_task_traces(wb.n_nodes, size=64, repeats=1, b=1)))
+        err = failure({
+            "mixed_traces": lambda wb: wb.run_mixed_traces(
+                pingpong_task_traces(wb.n_nodes, size=64, repeats=1, b=1)),
+            "hybrid": lambda wb: wb.run_hybrid(
+                make_pingpong(size=64, repeats=1, b=1)),
+        }[mode])
+        assert err.result is not None
+        assert err.partial_row() == comm.partial_row() == {
+            "dropped": 2, "retransmissions": 1, "delivery_failed": 1}
 
     def test_transport_disabled_drops_are_silent_loss(self):
         # Without the transport a dropped packet is simply gone; the
