@@ -2,10 +2,11 @@
 
 Every sweep row the parallel runner caches carries the full machine
 config (``machine_config`` meta) and the workload id that produced it.
-For rows whose workload id is reconstructible (the ``repro sweep``
-``cli-stochastic:<workload>:rounds=<R>:seed=<S>`` scheme — generation
-is seeded, so the exact trace set is recoverable), the audit recomputes
-the static bound for the row's machine and cross-checks the cached
+For rows whose workload id is reconstructible (a stochastic sweep
+job's id, whose one home is :func:`repro.tracegen.sweep_workload_id`
+and its reader :func:`~repro.tracegen.traces_from_workload_id` --
+generation is seeded, so the exact trace set is recoverable), the audit
+recomputes the static bound for the row's machine and cross-checks the cached
 ``total_cycles`` against it: any historical row below its own critical
 path (PB001) is a latent kernel/model bug or a corrupted cache, caught
 without golden files.  Rows that cannot be audited — fault-injected
@@ -31,6 +32,7 @@ from ..config import MachineConfig
 from ..diagnostics import Diagnostic, Report, reports_to_dict
 from ..parallel.cache import row_entry
 from ..store import Store
+from ..tracegen import traces_from_workload_id
 from .analyzer import compute_bounds
 from .passes import DEFAULT_GAP_THRESHOLD, cross_check
 
@@ -40,31 +42,6 @@ __all__ = ["audit_cache", "AuditResult"]
 #: fewer bytes cross the links than the static analysis routes, so the
 #: bounds do not apply.
 _FAULT_METRIC_KEYS = ("dropped", "retransmissions", "delivery_failed")
-
-
-def _resolve_workload(workload_id: str, n_nodes: int) -> Optional[Any]:
-    """Regenerate the trace set a ``repro sweep`` workload id names."""
-    parts = workload_id.split(":")
-    if len(parts) != 4 or parts[0] != "cli-stochastic":
-        return None
-    if not (parts[2].startswith("rounds=") and parts[3].startswith("seed=")):
-        return None
-    try:
-        rounds = int(parts[2][len("rounds="):])
-        seed = int(parts[3][len("seed="):])
-    except ValueError:
-        return None
-    from ..tracegen import WORKLOAD_CLASSES, StochasticGenerator
-    from ..tracegen.descriptions import StochasticAppDescription
-    name = parts[1]
-    if name == "generic":
-        desc = StochasticAppDescription()
-    elif name in WORKLOAD_CLASSES:
-        desc = WORKLOAD_CLASSES[name]()
-    else:
-        return None
-    return StochasticGenerator(desc, n_nodes,
-                               seed=seed).generate_task_level(rounds)
 
 
 def _audit_entry(key: str, store: Store,
@@ -98,7 +75,7 @@ def _audit_entry(key: str, store: Store,
     except Exception as exc:  # noqa: BLE001 - any bad config skips
         row["reason"] = f"unusable machine_config ({exc})"
         return row
-    traces = _resolve_workload(workload_id, machine.n_nodes)
+    traces = traces_from_workload_id(workload_id, machine.n_nodes)
     if traces is None:
         row["reason"] = f"workload id {workload_id!r} is not reconstructible"
         return row

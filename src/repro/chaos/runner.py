@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Optional
 
 from ..analysis import format_table
-from ..config import ConfigError, MachineConfig
+from ..config import MachineConfig
 from ..observe import MetricRegistry, Tracer
 from ..parallel import ParallelSweepRunner, ResultCache
 from ..topology import build_topology
@@ -87,19 +87,16 @@ class AppCampaignRunner:
 
     def __init__(self, app: str, *, size: int = 1024,
                  repeats: int = 4) -> None:
-        from ..apps import TASK_APPS
-        if app not in TASK_APPS:
-            raise ConfigError(f"unknown app {app!r}; choose from: "
-                              + ", ".join(sorted(TASK_APPS)))
-        self.app = app
+        from ..apps import task_app
+        self.app = task_app(app)
         self.size = size
         self.repeats = repeats
 
     def _traces(self, n_nodes: int) -> list:
-        from ..apps import TASK_APP_SIZING, TASK_APPS
-        size_kw, repeats_kw = TASK_APP_SIZING[self.app]
-        return TASK_APPS[self.app](n_nodes, **{size_kw: self.size,
-                                                repeats_kw: self.repeats})
+        from ..apps import TASK_APPS
+        app = TASK_APPS[self.app]
+        return app.build(n_nodes, **{app.size_kw: self.size,
+                                     app.repeats_kw: self.repeats})
 
     def __call__(self, machine: MachineConfig, faults=None) -> dict:
         from ..commmodel import MultiNodeModel

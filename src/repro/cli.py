@@ -1,47 +1,20 @@
 """Command-line interface: ``python -m repro <command>``.
 
-A thin operational layer over the workbench for the common
-no-code-needed tasks:
+A thin operational layer over the workbench for the no-code-needed
+tasks.  Each command describes itself in its parser (``repro --help``,
+``repro <command> --help``): preset study (``info``, ``calibrate``,
+``slowdown``, ``stochastic``), design-space and paper runs (``sweep``,
+``reproduce``, ``chaos``), static analysis (``check``, ``lint``,
+``bound``), schedule verification (``verify``), observation (``trace``,
+``stats``) and the job service (``serve``, ``submit``, ``status``,
+``fetch``).
 
-* ``info``        — list machine presets and their key parameters;
-* ``calibrate``   — run the calibration micro-benchmarks on a preset;
-* ``slowdown``    — measure detailed- and task-level slowdown (Sec 6);
-* ``stochastic``  — fast-prototype a preset under a synthetic workload;
-* ``sweep``       — parameter sweep over a preset, optionally fanned
-  out over worker processes (``--workers``) with content-addressed
-  result caching (``--cache-dir``);
-* ``reproduce``   — regenerate the paper's evaluation: the experiments
-  of :mod:`repro.experiments` (all, or by id) run as sweeps, printed as
-  tables, optionally saved (``--out``); exit 1 if a shape claim fails;
-* ``chaos``       — fault-sweep campaign over a bundled app: expand a
-  campaign spec into a fault-plan family (severity ladders, exhaustive
-  single-link-down packs, correlated failures, rolling outages), run
-  the rungs as a sharded cached sweep, and fold the rows into SLO
-  verdicts plus the ladder monotonicity invariant;
-* ``verify``      — schedule-space verification of a bundled app:
-  enumerate alternative same-time orderings (with partial-order
-  reduction) and reduce every sanitizer contention cluster to a
-  race/benign/deadlock verdict plus a certificate digest;
-* ``bound``       — static performance bounds of a bundled app or saved
-  trace set (critical path, hot-link ranking, LogP latency floors) with
-  no simulation at all; ``--audit CACHE_DIR`` instead cross-checks every
-  cached sweep row against its own bounds (PB rules);
-* ``trace``       — run a bundled app with the event tracer attached
-  and export Chrome ``trace_event`` JSON (``repro trace pingpong --out
-  trace.json``, opens in Perfetto / ``about://tracing``); also still
-  profiles (or dumps) a saved ``.npz`` trace set by path;
-* ``stats``       — run a bundled app and print every registered
-  metric (the :class:`~repro.observe.MetricRegistry` snapshot);
-* ``serve``       — run the HTTP job server (simulation as a
-  service: sweeps and chaos campaigns as submitted jobs with
-  progress streaming, quotas and priority lanes);
-* ``submit``      — submit a sweep or chaos job to a running server;
-* ``status``      — print a job's deterministic record;
-* ``fetch``       — print a finished job's rows / campaign verdicts
-  (byte-identical to the in-process run of the same request).
-
-Machines are named by preset, with overrides as ``key=value`` pairs
-(e.g. ``--set network.link_bandwidth=8``).
+Every name a command takes resolves in one owner: a machine is a preset
+of :data:`repro.plans.PRESETS` with ``--set key=value`` overrides, a
+bundled app goes through :func:`repro.apps.task_app` (``examples/<app>.py``
+accepted), a stochastic workload through :mod:`repro.tracegen`, and a
+saved trace set through :func:`_app_or_trace_set`.  A bad name, path or
+value exits with one line, never a traceback.
 """
 
 from __future__ import annotations
@@ -49,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, TextIO
 
 from .analysis import (
     SlowdownMeter,
@@ -57,22 +30,50 @@ from .analysis import (
     format_table,
     trace_set_profile,
 )
+from .config import ConfigError
 from .core.experiment import _AxisSetter  # noqa: F401 - benchmarks/layered; ROADMAP 1(c)
 from .core.workbench import Workbench
 from .machines import calibrate as run_calibration
 from .operations.trace import TraceSet
 from .plans import _sweep_point_runner  # noqa: F401 - benchmarks/layered; ROADMAP 1(c)
-from .plans import (
-    JOB_KINDS,
-    PRESETS,
-    apply_override,
-    app_traces,
-    build_machine,
-    resolve_app,
+from .plans import JOB_KINDS, PRESETS, apply_override, build_machine
+from .tracegen import (
+    WORKLOAD_CLASSES,
+    StochasticAppDescription,
+    StochasticGenerator,
+    stochastic_task_traces,
+    workload_description,
 )
-from .tracegen import StochasticAppDescription
 
 __all__ = ["main"]
+
+
+def _print_json(payload: object) -> None:
+    """A ``--json`` report (or a service record) on stdout."""
+    print(json.dumps(payload, indent=2, sort_keys=True, default=str))
+
+
+def _print_cache(args: argparse.Namespace, cache,
+                 stream: Optional[TextIO] = None) -> None:
+    """A ``--cache-dir`` run's ``cache: ...`` line (default: stderr)."""
+    if cache is not None:
+        print(f"cache: {cache.stats.format()} (dir={args.cache_dir})",
+              file=stream or sys.stderr)
+
+
+def _app_or_trace_set(target: str) -> tuple[Optional[str], Optional[TraceSet]]:
+    """The CLI's one trace-set loader: ``(app, None)`` for a bundled app,
+    ``(None, traces)`` for a saved ``.npz`` trace set; anything else is
+    a one-line exit naming the bundled apps."""
+    from .apps import task_app
+    try:
+        return task_app(target), None
+    except ConfigError as unknown:
+        try:
+            return None, TraceSet.load(target)
+        except Exception as exc:  # noqa: BLE001 - unreadable: bad input
+            raise SystemExit(f"{unknown}, or a readable .npz trace set "
+                             f"({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +105,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_slowdown(args: argparse.Namespace) -> int:
-    from .tracegen import StochasticGenerator
     machine = build_machine(args.preset, args.set or ())
     wb = Workbench(machine)
     meter = SlowdownMeter(host_clock_hz=args.host_clock_hz)
@@ -112,8 +112,7 @@ def _cmd_slowdown(args: argparse.Namespace) -> int:
     n = machine.n_nodes
     instr = StochasticGenerator(desc, n, seed=1).generate_instruction_level(
         args.ops)
-    tasks = StochasticGenerator(desc, n, seed=1).generate_task_level(
-        max(args.ops // 2000, 1))
+    tasks = stochastic_task_traces(None, n, max(args.ops // 2000, 1), 1)
     if machine.node.n_cpus == 1:
         meter.measure("detailed (instruction level)", n,
                       lambda: wb.run_mixed_traces(instr))
@@ -124,26 +123,14 @@ def _cmd_slowdown(args: argparse.Namespace) -> int:
 
 
 def _cmd_stochastic(args: argparse.Namespace) -> int:
-    from .tracegen import WORKLOAD_CLASSES
     machine = build_machine(args.preset, args.set or ())
     wb = Workbench(machine)
-    if args.workload:
-        desc = WORKLOAD_CLASSES[args.workload]()
-    else:
-        desc = StochasticAppDescription(
-            mean_task_cycles=args.mean_task_cycles)
+    desc = (workload_description(args.workload) if args.workload else
+            StochasticAppDescription(mean_task_cycles=args.mean_task_cycles))
     result = wb.run_stochastic(desc, level="task", rounds=args.rounds,
                                seed=args.seed)
     print(comm_report(result))
     return 0
-
-
-def _load_faults(path: Optional[str]):
-    """Load ``--faults FILE`` into a normalized plan (None when absent)."""
-    if not path:
-        return None
-    from .faults import as_fault_plan
-    return as_fault_plan(path)
 
 
 def _sweep_progress(done: int, total: int, row: dict) -> None:
@@ -161,8 +148,6 @@ def _run_local(kind: str, args: argparse.Namespace,
     Returns ``(rows, plan, cache)``."""
     from .parallel import ParallelSweepRunner, ResultCache
 
-    if args.workers < 1:
-        raise SystemExit(f"--workers must be >= 1, got {args.workers}")
     job = JOB_KINDS[kind]
     plan = job.plan(job.request_from_args(args))
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
@@ -181,8 +166,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(format_table(
         shown, title=f"sweep of {args.preset} "
                      f"({len(rows)} variants, workers={args.workers}):"))
-    if cache is not None:
-        print(f"cache: {cache.stats.format()} (dir={args.cache_dir})")
+    _print_cache(args, cache, sys.stdout)
     return 0
 
 
@@ -192,8 +176,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
                               run_experiment, save_experiment)
     from .parallel import ResultCache
 
-    if args.workers < 1:
-        raise SystemExit(f"--workers must be >= 1, got {args.workers}")
     for exp_id in args.ids:
         if exp_id not in EXPERIMENTS:
             raise SystemExit(f"unknown experiment {exp_id!r}; choose from: "
@@ -212,9 +194,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             print(f"{exp.id}: shape claim failed: {exc}", file=sys.stderr)
             failed = 1
     # Bookkeeping goes to stderr so stdout is byte-identical cold and warm.
-    if cache is not None:
-        print(f"cache: {cache.stats.format()} (dir={args.cache_dir})",
-              file=sys.stderr)
+    _print_cache(args, cache)
     return failed
 
 
@@ -241,9 +221,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         tracer.export_chrome(args.trace_out)
         print(f"wrote {args.trace_out} ({tracer.emitted} records)",
               file=sys.stderr)
-    if cache is not None:
-        print(f"cache: {cache.stats.format()} (dir={args.cache_dir})",
-              file=sys.stderr)
+    _print_cache(args, cache)
     return 0 if result.ok else 1
 
 
@@ -255,7 +233,7 @@ def _check_targets(args: argparse.Namespace) -> list:
     description (plus the generic one), the bundled apps' task traces,
     and a generated task-level trace set per workload class.
     """
-    from .tracegen import WORKLOAD_CLASSES, StochasticGenerator
+    from .apps import TASK_APPS
 
     explicit = bool(args.preset or args.trace or args.workload)
     targets: list = []
@@ -267,29 +245,29 @@ def _check_targets(args: argparse.Namespace) -> list:
         targets.append(("machine", name, machine))
 
     for path in (args.trace or ()):
-        targets.append(("traces", path, TraceSet.load(path)))
+        app, traces = _app_or_trace_set(path)
+        targets.append(("traces", path, traces if app is None
+                        else TASK_APPS[app].build(args.nodes)))
 
     workloads = args.workload or (() if explicit
                                   else [None, *sorted(WORKLOAD_CLASSES)])
     for wl in workloads:
-        desc = WORKLOAD_CLASSES[wl]() if wl else StochasticAppDescription()
         label = wl or "generic"
-        targets.append(("description", label, desc))
-        gen = StochasticGenerator(desc, args.nodes, seed=0)
+        targets.append(("description", label, workload_description(wl)))
         targets.append(("traces", f"stochastic:{label}",
-                        gen.generate_task_level(5)))
+                        stochastic_task_traces(wl, args.nodes, 5, 0)))
 
     if not explicit:
-        for app, build in app_traces().items():
-            targets.append(("traces", f"app:{app}",
-                            build(2 if app == "pingpong" else args.nodes)))
+        for app, spec in TASK_APPS.items():
+            targets.append(("traces", f"app:{app}", spec.build(
+                2 if app == "pingpong" else args.nodes)))
         # Static performance bounds (PB rules) of each bundled app on a
         # reference machine: catches statically link-limited workloads.
         bound_machine = PRESETS["t805-grid-2x2"]()
         n = bound_machine.n_nodes
-        for app, build in app_traces().items():
+        for app, spec in TASK_APPS.items():
             targets.append(("bounds", f"{app}:t805-grid-2x2",
-                            (bound_machine, build(n))))
+                            (bound_machine, spec.build(n))))
     return targets
 
 
@@ -297,14 +275,11 @@ def _check_determinism(machine, preset: str):
     """Short sanitized task-level run; returns the sanitizer's report."""
     from .check import DeterminismSanitizer
     from .commmodel.network import MultiNodeModel
-    from .tracegen import StochasticGenerator
 
     model = MultiNodeModel(machine)
     sanitizer = DeterminismSanitizer()
     model.sim.observer = sanitizer
-    gen = StochasticGenerator(StochasticAppDescription(), model.n_nodes,
-                              seed=0)
-    model.run(list(gen.generate_task_level(3)))
+    model.run(list(stochastic_task_traces(None, model.n_nodes, 3, 0)))
     return sanitizer.report(subject=f"determinism:{preset}")
 
 
@@ -344,8 +319,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     n_errors = sum(len(r.errors) for r in reports)
     if args.json:
-        print(json.dumps(reports_to_dict(reports), indent=2,
-                         sort_keys=True))
+        _print_json(reports_to_dict(reports))
     else:
         for report in reports:
             print(report.format())
@@ -394,7 +368,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             payload["cache"] = {"hits": cache.stats.hits,
                                 "misses": cache.stats.misses,
                                 "stores": cache.stats.stores}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
     else:
         for report in reports:
             if report.diagnostics:
@@ -417,29 +391,26 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .check import reports_to_dict
-    from .verify import (VERIFY_APPS, ScheduleExplorer, VerifyError,
-                         app_verify_target)
+    from .verify import (ScheduleExplorer, VerifyError, app_verify_target,
+                         verify_app)
 
-    if args.app not in VERIFY_APPS:
-        raise SystemExit(f"unknown app {args.app!r}; choose from: "
-                         + ", ".join(VERIFY_APPS))
+    app = verify_app(args.app)
     machine = build_machine(args.preset, args.set or ())
-    target = app_verify_target(machine, args.app)
+    target = app_verify_target(machine, app)
     explorer = ScheduleExplorer(budget=args.budget,
                                 mode="naive" if args.naive else "dpor")
     try:
         result = explorer.explore(target, workers=args.workers)
     except VerifyError as err:
         raise SystemExit(f"verification failed: {err}")
-    report = result.report(subject=f"verify:{args.app}:{args.preset}")
+    report = result.report(subject=f"verify:{app}:{args.preset}")
     if args.json:
-        print(json.dumps(reports_to_dict([report], verify=result.to_dict()),
-                         indent=2, sort_keys=True))
+        _print_json(reports_to_dict([report], verify=result.to_dict()))
     else:
         print(report.format())
         status = ("schedule-independent" if result.ok
                   else "NOT schedule-independent")
-        print(f"verified {args.app} on {args.preset} ({result.mode}): "
+        print(f"verified {app} on {args.preset} ({result.mode}): "
               f"{status}; explored {result.schedules_explored}/"
               f"{result.schedules_planned} schedule(s), "
               f"{result.skipped} skipped, "
@@ -452,8 +423,6 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     from .bounds import audit_cache, compute_bounds, static_diagnostics
     from .check import Report, reports_to_dict
 
-    if args.workers < 1:
-        raise SystemExit(f"--workers must be >= 1, got {args.workers}")
     threshold = args.gap_threshold if args.gap_threshold > 0 else None
 
     if args.audit:
@@ -466,7 +435,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         except FileNotFoundError as exc:
             raise SystemExit(str(exc))
         if args.json:
-            print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
+            _print_json(result.to_dict())
         else:
             print(result.format())
         return 0 if result.ok else 1
@@ -475,19 +444,18 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         raise SystemExit("pass a bundled app name or .npz trace-set path "
                          "(or --audit CACHE_DIR)")
     machine = build_machine(args.preset, args.set or ())
-    app = resolve_app(args.target)
+    app, traces = _app_or_trace_set(args.target)
     if app is not None:
-        traces = app_traces()[app](machine.n_nodes)
+        from .apps import TASK_APPS
+        traces = TASK_APPS[app].build(machine.n_nodes)
         subject = f"bounds:{app}:{args.preset}"
     else:
-        traces = TraceSet.load(args.target)
         subject = f"bounds:{args.target}"
     bound = compute_bounds(machine, traces, subject=subject)
     report = Report(subject=subject)
     report.extend(static_diagnostics(bound, subject=subject))
     if args.json:
-        print(json.dumps(reports_to_dict([report], bound=bound.to_dict()),
-                         indent=2, sort_keys=True))
+        _print_json(reports_to_dict([report], bound=bound.to_dict()))
     else:
         print(bound.format())
         if report.diagnostics:
@@ -496,38 +464,36 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _run_app_traced(app: str, preset: str, overrides: Sequence[str],
-                    ring: Optional[int] = None, faults=None):
-    """Run a bundled app on a preset with a tracer attached.
+                    ring: Optional[int] = None,
+                    faults: Optional[str] = None):
+    """Run a bundled app on a preset with a tracer attached (and the
+    fault plan at path ``faults``, if given).
 
     Returns ``(model, tracer, result)``; shared by the ``trace`` and
     ``stats`` commands.
     """
+    from .apps import TASK_APPS
     from .commmodel.network import MultiNodeModel
+    from .faults import DeliveryFailed, as_fault_plan
     from .observe import Tracer
 
     machine = build_machine(preset, overrides)
-    model = MultiNodeModel(machine, faults=faults)
+    model = MultiNodeModel(machine, faults=as_fault_plan(faults))
     tracer = Tracer(capacity=ring)
     model.sim.observer = tracer
-    traces = app_traces()[app](model.n_nodes)
-    if faults is not None:
-        from .faults import DeliveryFailed
-        try:
-            result = model.run(list(traces))
-        except DeliveryFailed as err:
-            raise SystemExit(
-                f"fault plan defeated the transport: {err} "
-                f"(raise transport.max_retries/timeout_cycles or lower "
-                f"the drop probability)")
-    else:
-        result = model.run(list(traces))
+    try:
+        result = model.run(list(TASK_APPS[app].build(model.n_nodes)))
+    except DeliveryFailed as err:
+        raise SystemExit(
+            f"fault plan defeated the transport: {err} "
+            f"(raise transport.max_retries/timeout_cycles or lower "
+            f"the drop probability)")
     return model, tracer, result
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    app = resolve_app(args.path)
+    app, traces = _app_or_trace_set(args.path)
     if app is None:
-        traces = TraceSet.load(args.path)
         rows = trace_set_profile(traces)
         print(format_table(rows, title=f"trace profile ({args.path}):"))
         if args.dump is not None:
@@ -538,7 +504,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from .observe import validate_chrome_trace
     model, tracer, result = _run_app_traced(app, args.preset,
                                             args.set or (), args.ring,
-                                            faults=_load_faults(args.faults))
+                                            faults=args.faults)
     doc = tracer.export_chrome(args.out)
     counts = validate_chrome_trace(doc)
     print(f"traced {app} on {args.preset}: "
@@ -555,18 +521,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    app = resolve_app(args.app)
-    if app is None:
-        raise SystemExit(
-            f"unknown app {args.app!r}; choose from: "
-            + ", ".join(sorted(app_traces())))
+    from .apps import task_app
+    app = task_app(args.app)
     model, _tracer, result = _run_app_traced(app, args.preset,
                                              args.set or (),
-                                             faults=_load_faults(args.faults))
+                                             faults=args.faults)
     registry = model.registry
     if args.json:
-        print(json.dumps(registry.snapshot(), indent=2, sort_keys=True,
-                         default=str))
+        _print_json(registry.snapshot())
         return 0
     print(format_table(
         registry.rows(),
@@ -584,8 +546,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .parallel.executor import Executor
     from .service import JobManager, JobScheduler, ResultStore, run_server
 
-    if args.workers is not None and args.workers < 1:
-        raise SystemExit(f"--workers must be >= 1, got {args.workers}")
     executor = Executor(workers=args.workers, job_timeout_s=args.job_timeout)
     store = ResultStore(args.store) if args.store else None
     try:
@@ -623,13 +583,13 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         record = client.submit(request)
         return client.wait(record["id"]) if args.wait else record
     record = _ask_service(args, submit)
-    print(json.dumps(record, indent=2, sort_keys=True))
+    _print_json(record)
     return 1 if args.wait and record["state"] != "done" else 0
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
     record = _ask_service(args, lambda client: client.status(args.job))
-    print(json.dumps(record, indent=2, sort_keys=True))
+    _print_json(record)
     return 1 if record["state"] == "failed" else 0
 
 
@@ -638,9 +598,24 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
     # Sweep rows / chaos verdicts only, dumped exactly like an
     # in-process run would dump them — tests/test_service_api.py
     # compares the bytes.
-    print(json.dumps(result.get("rows", result.get("campaign")), indent=2,
-                     sort_keys=True))
+    _print_json(result.get("rows", result.get("campaign")))
     return 0
+
+
+_SET_BANDWIDTH = "config override, e.g. network.link_bandwidth=8"
+
+
+def _machine_args(p: argparse.ArgumentParser,
+                  preset_help: Optional[str] = None,
+                  set_help: str = "config override, e.g. "
+                                  "network.switching=wormhole",
+                  *, flag: str = "--preset", **preset: Any) -> None:
+    """Machine selection, declared once for every command that takes it:
+    the preset (``flag``; ``"preset"`` makes it positional) and repeatable
+    ``--set PATH=VALUE`` overrides."""
+    p.add_argument(flag, choices=sorted(PRESETS), help=preset_help, **preset)
+    p.add_argument("--set", action="append", metavar="PATH=VALUE",
+                   help=set_help)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -656,10 +631,7 @@ def _parser() -> argparse.ArgumentParser:
                             ("slowdown", "Section-6 slowdown measurement"),
                             ("stochastic", "fast-prototype a preset")):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("preset", choices=sorted(PRESETS))
-        p.add_argument("--set", action="append", metavar="PATH=VALUE",
-                       help="config override, e.g. "
-                            "network.link_bandwidth=8")
+        _machine_args(p, set_help=_SET_BANDWIDTH, flag="preset")
         if name == "slowdown":
             p.add_argument("--ops", type=int, default=20_000,
                            help="instructions per node (default 20000)")
@@ -669,8 +641,7 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--mean-task-cycles", type=float,
                            default=20_000.0)
-            from .tracegen import WORKLOAD_CLASSES as _classes
-            p.add_argument("--workload", choices=sorted(_classes),
+            p.add_argument("--workload", choices=sorted(WORKLOAD_CLASSES),
                            default=None,
                            help="use a workload-class preset instead of "
                                 "the generic description")
@@ -703,16 +674,14 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "check", help="static analysis of machine configs, traces and "
                       "stochastic descriptions")
-    p.add_argument("--preset", action="append", choices=sorted(PRESETS),
-                   help="machine preset to check (repeatable; default: "
-                        "every bundled preset, app and description)")
-    p.add_argument("--set", action="append", metavar="PATH=VALUE",
-                   help="config override applied to each --preset "
-                        "before checking")
+    _machine_args(p, "machine preset to check (repeatable; default: "
+                     "every bundled preset, app and description)",
+                  "config override applied to each --preset before "
+                  "checking", action="append")
     p.add_argument("--trace", action="append", metavar="PATH",
                    help="saved .npz trace set to check (repeatable)")
-    from .tracegen import WORKLOAD_CLASSES as _wl2
-    p.add_argument("--workload", action="append", choices=sorted(_wl2),
+    p.add_argument("--workload", action="append",
+                   choices=sorted(WORKLOAD_CLASSES),
                    help="workload-class description to check (repeatable)")
     p.add_argument("--nodes", type=int, default=4, metavar="N",
                    help="node count for description/trace-generation "
@@ -753,11 +722,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("app",
                    help="bundled app: pingpong, alltoall, pipeline or "
                         "masterworker")
-    p.add_argument("--preset", choices=sorted(PRESETS),
-                   default="t805-grid-2x2",
-                   help="machine preset to verify the app on")
-    p.add_argument("--set", action="append", metavar="PATH=VALUE",
-                   help="config override, e.g. network.switching=wormhole")
+    _machine_args(p, "machine preset to verify the app on",
+                  default="t805-grid-2x2")
     p.add_argument("--budget", type=int, default=64, metavar="N",
                    help="max schedules to execute, baseline included "
                         "(default 64); unexplored orderings are "
@@ -805,11 +771,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("target", nargs="?", default=None,
                    help="bundled app (pingpong/alltoall/pipeline) or a "
                         ".npz trace-set path; omit with --audit")
-    p.add_argument("--preset", choices=sorted(PRESETS),
-                   default="t805-grid-2x2",
-                   help="machine preset to bound the workload on")
-    p.add_argument("--set", action="append", metavar="PATH=VALUE",
-                   help="config override, e.g. network.link_bandwidth=8")
+    _machine_args(p, "machine preset to bound the workload on",
+                  _SET_BANDWIDTH, default="t805-grid-2x2")
     p.add_argument("--audit", default=None, metavar="CACHE_DIR",
                    help="cross-check every cached sweep row in CACHE_DIR "
                         "against its static bounds (PB001/PB003)")
@@ -834,11 +797,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="trace.json", metavar="FILE",
                    help="Chrome trace_event JSON output (app mode; "
                         "default trace.json)")
-    p.add_argument("--preset", choices=sorted(PRESETS),
-                   default="t805-grid-2x2",
-                   help="machine preset to trace the app on")
-    p.add_argument("--set", action="append", metavar="PATH=VALUE",
-                   help="config override, e.g. network.switching=wormhole")
+    _machine_args(p, "machine preset to trace the app on",
+                  default="t805-grid-2x2")
     p.add_argument("--ring", type=int, default=None, metavar="N",
                    help="ring-buffer mode: keep only the last N records")
     p.add_argument("--faults", default=None, metavar="PLAN.json",
@@ -853,10 +813,7 @@ def _parser() -> argparse.ArgumentParser:
                       "snapshot")
     p.add_argument("app", nargs="?", default="pingpong",
                    help="app name (default pingpong)")
-    p.add_argument("--preset", choices=sorted(PRESETS),
-                   default="t805-grid-2x2")
-    p.add_argument("--set", action="append", metavar="PATH=VALUE",
-                   help="config override, e.g. network.switching=wormhole")
+    _machine_args(p, default="t805-grid-2x2")
     p.add_argument("--faults", default=None, metavar="PLAN.json",
                    help="fault-injection plan; adds faults.* metric "
                         "sources to the snapshot")
@@ -897,14 +854,12 @@ def _parser() -> argparse.ArgumentParser:
                        help="block until the job ends; exit 1 unless it "
                             "finishes 'done'")
 
-    p = sub.add_parser("status", help="print a job's record")
-    p.add_argument("job", help="job id from repro submit")
-    p.add_argument("--server", default="http://127.0.0.1:8421")
-
-    p = sub.add_parser(
-        "fetch", help="print a finished job's rows / campaign verdicts")
-    p.add_argument("job", help="job id from repro submit")
-    p.add_argument("--server", default="http://127.0.0.1:8421")
+    for name, help_text in (
+            ("status", "print a job's record"),
+            ("fetch", "print a finished job's rows / campaign verdicts")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("job", help="job id from repro submit")
+        p.add_argument("--server", default="http://127.0.0.1:8421")
     return parser
 
 
@@ -931,7 +886,13 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    workers = getattr(args, "workers", None)
+    if workers is not None and workers < 1:
+        raise SystemExit(f"--workers must be >= 1, got {workers}")
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigError as exc:   # a bad name or value: one line
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -371,7 +371,6 @@ class NetworkConfig:
     routing_cycles: float = 2.0            # routing decision per router
     send_overhead: float = 100.0           # NIC software cycles per message
     recv_overhead: float = 100.0
-    channel_buffers: int = 4               # input buffer (packets) per channel
 
     def validate(self) -> None:
         self.topology.validate()
@@ -397,8 +396,6 @@ class NetworkConfig:
         if self.routing_cycles < 0 or self.send_overhead < 0 \
                 or self.recv_overhead < 0:
             raise ConfigError("overheads must be >= 0")
-        if self.channel_buffers < 1:
-            raise ConfigError("channel_buffers must be >= 1")
 
 
 @dataclass

@@ -179,12 +179,9 @@ class Workbench:
         if (traces is None) == (application is None):
             raise ValueError("pass exactly one of traces= or application=")
         if traces is None:
-            from ..apps import TASK_APPS
-            if application not in TASK_APPS:
-                raise ValueError(f"unknown application {application!r}; "
-                                 f"choose from: "
-                                 f"{', '.join(sorted(TASK_APPS))}")
-            traces = TASK_APPS[application](self.n_nodes)
+            from ..apps import TASK_APPS, task_app
+            application = task_app(application)
+            traces = TASK_APPS[application].build(self.n_nodes)
             subject = subject or f"bounds:{application}:{self.machine.name}"
         return compute_bounds(self.machine, traces,
                               subject=subject or f"bounds:{self.machine.name}")

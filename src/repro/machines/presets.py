@@ -87,7 +87,6 @@ def t805_grid(rows: int = 4, cols: int = 4) -> MachineConfig:
         routing_cycles=20.0,      # software through-routing
         send_overhead=150.0,      # library setup, ~5 us at 30 MHz
         recv_overhead=150.0,
-        channel_buffers=2,
     )
     return MachineConfig(name=f"t805-grid-{rows}x{cols}", node=node,
                          network=network).validate()

@@ -8,8 +8,11 @@ them (shared by ``repro <kind>`` and ``repro submit <kind>``) and the
 process, ``repro submit <kind>`` posts the same request and the service
 plans it with the same row, so a request means the same job, and gives
 the same rows, on both front doors.  Also here: what plans are made of
-(:data:`PRESETS`, :func:`build_machine`, app names, the sweep point
-runner).  Bad input raises ``SystemExit`` with a one-line message.
+(:data:`PRESETS`, :func:`build_machine`, the sweep point runner).  The
+names a request carries resolve in their owners: bundled apps in
+:func:`repro.apps.task_app`, sweep workloads and the sweep cache id in
+:mod:`repro.tracegen`.  Bad input raises a one-line ``SystemExit``, or
+the ``ValueError`` of the owner of a bad name.
 """
 
 from __future__ import annotations
@@ -24,12 +27,15 @@ from .config import ConfigError, MachineConfig
 from .core.experiment import Sweep, _AxisSetter
 from .core.workbench import Workbench
 from .machines import generic_multicomputer, powerpc601_node, smp_node, t805_grid
-from .operations import TraceSet
-from .tracegen import WORKLOAD_CLASSES, StochasticAppDescription, StochasticGenerator
+from .tracegen import (
+    WORKLOAD_CLASSES,
+    stochastic_task_traces,
+    sweep_workload_id,
+    workload_description,
+)
 
 __all__ = ["JOB_KINDS", "PRESETS", "REQUIRED", "Field", "JobKind", "Plan",
-           "apply_override", "app_traces", "build_machine", "plan_sweep",
-           "resolve_app"]
+           "apply_override", "build_machine", "plan_sweep"]
 
 
 def _fattree() -> MachineConfig:
@@ -50,18 +56,6 @@ PRESETS: dict[str, Callable[[], MachineConfig]] = {
     "generic-fattree": _fattree,
     "smp4": lambda: smp_node(4),
 }
-
-
-def app_traces() -> dict[str, Callable[..., Any]]:
-    """Bundled task-level apps runnable by name."""
-    from .apps import TASK_APPS
-    return TASK_APPS
-
-
-def resolve_app(name: str) -> Optional[str]:
-    """Map ``examples/pingpong.py`` / ``pingpong`` to an app name."""
-    app = name.removeprefix("examples/").removesuffix(".py")
-    return app if app in app_traces() else None
 
 
 def _resolve_path(machine: MachineConfig, path: str) -> tuple[Any, str]:
@@ -116,20 +110,11 @@ def build_machine(preset: str, overrides: Sequence[str] = ()) -> MachineConfig:
     return machine.validate()
 
 
-@functools.lru_cache(maxsize=1)
-def _task_traces(workload: Optional[str], n_nodes: int, rounds: int,
-                 seed: int) -> TraceSet:
-    """The task-level traces every point of a sweep job runs.
-
-    They depend on the workload, node count, rounds and seed only, so a
-    job's points share one generation per process (one entry: a worker
-    serves one job at a time).  Safe to share because a run reads its
-    traces and never changes them.
-    """
-    desc = (WORKLOAD_CLASSES[workload]() if workload
-            else StochasticAppDescription())
-    return StochasticGenerator(desc, n_nodes, seed=seed).generate_task_level(
-        rounds)
+#: the traces every point of a sweep job runs: they depend on the
+#: workload, node count, rounds and seed only, so a job's points share one
+#: generation per process (one entry: a worker serves one job at a time).
+#: Safe to share because a run reads its traces and never changes them.
+_task_traces = functools.lru_cache(maxsize=1)(stochastic_task_traces)
 
 
 def _sweep_point_runner(machine: MachineConfig, workload: Optional[str],
@@ -178,9 +163,7 @@ def plan_sweep(preset: str, overrides: Sequence[str], axes: Sequence[str],
             raise SystemExit(f"bad axis {spec!r}: {exc}")
     runner = functools.partial(_sweep_point_runner, workload=workload,
                                rounds=rounds, seed=seed)
-    workload_id = (f"cli-stochastic:{workload or 'generic'}"
-                   f":rounds={rounds}:seed={seed}")
-    return sweep, runner, workload_id
+    return sweep, runner, sweep_workload_id(workload, rounds, seed)
 
 
 # -- the job-kind table -----------------------------------------------------
@@ -257,9 +240,7 @@ def _plan_sweep(request: dict) -> Plan:
         raise SystemExit("axes must be a non-empty list of "
                          "'dotted.path=v1,v2' strings")
     workload = request["workload"]
-    if workload is not None and workload not in WORKLOAD_CLASSES:
-        raise SystemExit(f"unknown workload {workload!r}; choose from: "
-                         + ", ".join(sorted(WORKLOAD_CLASSES)))
+    workload_description(workload)   # a bad name fails the request, not rows
     from .faults import as_fault_plan
     sweep, runner, workload_id = plan_sweep(
         request["preset"], request["set"] or (), axes,
@@ -275,18 +256,14 @@ def _plan_chaos(request: dict) -> Plan:
     from .chaos.runner import AppCampaignRunner, campaign_points
     from .chaos.spec import as_campaign_spec
 
-    app = resolve_app(request["app"])
-    if app is None:
-        raise SystemExit(f"unknown app {request['app']!r}; choose from: "
-                         + ", ".join(sorted(app_traces())))
+    runner = AppCampaignRunner(request["app"], size=request["size"],
+                               repeats=request["repeats"])
     machine = build_machine(request["preset"], request["set"] or ())
     try:
         spec = as_campaign_spec(request["campaign"])
         points = campaign_points(spec, machine)
     except ConfigError as exc:
         raise SystemExit(f"bad campaign spec: {exc}")
-    runner = AppCampaignRunner(app, size=request["size"],
-                               repeats=request["repeats"])
     return Plan(points, runner, None, spec)
 
 

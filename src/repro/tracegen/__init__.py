@@ -24,6 +24,10 @@ from .presets import (
     dense_linear_algebra_class,
     irregular_class,
     stencil_class,
+    stochastic_task_traces,
+    sweep_workload_id,
+    traces_from_workload_id,
+    workload_description,
 )
 from .stochastic import StochasticGenerator
 from .threads import (
@@ -46,7 +50,8 @@ __all__ = [
     "InstructionMix", "InterleavedStream", "MemoryBehaviour", "NodeThread",
     "StochasticAppDescription", "StochasticGenerator", "TargetABI",
     "WORKLOAD_CLASSES", "comm_bound_class", "dense_linear_algebra_class",
-    "irregular_class", "stencil_class",
+    "irregular_class", "stencil_class", "stochastic_task_traces",
+    "sweep_workload_id", "traces_from_workload_id", "workload_description",
     "ThreadKilled", "TraceGenerationError", "VDTError", "VarDescriptor",
     "VariableDescriptorTable", "VarKind",
 ]

@@ -6,19 +6,30 @@ counterparts of common application classes — calibrated by the shape of
 the corresponding instrumented workloads in :mod:`repro.apps`, they give
 fast-prototyping studies a realistic starting point without writing a
 description from scratch.
+
+A sweep names its workload by class (``None``: generic).  What a name
+stands for, a sweep job's traces and its cache workload id, spelled and
+read back, live here only: ``repro.plans`` and the bound audit share them.
 """
 
 from __future__ import annotations
 
+import re
+from typing import Optional
+
+from ..operations.trace import TraceSet
 from .descriptions import (
     CommunicationBehaviour,
     InstructionMix,
     MemoryBehaviour,
     StochasticAppDescription,
 )
+from .stochastic import StochasticGenerator
 
 __all__ = ["stencil_class", "dense_linear_algebra_class",
-           "irregular_class", "comm_bound_class", "WORKLOAD_CLASSES"]
+           "irregular_class", "comm_bound_class", "WORKLOAD_CLASSES",
+           "stochastic_task_traces", "sweep_workload_id",
+           "traces_from_workload_id", "workload_description"]
 
 
 def stencil_class() -> StochasticAppDescription:
@@ -97,3 +108,45 @@ WORKLOAD_CLASSES = {
     "irregular": irregular_class,
     "comm-bound": comm_bound_class,
 }
+
+
+def workload_description(workload: Optional[str]) -> StochasticAppDescription:
+    """``None``: the generic description; else a :data:`WORKLOAD_CLASSES`
+    class (an unknown name raises ``ValueError`` listing them)."""
+    if workload is None:
+        return StochasticAppDescription()
+    if workload not in WORKLOAD_CLASSES:
+        raise ValueError(f"unknown workload {workload!r}; choose from: "
+                         + ", ".join(sorted(WORKLOAD_CLASSES)))
+    return WORKLOAD_CLASSES[workload]()
+
+
+def stochastic_task_traces(workload: Optional[str], n_nodes: int,
+                           rounds: int, seed: int) -> TraceSet:
+    """Task-level traces of a named workload (a sweep job's traces)."""
+    return StochasticGenerator(workload_description(workload), n_nodes,
+                               seed=seed).generate_task_level(rounds)
+
+
+_ID_TAG = "cli-stochastic"
+
+
+def sweep_workload_id(workload: Optional[str], rounds: int,
+                      seed: int) -> str:
+    """The cache workload id of a stochastic sweep job."""
+    return f"{_ID_TAG}:{workload or 'generic'}:rounds={rounds}:seed={seed}"
+
+
+def traces_from_workload_id(workload_id: str,
+                            n_nodes: int) -> Optional[TraceSet]:
+    """The traces a :func:`sweep_workload_id` id names (generation is
+    seeded); ``None`` for any other id."""
+    match = re.fullmatch(rf"{_ID_TAG}:([^:]+):rounds=(\d+):seed=(\d+)",
+                         workload_id)
+    if match is None:
+        return None
+    name, rounds, seed = match.groups()
+    workload = None if name == "generic" else name
+    if workload is not None and workload not in WORKLOAD_CLASSES:
+        return None
+    return stochastic_task_traces(workload, n_nodes, int(rounds), int(seed))

@@ -49,17 +49,17 @@ from .schedule import (
     target_name,
 )
 from .targets import (
-    VERIFY_APPS,
     MasterWorkerVerifyTarget,
     TraceVerifyTarget,
     app_verify_target,
+    verify_app,
 )
 
 __all__ = [
     "ClusterVerdict", "MasterWorkerVerifyTarget", "Outcome",
     "Perturbation", "PreferenceOrder", "RecordingOrder",
-    "ScheduleExplorer", "SeedOrder", "TraceVerifyTarget", "VERIFY_APPS",
-    "VerifyError", "VerifyResult", "app_verify_target",
+    "ScheduleExplorer", "SeedOrder", "TraceVerifyTarget", "VerifyError",
+    "VerifyResult", "app_verify_target",
     "canonical_digest", "flatten_summary", "run_schedule",
-    "summary_diff", "target_name",
+    "summary_diff", "target_name", "verify_app",
 ]

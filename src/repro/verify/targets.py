@@ -16,11 +16,15 @@ from typing import Any, Callable
 
 from ..config import MachineConfig
 
-__all__ = ["VERIFY_APPS", "MasterWorkerVerifyTarget", "TraceVerifyTarget",
-           "app_verify_target"]
+__all__ = ["MasterWorkerVerifyTarget", "TraceVerifyTarget",
+           "app_verify_target", "verify_app"]
 
-#: bundled apps ``repro verify`` accepts by name.
-VERIFY_APPS = ("pingpong", "alltoall", "pipeline", "masterworker")
+
+def verify_app(name: str) -> str:
+    """The app a ``repro verify`` name names: a bundled task-level app
+    (:func:`repro.apps.task_app`) or the ``masterworker`` task farm."""
+    from ..apps import task_app
+    return task_app(name, extra=("masterworker",))
 
 
 class TraceVerifyTarget:
@@ -75,11 +79,9 @@ class MasterWorkerVerifyTarget:
 
 
 def app_verify_target(machine: MachineConfig, app: str) -> Any:
-    """A verify factory for a bundled app name (see :data:`VERIFY_APPS`)."""
+    """A verify factory for an app name (see :func:`verify_app`)."""
+    app = verify_app(app)
     if app == "masterworker":
         return MasterWorkerVerifyTarget(machine)
     from ..apps import TASK_APPS
-    if app not in TASK_APPS:
-        raise ValueError(f"unknown verify app {app!r}; expected one of "
-                         f"{', '.join(VERIFY_APPS)}")
-    return TraceVerifyTarget(machine, TASK_APPS[app](machine.n_nodes))
+    return TraceVerifyTarget(machine, TASK_APPS[app].build(machine.n_nodes))

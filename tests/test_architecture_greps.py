@@ -113,6 +113,32 @@ def test_pattern_stays_out(why, pattern, glob, allowed):
     assert not hits, f"{why}\n" + "\n".join(hits)
 
 
+#: (what has one owner, pattern, glob under the repo root): each
+#: pattern appears exactly once in the files the glob matches
+ONCE = [
+    ("one unknown-app wording: repro.apps.task_app",
+     r"unknown (verify )?app(lication)? \{", "src/**/*.py"),
+    ("one workload rule: repro.tracegen.workload_description",
+     r"WORKLOAD_CLASSES\[", "src/**/*.py"),
+    ("one sweep workload id, spelled and read in repro.tracegen",
+     r'"cli-stochastic', "src/**/*.py"),
+    ("one CLI trace-set loader", r"TraceSet\.load\(", "src/repro/cli.py"),
+    ("one declaration of machine selection in the CLI", r'"--set"',
+     "src/repro/cli.py"),
+]
+
+
+@pytest.mark.parametrize("why, pattern, glob", ONCE,
+                         ids=[f"{c[1]} once in {c[2]}" for c in ONCE])
+def test_name_has_one_owner(why, pattern, glob):
+    regex = re.compile(pattern)
+    hits = [f"{path.relative_to(ROOT)}:{n}: {line.strip()}"
+            for path in sorted(ROOT.glob(glob))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if regex.search(line)]
+    assert len(hits) == 1, f"{why}\n" + "\n".join(hits)
+
+
 def test_executor_stream_is_the_job_states_follow():
     """One event-follow loop: ``JobState.follow``, which the service's
     ``/events`` handler rides."""

@@ -428,6 +428,27 @@ class TestCacheAudit:
         (skip,) = [r for r in result.rows if r["status"] == "skipped"]
         assert "machine_config" in skip["reason"]
 
+    @pytest.mark.parametrize("workload", [None, "stencil", "comm-bound"])
+    def test_sweep_workload_id_reads_back_the_sweep_traces(self, workload):
+        """The audit's reader turns a sweep's workload id back into the
+        very traces that sweep's points ran."""
+        from repro.bounds.audit import traces_from_workload_id
+        from repro.plans import _task_traces, plan_sweep
+        *_, workload_id = plan_sweep(
+            "t805-grid-2x2", (), ["network.link_bandwidth=2,4"],
+            workload=workload, rounds=2, seed=3)
+        assert list(traces_from_workload_id(workload_id, 4)) == \
+            list(_task_traces(workload, 4, 2, 3))
+
+    @pytest.mark.parametrize("workload_id", [
+        "cli-stochastic:nope:rounds=2:seed=3",
+        "cli-stochastic:generic:rounds=two:seed=3",
+        "cli-stochastic:generic:rounds=2:seed=3:extra",
+        "my-bespoke-benchmark"])
+    def test_other_workload_ids_read_back_as_none(self, workload_id):
+        from repro.bounds.audit import traces_from_workload_id
+        assert traces_from_workload_id(workload_id, 4) is None
+
     def test_foreign_workload_ids_skipped(self, tmp_path, capsys):
         cache_dir = _warm_cache(tmp_path)
         entry_path = _cache_entries(cache_dir)[0]

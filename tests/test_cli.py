@@ -140,7 +140,7 @@ class TestTraceAppCommand:
         assert "(0 dropped" not in out     # alltoall overflows 50 records
 
     def test_trace_unknown_npz_path_fails(self):
-        with pytest.raises(Exception):
+        with pytest.raises(SystemExit, match="unknown app"):
             main(["trace", "no-such-app-or-file.npz"])
 
 
@@ -488,3 +488,97 @@ class TestBoundCommand:
         subjects = [r["subject"] for r in payload["reports"]]
         for app in ("pingpong", "alltoall", "pipeline"):
             assert f"bounds:{app}:t805-grid-2x2" in subjects
+
+
+#: per command: a minimal argv, and what it parses to for the machine
+#: and worker flags the command has (a flag left out: it has none)
+_FLAG_CASES = {
+    "info": ([], {}),
+    "calibrate": (["smp4", "--set", "a=1"],
+                  {"preset": "smp4", "set": ["a=1"]}),
+    "slowdown": (["smp4"], {"preset": "smp4", "set": None}),
+    "stochastic": (["smp4", "--set", "a=1", "--set", "b=2"],
+                   {"preset": "smp4", "set": ["a=1", "b=2"]}),
+    "sweep": (["smp4", "--axis", "a=1,2"],
+              {"preset": "smp4", "set": [], "workers": 1}),
+    "reproduce": (["T1"], {"workers": 1}),
+    "check": (["--preset", "smp4", "--preset", "powerpc601",
+               "--set", "a=1"],
+              {"preset": ["smp4", "powerpc601"], "set": ["a=1"]}),
+    "lint": (["src"], {}),
+    "verify": (["pingpong", "--set", "a=1"],
+               {"preset": "t805-grid-2x2", "set": ["a=1"], "workers": 1}),
+    "chaos": (["pingpong", "--campaign", "c.json", "--preset", "smp4"],
+              {"preset": "smp4", "set": [], "workers": 1}),
+    "bound": (["pingpong", "--preset", "generic-mesh"],
+              {"preset": "generic-mesh", "set": None, "workers": 1}),
+    "trace": (["pingpong", "--set", "a=1"],
+              {"preset": "t805-grid-2x2", "set": ["a=1"]}),
+    "stats": ([], {"preset": "t805-grid-2x2", "set": None}),
+    "serve": ([], {"workers": None}),
+    "submit": (["chaos", "pingpong", "--campaign", "c.json"],
+               {"preset": "t805-grid-2x2", "set": []}),
+    "status": (["job-1"], {}),
+    "fetch": (["job-1"], {}),
+}
+
+
+class TestSharedFlags:
+    """Every subcommand's ``--preset``/``--set``/``--workers`` parse as
+    they always have, whichever helper declares them."""
+
+    def test_every_command_has_a_case(self):
+        from repro.cli import _COMMANDS
+        assert set(_FLAG_CASES) == set(_COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(_FLAG_CASES))
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        assert f"usage: repro {command}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", sorted(_FLAG_CASES))
+    def test_machine_and_worker_flags_parse(self, command):
+        from repro.cli import _parser
+        argv, parsed = _FLAG_CASES[command]
+        args = vars(_parser().parse_args([command, *argv]))
+        for flag in ("preset", "set", "workers"):
+            assert args.get(flag, "absent") == parsed.get(flag, "absent")
+
+
+class TestNameResolution:
+    """A bundled app, a trace-set path and a worker count each resolve
+    in one place, so every command answers a bad one with the same line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "nosuch"], ["trace", "nosuch"], ["bound", "masterworker"],
+        ["check", "--trace", "nosuch.npz"]])
+    def test_unknown_target_is_one_line_naming_the_apps(self, argv,
+                                                        tmp_path,
+                                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match="unknown application") as info:
+            main(argv)
+        message = str(info.value.code)
+        assert "\n" not in message
+        for app in TASK_APPS:
+            assert app in message
+
+    def test_verify_accepts_the_examples_spelling(self, capsys):
+        from repro.commmodel.message import reset_message_ids
+        outs = []
+        for app in ("pingpong", "examples/pingpong.py"):
+            reset_message_ids()   # packet ids name the certificate's clusters
+            assert main(["verify", app, "--budget", "1"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("command", sorted(
+        cmd for cmd, (_argv, parsed) in _FLAG_CASES.items()
+        if "workers" in parsed))
+    def test_every_workers_flag_rejects_zero(self, command):
+        argv, _parsed = _FLAG_CASES[command]
+        with pytest.raises(SystemExit,
+                           match=r"^--workers must be >= 1, got 0$"):
+            main([command, *argv, "--workers", "0"])

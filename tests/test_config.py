@@ -107,8 +107,6 @@ class TestNodeNetwork:
     def test_bad_link_params(self):
         with pytest.raises(ConfigError):
             NetworkConfig(link_bandwidth=0).validate()
-        with pytest.raises(ConfigError):
-            NetworkConfig(channel_buffers=0).validate()
 
     def test_n_nodes(self):
         m = MachineConfig(network=NetworkConfig(

@@ -315,5 +315,5 @@ class TestWorkbenchVerify:
         with pytest.raises(ValueError, match="exactly one"):
             wb.verify(pingpong_task_traces(wb.n_nodes),
                       application="pingpong")
-        with pytest.raises(ValueError, match="unknown verify app"):
+        with pytest.raises(ValueError, match="unknown application"):
             wb.verify(application="mandelbrot")
